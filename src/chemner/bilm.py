@@ -156,11 +156,11 @@ class BiLm:
         h = xs
         for layer in range(self.config.num_layers):
             name = f"bilm.{direction}.l{layer}"
-            h = nx.lstm_scan(h,
-                             nx.use_param(tape, self.params[f"{name}.wx"]),
-                             nx.use_param(tape, self.params[f"{name}.wh"]),
-                             nx.use_param(tape, self.params[f"{name}.b"]),
-                             reverse=(direction == "bwd"))
+            h = nx.lstm_batch([h],
+                              nx.use_param(tape, self.params[f"{name}.wx"]),
+                              nx.use_param(tape, self.params[f"{name}.wh"]),
+                              nx.use_param(tape, self.params[f"{name}.b"]),
+                              reverse=(direction == "bwd"))[0]
             states.append(h)
         return states
 
@@ -266,10 +266,12 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
 
     if ckpt.kind != "bilm":
         raise CheckpointError(f"expected a bilm checkpoint, got kind {ckpt.kind!r}")
-    vocab = vocab_from_payload(ckpt.vocab)
-    config = BiLmConfig.from_payload(ckpt.config, vocab)
+    try:
+        config = BiLmConfig.from_payload(ckpt.config, vocab_from_payload(ckpt.vocab))
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
     model = BiLm.init(config, seed=0)
-    if set(model.params) != set(ckpt.tensors):
+    if not set(model.params) == set(ckpt.tensors) == set(ckpt.trainable):
         raise CheckpointError("checkpoint tensor names do not match the biLM layout")
     for name, p in model.params.items():
         if p.value.shape != ckpt.tensors[name].shape:

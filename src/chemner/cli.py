@@ -143,7 +143,7 @@ def cmd_split(args) -> int:
 
 def _read_plain_sentences(path: str, kind: TokenizerKind) -> list[list[str]]:
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for line in f:
             line = line.strip()
             if not line:
@@ -283,7 +283,7 @@ def _read_token_sentences(path: str, scheme: LabelScheme | None) -> list[TaggedS
             sentences.append(sentence_from_texts(texts, [0] * len(texts), doc_id))
             texts = []
 
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -313,7 +313,7 @@ def cmd_tag(args) -> int:
     if args.raw:
         kind = _tokenizer_from_payload(ckpt.meta.get("tokenizer") or {"mode": "general"})
         sentences = []
-        with open(args.input, encoding="utf-8") as f:
+        with open(args.input, encoding="utf-8-sig") as f:
             text = f.read()
         for sent in split_sentences(text):
             toks = kind.tokenize(sent)

@@ -231,7 +231,7 @@ def read_column_corpus(path: str, scheme: LabelScheme) -> list[TaggedSentence]:
             sentences.append(sentence_from_texts(texts, tag_ids, doc_id, repairs))
             texts, tags = [], []
 
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():

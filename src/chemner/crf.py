@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nx
 from .corpus import LabelScheme
-from .numerics import Parameter, Tape, Tensor
+from .numerics import NumericError, Parameter, Tape, Tensor
 
 MASKED_SCORE = -1e4
 
@@ -162,12 +162,15 @@ def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]
     """Best-scoring tag sequence; ties take the lowest tag id while backtracking.
 
     The returned score is recomputed with score_sequence's summation so it
-    matches that value exactly.
+    matches that value exactly. Non-finite emissions or potentials raise
+    NumericError, since no tag sequence is best under them.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape
     _check_instance(T, K, None)
     trans, start, stop = params.effective()
+    if not all(np.isfinite(a).all() for a in (emissions, trans, start, stop)):
+        raise NumericError("viterbi: non-finite emissions or CRF potentials")
 
     delta = start + emissions[0]
     backptr = np.zeros((T, K), dtype=np.intp)

@@ -36,7 +36,7 @@ def load_embedding_text(path: str, restrict_to: set[str] | None = None
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         header = f.readline()
         parts = header.split()
         if len(parts) != 2:

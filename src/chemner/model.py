@@ -254,20 +254,31 @@ class NerModel:
     def encode(self, features: Tensor, tape: Tape | None = None,
                dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
         """Stacked biLSTM encoder (T x 2*hidden); dropout on each layer's input."""
-        h = features
+        masks = None if dropout_masks is None else [dropout_masks]
+        return self.encode_batch([features], tape, masks)[0]
+
+    def encode_batch(self, features: Sequence[Tensor], tape: Tape | None = None,
+                     dropout_masks: Sequence[Sequence[np.ndarray | None]] | None = None
+                     ) -> list[Tensor]:
+        """:meth:`encode` of every sentence, each direction-layer one fused
+        pass over the whole batch; ``dropout_masks`` holds one per-layer mask
+        list per sentence."""
+        hs = list(features)
         for layer in range(self.config.lstm_layers):
             rate = self.config.dropout[layer]
-            if dropout_masks is not None and dropout_masks[layer] is not None and rate > 0:
-                h = nx.dropout(h, dropout_masks[layer], rate)
+            if dropout_masks is not None and rate > 0:
+                hs = [h if masks is None or masks[layer] is None
+                      else nx.dropout(h, masks[layer], rate)
+                      for h, masks in zip(hs, dropout_masks)]
             outs = []
             for direction in ("fwd", "bwd"):
                 name = f"lstm.l{layer}.{direction}"
-                outs.append(nx.lstm_scan(h, nx.use_param(tape, self.params[f"{name}.wx"]),
-                                         nx.use_param(tape, self.params[f"{name}.wh"]),
-                                         nx.use_param(tape, self.params[f"{name}.b"]),
-                                         reverse=(direction == "bwd")))
-            h = nx.concat(outs, axis=1)
-        return h
+                outs.append(nx.lstm_batch(hs, nx.use_param(tape, self.params[f"{name}.wx"]),
+                                          nx.use_param(tape, self.params[f"{name}.wh"]),
+                                          nx.use_param(tape, self.params[f"{name}.b"]),
+                                          reverse=(direction == "bwd")))
+            hs = [nx.concat(pair, axis=1) for pair in zip(*outs)]
+        return hs
 
     def emissions(self, encoded: Tensor, tape: Tape | None = None) -> Tensor:
         return nx.linear(encoded, nx.use_param(tape, self.params["emit.w"]),
@@ -314,14 +325,15 @@ class NerModel:
         every computation to real tokens, so pad columns contribute nothing."""
         if not isinstance(batch, PaddedBatch):
             batch = self.pad_batch(batch)
-        total: Tensor | None = None
+        feats = []
         for i, sent in enumerate(batch.sentences):
             T = int(batch.mask[i].sum())
             if T != len(sent.tokens):
                 raise ValueError(f"sentence {i}: mask length {T} != {len(sent.tokens)}")
-            feats = self.embed_tokens(sent, tape, word_ids=batch.token_ids[i, :T])
-            masks = dropout_masks[i] if dropout_masks is not None else None
-            encoded = self.encode(feats, tape, masks)
+            feats.append(self.embed_tokens(sent, tape, word_ids=batch.token_ids[i, :T]))
+        total: Tensor | None = None
+        for sent, encoded in zip(batch.sentences,
+                                 self.encode_batch(feats, tape, dropout_masks)):
             emissions = self.emissions(encoded, tape)
             sent_nll = crf_mod.nll(emissions, list(sent.tags), self.crf, tape)
             total = sent_nll if total is None else nx.add(total, sent_nll)
@@ -355,15 +367,18 @@ def model_from_checkpoint(ckpt) -> NerModel:
 
     if ckpt.kind != "ner":
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
-    vocab = vocab_from_payload(ckpt.vocab)
-    config = ModelConfig.from_payload(ckpt.config)
-    bilm = None
-    if ckpt.bilm_config is not None:
-        bilm_vocab = vocab_from_payload(ckpt.bilm_vocab)
-        bilm = BiLm.init(BiLmConfig.from_payload(ckpt.bilm_config, bilm_vocab), seed=0)
+    try:
+        vocab = vocab_from_payload(ckpt.vocab)
+        config = ModelConfig.from_payload(ckpt.config)
+        bilm_config = (None if ckpt.bilm_config is None else
+                       BiLmConfig.from_payload(ckpt.bilm_config,
+                                               vocab_from_payload(ckpt.bilm_vocab)))
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
+    bilm = None if bilm_config is None else BiLm.init(bilm_config, seed=0)
     model = NerModel.init(config, vocab, seed=0, bilm=bilm)
     named = model.all_tensors()
-    if set(named) != set(ckpt.tensors):
+    if not set(named) == set(ckpt.tensors) == set(ckpt.trainable):
         raise CheckpointError("checkpoint tensor names do not match the model layout")
     for name, p in named.items():
         if p.value.shape != ckpt.tensors[name].shape:

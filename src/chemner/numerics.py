@@ -387,12 +387,9 @@ def broadcast_col(x, n: int) -> Tensor:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+e^−z) for z ≥ 0 and e^z/(1+e^z) below, with no exp overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(x) -> Tensor:
@@ -582,7 +579,9 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
     """Run an LSTM over the rows of xs (T×D); returns hidden states (T×H).
 
     Initial h and c are zeros. With ``reverse`` the rows are processed last
-    to first and the output is re-aligned to input positions.
+    to first and the output is re-aligned to input positions. One tape
+    entry per step: this is the reference :func:`lstm_batch` is tested
+    against, not a training path.
     """
     xs, wx, wh, b = map(_wrap, (xs, wx, wh, b))
     if xs.data.ndim != 2:
@@ -599,6 +598,107 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
         h, c = lstm_step(x_t, h, c, wx, wh, b)
         outs[t] = h
     return concat([o for o in outs], axis=0)
+
+
+def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
+    """One LSTM direction over a ragged batch, as one tape entry.
+
+    ``xs`` holds B sequences (T_i×D); returns their hidden states (T_i×H),
+    each equal to ``lstm_scan`` of that sequence alone. The sequences are
+    packed: sorted longest first, and for ``reverse`` flipped within their
+    own length, so the ones still running at step t are a prefix of those
+    running at t−1. Every per-step array has one row per real token, time
+    major. The input projection and the weight gradients are single GEMMs
+    over all tokens; only the (n_t×H)@(H×4H) recurrence loops over time,
+    forward and in the hand-written BPTT of the vjp.
+    """
+    xs = [_wrap(x) for x in xs]
+    wx, wh, b = _wrap(wx), _wrap(wh), _wrap(b)
+    H = wh.data.shape[0] if wh.data.ndim == 2 else -1
+    D = wx.data.shape[0] if wx.data.ndim == 2 else -1
+    if (not xs or wx.data.shape != (D, 4 * H) or wh.data.shape != (H, 4 * H)
+            or b.data.shape != (4 * H,)
+            or any(x.data.ndim != 2 or x.data.shape[1] != D or x.data.shape[0] < 1
+                   for x in xs)):
+        raise ShapeError(f"lstm_batch: xs {[x.data.shape for x in xs]}, "
+                         f"wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape}")
+    lengths = np.array([x.data.shape[0] for x in xs], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    running = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    step_lo = np.concatenate(([0], np.cumsum(running)))  # packed rows of step t
+    cat_lo = np.concatenate(([0], np.cumsum(lengths)))   # rows of sequence i in the concat
+    step = np.repeat(np.arange(len(running)), running)   # step of each packed row
+    slot = np.arange(len(step)) - step_lo[step]          # its rank among running ones
+    seq = order[slot]
+    # perm[r]: the concat row (sequence, position) that packed row r holds
+    perm = cat_lo[seq] + (lengths[seq] - 1 - step if reverse else step)
+    # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
+    prev = step_lo[step[running[0]:] - 1] + slot[running[0]:]
+
+    x_packed = np.concatenate([x.data for x in xs], axis=0)[perm]
+    gates = x_packed @ wx.data
+    gates += b.data
+    hs = np.empty((len(perm), H))
+    cs = np.empty((len(perm), H))
+    tcs = np.empty((len(perm), H))
+    for t, n in enumerate(running):
+        lo, hi = step_lo[t], step_lo[t + 1]
+        z = gates[lo:hi]
+        if t:
+            z += hs[step_lo[t - 1]:step_lo[t - 1] + n] @ wh.data
+        z[:, :2 * H] = _stable_sigmoid(z[:, :2 * H])
+        z[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+        z[:, 3 * H:] = _stable_sigmoid(z[:, 3 * H:])
+        gi, gf, gg = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H]
+        cs[lo:hi] = gi * gg
+        if t:
+            cs[lo:hi] += gf * cs[step_lo[t - 1]:step_lo[t - 1] + n]
+        tcs[lo:hi] = np.tanh(cs[lo:hi])
+        hs[lo:hi] = z[:, 3 * H:] * tcs[lo:hi]
+    h_cat = np.empty_like(hs)
+    h_cat[perm] = hs
+
+    tape = _join_tape("lstm_batch", *xs, wx, wh, b)
+    outs = [Tensor(h_cat[lo:hi], tape) for lo, hi in zip(cat_lo[:-1], cat_lo[1:])]
+    if tape is not None:
+        def vjp(grads, acc):
+            dh_cat = np.zeros((len(perm), H))
+            for g, lo, hi in zip(grads, cat_lo[:-1], cat_lo[1:]):
+                if g is not None:
+                    dh_cat[lo:hi] = g
+            dhs = dh_cat[perm]
+            dz_all = np.empty_like(gates)
+            dh_next = dc_next = None
+            for t in range(len(running) - 1, -1, -1):
+                n, lo, hi = running[t], step_lo[t], step_lo[t + 1]
+                gi, gf = gates[lo:hi, :H], gates[lo:hi, H:2 * H]
+                gg, go = gates[lo:hi, 2 * H:3 * H], gates[lo:hi, 3 * H:]
+                tc = tcs[lo:hi]
+                dh = dhs[lo:hi]
+                if dh_next is not None:
+                    dh[:len(dh_next)] += dh_next
+                dc = dh * go * (1.0 - tc * tc)
+                if dc_next is not None:
+                    dc[:len(dc_next)] += dc_next
+                dz = dz_all[lo:hi]
+                dz[:, :H] = dc * gg * gi * (1.0 - gi)
+                dz[:, 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
+                dz[:, 3 * H:] = dh * tc * go * (1.0 - go)
+                if t:
+                    dz[:, H:2 * H] = dc * cs[step_lo[t - 1]:step_lo[t - 1] + n] * gf * (1.0 - gf)
+                    dc_next = dc * gf
+                    dh_next = dz @ wh.data.T
+                else:
+                    dz[:, H:2 * H] = 0.0
+            dx_cat = np.empty((len(perm), D))
+            dx_cat[perm] = dz_all @ wx.data.T
+            for x, lo, hi in zip(xs, cat_lo[:-1], cat_lo[1:]):
+                acc(x, dx_cat[lo:hi])
+            acc(wx, x_packed.T @ dz_all)
+            acc(wh, hs[prev].T @ dz_all[running[0]:])
+            acc(b, dz_all.sum(axis=0))
+        tape._record(tuple(outs), vjp)
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class RuleConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RuleConfig":
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             raw = json.load(f)
         unknown = set(raw) - {"no_split_chars", "suffixes"}
         if unknown:

@@ -3,9 +3,13 @@ and bit-exact binary checkpoints."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -200,52 +204,77 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         blocks.append((f"m/{name}", ckpt.opt_m[name]))
     for name in sorted(ckpt.opt_v):
         blocks.append((f"v/{name}", ckpt.opt_v[name]))
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
-        f.write(struct.pack("<Q", len(meta_b)))
-        f.write(meta_b)
-        f.write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks:
-            _write_tensor(f, name, arr)
+    # written beside the target and renamed over it, so a failed write
+    # leaves the previous checkpoint intact
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", ckpt.version))
+            f.write(struct.pack("<Q", len(meta_b)))
+            f.write(meta_b)
+            f.write(struct.pack("<I", len(blocks)))
+            for name, arr in blocks:
+                _write_tensor(f, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
+_METADATA_KEYS = ("kind", "config", "bilm_config", "trainable", "opt_step", "vocab",
+                  "rng_state", "meta", "version")
+
+
+def _read_exact(f, n: int, what: str, size: int) -> bytes:
+    """Read n bytes, refusing before reading when the file holds fewer, so a
+    corrupt size field cannot trigger a huge allocation."""
+    left = size - f.tell()
+    data = f.read(n) if n <= left else b""
     if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what} "
-                              f"at offset {f.tell() - len(data)}")
+        raise CheckpointError(f"truncated checkpoint while reading {what}: {n} bytes "
+                              f"declared, {left} left at offset {size - left}")
     return data
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-        version = struct.unpack("<I", _read_exact(f, 4, "version"))[0]
+        version = struct.unpack("<I", _read_exact(f, 4, "version", size))[0]
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        meta_len = struct.unpack("<Q", _read_exact(f, 8, "metadata length"))[0]
+        meta_len = struct.unpack("<Q", _read_exact(f, 8, "metadata length", size))[0]
         try:
-            metadata = json.loads(_read_exact(f, meta_len, "metadata").decode("utf-8"))
+            metadata = json.loads(_read_exact(f, meta_len, "metadata", size).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt metadata: {e}") from None
-        count = struct.unpack("<I", _read_exact(f, 4, "tensor count"))[0]
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        missing = [k for k in _METADATA_KEYS if k not in metadata]
+        if missing:
+            raise CheckpointError(f"{path}: metadata lacks {missing}")
+        count = struct.unpack("<I", _read_exact(f, 4, "tensor count", size))[0]
         tensors: dict[str, np.ndarray] = {}
         opt_m: dict[str, np.ndarray] = {}
         opt_v: dict[str, np.ndarray] = {}
+        groups = {"p": tensors, "m": opt_m, "v": opt_v}
         for _ in range(count):
-            name_len = struct.unpack("<I", _read_exact(f, 4, "tensor name length"))[0]
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            ndim = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim"))[0]
-            shape = tuple(struct.unpack("<Q", _read_exact(f, 8, f"{name} dim"))[0]
-                          for _ in range(ndim))
-            n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(f, 8 * n_items, f"{name} data")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            name_len = struct.unpack("<I", _read_exact(f, 4, "tensor name length", size))[0]
+            try:
+                name = _read_exact(f, name_len, "tensor name", size).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: corrupt tensor name: {e}") from None
             group, _, bare = name.partition("/")
-            {"p": tensors, "m": opt_m, "v": opt_v}[group][bare] = arr
+            if group not in groups or not bare or bare in groups[group]:
+                raise CheckpointError(f"{path}: unknown or repeated tensor block {name!r}")
+            ndim = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim", size))[0]
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, f"{name} shape", size))
+            raw = _read_exact(f, 8 * math.prod(shape), f"{name} data", size)
+            groups[group][bare] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
     return Checkpoint(kind=metadata["kind"], config=metadata["config"],

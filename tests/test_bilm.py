@@ -209,3 +209,12 @@ class TestCheckpointRoundtrip:
         a = bilm.contextualize(SENTS[1])
         b = restored.contextualize(SENTS[1])
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("section,key", [("config", "char_filters"), ("vocab", "chars"),
+                                             ("trainable", "bilm.head.b")])
+    def test_missing_payload_key_rejected(self, section, key):
+        from chemner.training import CheckpointError
+        ckpt = make_checkpoint(BiLm.init(small_config(SENTS)), None, None, kind="bilm")
+        del getattr(ckpt, section)[key]
+        with pytest.raises(CheckpointError):
+            bilm_from_checkpoint(ckpt)

@@ -5,7 +5,7 @@ import pytest
 
 from chemner.cli import main
 from chemner.corpus import write_column_corpus
-from chemner.training import load_checkpoint
+from chemner.training import load_checkpoint, save_checkpoint
 
 from conftest import toy_corpus
 
@@ -158,6 +158,34 @@ class TestTrainTagEval:
         assert code == 2
         assert "bad.ckpt" in err
 
+    def test_unknown_checkpoint_block_exit_2(self, capsys, tmp_path, trained_setup):
+        _, out_dir, _, _ = trained_setup
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes((out_dir / "model.ckpt").read_bytes()
+                        .replace(b"p/crf.start", b"q/crf.start"))
+        code, _, err = run(capsys, "tag", "--model", str(bad), "--in", str(bad))
+        assert code == 2
+        assert "q/crf.start" in err
+
+    def test_non_finite_model_exit_3(self, capsys, tmp_path, trained_setup):
+        corpus_path, out_dir, _, _ = trained_setup
+        ckpt = load_checkpoint(str(out_dir / "model.ckpt"))
+        ckpt.tensors["emit.b"][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, str(bad))
+        code, _, err = run(capsys, "tag", "--model", str(bad), "--in", str(corpus_path))
+        assert code == 3
+        assert "non-finite" in err
+
+    def test_tag_raw_text_with_byte_order_mark(self, capsys, trained_setup, tmp_path):
+        _, out_dir, _, _ = trained_setup
+        raw = tmp_path / "raw.txt"
+        raw.write_text("\ufeffwater was added.", encoding="utf-8")
+        code, out, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                             "--in", str(raw), "--raw")
+        assert code == 0, err
+        assert out.splitlines()[0].split("\t")[0] == "water"
+
     def test_train_determinism(self, capsys, trained_setup, tmp_path):
         corpus_path, out_dir, _, cfg_path = trained_setup
         out2 = tmp_path / "again"
@@ -184,6 +212,17 @@ class TestTrainBilmCommand:
         ckpt = load_checkpoint(str(out))
         assert ckpt.kind == "bilm"
         assert len(ckpt.meta["perplexities"]) == 3
+
+    def test_train_bilm_corpus_with_byte_order_mark(self, capsys, tmp_path):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("\ufeffthe cat sat\nthe dog ran\n", encoding="utf-8")
+        out = tmp_path / "bilm.ckpt"
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus),
+                           "--epochs", "1", "--out", str(out), "--char-embed-dim", "4",
+                           "--filter-count", "4", "--layer-dim", "8")
+        assert code == 0, err
+        words = load_checkpoint(str(out)).vocab["words"]
+        assert "the" in words and not any("\ufeff" in w for w in words)
 
 
 class TestFullPipeline:

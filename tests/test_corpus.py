@@ -42,6 +42,10 @@ class TestReadColumnCorpus:
         assert sents[0].texts == ["salt"]
         assert sents[0].tag_names(SCHEME) == ["B-G"]
 
+    def test_byte_order_mark_not_in_first_token(self, tmp_path):
+        path = write(tmp_path, "\ufeffwater\tB-G\nsalt\tO\n")
+        assert read_column_corpus(path, SCHEME)[0].texts == ["water", "salt"]
+
     def test_dangling_i_repaired(self, tmp_path):
         path = write(tmp_path, "salt\tI-G\nwater\tI-G\n")
         sents = read_column_corpus(path, SCHEME)

@@ -5,7 +5,7 @@ from chemner import numerics as nx
 from chemner.corpus import LabelScheme
 from chemner.crf import (CrfParams, bio_transition_masks, log_partition, nll,
                          score_sequence, score_sequence_value, viterbi)
-from chemner.numerics import Parameter, backward, constant, evaluate
+from chemner.numerics import NumericError, Parameter, backward, constant, evaluate
 
 from oracles import (brute_log_partition, brute_nll, brute_viterbi,
                      enumerate_sequence_scores)
@@ -204,6 +204,13 @@ class TestViterbi:
                                  params.start.value, params.stop.value)
         assert btags == [1, 0]
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_emissions_raise(self, bad):
+        em = np.zeros((4, 2))
+        em[2, 1] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            viterbi(em, zero_params(2))
 
 class TestBioMask:
     SCHEME = LabelScheme(("G", "M"))

@@ -24,6 +24,10 @@ class TestLoadEmbeddingText:
         assert vectors.shape == (2, 3)
         assert np.array_equal(vectors, [[1, 0, 0], [0, 1, 0]])
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        words, vectors = load_embedding_text(write(tmp_path, "\ufeff1 2\na 1 2\n"))
+        assert words == ["a"] and vectors.shape == (1, 2)
+
     def test_dim_mismatch(self, tmp_path):
         with pytest.raises(EmbeddingFormatError, match=":2"):
             load_embedding_text(write(tmp_path, "1 3\na 1 0\n"))

@@ -271,6 +271,93 @@ class TestAdjointsMatchFiniteDifferences:
             return nx.sum_all(nx.mul(h, h))
         _fd_check(fn, [wx, wh, b, xs])
 
+    def test_lstm_batch_ragged_both_directions(self):
+        D, H = 3, 2
+        wx = Parameter("wx", self.u(D, 4 * H) * 0.5)
+        wh = Parameter("wh", self.u(H, 4 * H) * 0.5)
+        b = Parameter("b", self.u(4 * H) * 0.5)
+        xs = [Parameter(f"x{i}", self.u(T, D)) for i, T in enumerate((2, 4, 1))]
+        def fn(t):
+            total = None
+            for reverse in (False, True):
+                for h in nx.lstm_batch([t.param(x) for x in xs], t.param(wx),
+                                       t.param(wh), t.param(b), reverse=reverse):
+                    s = nx.sum_all(nx.mul(h, h))
+                    total = s if total is None else nx.add(total, s)
+            return total
+        _fd_check(fn, [wx, wh, b, *xs])
+
+
+class TestLstmBatch:
+    """The fused batch pass against the per-step ``lstm_scan`` reference."""
+
+    D, H = 5, 4
+
+    def weights(self, rng):
+        return (Parameter("wx", rng.normal(size=(self.D, 4 * self.H)) * 0.5),
+                Parameter("wh", rng.normal(size=(self.H, 4 * self.H)) * 0.5),
+                Parameter("b", rng.normal(size=4 * self.H) * 0.5))
+
+    def run(self, xs, weights, probes, reverse, fused):
+        """Outputs and gradients (xs..., wx, wh, b) of sum_i <probe_i, out_i>."""
+        params = [*xs, *weights]
+        for p in params:
+            p.zero_grad()
+        tape = Tape()
+        xt = [tape.param(x) for x in xs]
+        wt = [tape.param(w) for w in weights]
+        if fused:
+            outs = nx.lstm_batch(xt, *wt, reverse=reverse)
+        else:
+            outs = [nx.lstm_scan(x, *wt, reverse=reverse) for x in xt]
+        total = None
+        for out, probe in zip(outs, probes):
+            s = nx.sum_all(nx.mul(out, constant(probe)))
+            total = s if total is None else nx.add(total, s)
+        backward(tape, total)
+        return [o.data for o in outs], [p.gradient.copy() for p in params]
+
+    @pytest.mark.parametrize("lengths", [(1, 3, 7), (7, 1, 3), (4, 4, 4), (6,)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_step_scan(self, lengths, reverse):
+        rng = np.random.default_rng(sum(lengths))
+        weights = self.weights(rng)
+        xs = [Parameter(f"x{i}", rng.normal(size=(T, self.D))) for i, T in enumerate(lengths)]
+        probes = [rng.normal(size=(T, self.H)) for T in lengths]
+        outs, grads = self.run(xs, weights, probes, reverse, fused=True)
+        ref_outs, ref_grads = self.run(xs, weights, probes, reverse, fused=False)
+        for got, want in zip(outs + grads, ref_outs + ref_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_output_independent_of_batch_mates(self, reverse):
+        rng = np.random.default_rng(5)
+        wx, wh, b = (constant(w.value) for w in self.weights(rng))
+        xs = [constant(rng.normal(size=(T, self.D))) for T in (3, 9, 1, 6)]
+        alone = [nx.lstm_batch([x], wx, wh, b, reverse=reverse)[0].data for x in xs]
+        together = nx.lstm_batch(xs, wx, wh, b, reverse=reverse)
+        for a, t in zip(alone, together):
+            assert np.abs(a - t.data).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+
+    def test_one_tape_entry_per_batch(self):
+        rng = np.random.default_rng(6)
+        tape = Tape()
+        wx, wh, b = (tape.param(w) for w in self.weights(rng))
+        xs = [constant(rng.normal(size=(T, self.D))) for T in (2, 5)]
+        nx.lstm_batch(xs, wx, wh, b)
+        assert len(tape) == 1
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(7)
+        wx, wh, b = (constant(w.value) for w in self.weights(rng))
+        with pytest.raises(ShapeError):
+            nx.lstm_batch([], wx, wh, b)
+        with pytest.raises(ShapeError):
+            nx.lstm_batch([constant(np.zeros((0, self.D)))], wx, wh, b)
+        with pytest.raises(ShapeError):
+            nx.lstm_batch([constant(np.zeros((2, self.D + 1)))], wx, wh, b)
+
 
 class TestLstmGatingAlgebra:
     def test_cell_carried_with_forced_gates(self):

@@ -183,6 +183,12 @@ def test_rule_config_file_roundtrip(tmp_path):
     assert rules.suffixes == ("ium",)
 
 
+def test_rule_config_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('\ufeff{"suffixes": ["ium"]}', encoding="utf-8")
+    assert RuleConfig.from_file(str(path)).suffixes == ("ium",)
+
+
 def test_rule_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text('{"bogus": 1}', encoding="utf-8")

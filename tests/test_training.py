@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+
+import chemner.training
 
 from chemner.corpus import DatasetSplit, Vocabulary
 from chemner.model import ModelConfig, NerModel, model_from_checkpoint
@@ -226,6 +231,80 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated.*offset"):
             load_checkpoint(path)
 
+
+    def saved(self, toy_setup, tmp_path):
+        sentences, scheme, vocab = toy_setup
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(make_checkpoint(make_model(sentences, scheme, vocab), None, None), path)
+        return path
+
+    @pytest.mark.parametrize("keep", [10, 17, 40, 400])
+    def test_truncated_anywhere(self, toy_setup, tmp_path, keep):
+        path = self.saved(toy_setup, tmp_path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:keep])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_unknown_block_group(self, toy_setup, tmp_path):
+        path = self.saved(toy_setup, tmp_path)
+        data = open(path, "rb").read()
+        assert data.count(b"p/crf.start") == 1
+        open(path, "wb").write(data.replace(b"p/crf.start", b"q/crf.start"))
+        with pytest.raises(CheckpointError, match="q/crf.start"):
+            load_checkpoint(path)
+
+    def test_missing_metadata_key(self, toy_setup, tmp_path):
+        path = self.saved(toy_setup, tmp_path)
+        data = open(path, "rb").read()
+        meta_len = struct.unpack("<Q", data[12:20])[0]
+        metadata = json.loads(data[20:20 + meta_len])
+        del metadata["opt_step"]
+        meta_b = json.dumps(metadata).encode("utf-8")
+        open(path, "wb").write(data[:12] + struct.pack("<Q", len(meta_b)) + meta_b
+                               + data[20 + meta_len:])
+        with pytest.raises(CheckpointError, match="opt_step"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section,key", [("config", "labels"), ("vocab", "words"),
+                                             ("trainable", "emit.b")])
+    def test_missing_payload_key_rejected_on_rebuild(self, toy_setup, section, key):
+        sentences, scheme, vocab = toy_setup
+        ckpt = make_checkpoint(make_model(sentences, scheme, vocab), None, None)
+        del getattr(ckpt, section)[key]
+        with pytest.raises(CheckpointError):
+            model_from_checkpoint(ckpt)
+
+    def test_huge_declared_shape_refused_before_reading(self, tmp_path):
+        meta_b = json.dumps(dict.fromkeys(chemner.training._METADATA_KEYS)).encode("utf-8")
+        name = b"p/x"
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(chemner.training.CHECKPOINT_MAGIC + struct.pack("<I", 1)
+                         + struct.pack("<Q", len(meta_b)) + meta_b + struct.pack("<I", 1)
+                         + struct.pack("<I", len(name)) + name
+                         + struct.pack("<I", 1) + struct.pack("<Q", 2 ** 40) + bytes(64))
+        with pytest.raises(CheckpointError, match="p/x data: 8796093022208 bytes declared"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_file(self, toy_setup, tmp_path, monkeypatch):
+        path = self.saved(toy_setup, tmp_path)
+        before = open(path, "rb").read()
+        sentences, scheme, vocab = toy_setup
+        other = make_checkpoint(make_model(sentences, scheme, vocab, seed=1), None, None)
+        real_write = chemner.training._write_tensor
+        written = []
+
+        def failing_write(out, name, arr):
+            if len(written) == len(other.tensors) // 2:
+                raise OSError("disk full")
+            written.append(name)
+            real_write(out, name, arr)
+
+        monkeypatch.setattr(chemner.training, "_write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, path)
+        assert open(path, "rb").read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 class TestTrainLoop:
     def run(self, toy_setup, seed, epochs=3, model_seed=0):
