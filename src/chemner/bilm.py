@@ -1,10 +1,11 @@
 """Scaled-down bidirectional language model and layer mixing.
 
-A shared character CNN feeds two independent LSTM stacks: the forward
-stack predicts each token from the tokens before it, the backward stack
-from the tokens after it. Per-token layer representations (the projection
-at layer 0, forward/backward hidden states above) are combined by a
-trainable softmax-weighted sum for use as contextual word features.
+A character CNN (:func:`char_features`, the block the NER model uses too)
+feeds two independent LSTM stacks: the forward stack predicts each token
+from the tokens before it, the backward stack from the tokens after it.
+Per-token layer representations (the projection at layer 0, forward and
+backward hidden states above) are combined by a trainable softmax-weighted
+sum for use as contextual word features.
 """
 
 from __future__ import annotations
@@ -75,6 +76,33 @@ def lstm_params(rng: np.random.Generator, name: str, in_dim: int,
     }
 
 
+def char_features(texts: Sequence[str], vocab: Vocabulary, table: Tensor,
+                  convs: Sequence[tuple[Tensor, Tensor]],
+                  proj: tuple[Tensor, Tensor]) -> Tensor:
+    """The char-CNN block of the NER model and the biLM: one row per text
+    (T x projection width).
+
+    Each distinct non-empty text, in first-occurrence order, becomes one
+    row of char ids framed by ``max_width // 2`` CHAR_PAD ids on each side.
+    One :func:`~chemner.numerics.char_cnn` over those rows, one ``linear``
+    projection, then every text gathers its row; empty text gives zeros.
+    """
+    width = proj[0].data.shape[1]
+    distinct = list(dict.fromkeys(t for t in texts if t))
+    if not distinct:
+        return nx.constant(np.zeros((len(texts), width)))
+    pad = max(f.data.shape[1] for f, _ in convs) // 2
+    lengths = np.array([len(t) + 2 * pad for t in distinct])
+    ids = np.full((len(distinct), lengths.max()), Vocabulary.CHAR_PAD, dtype=np.intp)
+    for u, text in enumerate(distinct):
+        ids[u, pad:pad + len(text)] = [vocab.char_id(c) for c in text]
+    rows = nx.linear(nx.char_cnn(table, ids, lengths, convs), *proj)
+    if "" in texts:
+        rows = nx.concat([rows, nx.constant(np.zeros((1, width)))], axis=0)
+    row_of = {t: u for u, t in enumerate(distinct)}
+    return nx.embedding(rows, [row_of.get(t, len(distinct)) for t in texts])
+
+
 class BiLm:
     """Trained bidirectional LM; immutable and shareable after training."""
 
@@ -121,35 +149,18 @@ class BiLm:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _char_ids(self, text: str) -> np.ndarray:
-        vocab = self.config.vocab
-        if len(text) > self.config.max_token_len:
-            text = LONG_TOKEN_TEXT
-        pad = max(w for w, _ in self.config.char_filters) // 2
-        ids = ([Vocabulary.CHAR_PAD] * pad
-               + [vocab.char_id(c) for c in text]
-               + [Vocabulary.CHAR_PAD] * pad)
-        return np.asarray(ids, dtype=np.intp)
-
-    def _encode_token(self, text: str, tape: Tape | None) -> Tensor:
-        ids = self._char_ids(text)
-        emb = nx.embedding(nx.use_param(tape, self.params["bilm.chars"]), ids)
-        pooled = []
-        for i, (width, _) in enumerate(self.config.char_filters):
-            conv = nx.conv1d(emb,
-                             nx.use_param(tape, self.params[f"bilm.conv{i}.w"]),
-                             nx.use_param(tape, self.params[f"bilm.conv{i}.b"]))
-            pooled.append(nx.max_over_time(conv))
-        vec = pooled[0] if len(pooled) == 1 else nx.concat(pooled, axis=0)
-        feats = nx.reshape(vec, (1, sum(c for _, c in self.config.char_filters)))
-        return nx.linear(feats,
-                         nx.use_param(tape, self.params["bilm.proj.w"]),
-                         nx.use_param(tape, self.params["bilm.proj.b"]))
-
     def token_projections(self, texts: Sequence[str], tape: Tape | None = None) -> Tensor:
-        """Context-independent projections, one row per token (T x proj_dim)."""
-        rows = [self._encode_token(t, tape) for t in texts]
-        return rows[0] if len(rows) == 1 else nx.concat(rows, axis=0)
+        """Context-independent projections, one row per token (T x proj_dim);
+        texts over ``max_token_len`` characters are encoded as Long_Token."""
+        def param(name: str) -> Tensor:
+            return nx.use_param(tape, self.params[name])
+
+        limit = self.config.max_token_len
+        return char_features([t if len(t) <= limit else LONG_TOKEN_TEXT for t in texts],
+                             self.config.vocab, param("bilm.chars"),
+                             [(param(f"bilm.conv{i}.w"), param(f"bilm.conv{i}.b"))
+                              for i in range(len(self.config.char_filters))],
+                             (param("bilm.proj.w"), param("bilm.proj.b")))
 
     def _stack(self, direction: str, xs: Tensor, tape: Tape | None) -> list[Tensor]:
         states = []
@@ -314,6 +325,7 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
             total, n = model.sentence_nll(texts, tape)
             loss = nx.scale(total, 1.0 / n)
             nx.backward(tape, loss)
+            tape.clear()
             clip_gradients(params, tc.clip_norm)
             adam_step(params, opt, tc)
         ppl = model.perplexity(usable)

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import numerics as nx
 from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
-from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, TaggedSentence,
-                     UnknownLabelError, build_vocabulary, corpus_stats,
-                     normalize_long_tokens, read_column_corpus, sentence_from_texts,
-                     split_dataset, write_column_corpus)
+from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelError,
+                     build_vocabulary, corpus_stats, normalize_long_tokens,
+                     read_column_corpus, sentence_from_texts, split_dataset,
+                     write_column_corpus)
 from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
@@ -237,18 +237,18 @@ def cmd_train(args) -> int:
         model_kwargs["word_source"] = os.path.basename(run["embeddings"])
     config = ModelConfig(labels=scheme_labels, **model_kwargs)
 
-    word_table = None
-    if pretrained is not None and config.use_pretrained_words:
-        word_table = align_to_vocab(pretrained[0], pretrained[1], vocab,
-                                    seed=args.seed, source_name=run["embeddings"])
-        if word_table.dim != config.word_dim:
-            config = ModelConfig.from_payload(
-                {**config.to_payload(), "word_dim": word_table.dim})
-
     train_kwargs = dict(run.get("train") or {})
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
     tconfig = TrainConfig(**train_kwargs)
+
+    word_table = None
+    if pretrained is not None and config.use_pretrained_words:
+        word_table = align_to_vocab(pretrained[0], pretrained[1], vocab,
+                                    seed=tconfig.seed, source_name=run["embeddings"])
+        if word_table.dim != config.word_dim:
+            config = ModelConfig.from_payload(
+                {**config.to_payload(), "word_dim": word_table.dim})
 
     model = NerModel.init(config, vocab, seed=tconfig.seed,
                           word_table=word_table, bilm=bilm)
@@ -270,42 +270,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_token_sentences(path: str, scheme: LabelScheme | None) -> list[TaggedSentence]:
-    """Column file where the tag column is optional; tags ignored if absent."""
-    sentences: list[TaggedSentence] = []
-    texts: list[str] = []
-    doc_id = "doc0000"
-    doc_index = 0
-
-    def flush():
-        nonlocal texts
-        if texts:
-            sentences.append(sentence_from_texts(texts, [0] * len(texts), doc_id))
-            texts = []
-
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
-            if len(cols) == 1:
-                cols = line.split()
-            if cols[0] == "-DOCSTART-":
-                flush()
-                doc_index += 1
-                doc_id = cols[1] if len(cols) > 1 else f"doc{doc_index:04d}"
-                continue
-            if len(cols) > 2:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 1 or 2 columns per token "
-                    f"(pass --raw to tag plain sentence text)")
-            texts.append(cols[0])
-    flush()
-    return sentences
-
-
 def cmd_tag(args) -> int:
     ckpt = load_checkpoint(args.model)
     model = model_from_checkpoint(ckpt)
@@ -321,7 +285,7 @@ def cmd_tag(args) -> int:
                 sentences.append(sentence_from_texts([t.text for t in toks],
                                                      [0] * len(toks), "doc0000"))
     else:
-        sentences = _read_token_sentences(args.input, scheme)
+        sentences = read_column_corpus(args.input, None)
 
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

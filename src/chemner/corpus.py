@@ -211,11 +211,13 @@ def _split_columns(line: str) -> list[str]:
     return cols
 
 
-def read_column_corpus(path: str, scheme: LabelScheme) -> list[TaggedSentence]:
+def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSentence]:
     """Two-column token/tag file; blank line ends a sentence, -DOCSTART- a document.
 
     Dangling I tags are repaired to B and the count recorded on each
-    sentence's ``repairs`` field.
+    sentence's ``repairs`` field. With ``scheme`` None only the token column
+    is read: the tag column may be absent, is ignored if present, and every
+    tag is 0.
     """
     sentences: list[TaggedSentence] = []
     texts: list[str] = []
@@ -227,7 +229,9 @@ def read_column_corpus(path: str, scheme: LabelScheme) -> list[TaggedSentence]:
     def flush():
         nonlocal texts, tags
         if texts:
-            tag_ids, repairs = _repair_bio([scheme.tag_id(t) for t in tags], scheme)
+            tag_ids, repairs = [0] * len(texts), 0
+            if scheme is not None:
+                tag_ids, repairs = _repair_bio([scheme.tag_id(t) for t in tags], scheme)
             sentences.append(sentence_from_texts(texts, tag_ids, doc_id, repairs))
             texts, tags = [], []
 
@@ -244,6 +248,12 @@ def read_column_corpus(path: str, scheme: LabelScheme) -> list[TaggedSentence]:
                     doc_index += 1
                 saw_docstart = True
                 doc_id = cols[1] if len(cols) > 1 else f"doc{doc_index:04d}"
+                continue
+            if scheme is None:
+                if len(cols) > 2:
+                    raise CorpusFormatError(f"{path}:{lineno}: expected 1 or 2 columns "
+                                            f"(token, optional tag), got {len(cols)}")
+                texts.append(cols[0])
                 continue
             if len(cols) != 2:
                 raise CorpusFormatError(

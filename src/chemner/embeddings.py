@@ -1,4 +1,4 @@
-"""Pre-trained word embedding loading and trainable baseline tables."""
+"""Pre-trained word embedding loading and vocabulary alignment."""
 
 from __future__ import annotations
 
@@ -27,13 +27,8 @@ class EmbeddingTable:
                          frozen_rows=(Vocabulary.PAD,))
 
 
-def load_embedding_text(path: str, restrict_to: set[str] | None = None
-                        ) -> tuple[list[str], np.ndarray]:
-    """Parse `<count> <dim>` header then `word v1 ... v_dim` lines.
-
-    ``restrict_to`` drops rows for words outside the given set (memory-saving
-    mode); without it exactly ``count`` rows are returned.
-    """
+def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
+    """Parse `<count> <dim>` header then exactly ``count`` `word v1 ... v_dim` lines."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     with open(path, encoding="utf-8-sig") as f:
@@ -60,15 +55,12 @@ def load_embedding_text(path: str, restrict_to: set[str] | None = None
             if seen > count:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: more rows than the declared count {count}")
-            word = fields[0]
-            if restrict_to is not None and word not in restrict_to:
-                continue
             try:
                 vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: non-numeric component") from None
-            words.append(word)
+            words.append(fields[0])
             rows.append(vec)
         if seen != count:
             raise EmbeddingFormatError(
@@ -99,13 +91,3 @@ def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
     if not np.isfinite(matrix).all():
         raise EmbeddingFormatError("embedding matrix contains non-finite values")
     return EmbeddingTable(matrix=matrix, dim=dim, trainable=False, source_name=source_name)
-
-
-def init_baseline(vocab: Vocabulary, dim: int = 200, seed: int = 0) -> EmbeddingTable:
-    """Trainable table, rows N(0, 1/sqrt(dim)) except the zero PAD row."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    matrix = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(vocab.size, dim))
-    matrix[Vocabulary.PAD] = 0.0
-    return EmbeddingTable(matrix=matrix, dim=dim, trainable=True, source_name="baseline")

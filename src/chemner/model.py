@@ -10,7 +10,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import BiLm, MixingWeights, glorot, lstm_params, mix_layers
+from .bilm import BiLm, MixingWeights, char_features, glorot, lstm_params, mix_layers
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
@@ -88,16 +88,6 @@ class ModelConfig:
         kwargs["labels"] = tuple(kwargs["labels"])
         kwargs["dropout"] = tuple(kwargs["dropout"])
         return cls(**kwargs)
-
-
-@dataclass
-class PaddedBatch:
-    """Batch padded to a common length with a boolean mask; masked-out
-    positions hold PAD ids and never contribute to the loss."""
-
-    sentences: list[TaggedSentence]  # long-token normalized
-    token_ids: np.ndarray            # (B, T_max) intp, PAD beyond each length
-    mask: np.ndarray                 # (B, T_max) bool
 
 
 class NerModel:
@@ -200,20 +190,19 @@ class NerModel:
 
     def encode_chars(self, token_text: str, tape: Tape | None = None) -> Tensor:
         """Char-CNN word vector (1 x char_output_dim); empty text is all zeros."""
+        return self._char_rows([token_text], tape)
+
+    def _char_rows(self, texts: Sequence[str], tape: Tape | None) -> Tensor:
+        """Char-CNN word vectors of ``texts`` (T x char_output_dim)."""
         if not self.config.use_char_cnn:
             raise ConfigurationError("char CNN disabled")
-        if not token_text:
-            return Tensor(np.zeros((1, self.config.char_output_dim)), tape=None)
-        pad = self.config.char_filter_width // 2
-        ids = np.asarray([Vocabulary.CHAR_PAD] * pad
-                         + [self.vocab.char_id(c) for c in token_text]
-                         + [Vocabulary.CHAR_PAD] * pad, dtype=np.intp)
-        emb = nx.embedding(nx.use_param(tape, self.params["chars"]), ids)
-        conv = nx.conv1d(emb, nx.use_param(tape, self.params["char_conv.w"]),
-                         nx.use_param(tape, self.params["char_conv.b"]))
-        pooled = nx.reshape(nx.max_over_time(conv), (1, self.config.char_filter_count))
-        return nx.linear(pooled, nx.use_param(tape, self.params["char_proj.w"]),
-                         nx.use_param(tape, self.params["char_proj.b"]))
+
+        def param(name: str) -> Tensor:
+            return nx.use_param(tape, self.params[name])
+
+        return char_features(texts, self.vocab, param("chars"),
+                             [(param("char_conv.w"), param("char_conv.b"))],
+                             (param("char_proj.w"), param("char_proj.b")))
 
     def _contextual_layers(self, texts: tuple[str, ...]) -> np.ndarray:
         cached = self._ctx_cache.get(texts)
@@ -223,22 +212,17 @@ class NerModel:
         return cached
 
     def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None,
-                     contextual_layers: np.ndarray | None = None,
-                     word_ids: np.ndarray | None = None) -> Tensor:
+                     contextual_layers: np.ndarray | None = None) -> Tensor:
         """Per-token features (T x D), concatenated word, char, contextual."""
         texts = sentence.texts
         if not texts:
             raise ValueError("cannot embed an empty sentence")
         parts: list[Tensor] = []
         if self.config.use_words:
-            if word_ids is None:
-                word_ids = np.asarray([self.vocab.word_id(t) for t in texts],
-                                      dtype=np.intp)
             parts.append(nx.embedding(nx.use_param(tape, self.params["words"]),
-                                      word_ids))
+                                      [self.vocab.word_id(t) for t in texts]))
         if self.config.use_char_cnn:
-            rows = [self.encode_chars(t, tape) for t in texts]
-            parts.append(rows[0] if len(rows) == 1 else nx.concat(rows, axis=0))
+            parts.append(self._char_rows(texts, tape))
         if self.config.use_contextual:
             if contextual_layers is None:
                 contextual_layers = self._contextual_layers(tuple(texts))
@@ -301,43 +285,22 @@ class NerModel:
             masks.append(per_layer)
         return masks
 
-    def pad_batch(self, sentences: Sequence[TaggedSentence],
-                  pad_to: int | None = None) -> PaddedBatch:
-        """Pad word ids to the batch maximum (or ``pad_to``) with a mask."""
-        if not sentences:
-            raise ValueError("empty batch")
-        normalized = [normalize_long_tokens(s, self.config.long_token_threshold)
-                      for s in sentences]
-        lengths = [len(s.tokens) for s in normalized]
-        width = max(max(lengths), pad_to or 0)
-        ids = np.full((len(normalized), width), Vocabulary.PAD, dtype=np.intp)
-        mask = np.zeros((len(normalized), width), dtype=bool)
-        for i, sent in enumerate(normalized):
-            ids[i, :lengths[i]] = [self.vocab.word_id(t) for t in sent.texts]
-            mask[i, :lengths[i]] = True
-        return PaddedBatch(sentences=normalized, token_ids=ids, mask=mask)
-
-    def build_loss(self, tape: Tape | None,
-                   batch: Sequence[TaggedSentence] | PaddedBatch,
+    def build_loss(self, tape: Tape | None, batch: Sequence[TaggedSentence],
                    dropout_masks: Sequence[Sequence[np.ndarray | None]] | None = None
                    ) -> Tensor:
-        """Mean per-sentence CRF NLL over a padded batch; the mask confines
-        every computation to real tokens, so pad columns contribute nothing."""
-        if not isinstance(batch, PaddedBatch):
-            batch = self.pad_batch(batch)
-        feats = []
-        for i, sent in enumerate(batch.sentences):
-            T = int(batch.mask[i].sum())
-            if T != len(sent.tokens):
-                raise ValueError(f"sentence {i}: mask length {T} != {len(sent.tokens)}")
-            feats.append(self.embed_tokens(sent, tape, word_ids=batch.token_ids[i, :T]))
+        """Mean per-sentence CRF NLL over a batch, long tokens normalized;
+        the encoder runs over the whole ragged batch at once."""
+        if not batch:
+            raise ValueError("empty batch")
+        sentences = [normalize_long_tokens(s, self.config.long_token_threshold)
+                     for s in batch]
+        feats = [self.embed_tokens(sent, tape) for sent in sentences]
         total: Tensor | None = None
-        for sent, encoded in zip(batch.sentences,
-                                 self.encode_batch(feats, tape, dropout_masks)):
+        for sent, encoded in zip(sentences, self.encode_batch(feats, tape, dropout_masks)):
             emissions = self.emissions(encoded, tape)
             sent_nll = crf_mod.nll(emissions, list(sent.tags), self.crf, tape)
             total = sent_nll if total is None else nx.add(total, sent_nll)
-        return nx.scale(total, 1.0 / len(batch.sentences))
+        return nx.scale(total, 1.0 / len(sentences))
 
     def loss(self, sentences: Sequence[TaggedSentence],
              dropout_seed: int | None = None) -> float:

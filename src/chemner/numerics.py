@@ -97,6 +97,15 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        """Drop every entry and leaf. Each output tensor points back at its
+        tape, so a tape is a reference cycle; clearing it after the last
+        backward frees the batch's arrays at once, not at the next cyclic
+        garbage collection."""
+        self._entries.clear()
+        self._leaves.clear()
+        self._leaf_cache.clear()
+
 
 def constant(data) -> Tensor:
     return Tensor(data, tape=None)
@@ -392,18 +401,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def tanh(x) -> Tensor:
-    x = _wrap(x)
-    t = np.tanh(x.data)
-    return _unary("tanh", x, t, lambda g: g * (1.0 - t * t))
-
-
-def sigmoid(x) -> Tensor:
-    x = _wrap(x)
-    s = _stable_sigmoid(x.data)
-    return _unary("sigmoid", x, s, lambda g: g * s * (1.0 - s))
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     x = _wrap(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -435,41 +432,12 @@ def sum_all(x) -> Tensor:
                   lambda g: np.full_like(x.data, g))
 
 
-def mean_all(x) -> Tensor:
-    x = _wrap(x)
-    n = x.data.size
-    return _unary("mean_all", x, np.asarray(x.data.mean()),
-                  lambda g: np.full_like(x.data, g / n))
-
-
 def sum_axis(x, axis: int) -> Tensor:
     x = _wrap(x)
     out_data = x.data.sum(axis=axis)
     def vjp_in(g):
         return np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()
     return _unary("sum_axis", x, out_data, vjp_in)
-
-
-def masked_sum(x, mask) -> Tensor:
-    """Sum of entries where the 0/1 ``mask`` (plain array) is set."""
-    x = _wrap(x)
-    m = _as_f64(mask)
-    if m.shape != x.data.shape:
-        raise ShapeError(f"masked_sum: mask {m.shape} vs x {x.data.shape}")
-    return _unary("masked_sum", x, np.asarray((x.data * m).sum()),
-                  lambda g: g * m)
-
-
-def masked_mean(x, mask) -> Tensor:
-    x = _wrap(x)
-    m = _as_f64(mask)
-    if m.shape != x.data.shape:
-        raise ShapeError(f"masked_mean: mask {m.shape} vs x {x.data.shape}")
-    n = m.sum()
-    if n == 0:
-        raise NumericError("masked_mean: empty mask")
-    return _unary("masked_mean", x, np.asarray((x.data * m).sum() / n),
-                  lambda g: g * m / n)
 
 
 def dropout(x, mask, rate: float) -> Tensor:
@@ -485,7 +453,11 @@ def dropout(x, mask, rate: float) -> Tensor:
 
 
 def conv1d(x, filters, bias) -> Tensor:
-    """Valid 1-d convolution over time: x (T×C), filters (K×W×C) → (T−W+1 × K)."""
+    """Valid 1-d convolution over time: x (T×C), filters (K×W×C) → (T−W+1 × K).
+
+    With :func:`max_over_time`, the per-row reference :func:`char_cnn` is
+    tested against.
+    """
     x, filters, bias = _wrap(x), _wrap(filters), _wrap(bias)
     if x.data.ndim != 2 or filters.data.ndim != 3:
         raise ShapeError(f"conv1d: x {x.data.shape}, filters {filters.data.shape}")
@@ -525,6 +497,75 @@ def max_over_time(x) -> Tensor:
         gx[idx, cols] = g
         return gx
     return _unary("max_over_time", x, out_data, vjp_in)
+
+
+def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
+    """Multi-width character CNN over a padded batch of id rows, as one tape entry.
+
+    ``ids`` (U×L) holds U rows of ids into ``table`` (V×C); row u owns its
+    first ``lengths[u]``. Each ``(filters K×W×C, bias K)`` pair in ``convs``
+    is a valid convolution over a row's own windows, one GEMM over all rows,
+    then a max over time with ties to the earliest window; windows reaching
+    past the row's length are −inf before the max, so padding never wins
+    it. Returns the pooled features of all pairs side by side (U×ΣK), row u
+    equal to ``embedding`` + ``conv1d`` + ``max_over_time`` of row u alone.
+    The vjp scatters into the table with ``np.add.at``; padding beyond a
+    row's length gets zero gradient.
+    """
+    table = _wrap(table)
+    pairs = [(_wrap(f), _wrap(b)) for f, b in convs]
+    idx = np.asarray(ids, dtype=np.intp)
+    lens = np.asarray(lengths, dtype=np.intp)
+    if (table.data.ndim != 2 or idx.ndim != 2 or not idx.size or lens.shape != idx.shape[:1]
+            or not pairs or any(f.data.ndim != 3 or f.data.shape[2] != table.data.shape[1]
+                                or b.data.shape != f.data.shape[:1] for f, b in pairs)):
+        raise ShapeError(f"char_cnn: table {table.data.shape}, ids {idx.shape}, "
+                         f"lengths {lens.shape}, convs "
+                         f"{[(f.data.shape, b.data.shape) for f, b in pairs]}")
+    U, L = idx.shape
+    widths = [f.data.shape[1] for f, _ in pairs]
+    if lens.min() < max(widths) or lens.max() > L:
+        raise ShapeError(f"char_cnn: row lengths {lens.min()}..{lens.max()} outside "
+                         f"[widest filter {max(widths)}, row width {L}]")
+    if idx.min() < 0 or idx.max() >= table.data.shape[0]:
+        raise IndexError("char_cnn: id out of range")
+    emb = table.data[idx]  # (U, L, C)
+    pooled, argmaxes = [], []
+    for (f, b), W in zip(pairs, widths):
+        K, T = f.data.shape[0], L - W + 1
+        windows = np.lib.stride_tricks.sliding_window_view(emb, W, axis=1)  # (U, T, C, W)
+        conv = (windows.swapaxes(2, 3).reshape(U * T, -1) @ f.data.reshape(K, -1).T
+                ).reshape(U, T, K) + b.data
+        conv[np.arange(T) > lens[:, None] - W] = -np.inf
+        arg = conv.argmax(axis=1)  # (U, K)
+        pooled.append(np.take_along_axis(conv, arg[:, None], axis=1)[:, 0])
+        argmaxes.append(arg)
+
+    tape = _join_tape("char_cnn", table, *(t for pair in pairs for t in pair))
+    out = Tensor(np.concatenate(pooled, axis=1), tape)
+    if tape is not None:
+        def vjp(gs, acc):
+            gemb = np.zeros_like(emb)
+            rows = np.arange(U)[:, None, None]
+            lo = 0
+            for (f, b), W, arg in zip(pairs, widths, argmaxes):
+                K, T = f.data.shape[0], L - W + 1
+                g = gs[0][:, lo:lo + K]
+                lo += K
+                at = arg[:, :, None] + np.arange(W)  # (U, K, W): chars of each max window
+                acc(f, np.einsum("uk,ukwc->kwc", g, emb[rows, at]))
+                acc(b, g.sum(axis=0))
+                gconv = np.zeros((U, T, K))
+                np.put_along_axis(gconv, arg[:, None], g[:, None], axis=1)
+                gwin = (gconv.reshape(U * T, K) @ f.data.reshape(K, -1)).reshape(U, T, W, -1)
+                for w in range(W):
+                    gemb[:, w:w + T] += gwin[:, :, w]
+            own = np.arange(L) < lens[:, None]
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, idx[own], gemb[own])
+            acc(table, gt)
+        tape._record((out,), vjp)
+    return out
 
 
 def lstm_step(x, h, c, wx, wh, b) -> tuple[Tensor, Tensor]:

@@ -372,6 +372,7 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
             if not np.isfinite(out.data):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             nx.backward(tape, out)
+            tape.clear()
             clip_gradients(trainable, config.clip_norm)
             adam_step(trainable, opt, config)
             loss_sum += float(out.data) * len(batch)

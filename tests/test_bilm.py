@@ -3,9 +3,9 @@ import pytest
 
 from chemner import numerics as nx
 from chemner.bilm import (BiLm, BiLmConfig, MixingWeights, bilm_from_checkpoint,
-                          mix_layers, train_bilm)
+                          char_features, mix_layers, train_bilm)
 from chemner.corpus import build_vocabulary, sentence_from_texts
-from chemner.numerics import ShapeError, backward, evaluate, grad_check
+from chemner.numerics import ShapeError, Tape, backward, evaluate, grad_check
 from chemner.training import make_checkpoint
 
 
@@ -58,6 +58,61 @@ class TestShapes:
         ctx = bilm.contextualize(["cat"])
         half = ctx.shape[2] // 2
         assert np.array_equal(ctx[0, 0, :half], ctx[0, 0, half:])
+
+
+class TestCharFeatures:
+    """The shared char-CNN block against the per-token chain it replaced:
+    embedding, conv1d and max_over_time per filter width, then linear."""
+
+    TEXTS = ["cat", "a", "", "sat", "cat", "a", "mat"]
+
+    @staticmethod
+    def per_token(texts, vocab, table, convs, proj):
+        pad = max(f.shape[1] for f, _ in convs) // 2
+        rows = []
+        for text in texts:
+            if not text:
+                rows.append(nx.constant(np.zeros((1, proj[0].shape[1]))))
+                continue
+            ids = [0] * pad + [vocab.char_id(c) for c in text] + [0] * pad
+            emb = nx.embedding(table, ids)
+            vec = nx.concat([nx.max_over_time(nx.conv1d(emb, f, b)) for f, b in convs],
+                            axis=0)
+            rows.append(nx.linear(nx.reshape(vec, (1, vec.shape[0])), *proj))
+        return nx.concat(rows, axis=0)
+
+    def run(self, bilm, block, probe):
+        for p in bilm.params.values():
+            p.zero_grad()
+        tape = Tape()
+        par = {k: tape.param(p) for k, p in bilm.params.items()}
+        out = block(self.TEXTS, bilm.config.vocab, par["bilm.chars"],
+                    [(par["bilm.conv0.w"], par["bilm.conv0.b"]),
+                     (par["bilm.conv1.w"], par["bilm.conv1.b"])],
+                    (par["bilm.proj.w"], par["bilm.proj.b"]))
+        entries = len(tape)
+        backward(tape, nx.sum_all(nx.mul(out, nx.constant(probe))))
+        return out.data, {k: p.gradient.copy() for k, p in bilm.params.items()}, entries
+
+    def test_matches_per_token_chain(self):
+        # widths 3 and 5, repeated texts, a one-char text and an empty one
+        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=3)
+        probe = np.random.default_rng(0).normal(size=(len(self.TEXTS), 16))
+        out, grads, entries = self.run(bilm, char_features, probe)
+        ref, ref_grads, ref_entries = self.run(bilm, self.per_token, probe)
+        assert np.array_equal(out[2], np.zeros(16))
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        for name, g in ref_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1.0), name
+        assert entries == 4 < ref_entries  # char_cnn, linear, zero-row concat, gather
+
+    def test_all_empty_texts_are_zero_rows(self):
+        bilm = BiLm.init(small_config(SENTS), seed=0)
+        par = {k: nx.constant(p.value) for k, p in bilm.params.items()}
+        out = char_features(["", ""], bilm.config.vocab, par["bilm.chars"],
+                            [(par["bilm.conv0.w"], par["bilm.conv0.b"])],
+                            (par["bilm.proj.w"], par["bilm.proj.b"]))
+        assert np.array_equal(out.data, np.zeros((2, 16)))
 
 
 class TestDirectionality:

@@ -151,6 +151,31 @@ class TestTrainTagEval:
         lines = [l for l in out.splitlines() if l]
         assert all(len(l.split("\t")) == 2 for l in lines)
 
+    def test_tag_one_column_tokens(self, capsys, trained_setup, tmp_path):
+        corpus_path, out_dir, _, _ = trained_setup
+        ckpt = str(out_dir / "model.ckpt")
+        two_col = tmp_path / "two.tsv"
+        code, _, err = run(capsys, "tag", "--model", ckpt, "--in", str(corpus_path),
+                           "--out", str(two_col))
+        assert code == 0, err
+        one_col = tmp_path / "tokens.txt"
+        one_col.write_text(
+            "".join(line.split("\t")[0] + "\n"
+                    for line in corpus_path.read_text(encoding="utf-8").splitlines()),
+            encoding="utf-8")
+        code, out, err = run(capsys, "tag", "--model", ckpt, "--in", str(one_col))
+        assert code == 0, err
+        assert out == two_col.read_text(encoding="utf-8")
+
+    def test_tag_three_columns_data_error(self, capsys, trained_setup, tmp_path):
+        _, out_dir, _, _ = trained_setup
+        bad = tmp_path / "three.tsv"
+        bad.write_text("water\tO\textra\n", encoding="utf-8")
+        code, _, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                           "--in", str(bad))
+        assert code == 2
+        assert "three.tsv:1" in err
+
     def test_corrupt_checkpoint_exit_2(self, capsys, tmp_path, trained_setup):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage!")
@@ -281,6 +306,29 @@ class TestFullPipeline:
                            "--in", str(path), "--out", str(pred_path))
         assert code == 0, err
         assert pred_path.read_text().strip()
+
+
+    def test_train_without_seed_flag_reproducible_with_embeddings(self, capsys,
+                                                                  corpus_file, tmp_path):
+        # the unseen embedding rows are drawn from the config seed
+        path, _, scheme = corpus_file
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("1 4\nbenzene 0.5 0.5 0.5 0.5\n", encoding="utf-8")
+        config = {"labels": list(scheme.entity_labels),
+                  "model": {"word_dim": 4, "char_embed_dim": 4, "char_filter_count": 4,
+                            "char_output_dim": 4, "lstm_hidden": 4},
+                  "train": {"learning_rate": 0.01, "max_epochs": 1, "patience": 1,
+                            "seed": 3},
+                  "embeddings": str(vec)}
+        cfg_path = tmp_path / "emb.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        outs = []
+        for name in ("a", "b"):
+            code, _, err = run(capsys, "train", "--config", str(cfg_path), "--train",
+                               str(path), "--dev", str(path), "--out", str(tmp_path / name))
+            assert code == 0, err
+            outs.append((tmp_path / name / "model.ckpt").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestConfigValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chemner.corpus import Vocabulary, build_vocabulary, sentence_from_texts
-from chemner.embeddings import (EmbeddingFormatError, align_to_vocab, init_baseline,
+from chemner.embeddings import (EmbeddingFormatError, EmbeddingTable, align_to_vocab,
                                 load_embedding_text)
 
 
@@ -49,12 +49,6 @@ class TestLoadEmbeddingText:
         with pytest.raises(EmbeddingFormatError, match="header"):
             load_embedding_text(write(tmp_path, "hello\n"))
 
-    def test_restrict_to(self, tmp_path):
-        words, vectors = load_embedding_text(
-            write(tmp_path, "3 2\na 1 2\nb 3 4\nc 5 6\n"), restrict_to={"a", "c"})
-        assert words == ["a", "c"]
-        assert np.array_equal(vectors, [[1, 2], [5, 6]])
-
 
 class TestAlignToVocab:
     def test_file_rows_verbatim(self, tmp_path):
@@ -87,27 +81,10 @@ class TestAlignToVocab:
         assert abs(sampled.std() - 1 / np.sqrt(dim)) < 0.05 / np.sqrt(dim) * 10
 
 
-class TestInitBaseline:
-    def test_shape_and_trainable(self):
-        vocab = make_vocab()
-        table = init_baseline(vocab, dim=200, seed=0)
-        assert table.matrix.shape == (vocab.size, 200)
-        assert table.trainable is True
-
-    def test_pad_zero(self):
-        table = init_baseline(make_vocab(), dim=16, seed=0)
-        assert np.array_equal(table.matrix[Vocabulary.PAD], np.zeros(16))
-
-    def test_seed_determinism(self):
-        vocab = make_vocab()
-        a = init_baseline(vocab, dim=8, seed=2)
-        b = init_baseline(vocab, dim=8, seed=2)
-        c = init_baseline(vocab, dim=8, seed=3)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, c.matrix)
-
+class TestEmbeddingTable:
     def test_parameter_view(self):
-        table = init_baseline(make_vocab(), dim=4, seed=0)
+        table = EmbeddingTable(matrix=np.arange(12.0).reshape(3, 4), dim=4,
+                               trainable=True, source_name="baseline")
         p = table.as_parameter("words")
         assert p.trainable and p.frozen_rows == (Vocabulary.PAD,)
         assert np.array_equal(p.value, table.matrix)

@@ -6,9 +6,10 @@ import pytest
 
 import chemner.training
 
+from chemner.bilm import BiLmConfig, train_bilm
 from chemner.corpus import DatasetSplit, Vocabulary
 from chemner.model import ModelConfig, NerModel, model_from_checkpoint
-from chemner.numerics import NumericError, Parameter
+from chemner.numerics import NumericError, Parameter, Tape
 from chemner.training import (AdamState, CheckpointError, TrainConfig, adam_step,
                               clip_gradients, dev_micro_f1, load_checkpoint,
                               make_checkpoint, save_checkpoint, train)
@@ -399,3 +400,38 @@ class TestTrainLoop:
               dev_scorer=lambda m, d: 0.0)
         for p in model.trainable_parameters():
             assert np.abs(p.gradient).max() < 100.0
+
+    def test_every_tape_freed_without_cyclic_gc(self, toy_setup, monkeypatch):
+        # a tape and its output tensors form a reference cycle; train and
+        # train_bilm clear each tape after backward, so reference counting
+        # alone frees every batch's tape
+        import gc
+        import weakref
+
+        import chemner.bilm
+        made = []
+
+        class TrackedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(chemner.training, "Tape", TrackedTape)
+        monkeypatch.setattr(chemner.bilm, "Tape", TrackedTape)
+        sentences, scheme, vocab = toy_setup
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = make_model(sentences, scheme, vocab)
+            splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
+                                  test=(), seed=0)
+            train(model, splits, TrainConfig(max_epochs=1, patience=1, seed=0),
+                  dev_scorer=lambda m, d: 0.0)
+            config = BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                                token_projection_dim=8, layer_dim=8)
+            train_bilm([s.texts for s in sentences[:4]], config, epochs=1)
+            assert len(made) > 4
+            assert [ref() for ref in made if ref() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
