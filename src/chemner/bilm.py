@@ -59,6 +59,17 @@ class BiLmConfig:
         return cls(vocab=vocab, **kwargs)
 
 
+class NoDraw:
+    """Stands in for a ``np.random.Generator`` when a parameter layout is
+    built only to receive stored values: every draw is a zero array of the
+    requested size, so no random numbers are generated."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    uniform = normal
+
+
 def glorot(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -113,7 +124,12 @@ class BiLm:
 
     @classmethod
     def init(cls, config: BiLmConfig, seed: int = 0) -> "BiLm":
-        rng = np.random.default_rng(seed)
+        return cls.build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def build(cls, config: BiLmConfig, rng) -> "BiLm":
+        """The parameter layout with values drawn from ``rng`` in a fixed
+        order (a :class:`NoDraw` leaves them zero)."""
         vocab = config.vocab
         p: dict[str, Parameter] = {}
         chars = rng.normal(0.0, 1.0 / np.sqrt(config.char_embed_dim),
@@ -273,7 +289,7 @@ def mix_layers(layers: Sequence, weights: MixingWeights,
 
 def bilm_from_checkpoint(ckpt) -> BiLm:
     """Rebuild a BiLm from a kind="bilm" checkpoint."""
-    from .training import CheckpointError, vocab_from_payload
+    from .training import CheckpointError, restore_tensors, vocab_from_payload
 
     if ckpt.kind != "bilm":
         raise CheckpointError(f"expected a bilm checkpoint, got kind {ckpt.kind!r}")
@@ -281,15 +297,8 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
         config = BiLmConfig.from_payload(ckpt.config, vocab_from_payload(ckpt.vocab))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    model = BiLm.init(config, seed=0)
-    if not set(model.params) == set(ckpt.tensors) == set(ckpt.trainable):
-        raise CheckpointError("checkpoint tensor names do not match the biLM layout")
-    for name, p in model.params.items():
-        if p.value.shape != ckpt.tensors[name].shape:
-            raise CheckpointError(f"tensor {name}: shape {ckpt.tensors[name].shape} "
-                                  f"!= expected {p.value.shape}")
-        p.value[...] = ckpt.tensors[name]
-        p.trainable = ckpt.trainable[name]
+    model = BiLm.build(config, NoDraw())
+    restore_tensors(model.params, ckpt, "biLM")
     return model
 
 

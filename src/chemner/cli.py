@@ -26,8 +26,8 @@ from .evaluation import (confusion_matrix, error_listing, evaluate, format_confu
 from .model import ConfigurationError, ModelConfig, NerModel, model_from_checkpoint
 from .numerics import NumericError
 from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
-from .training import (CheckpointError, TrainConfig, load_checkpoint, make_checkpoint,
-                       save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, atomic_open, load_checkpoint,
+                       make_checkpoint, save_checkpoint, train)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -287,16 +287,18 @@ def cmd_tag(args) -> int:
     else:
         sentences = read_column_corpus(args.input, None)
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for sent in sentences:
-            tags = model.predict(sent)
-            for tok, tid in zip(sent.tokens, tags):
-                out.write(f"{tok.text}\t{scheme.tag_name(tid)}\n")
-            out.write("\n")
-    finally:
-        if args.out:
-            out.close()
+    # every tag is decoded before the output is touched, and a file output
+    # replaces the old one only once complete
+    lines = []
+    for sent, tags in zip(sentences, model.predict_batch(sentences)):
+        lines.extend(f"{tok.text}\t{scheme.tag_name(tid)}\n"
+                     for tok, tid in zip(sent.tokens, tags))
+        lines.append("\n")
+    if args.out:
+        with atomic_open(args.out, encoding="utf-8") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 

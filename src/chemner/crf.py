@@ -159,29 +159,58 @@ def score_sequence_value(emissions: np.ndarray, tags: Sequence[int],
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:
-    """Best-scoring tag sequence; ties take the lowest tag id while backtracking.
+    """Best-scoring tag sequence of one sentence: :func:`viterbi_batch` of it."""
+    return viterbi_batch([emissions], params)[0]
 
-    The returned score is recomputed with score_sequence's summation so it
-    matches that value exactly. Non-finite emissions or potentials raise
+
+def viterbi_batch(emissions_list: Sequence[np.ndarray], params: CrfParams
+                  ) -> list[tuple[list[int], float]]:
+    """Best-scoring tag sequence and its score for each (T_i x K) emission
+    matrix; ties take the lowest tag id while backtracking.
+
+    One dynamic program over a padded (B, T_max, K) array, longest sentence
+    first: at step t only the sentences longer than t are updated, so each
+    ends at its own length and padding never reaches its result.
+    Each score is recomputed with score_sequence's summation so it matches
+    that value exactly. Non-finite emissions or potentials raise
     NumericError, since no tag sequence is best under them.
     """
-    emissions = np.asarray(emissions, dtype=np.float64)
-    T, K = emissions.shape
-    _check_instance(T, K, None)
+    ems = [np.asarray(e, dtype=np.float64) for e in emissions_list]
+    if not ems:
+        return []
     trans, start, stop = params.effective()
-    if not all(np.isfinite(a).all() for a in (emissions, trans, start, stop)):
+    K = start.shape[0]
+    for e in ems:
+        if e.ndim != 2 or e.shape[1] != K:
+            raise ValueError(f"emissions of shape {e.shape} for {K} tags")
+        _check_instance(e.shape[0], K, None)
+    if not all(np.isfinite(a).all() for a in (*ems, trans, start, stop)):
         raise NumericError("viterbi: non-finite emissions or CRF potentials")
 
-    delta = start + emissions[0]
-    backptr = np.zeros((T, K), dtype=np.intp)
+    lengths = np.array([e.shape[0] for e in ems])
+    order = np.argsort(-lengths, kind="stable")  # running ones form a prefix
+    B, T = len(ems), int(lengths.max())
+    running = np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)
+    padded = np.zeros((B, T, K))
+    for row, b in enumerate(order):
+        padded[row, :lengths[b]] = ems[b]
+    delta = start + padded[:, 0]
+    backptr = np.zeros((B, T, K), dtype=np.intp)
     for t in range(1, T):
-        scores = delta[:, None] + trans  # (prev, cur)
-        backptr[t] = np.argmax(scores, axis=0)  # lowest index wins ties
-        delta = scores[backptr[t], np.arange(K)] + emissions[t]
-    final = delta + stop
-    best_last = int(np.argmax(final))
-    tags = [best_last]
-    for t in range(T - 1, 0, -1):
-        tags.append(int(backptr[t, tags[-1]]))
-    tags.reverse()
-    return tags, score_sequence_value(emissions, tags, params)
+        n = running[t]
+        scores = delta[:n, :, None] + trans  # (sentence, prev, cur)
+        backptr[:n, t] = np.argmax(scores, axis=1)  # lowest index wins ties
+        delta[:n] = scores.max(axis=1) + padded[:n, t]
+    cur = np.argmax(delta + stop, axis=1)
+    path = np.empty((B, T), dtype=np.intp)
+    path[:, T - 1] = cur
+    for t in range(T - 1, 0, -1):  # a finished sentence keeps its last tag
+        n = running[t]
+        cur[:n] = backptr[np.arange(n), t, cur[:n]]
+        path[:, t - 1] = cur
+    path = path[np.argsort(order)]
+    out = []
+    for e, row in zip(ems, path):
+        tags = row[:len(e)].tolist()
+        out.append((tags, score_sequence_value(e, tags, params)))
+    return out

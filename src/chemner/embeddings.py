@@ -28,9 +28,11 @@ class EmbeddingTable:
 
 
 def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
-    """Parse `<count> <dim>` header then exactly ``count`` `word v1 ... v_dim` lines."""
-    words: list[str] = []
-    rows: list[np.ndarray] = []
+    """Parse `<count> <dim>` header then exactly ``count`` `word v1 ... v_dim` lines.
+
+    Every line's shape is checked as it is read; the components are parsed
+    by one ``np.loadtxt`` call per run of ``_PARSE_ROWS`` lines.
+    """
     with open(path, encoding="utf-8-sig") as f:
         header = f.readline()
         parts = header.split()
@@ -42,31 +44,63 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
             raise EmbeddingFormatError(f"{path}:1: non-integer header {header!r}") from None
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"{path}:1: bad header values {count} {dim}")
-        seen = 0
+        words: list[str] = []
+        blocks: list[np.ndarray] = []
+        linenos: list[int] = []
+        bodies: list[str] = []
         for lineno, raw in enumerate(f, 2):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            fields = line.split(" ")
-            if len(fields) != dim + 1:
+            components = line.count(" ")
+            if components != dim:
                 raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(fields) - 1}")
-            seen += 1
-            if seen > count:
+                    f"{path}:{lineno}: expected {dim} components, got {components}")
+            if len(words) == count:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: more rows than the declared count {count}")
-            try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: non-numeric component") from None
-            words.append(fields[0])
-            rows.append(vec)
-        if seen != count:
+            word, _, body = line.partition(" ")
+            words.append(word)
+            linenos.append(lineno)
+            bodies.append(body)
+            if len(bodies) == _PARSE_ROWS:
+                blocks.append(_parse_vectors(path, linenos, bodies, dim))
+                linenos, bodies = [], []
+        if len(words) != count:
             raise EmbeddingFormatError(
-                f"{path}: declared {count} rows but found {seen}")
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
+                f"{path}: declared {count} rows but found {len(words)}")
+    if bodies:
+        blocks.append(_parse_vectors(path, linenos, bodies, dim))
+    vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.float64)
     return words, vectors
+
+
+# Lines per np.loadtxt call. Short runs keep the parse's buffers small: one
+# call over a whole 4,823 x 200 file left the peak RSS of the training run
+# that followed ~50 MB higher than the per-line parse did.
+_PARSE_ROWS = 64
+
+
+def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
+                   dim: int) -> np.ndarray:
+    """The components of a run of vector lines (len(bodies) x dim). Where
+    ``np.loadtxt`` refuses a component or reads the rows differently,
+    Python's ``float`` parses them instead and names the first line it
+    cannot parse either."""
+    try:
+        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
+                           quotechar=None, ndmin=2)
+        if block.shape == (len(bodies), dim):
+            return block
+    except ValueError:
+        pass
+    block = np.empty((len(bodies), dim), dtype=np.float64)
+    for row, (lineno, body) in enumerate(zip(linenos, bodies)):
+        try:
+            block[row] = [float(v) for v in body.split(" ")]
+        except ValueError:
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
+    return block
 
 
 def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,

@@ -10,10 +10,13 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import BiLm, MixingWeights, char_features, glorot, lstm_params, mix_layers
+from .bilm import (BiLm, MixingWeights, NoDraw, char_features, glorot, lstm_params,
+                   mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
+
+DECODE_BATCH_TOKENS = 512  # tokens per predict_batch pass; bounds decode memory
 
 
 class ConfigurationError(ValueError):
@@ -114,7 +117,14 @@ class NerModel:
     def init(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
              word_table: EmbeddingTable | None = None,
              bilm: BiLm | None = None) -> "NerModel":
-        rng = np.random.default_rng(seed)
+        return cls.build(config, vocab, np.random.default_rng(seed), word_table, bilm)
+
+    @classmethod
+    def build(cls, config: ModelConfig, vocab: Vocabulary, rng,
+               word_table: EmbeddingTable | None = None,
+               bilm: BiLm | None = None) -> "NerModel":
+        """The parameter layout with values drawn from ``rng`` in a fixed
+        order (a :class:`~chemner.bilm.NoDraw` leaves them zero)."""
         p: dict[str, Parameter] = {}
         if config.use_words:
             if word_table is not None:
@@ -214,9 +224,18 @@ class NerModel:
     def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None,
                      contextual_layers: np.ndarray | None = None) -> Tensor:
         """Per-token features (T x D), concatenated word, char, contextual."""
-        texts = sentence.texts
-        if not texts:
+        return self.embed_batch([sentence], tape, None if contextual_layers is None
+                                else [contextual_layers])[0]
+
+    def embed_batch(self, sentences: Sequence[TaggedSentence], tape: Tape | None = None,
+                    contextual_layers: Sequence[np.ndarray] | None = None) -> list[Tensor]:
+        """:meth:`embed_tokens` of every sentence: one word-id gather, one
+        char-CNN call and one layer mix over all the batch's tokens, then the
+        rows split back per sentence. The biLM runs per sentence (cached)."""
+        if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
+        texts = [t for s in sentences for t in s.texts]
+        sizes = [len(s.tokens) for s in sentences]
         parts: list[Tensor] = []
         if self.config.use_words:
             parts.append(nx.embedding(nx.use_param(tape, self.params["words"]),
@@ -225,15 +244,17 @@ class NerModel:
             parts.append(self._char_rows(texts, tape))
         if self.config.use_contextual:
             if contextual_layers is None:
-                contextual_layers = self._contextual_layers(tuple(texts))
-            if contextual_layers.shape[0] != len(texts):
+                contextual_layers = [self._contextual_layers(tuple(s.texts))
+                                     for s in sentences]
+            if [c.shape[0] for c in contextual_layers] != sizes:
                 raise ConfigurationError("contextual layer count != token count")
-            layer_mats = [contextual_layers[:, j, :]
-                          for j in range(contextual_layers.shape[1])]
-            parts.append(mix_layers(layer_mats, self.mixing, tape))
+            stacked = np.concatenate(contextual_layers, axis=0)
+            parts.append(mix_layers([stacked[:, j, :] for j in range(stacked.shape[1])],
+                                    self.mixing, tape))
         elif contextual_layers is not None:
             raise ConfigurationError("contextual layers supplied but use_contextual is off")
-        return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
+        feats = parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
+        return [feats] if len(sizes) == 1 else nx.split_rows(feats, sizes)
 
     def encode(self, features: Tensor, tape: Tape | None = None,
                dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
@@ -289,12 +310,12 @@ class NerModel:
                    dropout_masks: Sequence[Sequence[np.ndarray | None]] | None = None
                    ) -> Tensor:
         """Mean per-sentence CRF NLL over a batch, long tokens normalized;
-        the encoder runs over the whole ragged batch at once."""
+        the features and the encoder run over the whole ragged batch at once."""
         if not batch:
             raise ValueError("empty batch")
         sentences = [normalize_long_tokens(s, self.config.long_token_threshold)
                      for s in batch]
-        feats = [self.embed_tokens(sent, tape) for sent in sentences]
+        feats = self.embed_batch(sentences, tape)
         total: Tensor | None = None
         for sent, encoded in zip(sentences, self.encode_batch(feats, tape, dropout_masks)):
             emissions = self.emissions(encoded, tape)
@@ -313,20 +334,51 @@ class NerModel:
 
     def predict(self, sentence: TaggedSentence) -> list[int]:
         """Evaluation-mode Viterbi decode; deterministic, dropout disabled."""
-        if not sentence.tokens:
-            return []
-        sent = normalize_long_tokens(sentence, self.config.long_token_threshold)
-        feats = self.embed_tokens(sent, tape=None)
-        encoded = self.encode(feats, tape=None)
-        emissions = self.emissions(encoded, tape=None)
-        tags, _ = crf_mod.viterbi(emissions.data, self.crf)
-        return tags
+        return self.predict_batch([sentence])[0]
+
+    def predict_batch(self, sentences: Sequence[TaggedSentence]) -> list[list[int]]:
+        """:meth:`predict` of every sentence, in input order; empty ones give [].
+
+        Longest first, the sentences go in batches of at most
+        DECODE_BATCH_TOKENS tokens (a longer sentence alone), which bounds
+        the decode memory. Each batch is one feature pass, one
+        :meth:`encode_batch`, one emission GEMM and one batched Viterbi.
+        """
+        out: list[list[int]] = [[] for _ in sentences]
+        order = sorted((i for i, s in enumerate(sentences) if s.tokens),
+                       key=lambda i: -len(sentences[i].tokens))
+        for batch in _token_batches(order, [len(s.tokens) for s in sentences],
+                                    DECODE_BATCH_TOKENS):
+            sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
+                     for i in batch]
+            encoded = self.encode_batch(self.embed_batch(sents))
+            emissions = self.emissions(nx.concat(encoded, axis=0)).data
+            bounds = np.cumsum([len(s.tokens) for s in sents])[:-1]
+            for i, (tags, _) in zip(batch, crf_mod.viterbi_batch(
+                    np.split(emissions, bounds), self.crf)):
+                out[i] = tags
+        return out
+
+
+def _token_batches(order: Sequence[int], lengths: Sequence[int],
+                   budget: int) -> list[list[int]]:
+    """``order`` cut into consecutive runs of at most ``budget`` tokens; an
+    item longer than the budget forms a run of its own."""
+    batches: list[list[int]] = []
+    used = budget
+    for i in order:
+        if used + lengths[i] > budget:
+            batches.append([])
+            used = 0
+        batches[-1].append(i)
+        used += lengths[i]
+    return batches
 
 
 def model_from_checkpoint(ckpt) -> NerModel:
     """Rebuild a NerModel (including any embedded biLM) from a checkpoint."""
     from .bilm import BiLmConfig
-    from .training import CheckpointError, vocab_from_payload
+    from .training import CheckpointError, restore_tensors, vocab_from_payload
 
     if ckpt.kind != "ner":
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
@@ -338,15 +390,7 @@ def model_from_checkpoint(ckpt) -> NerModel:
                                                vocab_from_payload(ckpt.bilm_vocab)))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    bilm = None if bilm_config is None else BiLm.init(bilm_config, seed=0)
-    model = NerModel.init(config, vocab, seed=0, bilm=bilm)
-    named = model.all_tensors()
-    if not set(named) == set(ckpt.tensors) == set(ckpt.trainable):
-        raise CheckpointError("checkpoint tensor names do not match the model layout")
-    for name, p in named.items():
-        if p.value.shape != ckpt.tensors[name].shape:
-            raise CheckpointError(f"tensor {name}: shape {ckpt.tensors[name].shape} "
-                                  f"!= expected {p.value.shape}")
-        p.value[...] = ckpt.tensors[name]
-        p.trainable = ckpt.trainable[name]
+    bilm = None if bilm_config is None else BiLm.build(bilm_config, NoDraw())
+    model = NerModel.build(config, vocab, NoDraw(), bilm=bilm)
+    restore_tensors(model.all_tensors(), ckpt, "model")
     return model

@@ -351,6 +351,23 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     return out
 
 
+def split_rows(x, sizes: Sequence[int]) -> list[Tensor]:
+    """Consecutive row blocks of ``x`` with the given positive sizes, which
+    must add up to its row count; one tape entry with one output per block."""
+    x = _wrap(x)
+    if (x.data.ndim < 1 or not sizes or min(sizes) < 1
+            or sum(sizes) != x.data.shape[0]):
+        raise ShapeError(f"split_rows: sizes {list(sizes)} of {x.data.shape}")
+    tape = _join_tape("split_rows", x)
+    outs = [Tensor(part, tape) for part in np.split(x.data, np.cumsum(sizes)[:-1])]
+    if tape is not None:
+        def vjp(gs, acc):
+            acc(x, np.concatenate([np.zeros_like(o.data) if g is None else g
+                                   for o, g in zip(outs, gs)]))
+        tape._record(tuple(outs), vjp)
+    return outs
+
+
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _wrap(x)
     shape = tuple(shape)
@@ -530,12 +547,15 @@ def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
     if idx.min() < 0 or idx.max() >= table.data.shape[0]:
         raise IndexError("char_cnn: id out of range")
     emb = table.data[idx]  # (U, L, C)
+    flat = emb.reshape(U * L, -1)
     pooled, argmaxes = [], []
     for (f, b), W in zip(pairs, widths):
         K, T = f.data.shape[0], L - W + 1
-        windows = np.lib.stride_tricks.sliding_window_view(emb, W, axis=1)  # (U, T, C, W)
-        conv = (windows.swapaxes(2, 3).reshape(U * T, -1) @ f.data.reshape(K, -1).T
-                ).reshape(U, T, K) + b.data
+        # one GEMM per filter offset w over all chars, shifted by w and
+        # summed: no (U, T, W·C) window matrix is built
+        conv = np.broadcast_to(b.data, (U, T, K)).copy()
+        for w in range(W):
+            conv += (flat @ f.data[:, w, :].T).reshape(U, L, K)[:, w:w + T]
         conv[np.arange(T) > lens[:, None] - W] = -np.inf
         arg = conv.argmax(axis=1)  # (U, K)
         pooled.append(np.take_along_axis(conv, arg[:, None], axis=1)[:, 0])
@@ -557,9 +577,9 @@ def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
                 acc(b, g.sum(axis=0))
                 gconv = np.zeros((U, T, K))
                 np.put_along_axis(gconv, arg[:, None], g[:, None], axis=1)
-                gwin = (gconv.reshape(U * T, K) @ f.data.reshape(K, -1)).reshape(U, T, W, -1)
+                gconv = gconv.reshape(U * T, K)
                 for w in range(W):
-                    gemb[:, w:w + T] += gwin[:, :, w]
+                    gemb[:, w:w + T] += (gconv @ f.data[:, w, :]).reshape(U, T, -1)
             own = np.arange(L) < lens[:, None]
             gt = np.zeros_like(table.data)
             np.add.at(gt, idx[own], gemb[own])

@@ -204,23 +204,45 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         blocks.append((f"m/{name}", ckpt.opt_m[name]))
     for name in sorted(ckpt.opt_v):
         blocks.append((f"v/{name}", ckpt.opt_v[name]))
-    # written beside the target and renamed over it, so a failed write
-    # leaves the previous checkpoint intact
+    with atomic_open(path, "b") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", ckpt.version))
+        f.write(struct.pack("<Q", len(meta_b)))
+        f.write(meta_b)
+        f.write(struct.pack("<I", len(blocks)))
+        for name, arr in blocks:
+            _write_tensor(f, name, arr)
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "", **kwargs):
+    """A new file beside ``path`` for writing (``mode`` "b" or "" for text),
+    renamed over ``path`` when the block ends; a failure anywhere removes
+    it, so the previous content of ``path`` stays intact."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "xb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", ckpt.version))
-            f.write(struct.pack("<Q", len(meta_b)))
-            f.write(meta_b)
-            f.write(struct.pack("<I", len(blocks)))
-            for name, arr in blocks:
-                _write_tensor(f, name, arr)
+        with open(tmp, "x" + mode, **kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
+    """Copy each checkpoint tensor and trainable flag into the parameter of
+    the same name in a freshly built layout; the names, shapes and trainable
+    map must match the layout exactly."""
+    if not set(named) == set(ckpt.tensors) == set(ckpt.trainable):
+        raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
+    for name, p in named.items():
+        stored = ckpt.tensors[name]
+        if p.value.shape != stored.shape:
+            raise CheckpointError(f"tensor {name}: shape {stored.shape} "
+                                  f"!= expected {p.value.shape}")
+        p.value[...] = stored
+        p.trainable = ckpt.trainable[name]
 
 
 _METADATA_KEYS = ("kind", "config", "bilm_config", "trainable", "opt_step", "vocab",
@@ -319,7 +341,7 @@ class TrainResult:
 
 
 def dev_micro_f1(model, dev_sentences: Sequence[TaggedSentence]) -> float:
-    preds = [model.predict(s) for s in dev_sentences]
+    preds = model.predict_batch(dev_sentences)
     return evaluate(dev_sentences, preds, model.config.scheme).micro.f1
 
 

@@ -202,6 +202,37 @@ class TestTrainTagEval:
         assert code == 3
         assert "non-finite" in err
 
+    def test_failed_tag_keeps_previous_output(self, capsys, tmp_path, trained_setup):
+        corpus_path, out_dir, _, _ = trained_setup
+        pred = tmp_path / "pred.tsv"
+        code, _, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                           "--in", str(corpus_path), "--out", str(pred))
+        assert code == 0, err
+        before = pred.read_bytes()
+        ckpt = load_checkpoint(str(out_dir / "model.ckpt"))
+        ckpt.tensors["emit.b"][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, str(bad))
+        code, _, _ = run(capsys, "tag", "--model", str(bad), "--in", str(corpus_path),
+                         "--out", str(pred))
+        assert code == 3
+        assert pred.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+
+    def test_tag_matches_per_sentence_predict(self, capsys, trained_setup, tmp_path):
+        from chemner.corpus import read_column_corpus
+        from chemner.model import model_from_checkpoint
+        corpus_path, out_dir, scheme, _ = trained_setup
+        pred = tmp_path / "pred.tsv"
+        code, out, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                             "--in", str(corpus_path), "--out", str(pred))
+        assert code == 0 and out == "", err
+        model = model_from_checkpoint(load_checkpoint(str(out_dir / "model.ckpt")))
+        sentences = read_column_corpus(str(corpus_path), None)
+        tagged = read_column_corpus(str(pred), scheme)
+        assert [list(s.tags) for s in tagged] == [model.predict(s) for s in sentences]
+        assert [s.texts for s in tagged] == [s.texts for s in sentences]
+
     def test_tag_raw_text_with_byte_order_mark(self, capsys, trained_setup, tmp_path):
         _, out_dir, _, _ = trained_setup
         raw = tmp_path / "raw.txt"

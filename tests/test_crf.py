@@ -4,7 +4,7 @@ import pytest
 from chemner import numerics as nx
 from chemner.corpus import LabelScheme
 from chemner.crf import (CrfParams, bio_transition_masks, log_partition, nll,
-                         score_sequence, score_sequence_value, viterbi)
+                         score_sequence, score_sequence_value, viterbi, viterbi_batch)
 from chemner.numerics import NumericError, Parameter, backward, constant, evaluate
 
 from oracles import (brute_log_partition, brute_nll, brute_viterbi,
@@ -211,6 +211,58 @@ class TestViterbi:
         em[2, 1] = bad
         with pytest.raises(NumericError, match="non-finite"):
             viterbi(em, zero_params(2))
+
+class TestViterbiBatch:
+    def test_matches_brute_force_and_single_decodes(self):
+        rng = np.random.default_rng(41)
+        for k in (1, 2, 3, 4):
+            params = random_params(rng, k)
+            ems = [rng.uniform(-2, 2, (t, k)) for t in (3, 1, 5, 2, 1, 4)]
+            batched = viterbi_batch(ems, params)
+            for em, (tags, score) in zip(ems, batched):
+                btags, bscore = brute_viterbi(em, params.transitions.value,
+                                              params.start.value, params.stop.value)
+                assert tags == btags
+                assert score == pytest.approx(bscore, abs=1e-10)
+                assert (tags, score) == viterbi(em, params)
+                assert score == float(score_sequence(constant(em), tags, params).data)
+
+    def test_bio_mask_matches_single_decodes(self):
+        scheme = LabelScheme(("G", "M"))
+        rng = np.random.default_rng(43)
+        params = random_params(rng, scheme.num_tags)
+        params.enable_bio_mask(scheme)
+        ems = [rng.uniform(-4, 4, (t, scheme.num_tags)) for t in (6, 1, 3, 6, 2)]
+        assert viterbi_batch(ems, params) == [viterbi(em, params) for em in ems]
+
+    def test_all_equal_potentials_lowest_ids(self):
+        out = viterbi_batch([np.zeros((t, 3)) for t in (4, 1, 2)], zero_params(3))
+        assert [tags for tags, _ in out] == [[0, 0, 0, 0], [0], [0, 0]]
+
+    def test_padding_does_not_reach_shorter_sentences(self):
+        # the long sentence's later rows favour tag 1 strongly; the short
+        # one must still decode from its own two rows only
+        short = np.array([[1.0, 0.0], [1.0, 0.0]])
+        long = np.vstack([short, np.tile([0.0, 50.0], (4, 1))])
+        params = zero_params(2)
+        params.stop.value[:] = [0.0, 0.5]
+        (tags_s, score_s), (tags_l, _) = viterbi_batch([short, long], params)
+        assert tags_s == [0, 0] and score_s == 2.0
+        assert tags_l == [0, 0, 1, 1, 1, 1]
+
+    def test_empty_batch(self):
+        assert viterbi_batch([], zero_params(2)) == []
+
+    def test_non_finite_emissions_raise(self):
+        bad = np.zeros((2, 2))
+        bad[1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            viterbi_batch([np.zeros((3, 2)), bad], zero_params(2))
+
+    def test_tag_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            viterbi_batch([np.zeros((3, 2)), np.zeros((3, 3))], zero_params(2))
+
 
 class TestBioMask:
     SCHEME = LabelScheme(("G", "M"))

@@ -50,6 +50,49 @@ class TestLoadEmbeddingText:
             load_embedding_text(write(tmp_path, "hello\n"))
 
 
+    def test_bitwise_equal_to_python_float_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-12, 12, 40),
+                                 rng.uniform(-1, 1, 40)]).reshape(20, 4)
+        forms = [repr, lambda v: f"{v:.6f}", lambda v: f"{v:.17e}", lambda v: f"{v:g}"]
+        lines = [" ".join([f"w{i}"] + [forms[(i + j) % 4](float(v)) for j, v in enumerate(row)])
+                 for i, row in enumerate(values)]
+        path = write(tmp_path, f"20 4\n" + "\n".join(lines) + "\n")
+        words, vectors = load_embedding_text(path)
+        expected = np.array([[float(v) for v in line.split(" ")[1:]] for line in lines])
+        assert words == [f"w{i}" for i in range(20)]
+        assert vectors.tobytes() == expected.tobytes()
+
+    def test_one_component_and_blank_lines(self, tmp_path):
+        words, vectors = load_embedding_text(write(tmp_path, "2 1\na 0.5\n\nb -2\n"))
+        assert words == ["a", "b"] and vectors.tolist() == [[0.5], [-2.0]]
+
+    def test_non_numeric_component_names_its_line(self, tmp_path):
+        with pytest.raises(EmbeddingFormatError, match=r":4: non-numeric"):
+            load_embedding_text(write(tmp_path, "3 2\na 1 2\n\nb 3 x\nc 5 6\n"))
+        with pytest.raises(EmbeddingFormatError, match=r":3: non-numeric"):
+            load_embedding_text(write(tmp_path, "2 2\na 1 2\nb 3 \n"))
+        with pytest.raises(EmbeddingFormatError, match=r":3: non-numeric"):
+            load_embedding_text(write(tmp_path, "2 2\na 1 2\n  \n"))
+
+    def test_components_python_float_accepts_are_kept(self, tmp_path):
+        words, vectors = load_embedding_text(write(tmp_path, "2 2\na 1_0 nan\nb \u0661 -inf\n"))
+        assert vectors[0, 0] == 10.0 and np.isnan(vectors[0, 1])
+        assert vectors[1].tolist() == [1.0, -np.inf]
+
+    @pytest.mark.parametrize("content,where", [
+        ("1 3\na 1 0\n", ":2: expected 3 components, got 2"),
+        ("2 2\na 1 2\n\nb 1 2 3\n", ":4: expected 2 components, got 3"),
+        ("1 2\na 1 2\nb 3 4\n", ":3: more rows than the declared count 1"),
+        ("3 2\na 1 2\nb 3 4\n", ": declared 3 rows but found 2"),
+        ("2 x\n", ":1: non-integer header"),
+        ("-1 2\n", ":1: bad header values"),
+    ])
+    def test_shape_errors_name_their_line(self, tmp_path, content, where):
+        with pytest.raises(EmbeddingFormatError, match=where):
+            load_embedding_text(write(tmp_path, content))
+
+
 class TestAlignToVocab:
     def test_file_rows_verbatim(self, tmp_path):
         words, vectors = load_embedding_text(

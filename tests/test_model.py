@@ -5,7 +5,7 @@ from chemner import numerics as nx
 from chemner.bilm import BiLmConfig, train_bilm
 from chemner.corpus import sentence_from_texts
 from chemner.embeddings import EmbeddingTable
-from chemner.model import (ConfigurationError, ModelConfig, NerModel,
+from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
                            model_from_checkpoint)
 from chemner.numerics import Tape, backward
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
@@ -275,3 +275,134 @@ class TestFullModelGradient:
         err = nx.grad_check(lambda t: model.build_loss(t, [sent], masks),
                             model.trainable_parameters(), epsilon=1e-5)
         assert err < 1e-3
+
+
+def decode_inputs():
+    """Ragged input: an empty sentence, a one-token sentence, a Long_Token,
+    words repeated across sentences, more tokens than one decode batch
+    holds and one sentence longer than a batch on its own."""
+    words = ["benzene", "was", "added", "2-chlorotoluene", "ethanol", "50", "the"]
+    rng = np.random.default_rng(11)
+
+    def sent(n, doc):
+        return sentence_from_texts([words[int(i)] for i in rng.integers(0, len(words), n)],
+                                   [0] * n, doc)
+
+    long_token = "N-(2-chloro-4-methylphenyl)-3-oxobutanamide"
+    assert len(long_token) > ModelConfig(labels=("A",)).long_token_threshold
+    out = [sent(6, "d0"), sentence_from_texts([], [], "d0"),
+           sentence_from_texts(["ethanol"], [0], "d1"),
+           sentence_from_texts(["the", long_token, "was", "added"], [0] * 4, "d1"),
+           sent(DECODE_BATCH_TOKENS + 37, "d2")]
+    out += [sent(n, f"d{3 + i}") for i, n in enumerate(rng.integers(1, 90, 24))]
+    out.append(sentence_from_texts([], [], "d9"))
+    assert sum(len(s.tokens) for s in out) > 2 * DECODE_BATCH_TOKENS + 200
+    return out
+
+
+class TestPredictBatch:
+    def models(self, toy_data):
+        sentences, scheme, vocab = toy_data
+        labels = scheme.entity_labels
+        contextual, _, _ = TestContextualIntegration().make_contextual_model(toy_data)
+        return {"plain": tiny_model(vocab, labels=labels),
+                "bio_mask": tiny_model(vocab, labels=labels, crf_bio_mask=True),
+                "contextual": contextual}
+
+    @pytest.mark.parametrize("kind", ["plain", "bio_mask", "contextual"])
+    def test_equals_per_sentence_predict(self, toy_data, kind):
+        model = self.models(toy_data)[kind]
+        inputs = decode_inputs()
+        batched = model.predict_batch(inputs)
+        assert batched == [model.predict(s) for s in inputs]
+        assert [len(t) for t in batched] == [len(s.tokens) for s in inputs]
+
+    def test_empty_input(self, toy_data):
+        _, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        assert model.predict_batch([]) == []
+        assert model.predict_batch([sentence_from_texts([], [], "d")] * 2) == [[], []]
+
+    def test_encoder_batches_within_token_budget(self, toy_data, monkeypatch):
+        _, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        seen = []
+        real = NerModel.encode_batch
+
+        def spy(self, features, *args, **kwargs):
+            seen.append([f.shape[0] for f in features])
+            return real(self, features, *args, **kwargs)
+
+        monkeypatch.setattr(NerModel, "encode_batch", spy)
+        inputs = decode_inputs()
+        model.predict_batch(inputs)
+        assert len(seen) > 2
+        for sizes in seen:
+            assert sum(sizes) <= DECODE_BATCH_TOKENS or len(sizes) == 1
+        assert sorted(n for sizes in seen for n in sizes) == sorted(
+            len(s.tokens) for s in inputs if s.tokens)
+        assert [DECODE_BATCH_TOKENS + 37] in seen
+
+
+class TestEmbedBatch:
+    def test_equals_per_sentence_features(self, toy_data):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        batch = model.embed_batch(sentences[:5])
+        for sent, feats in zip(sentences[:5], batch):
+            single = model.embed_tokens(sent).data
+            assert np.abs(feats.data - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
+
+    def test_char_cnn_once_per_batch(self, toy_data, monkeypatch):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        calls = []
+        real = nx.char_cnn
+        monkeypatch.setattr(nx, "char_cnn", lambda *a: calls.append(1) or real(*a))
+        tape = Tape()
+        model.build_loss(tape, sentences[:6])
+        assert len(calls) == 1
+
+    def test_empty_sentence_rejected(self, toy_data):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        with pytest.raises(ValueError):
+            model.embed_batch([sentences[0], sentence_from_texts([], [], "d")])
+
+
+class TestCheckpointRestore:
+    def test_no_random_init_and_no_aliasing(self, toy_data, monkeypatch):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels, seed=3)
+        ckpt = make_checkpoint(model, None, None)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        restored = model_from_checkpoint(ckpt)
+        for name, p in restored.all_tensors().items():
+            assert np.array_equal(p.value, ckpt.tensors[name])
+            assert p.value is not ckpt.tensors[name]
+            assert p.gradient.shape == p.value.shape
+        assert restored.params["words"].frozen_rows == model.params["words"].frozen_rows
+        assert restored.params["chars"].frozen_rows == model.params["chars"].frozen_rows
+        monkeypatch.undo()
+        assert restored.predict_batch(sentences) == model.predict_batch(sentences)
+
+    def test_shape_mismatch_rejected(self, toy_data):
+        from chemner.training import CheckpointError
+        sentences, scheme, vocab = toy_data
+        ckpt = make_checkpoint(tiny_model(vocab, labels=scheme.entity_labels), None, None)
+        ckpt.tensors["emit.b"] = np.zeros(3)
+        with pytest.raises(CheckpointError, match="emit.b"):
+            model_from_checkpoint(ckpt)
+
+    def test_init_draws_unchanged(self, toy_data):
+        # the layout builder must draw in init's order: the first word row
+        # is the first normal draw of the seeded generator
+        _, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels, seed=7)
+        first = np.random.default_rng(7).normal(0.0, 1.0 / np.sqrt(8), size=(vocab.size, 8))
+        first[0] = 0.0
+        assert np.array_equal(model.params["words"].value, first)

@@ -201,6 +201,15 @@ class TestAdjointsMatchFiniteDifferences:
             return nx.add(nx.index1d(row, 2), nx.sum_all(nx.mul(cat, cat)))
         _fd_check(fn, [a, b])
 
+    def test_split_rows_some_blocks_unused(self):
+        p = Parameter("p", self.u(6, 3))
+        probe = self.u(3, 3)
+        def fn(t):
+            first, _, last = nx.split_rows(t.param(p), [2, 1, 3])
+            return nx.add(nx.sum_all(nx.mul(first, first)),
+                          nx.sum_all(nx.mul(last, constant(probe))))
+        _fd_check(fn, [p])
+
     def test_conv1d_max_over_time(self):
         # quadratic head keeps every gradient coordinate well above the
         # finite-difference noise floor (tanh would saturate on |conv| > 5)
@@ -365,6 +374,21 @@ class TestLstmBatch:
             nx.lstm_batch([constant(np.zeros((0, self.D)))], wx, wh, b)
         with pytest.raises(ShapeError):
             nx.lstm_batch([constant(np.zeros((2, self.D + 1)))], wx, wh, b)
+
+
+class TestSplitRows:
+    def test_blocks_and_one_tape_entry(self):
+        x = np.arange(12.0).reshape(6, 2)
+        tape, _, leaf = taped(x)
+        parts = nx.split_rows(leaf, [1, 3, 2])
+        assert [p.data.tolist() for p in parts] == [x[:1].tolist(), x[1:4].tolist(),
+                                                     x[4:].tolist()]
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("sizes", [[], [2, 3], [0, 6], [4, 3]])
+    def test_sizes_must_cover_rows(self, sizes):
+        with pytest.raises(ShapeError):
+            nx.split_rows(constant(np.zeros((6, 2))), sizes)
 
 
 class TestCharCnn:
