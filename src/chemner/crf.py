@@ -1,14 +1,15 @@
-"""Linear-chain CRF: sequence scoring, exact partition, NLL, Viterbi.
+"""Linear-chain CRF: batched NLL, exact partition, sequence scores, Viterbi.
 
 Transitions[i, j] scores tag j following tag i; start/stop are explicit
-boundary potentials. Scoring and the partition run on the gradient tape;
-Viterbi is a plain numpy dynamic program.
+boundary potentials, masked for BIO only in :meth:`CrfParams.effective`.
+Everything runs on a ragged batch packed longest first, where step t
+touches only the sentences longer than t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class CrfParams:
         self.bio_mask, self.bio_start_mask = bio_transition_masks(scheme)
 
     def effective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked numpy views for decoding."""
+        """The potentials with the BIO masks applied: (transitions, start, stop)."""
         trans = self.transitions.value
         start = self.start.value
         if self.bio_mask is not None:
@@ -71,91 +72,139 @@ def bio_transition_masks(scheme: LabelScheme) -> tuple[np.ndarray, np.ndarray]:
     return trans, start
 
 
-def _taped_potentials(tape: Tape | None, params: CrfParams
-                      ) -> tuple[Tensor, Tensor, Tensor]:
-    if tape is None:
-        trans_t = nx.constant(params.transitions.value)
-        start_t = nx.constant(params.start.value)
-        stop_t = nx.constant(params.stop.value)
-    else:
-        trans_t = tape.param(params.transitions)
-        start_t = tape.param(params.start)
-        stop_t = tape.param(params.stop)
-    if params.bio_mask is not None:
-        keep = (~params.bio_mask).astype(np.float64)
-        trans_t = nx.add(nx.mul(trans_t, nx.constant(keep)),
-                         nx.constant(np.where(params.bio_mask, MASKED_SCORE, 0.0)))
-    if params.bio_start_mask is not None:
-        keep = (~params.bio_start_mask).astype(np.float64)
-        start_t = nx.add(nx.mul(start_t, nx.constant(keep)),
-                         nx.constant(np.where(params.bio_start_mask, MASKED_SCORE, 0.0)))
-    return trans_t, start_t, stop_t
+class _Packed(NamedTuple):
+    """A ragged batch padded to (B, T_max), longest sentence first (stable)."""
+    order: np.ndarray      # (B,) input index of each packed sentence
+    lengths: np.ndarray    # (B,) packed sentence lengths
+    running: np.ndarray    # (T_max,) sentences longer than t, a prefix
+    real: np.ndarray       # (B, T_max) the step exists
+    rows: np.ndarray       # input row of each real step, row-major over real
+    emissions: np.ndarray  # (B, T_max, K), zero padding
+    tags: np.ndarray       # (B, T_max), zero padding
 
 
-def _check_instance(num_steps: int, num_tags: int, tags: Sequence[int] | None) -> None:
-    if num_steps < 1:
-        raise ValueError("CRF needs at least one token")
+def _pack(emissions: np.ndarray, lengths: list[int], num_tags: int,
+          tags: np.ndarray | None = None) -> _Packed:
+    """The sentences whose (T_i x K) rows follow one another in
+    ``emissions``, and whose tags follow one another in ``tags``."""
+    if (emissions.ndim != 2 or emissions.shape[1] != num_tags or not lengths
+            or min(lengths) < 1 or sum(lengths) != len(emissions)):
+        raise ValueError(f"emissions of shape {emissions.shape} for {num_tags} tags "
+                         f"and sentence lengths {lengths}")
+    if tags is not None and (tags.min() < 0 or tags.max() >= num_tags):
+        raise ValueError("tag id out of range")
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())
+    real = steps < lengths[order, None]
+    rows = ((np.cumsum(lengths) - lengths)[order, None] + steps)[real]
+    padded = np.zeros(real.shape + (num_tags,))
+    padded[real] = emissions[rows]
+    padded_tags = np.zeros(real.shape, dtype=np.intp)
     if tags is not None:
-        if len(tags) != num_steps:
-            raise ValueError(f"{len(tags)} tags for {num_steps} emission rows")
-        if any(not 0 <= t < num_tags for t in tags):
-            raise ValueError("tag id out of range")
+        padded_tags[real] = tags[rows]
+    return _Packed(order, lengths[order], real.sum(axis=0), real, rows, padded, padded_tags)
 
 
-def score_sequence(emissions: Tensor, tags: Sequence[int], params: CrfParams,
-                   tape: Tape | None = None) -> Tensor:
-    """start[y1] + sum emissions[t, yt] + sum transitions[yt-1, yt] + stop[yT].
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    return nx.logsumexp(x, axis=axis).data
 
-    Accumulated in the same order as the forward recursion so that for a
-    single-tag scheme nll is exactly zero.
+
+def _forward(p: _Packed, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
+             reduce) -> tuple[np.ndarray, np.ndarray]:
+    """alpha (B, T_max, K), ``reduce`` (log-sum-exp, or max for Viterbi)
+    over the scores of every prefix ending in each tag, its emission
+    included; and (B, K) the same over whole sentences, stop included."""
+    alpha = np.zeros_like(p.emissions)
+    alpha[:, 0] = start + p.emissions[:, 0]
+    for t, n in enumerate(p.running.tolist()[1:], 1):
+        alpha[:n, t] = reduce(alpha[:n, t - 1, :, None] + trans, axis=1) + p.emissions[:n, t]
+    return alpha, alpha[np.arange(len(p.order)), p.lengths - 1] + stop
+
+
+def _gold_scores(p: _Packed, trans: np.ndarray, start: np.ndarray,
+                 stop: np.ndarray) -> np.ndarray:
+    """start[y1] + emissions[1, y1] + transitions[y1, y2] + emissions[2, y2]
+    + ... + stop[yT] of each packed tag row, added left to right as the
+    forward recursion adds, so a single-tag scheme's NLL is exactly zero."""
+    B, T = p.tags.shape
+    terms = np.zeros((B, 2 * T + 1))  # padding adds zeros
+    terms[:, 0] = start[p.tags[:, 0]]
+    terms[:, 1::2] = np.take_along_axis(p.emissions, p.tags[..., None], axis=2)[..., 0]
+    terms[:, 2:-1:2] = np.where(p.real[:, 1:], trans[p.tags[:, :-1], p.tags[:, 1:]], 0.0)
+    terms[:, -1] = stop[p.tags[np.arange(B), p.lengths - 1]]
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def nll_batch(emissions: Tensor, tags_list: Sequence[Sequence[int]], params: CrfParams,
+              tape: Tape | None = None) -> Tensor:
+    """Summed negative log-likelihood of a ragged batch, as ONE tape entry.
+
+    ``emissions`` holds the sentences' (T_i x K) rows one after another,
+    ``tags_list`` one gold tag list per sentence; the sentence NLLs are
+    added in batch order. With a ``tape`` the potentials get gradients
+    (masked entries zero). The vjp is forward-backward: node marginals
+    minus gold one-hots (their first and last rows for start and stop),
+    and summed edge marginals minus gold transition counts.
     """
-    T, K = emissions.data.shape
-    _check_instance(T, K, tags)
-    trans_t, start_t, stop_t = _taped_potentials(tape, params)
+    flat = np.array([y for tags in tags_list for y in tags], dtype=np.intp)
+    p = _pack(emissions.data, [len(tags) for tags in tags_list], params.num_tags, flat)
+    trans, start, stop = params.effective()
+    alpha, finals = _forward(p, trans, start, stop, _logsumexp)
+    log_z = _logsumexp(finals, axis=1)
+    nlls = np.empty(len(p.order))
+    nlls[p.order] = log_z - _gold_scores(p, trans, start, stop)
 
-    def emit(t: int) -> Tensor:
-        row = nx.reshape(nx.slice_rows(emissions, t, t + 1), (K,))
-        return nx.index1d(row, tags[t])
+    def vjp_in(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        beta = np.zeros_like(alpha)  # log-sum-exp over every suffix after step t
+        beta[np.arange(len(p.order)), p.lengths - 1] = stop
+        g_trans = np.zeros_like(trans)
+        for t in range(len(p.running) - 1, 0, -1):
+            n = p.running[t]
+            ahead = (p.emissions[:n, t] + beta[:n, t])[:, None, :] + trans  # (n, prev, cur)
+            beta[:n, t - 1] = _logsumexp(ahead, axis=2)
+            g_trans += np.exp(alpha[:n, t - 1, :, None] + ahead
+                              - log_z[:n, None, None]).sum(axis=0)
+        nodes = np.exp((alpha + beta)[p.real] - np.repeat(log_z, p.lengths)[:, None])
+        nodes[np.arange(len(flat)), p.tags[p.real]] -= 1.0
+        pairs = p.real[:, 1:]
+        np.subtract.at(g_trans, (p.tags[:, :-1][pairs], p.tags[:, 1:][pairs]), 1.0)
+        last_rows = np.cumsum(p.lengths) - 1
+        g_start = nodes[last_rows + 1 - p.lengths].sum(axis=0)
+        if params.bio_mask is not None:
+            g_trans[params.bio_mask] = 0.0
+        if params.bio_start_mask is not None:
+            g_start[params.bio_start_mask] = 0.0
+        g_emit = np.empty_like(emissions.data)
+        g_emit[p.rows] = nodes
+        return g * g_emit, g * g_trans, g * g_start, g * nodes[last_rows].sum(axis=0)
 
-    total = nx.add(nx.index1d(start_t, tags[0]), emit(0))
-    trans_flat = nx.reshape(trans_t, (K * K,))
-    for t in range(1, T):
-        total = nx.add(total, nx.index1d(trans_flat, tags[t - 1] * K + tags[t]))
-        total = nx.add(total, emit(t))
-    return nx.add(total, nx.index1d(stop_t, tags[-1]))
-
-
-def log_partition(emissions: Tensor, params: CrfParams,
-                  tape: Tape | None = None) -> Tensor:
-    """Forward recursion: log sum over all K^T tag sequences of exp(score)."""
-    T, K = emissions.data.shape
-    _check_instance(T, K, None)
-    trans_t, start_t, stop_t = _taped_potentials(tape, params)
-
-    alpha = nx.add(start_t, nx.reshape(nx.slice_rows(emissions, 0, 1), (K,)))
-    for t in range(1, T):
-        e_t = nx.reshape(nx.slice_rows(emissions, t, t + 1), (K,))
-        prev = nx.add(nx.broadcast_col(alpha, K), trans_t)
-        alpha = nx.add(nx.logsumexp(prev, axis=0), e_t)
-    return nx.logsumexp(nx.add(alpha, stop_t), axis=None)
+    leaves = [nx.use_param(tape, q) for q in params.parameters()]
+    return nx.primitive("crf.nll_batch", [emissions, *leaves], np.cumsum(nlls)[-1], vjp_in)
 
 
 def nll(emissions: Tensor, tags: Sequence[int], params: CrfParams,
         tape: Tape | None = None) -> Tensor:
-    """Negative log-likelihood of the gold sequence; always >= 0."""
-    return nx.sub(log_partition(emissions, params, tape),
-                  score_sequence(emissions, tags, params, tape))
+    """Negative log-likelihood of one sentence: :func:`nll_batch` of it."""
+    return nll_batch(emissions, [tags], params, tape)
+
+
+def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
+    """log of the summed exp-scores of all K^T tag sequences of one
+    sentence, by the forward recursion of :func:`nll_batch` (untaped)."""
+    p = _pack(emissions.data, [len(emissions.data)], params.num_tags)
+    return nx.constant(_logsumexp(_forward(p, *params.effective(), _logsumexp)[1][0], axis=0))
 
 
 def score_sequence_value(emissions: np.ndarray, tags: Sequence[int],
                          params: CrfParams) -> float:
-    """Plain-numpy sequence score, same accumulation order as score_sequence."""
-    trans, start, stop = params.effective()
-    total = start[tags[0]] + emissions[0, tags[0]]
-    for t in range(1, emissions.shape[0]):
-        total = total + trans[tags[t - 1], tags[t]]
-        total = total + emissions[t, tags[t]]
-    return float(total + stop[tags[-1]])
+    """Score of one tag sequence: the batched gold score of one sentence."""
+    tags = np.asarray(tags, dtype=np.intp)
+    p = _pack(np.asarray(emissions, dtype=np.float64), [len(tags)], params.num_tags, tags)
+    return float(_gold_scores(p, *params.effective())[0])
+
+
+score_sequence = score_sequence_value  # the older name, hooked by bench/tracing.py
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:
@@ -168,49 +217,30 @@ def viterbi_batch(emissions_list: Sequence[np.ndarray], params: CrfParams
     """Best-scoring tag sequence and its score for each (T_i x K) emission
     matrix; ties take the lowest tag id while backtracking.
 
-    One dynamic program over a padded (B, T_max, K) array, longest sentence
-    first: at step t only the sentences longer than t are updated, so each
-    ends at its own length and padding never reaches its result.
-    Each score is recomputed with score_sequence's summation so it matches
-    that value exactly. Non-finite emissions or potentials raise
-    NumericError, since no tag sequence is best under them.
+    The forward recursion of :func:`nll_batch` with max in place of
+    log-sum-exp, backtracked from each sentence's own last step; each score
+    is the batched gold score of its path, so it equals
+    :func:`score_sequence_value` exactly. Non-finite emissions or potentials
+    raise NumericError, since no tag sequence is best under them.
     """
-    ems = [np.asarray(e, dtype=np.float64) for e in emissions_list]
-    if not ems:
+    if not emissions_list:
         return []
+    lengths = [len(e) for e in emissions_list]
+    p = _pack(np.concatenate([np.asarray(e, dtype=np.float64) for e in emissions_list]),
+              lengths, params.num_tags)
     trans, start, stop = params.effective()
-    K = start.shape[0]
-    for e in ems:
-        if e.ndim != 2 or e.shape[1] != K:
-            raise ValueError(f"emissions of shape {e.shape} for {K} tags")
-        _check_instance(e.shape[0], K, None)
-    if not all(np.isfinite(a).all() for a in (*ems, trans, start, stop)):
+    if not all(np.isfinite(a).all() for a in (p.emissions, trans, start, stop)):
         raise NumericError("viterbi: non-finite emissions or CRF potentials")
-
-    lengths = np.array([e.shape[0] for e in ems])
-    order = np.argsort(-lengths, kind="stable")  # running ones form a prefix
-    B, T = len(ems), int(lengths.max())
-    running = np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)
-    padded = np.zeros((B, T, K))
-    for row, b in enumerate(order):
-        padded[row, :lengths[b]] = ems[b]
-    delta = start + padded[:, 0]
-    backptr = np.zeros((B, T, K), dtype=np.intp)
-    for t in range(1, T):
-        n = running[t]
-        scores = delta[:n, :, None] + trans  # (sentence, prev, cur)
-        backptr[:n, t] = np.argmax(scores, axis=1)  # lowest index wins ties
-        delta[:n] = scores.max(axis=1) + padded[:n, t]
-    cur = np.argmax(delta + stop, axis=1)
-    path = np.empty((B, T), dtype=np.intp)
-    path[:, T - 1] = cur
-    for t in range(T - 1, 0, -1):  # a finished sentence keeps its last tag
-        n = running[t]
-        cur[:n] = backptr[np.arange(n), t, cur[:n]]
-        path[:, t - 1] = cur
-    path = path[np.argsort(order)]
-    out = []
-    for e, row in zip(ems, path):
-        tags = row[:len(e)].tolist()
-        out.append((tags, score_sequence_value(e, tags, params)))
-    return out
+    delta, finals = _forward(p, trans, start, stop, np.ndarray.max)
+    best_prev = (delta[:, :-1, :, None] + trans).argmax(axis=2)  # lowest tag id wins ties
+    idx = np.arange(len(lengths))
+    path = np.zeros(p.tags.shape, dtype=np.intp)
+    path[idx, p.lengths - 1] = finals.argmax(axis=1)
+    for t, n in reversed(list(enumerate(p.running.tolist()[1:], 1))):
+        path[:n, t - 1] = best_prev[idx[:n], t - 1, path[:n, t]]
+    scores = np.empty(len(lengths))
+    scores[p.order] = _gold_scores(p._replace(tags=path), trans, start, stop)
+    flat = np.empty(len(p.rows), dtype=np.intp)
+    flat[p.rows] = path[p.real]
+    return [(tags.tolist(), float(score))
+            for tags, score in zip(np.split(flat, np.cumsum(lengths)[:-1]), scores)]

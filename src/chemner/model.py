@@ -310,17 +310,14 @@ class NerModel:
                    dropout_masks: Sequence[Sequence[np.ndarray | None]] | None = None
                    ) -> Tensor:
         """Mean per-sentence CRF NLL over a batch, long tokens normalized;
-        the features and the encoder run over the whole ragged batch at once."""
+        every stage runs over the whole ragged batch at once."""
         if not batch:
             raise ValueError("empty batch")
         sentences = [normalize_long_tokens(s, self.config.long_token_threshold)
                      for s in batch]
-        feats = self.embed_batch(sentences, tape)
-        total: Tensor | None = None
-        for sent, encoded in zip(sentences, self.encode_batch(feats, tape, dropout_masks)):
-            emissions = self.emissions(encoded, tape)
-            sent_nll = crf_mod.nll(emissions, list(sent.tags), self.crf, tape)
-            total = sent_nll if total is None else nx.add(total, sent_nll)
+        encoded = self.encode_batch(self.embed_batch(sentences, tape), tape, dropout_masks)
+        emissions = self.emissions(nx.concat(encoded, axis=0), tape)
+        total = crf_mod.nll_batch(emissions, [s.tags for s in sentences], self.crf, tape)
         return nx.scale(total, 1.0 / len(sentences))
 
     def loss(self, sentences: Sequence[TaggedSentence],

@@ -184,13 +184,17 @@ def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, n
 # primitives
 # ---------------------------------------------------------------------------
 
-def _unary(name: str, x: Tensor, out_data: np.ndarray,
-           vjp_in: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    tape = _join_tape(name, x)
+def primitive(name: str, inputs: Sequence[Tensor], out_data,
+              vjp_in: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """One tape entry with one output: ``vjp_in`` maps the output's
+    gradient to one gradient per input. Every single-output primitive
+    records itself through it, and so does the CRF NLL block."""
+    tape = _join_tape(name, *inputs)
     out = Tensor(out_data, tape)
     if tape is not None:
         def vjp(gs, acc):
-            acc(x, vjp_in(gs[0]))
+            for x, g in zip(inputs, vjp_in(gs[0])):
+                acc(x, g)
         tape._record((out,), vjp)
     return out
 
@@ -204,49 +208,28 @@ def add(a, b) -> Tensor:
             bias = True
         else:
             raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    tape = _join_tape("add", a, b)
-    out = Tensor(a.data + b.data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            g = gs[0]
-            acc(a, g)
-            acc(b, g.sum(axis=0) if bias else g)
-        tape._record((out,), vjp)
-    return out
+    return primitive("add", [a, b], a.data + b.data,
+                     lambda g: [g, g.sum(axis=0) if bias else g])
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    tape = _join_tape("sub", a, b)
-    out = Tensor(a.data - b.data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(a, gs[0])
-            acc(b, -gs[0])
-        tape._record((out,), vjp)
-    return out
+    return primitive("sub", [a, b], a.data - b.data, lambda g: [g, -g])
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
-    tape = _join_tape("mul", a, b)
-    out = Tensor(a.data * b.data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(a, gs[0] * b.data)
-            acc(b, gs[0] * a.data)
-        tape._record((out,), vjp)
-    return out
+    return primitive("mul", [a, b], a.data * b.data, lambda g: [g * b.data, g * a.data])
 
 
 def scale(x, c: float) -> Tensor:
     x = _wrap(x)
     c = float(c)
-    return _unary("scale", x, x.data * c, lambda g: g * c)
+    return primitive("scale", [x], x.data * c, lambda g: [g * c])
 
 
 def scalar_mul(x, s) -> Tensor:
@@ -254,14 +237,8 @@ def scalar_mul(x, s) -> Tensor:
     x, s = _wrap(x), _wrap(s)
     if s.data.ndim != 0:
         raise ShapeError(f"scalar_mul: scalar must be 0-d, got {s.data.shape}")
-    tape = _join_tape("scalar_mul", x, s)
-    out = Tensor(x.data * s.data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(x, gs[0] * s.data)
-            acc(s, np.asarray((gs[0] * x.data).sum()))
-        tape._record((out,), vjp)
-    return out
+    return primitive("scalar_mul", [x, s], x.data * s.data,
+                     lambda g: [g * s.data, np.asarray((g * x.data).sum())])
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -270,28 +247,13 @@ def linear(x, w, b=None) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear: x {x.data.shape} @ w {w.data.shape}")
     if b is None:
-        tape = _join_tape("linear", x, w)
-        out = Tensor(x.data @ w.data, tape)
-        if tape is not None:
-            def vjp(gs, acc):
-                g = gs[0]
-                acc(x, g @ w.data.T)
-                acc(w, x.data.T @ g)
-            tape._record((out,), vjp)
-        return out
+        return primitive("linear", [x, w], x.data @ w.data,
+                         lambda g: [g @ w.data.T, x.data.T @ g])
     bt = _wrap(b)
     if bt.data.ndim != 1 or bt.data.shape[0] != w.data.shape[1]:
         raise ShapeError(f"linear: bias {bt.data.shape} vs w {w.data.shape}")
-    tape = _join_tape("linear", x, w, bt)
-    out = Tensor(x.data @ w.data + bt.data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            g = gs[0]
-            acc(x, g @ w.data.T)
-            acc(w, x.data.T @ g)
-            acc(bt, g.sum(axis=0))
-        tape._record((out,), vjp)
-    return out
+    return primitive("linear", [x, w, bt], x.data @ w.data + bt.data,
+                     lambda g: [g @ w.data.T, x.data.T @ g, g.sum(axis=0)])
 
 
 def embedding(table, ids) -> Tensor:
@@ -302,15 +264,11 @@ def embedding(table, ids) -> Tensor:
         raise ShapeError(f"embedding: table {table.data.shape}, ids {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError("embedding: id out of range")
-    tape = _join_tape("embedding", table)
-    out = Tensor(table.data[idx], tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, gs[0])
-            acc(table, gt)
-        tape._record((out,), vjp)
-    return out
+    def vjp_in(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return [gt]
+    return primitive("embedding", [table], table.data[idx], vjp_in)
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
@@ -321,34 +279,19 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         out_data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
-    tape = _join_tape("concat", *parts)
-    out = Tensor(out_data, tape)
-    if tape is not None:
-        sizes = [p.data.shape[axis] for p in parts]
-        def vjp(gs, acc):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                sl = [slice(None)] * gs[0].ndim
-                sl[axis] = slice(offset, offset + size)
-                acc(p, gs[0][tuple(sl)])
-                offset += size
-        tape._record((out,), vjp)
-    return out
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return primitive("concat", parts, out_data, lambda g: np.split(g, bounds, axis=axis))
 
 
 def slice_rows(x, start: int, stop: int) -> Tensor:
     x = _wrap(x)
     if x.data.ndim < 1 or not (0 <= start < stop <= x.data.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] of {x.data.shape}")
-    tape = _join_tape("slice_rows", x)
-    out = Tensor(x.data[start:stop].copy(), tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = gs[0]
-            acc(x, gx)
-        tape._record((out,), vjp)
-    return out
+    def vjp_in(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        return [gx]
+    return primitive("slice_rows", [x], x.data[start:stop].copy(), vjp_in)
 
 
 def split_rows(x, sizes: Sequence[int]) -> list[Tensor]:
@@ -373,13 +316,8 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
-    tape = _join_tape("reshape", x)
-    out = Tensor(x.data.reshape(shape).copy(), tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(x, gs[0].reshape(x.data.shape))
-        tape._record((out,), vjp)
-    return out
+    return primitive("reshape", [x], x.data.reshape(shape).copy(),
+                     lambda g: [g.reshape(x.data.shape)])
 
 
 def index1d(x, i: int) -> Tensor:
@@ -387,29 +325,11 @@ def index1d(x, i: int) -> Tensor:
     x = _wrap(x)
     if x.data.ndim != 1 or not (0 <= i < x.data.shape[0]):
         raise ShapeError(f"index1d: index {i} of {x.data.shape}")
-    tape = _join_tape("index1d", x)
-    out = Tensor(x.data[i], tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            gx = np.zeros_like(x.data)
-            gx[i] = gs[0]
-            acc(x, gx)
-        tape._record((out,), vjp)
-    return out
-
-
-def broadcast_col(x, n: int) -> Tensor:
-    """x (k,) → (k×n) by repeating as columns."""
-    x = _wrap(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"broadcast_col: need 1-d, got {x.data.shape}")
-    tape = _join_tape("broadcast_col", x)
-    out = Tensor(np.repeat(x.data[:, None], n, axis=1), tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(x, gs[0].sum(axis=1))
-        tape._record((out,), vjp)
-    return out
+    def vjp_in(g):
+        gx = np.zeros_like(x.data)
+        gx[i] = g
+        return [gx]
+    return primitive("index1d", [x], x.data[i], vjp_in)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -424,37 +344,31 @@ def softmax(x, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
     def vjp_in(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
-    return _unary("softmax", x, s, vjp_in)
+        return [s * (g - (g * s).sum(axis=axis, keepdims=True))]
+    return primitive("softmax", [x], s, vjp_in)
 
 
 def logsumexp(x, axis: int | None = None) -> Tensor:
     """Overflow-safe log-sum-exp over one axis, or over everything (axis=None)."""
     x = _wrap(x)
-    if axis is None:
-        m = x.data.max()
-        out_data = np.asarray(m + np.log(np.exp(x.data - m).sum()))
-        sm = np.exp(x.data - out_data)
-        return _unary("logsumexp", x, out_data, lambda g: g * sm)
     m = x.data.max(axis=axis, keepdims=True)
-    out_data = (m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-    sm = np.exp(x.data - np.expand_dims(out_data, axis))
-    return _unary("logsumexp", x, out_data,
-                  lambda g: np.expand_dims(g, axis) * sm)
+    kept = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
+    return primitive("logsumexp", [x], kept.squeeze(axis),
+                     lambda g: [np.reshape(g, kept.shape) * np.exp(x.data - kept)])
 
 
 def sum_all(x) -> Tensor:
     x = _wrap(x)
-    return _unary("sum_all", x, np.asarray(x.data.sum()),
-                  lambda g: np.full_like(x.data, g))
+    return primitive("sum_all", [x], np.asarray(x.data.sum()),
+                     lambda g: [np.full_like(x.data, g)])
 
 
 def sum_axis(x, axis: int) -> Tensor:
     x = _wrap(x)
     out_data = x.data.sum(axis=axis)
     def vjp_in(g):
-        return np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()
-    return _unary("sum_axis", x, out_data, vjp_in)
+        return [np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()]
+    return primitive("sum_axis", [x], out_data, vjp_in)
 
 
 def dropout(x, mask, rate: float) -> Tensor:
@@ -466,7 +380,7 @@ def dropout(x, mask, rate: float) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     keep = m / (1.0 - rate)
-    return _unary("dropout", x, x.data * keep, lambda g: g * keep)
+    return primitive("dropout", [x], x.data * keep, lambda g: [g * keep])
 
 
 def conv1d(x, filters, bias) -> Tensor:
@@ -486,19 +400,12 @@ def conv1d(x, filters, bias) -> Tensor:
         raise ShapeError(f"conv1d: sequence length {T} shorter than filter width {W}")
     windows = np.lib.stride_tricks.sliding_window_view(x.data, W, axis=0)  # (T', C, W)
     out_data = np.einsum("tcw,kwc->tk", windows, filters.data) + bias.data
-    tape = _join_tape("conv1d", x, filters, bias)
-    out = Tensor(out_data, tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            g = gs[0]  # (T', K)
-            gx = np.zeros_like(x.data)
-            for w in range(W):
-                gx[w:w + g.shape[0]] += g @ filters.data[:, w, :]
-            acc(x, gx)
-            acc(filters, np.einsum("tcw,tk->kwc", windows, g))
-            acc(bias, g.sum(axis=0))
-        tape._record((out,), vjp)
-    return out
+    def vjp_in(g):  # g (T', K)
+        gx = np.zeros_like(x.data)
+        for w in range(W):
+            gx[w:w + g.shape[0]] += g @ filters.data[:, w, :]
+        return [gx, np.einsum("tcw,tk->kwc", windows, g), g.sum(axis=0)]
+    return primitive("conv1d", [x, filters, bias], out_data, vjp_in)
 
 
 def max_over_time(x) -> Tensor:
@@ -512,8 +419,8 @@ def max_over_time(x) -> Tensor:
     def vjp_in(g):
         gx = np.zeros_like(x.data)
         gx[idx, cols] = g
-        return gx
-    return _unary("max_over_time", x, out_data, vjp_in)
+        return [gx]
+    return primitive("max_over_time", [x], out_data, vjp_in)
 
 
 def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
@@ -561,31 +468,28 @@ def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
         pooled.append(np.take_along_axis(conv, arg[:, None], axis=1)[:, 0])
         argmaxes.append(arg)
 
-    tape = _join_tape("char_cnn", table, *(t for pair in pairs for t in pair))
-    out = Tensor(np.concatenate(pooled, axis=1), tape)
-    if tape is not None:
-        def vjp(gs, acc):
-            gemb = np.zeros_like(emb)
-            rows = np.arange(U)[:, None, None]
-            lo = 0
-            for (f, b), W, arg in zip(pairs, widths, argmaxes):
-                K, T = f.data.shape[0], L - W + 1
-                g = gs[0][:, lo:lo + K]
-                lo += K
-                at = arg[:, :, None] + np.arange(W)  # (U, K, W): chars of each max window
-                acc(f, np.einsum("uk,ukwc->kwc", g, emb[rows, at]))
-                acc(b, g.sum(axis=0))
-                gconv = np.zeros((U, T, K))
-                np.put_along_axis(gconv, arg[:, None], g[:, None], axis=1)
-                gconv = gconv.reshape(U * T, K)
-                for w in range(W):
-                    gemb[:, w:w + T] += (gconv @ f.data[:, w, :]).reshape(U, T, -1)
-            own = np.arange(L) < lens[:, None]
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx[own], gemb[own])
-            acc(table, gt)
-        tape._record((out,), vjp)
-    return out
+    def vjp_in(g_out):
+        gemb = np.zeros_like(emb)
+        rows = np.arange(U)[:, None, None]
+        conv_grads = []
+        lo = 0
+        for (f, b), W, arg in zip(pairs, widths, argmaxes):
+            K, T = f.data.shape[0], L - W + 1
+            g = g_out[:, lo:lo + K]
+            lo += K
+            at = arg[:, :, None] + np.arange(W)  # (U, K, W): chars of each max window
+            conv_grads += [np.einsum("uk,ukwc->kwc", g, emb[rows, at]), g.sum(axis=0)]
+            gconv = np.zeros((U, T, K))
+            np.put_along_axis(gconv, arg[:, None], g[:, None], axis=1)
+            gconv = gconv.reshape(U * T, K)
+            for w in range(W):
+                gemb[:, w:w + T] += (gconv @ f.data[:, w, :]).reshape(U, T, -1)
+        own = np.arange(L) < lens[:, None]
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx[own], gemb[own])
+        return [gt, *conv_grads]
+    return primitive("char_cnn", [table, *(t for pair in pairs for t in pair)],
+                     np.concatenate(pooled, axis=1), vjp_in)
 
 
 def lstm_step(x, h, c, wx, wh, b) -> tuple[Tensor, Tensor]:

@@ -232,17 +232,28 @@ def atomic_open(path: str, mode: str = "", **kwargs):
 
 def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
     """Copy each checkpoint tensor and trainable flag into the parameter of
-    the same name in a freshly built layout; the names, shapes and trainable
-    map must match the layout exactly."""
-    if not set(named) == set(ckpt.tensors) == set(ckpt.trainable):
+    the same name in a built layout; the names, shapes and trainable map
+    must match the layout exactly."""
+    if set(named) != set(ckpt.trainable):
         raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
+    _copy_arrays({name: p.value for name, p in named.items()}, ckpt.tensors, f"{layout} tensor")
     for name, p in named.items():
-        stored = ckpt.tensors[name]
-        if p.value.shape != stored.shape:
-            raise CheckpointError(f"tensor {name}: shape {stored.shape} "
-                                  f"!= expected {p.value.shape}")
-        p.value[...] = stored
         p.trainable = ckpt.trainable[name]
+
+
+def _copy_arrays(targets: dict[str, np.ndarray], stored: dict[str, np.ndarray],
+                 what: str) -> None:
+    """Copy each stored array into the target of the same name; a name or
+    shape mismatch raises before anything is copied."""
+    if set(targets) != set(stored):
+        raise CheckpointError(f"checkpoint {what} names differ: "
+                              f"{sorted(set(targets) ^ set(stored))}")
+    for name, target in targets.items():
+        if target.shape != stored[name].shape:
+            raise CheckpointError(f"{what} {name}: shape {stored[name].shape} "
+                                  f"!= expected {target.shape}")
+    for name, target in targets.items():
+        target[...] = stored[name]
 
 
 _METADATA_KEYS = ("kind", "config", "bilm_config", "trainable", "opt_step", "vocab",
@@ -357,6 +368,8 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
         raise ValueError("train and dev splits must be non-empty")
     scorer = dev_scorer or dev_micro_f1
 
+    if resume is not None:
+        restore_tensors(model.all_tensors(), resume, "model")
     trainable = model.trainable_parameters()
     opt = AdamState.init(trainable)
     rng = np.random.default_rng(config.seed)
@@ -365,11 +378,8 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     best_epoch = 0
     stall = 0
     if resume is not None:
-        for name, p in model.all_tensors().items():
-            p.value[...] = resume.tensors[name]
-        for p in trainable:
-            opt.m[p.name][...] = resume.opt_m[p.name]
-            opt.v[p.name][...] = resume.opt_v[p.name]
+        _copy_arrays(opt.m, resume.opt_m, "Adam first moment")
+        _copy_arrays(opt.v, resume.opt_v, "Adam second moment")
         opt.step = resume.opt_step
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.meta.get("epoch", 0) + 1

@@ -3,8 +3,8 @@ import pytest
 
 from chemner import numerics as nx
 from chemner.corpus import LabelScheme
-from chemner.crf import (CrfParams, bio_transition_masks, log_partition, nll,
-                         score_sequence, score_sequence_value, viterbi, viterbi_batch)
+from chemner.crf import (CrfParams, bio_transition_masks, log_partition, nll, nll_batch,
+                         score_sequence_value, viterbi, viterbi_batch)
 from chemner.numerics import NumericError, Parameter, backward, constant, evaluate
 
 from oracles import (brute_log_partition, brute_nll, brute_viterbi,
@@ -25,12 +25,12 @@ def random_params(rng, k):
 
 class TestScoreSequence:
     def test_single_token(self):
-        em = constant(np.array([[2.0, 5.0]]))
-        assert float(score_sequence(em, [1], zero_params(2)).data) == 5.0
+        em = np.array([[2.0, 5.0]])
+        assert score_sequence_value(em, [1], zero_params(2)) == 5.0
 
     def test_zero_params_emission_sum(self):
-        em = constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert float(score_sequence(em, [0, 1], zero_params(2)).data) == pytest.approx(5.0)
+        em = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert score_sequence_value(em, [0, 1], zero_params(2)) == pytest.approx(5.0)
 
     def test_random_matches_hand_sum(self):
         rng = np.random.default_rng(11)
@@ -40,17 +40,15 @@ class TestScoreSequence:
         hand = (params.start.value[2] + params.stop.value[1]
                 + sum(em[t, tags[t]] for t in range(4))
                 + sum(params.transitions.value[tags[t - 1], tags[t]] for t in range(1, 4)))
-        got = float(score_sequence(constant(em), tags, params).data)
-        assert got == pytest.approx(hand, abs=1e-12)
-        assert score_sequence_value(em, tags, params) == got
+        assert score_sequence_value(em, tags, params) == pytest.approx(hand, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            score_sequence(constant(np.zeros((2, 2))), [0], zero_params(2))
+            score_sequence_value(np.zeros((2, 2)), [0], zero_params(2))
 
     def test_tag_out_of_range(self):
         with pytest.raises(ValueError):
-            score_sequence(constant(np.zeros((1, 2))), [5], zero_params(2))
+            score_sequence_value(np.zeros((1, 2)), [5], zero_params(2))
 
 
 class TestLogPartition:
@@ -166,6 +164,138 @@ class TestNll:
         assert err < 1e-6
 
 
+def ragged_batch(rng, k, lengths):
+    """Concatenated (sum T x k) emissions and one random tag list per sentence."""
+    em = rng.uniform(-2, 2, (sum(lengths), k))
+    return em, [[int(rng.integers(0, k)) for _ in range(t)] for t in lengths]
+
+
+def split_batch(em, tags_list):
+    return np.split(em, np.cumsum([len(tags) for tags in tags_list])[:-1])
+
+
+def enumerated_marginals(em, params):
+    """Node (T x K) and edge (K x K, summed over steps) marginals of one
+    sentence by full enumeration under the masked potentials."""
+    trans, start, stop = params.effective()
+    seqs, scores = enumerate_sequence_scores(em, trans, start, stop)
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+    nodes = np.zeros(em.shape)
+    edges = np.zeros(trans.shape)
+    for seq, pr in zip(seqs, probs):
+        nodes[np.arange(len(seq)), seq] += pr
+        for a, b in zip(seq[:-1], seq[1:]):
+            edges[a, b] += pr
+    return nodes, edges
+
+
+def allowed_tags(tags, params):
+    """``tags`` with every tag the BIO masks forbid where it stands set to O (id 0)."""
+    out = []
+    for y in tags:
+        forbidden = params.bio_start_mask[y] if not out else params.bio_mask[out[-1], y]
+        out.append(0 if forbidden else y)
+    return out
+
+
+class TestNllBatch:
+    LENGTHS = (3, 1, 6, 2, 1, 4)
+
+    def batch_params(self, rng, k, masked):
+        if masked:
+            scheme = LabelScheme(("G",))
+            params = random_params(rng, scheme.num_tags)
+            params.enable_bio_mask(scheme)
+            return params
+        return random_params(rng, k)
+
+    @pytest.mark.parametrize("k,masked", [(1, False), (2, False), (3, False), (4, False),
+                                          (3, True)])
+    def test_equals_sum_of_brute_force(self, k, masked):
+        rng = np.random.default_rng(51 + k)
+        params = self.batch_params(rng, k, masked)
+        em, tags_list = ragged_batch(rng, params.num_tags, self.LENGTHS)
+        got = float(nll_batch(constant(em), tags_list, params).data)
+        trans, start, stop = params.effective()
+        brute = sum(brute_nll(e, tags, trans, start, stop)
+                    for e, tags in zip(split_batch(em, tags_list), tags_list))
+        assert got == pytest.approx(brute, abs=1e-9)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradient_matches_finite_differences(self, masked):
+        rng = np.random.default_rng(53)
+        params = self.batch_params(rng, 3, masked)
+        em, tags_list = ragged_batch(rng, params.num_tags, (2, 4, 1))
+        if masked:  # a forbidden gold tag puts -1e4 in the loss, drowning the differences
+            tags_list = [allowed_tags(tags, params) for tags in tags_list]
+        em_p = Parameter("em", em)
+        err = nx.grad_check(lambda tp: nll_batch(tp.param(em_p), tags_list, params, tp),
+                            [em_p, *params.parameters()])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_are_marginals_minus_gold(self, masked):
+        rng = np.random.default_rng(57)
+        params = self.batch_params(rng, 3, masked)
+        k = params.num_tags
+        em, tags_list = ragged_batch(rng, k, (4, 1, 3))
+        em_p = Parameter("em", em)
+        for p in (em_p, *params.parameters()):
+            p.zero_grad()
+        out, tape = evaluate(lambda tp: nll_batch(tp.param(em_p), tags_list, params, tp))
+        backward(tape, out)
+        want_emit, want_trans = [], np.zeros((k, k))
+        for e, tags in zip(split_batch(em, tags_list), tags_list):
+            nodes, edges = enumerated_marginals(e, params)
+            nodes[np.arange(len(tags)), tags] -= 1.0
+            want_emit.append(nodes)
+            want_trans += edges
+            for a, b in zip(tags[:-1], tags[1:]):
+                want_trans[a, b] -= 1.0
+        if masked:
+            want_trans[params.bio_mask] = 0.0
+        assert np.abs(em_p.gradient - np.concatenate(want_emit)).max() < 1e-12
+        assert np.abs(params.transitions.gradient - want_trans).max() < 1e-12
+
+    def test_masked_entries_get_zero_gradient(self):
+        rng = np.random.default_rng(59)
+        params = self.batch_params(rng, 3, masked=True)
+        em, _ = ragged_batch(rng, params.num_tags, (5, 2))
+        tags_list = [[2, 2, 0, 2, 2], [2, 0]]  # I-G at the start and after O: forbidden
+        out, tape = evaluate(lambda tp: nll_batch(constant(em), tags_list, params, tp))
+        backward(tape, out)
+        assert not params.transitions.gradient[params.bio_mask].any()
+        assert not params.start.gradient[params.bio_start_mask].any()
+
+    def test_single_tag_batch_exactly_zero(self):
+        rng = np.random.default_rng(61)
+        em, tags_list = ragged_batch(rng, 1, self.LENGTHS)
+        assert float(nll_batch(constant(em), tags_list, random_params(rng, 1)).data) == 0.0
+
+    def test_one_tape_entry(self):
+        rng = np.random.default_rng(67)
+        params = random_params(rng, 3)
+        em, tags_list = ragged_batch(rng, 3, self.LENGTHS)
+        em_p = Parameter("em", em)
+        _, tape = evaluate(lambda tp: nll_batch(tp.param(em_p), tags_list, params, tp))
+        assert len(tape) == 1
+
+    def test_equals_single_sentence_nll(self):
+        rng = np.random.default_rng(71)
+        params = random_params(rng, 3)
+        em, tags_list = ragged_batch(rng, 3, self.LENGTHS)
+        singles = [float(nll(constant(e), tags, params).data)
+                   for e, tags in zip(split_batch(em, tags_list), tags_list)]
+        assert float(nll_batch(constant(em), tags_list, params).data) == np.cumsum(singles)[-1]
+
+    @pytest.mark.parametrize("tags_list", [[[0, 1], [1]], [[0, 1], [1, 0, 1, 1]],
+                                           [[0, 1], [1, 3, 0]], [[0, 1], []], []])
+    def test_mismatch_rejected(self, tags_list):
+        with pytest.raises(ValueError):
+            nll_batch(constant(np.zeros((5, 2))), tags_list, zero_params(2))
+
+
 class TestViterbi:
     def test_single_token(self):
         tags, score = viterbi(np.array([[2.0, 5.0]]), zero_params(2))
@@ -190,7 +320,7 @@ class TestViterbi:
         em = rng.uniform(-2, 2, (6, 3))
         params = random_params(rng, 3)
         tags, score = viterbi(em, params)
-        assert score == float(score_sequence(constant(em), tags, params).data)
+        assert score == score_sequence_value(em, tags, params)
 
     def test_tie_rule_matches_backtracking_semantics(self):
         # two optimal sequences [0,1] and [1,0]: backtracking picks the
@@ -225,7 +355,7 @@ class TestViterbiBatch:
                 assert tags == btags
                 assert score == pytest.approx(bscore, abs=1e-10)
                 assert (tags, score) == viterbi(em, params)
-                assert score == float(score_sequence(constant(em), tags, params).data)
+                assert score == score_sequence_value(em, tags, params)
 
     def test_bio_mask_matches_single_decodes(self):
         scheme = LabelScheme(("G", "M"))

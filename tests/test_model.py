@@ -198,6 +198,20 @@ class TestPredictAndLoss:
         singles = [model.loss([s]) for s in batch]
         assert total == pytest.approx(np.mean(singles), abs=1e-12)
 
+    def test_tape_size_independent_of_sentence_length(self, toy_data):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        batch = sentences[:4]
+        doubled = [sentence_from_texts(list(s.texts) * 2, list(s.tags) * 2, "d")
+                   for s in batch]
+        sizes = []
+        for b in (batch, doubled):
+            tape = Tape()
+            model.build_loss(tape, b, model.make_dropout_masks(
+                [len(s.tokens) for s in b], np.random.default_rng(0)))
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1] < 100
+
     def test_loss_finite_long_sentence(self, toy_data):
         _, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)

@@ -243,13 +243,14 @@ class TestAdjointsMatchFiniteDifferences:
                           nx.sum_all(nx.mul(t.param(p), constant(mask / mask.sum()))))
         _fd_check(fn, [p])
 
-    def test_broadcast_col_sum_axis(self):
-        p = Parameter("p", self.u(4))
+    def test_sum_axis(self):
+        p = Parameter("p", self.u(4, 3))
         probe = self.u(4, 3)
         def fn(t):
-            m = nx.mul(nx.broadcast_col(t.param(p), 3), constant(probe))
-            v = nx.sum_axis(m, axis=1)
-            return nx.scale(nx.sum_all(nx.mul(v, v)), 1 / 4)
+            m = nx.mul(t.param(p), constant(probe))
+            rows, cols = nx.sum_axis(m, axis=1), nx.sum_axis(m, axis=0)
+            return nx.add(nx.scale(nx.sum_all(nx.mul(rows, rows)), 1 / 4),
+                          nx.sum_all(nx.mul(cols, cols)))
         _fd_check(fn, [p])
 
     def test_scalar_mul(self):

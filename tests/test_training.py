@@ -364,6 +364,25 @@ class TestTrainLoop:
         for name, arr in full.final.tensors.items():
             assert np.array_equal(resumed.final.tensors[name], arr), name
 
+    @pytest.mark.parametrize("section,name,value", [
+        ("tensors", "crf.start", np.zeros(1)),  # would broadcast into the (K,) parameter
+        ("tensors", "emit.b", None),
+        ("opt_m", "crf.start", np.zeros(1)),
+        ("opt_v", "emit.b", None)])
+    def test_resume_rejects_mismatched_checkpoint(self, toy_setup, section, name, value):
+        sentences, scheme, vocab = toy_setup
+        model = make_model(sentences, scheme, vocab)
+        ckpt = make_checkpoint(model, AdamState.init(model.trainable_parameters()),
+                               np.random.default_rng(0))
+        if value is None:
+            del getattr(ckpt, section)[name]
+        else:
+            getattr(ckpt, section)[name] = value
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        with pytest.raises(CheckpointError, match=name):
+            train(model, splits, TrainConfig(max_epochs=1, patience=1), resume=ckpt)
+
     def test_non_trainable_tables_stable(self, toy_setup):
         sentences, scheme, vocab = toy_setup
         model = make_model(sentences, scheme, vocab)
