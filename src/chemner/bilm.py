@@ -3,9 +3,14 @@
 A character CNN (:func:`char_features`, the block the NER model uses too)
 feeds two independent LSTM stacks: the forward stack predicts each token
 from the tokens before it, the backward stack from the tokens after it.
-Per-token layer representations (the projection at layer 0, forward and
-backward hidden states above) are combined by a trainable softmax-weighted
-sum for use as contextual word features.
+Both run over a whole ragged batch of sentences at once: one char-CNN call
+over all its tokens, then one fused ``lstm_batch`` per direction-layer
+(:func:`lstm_layer`, which the NER encoder uses too). The LM loss is one
+head GEMM and one tape entry (:meth:`BiLm.nll_batch`). Per-token layer
+representations (the projection at layer 0, forward and backward hidden
+states above) are combined by a trainable weighted sum with weights
+exp(s)/Σ exp(s), one tape entry (:func:`mix_layers`), for use as contextual
+word features.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import numpy as np
 from . import numerics as nx
 from .corpus import LONG_TOKEN_TEXT, Vocabulary
 from .numerics import Parameter, ShapeError, Tape, Tensor
+
+DECODE_BATCH_TOKENS = 512  # tokens per evaluation pass; bounds its memory
 
 
 @dataclass
@@ -33,6 +40,10 @@ class BiLmConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        dims = (self.char_embed_dim, self.token_projection_dim, self.layer_dim,
+                *(n for f in self.char_filters for n in f))
+        if any(d < 1 for d in dims):
+            raise ValueError("dimensions, filter widths and filter counts must be positive")
         if self.token_projection_dim != self.layer_dim:
             # layer 0 is the projection duplicated to 2*layer_dim, so the
             # widths must agree for the layers to be mixable
@@ -85,6 +96,29 @@ def lstm_params(rng: np.random.Generator, name: str, in_dim: int,
         f"{name}.wh": Parameter(f"{name}.wh", glorot(rng, (hidden, 4 * hidden), hidden, hidden)),
         f"{name}.b": Parameter(f"{name}.b", b),
     }
+
+
+def lstm_layer(params: dict[str, Parameter], name: str, xs: Sequence[Tensor],
+               tape: Tape | None, reverse: bool) -> list[Tensor]:
+    """One fused LSTM direction over a ragged batch, with the weights
+    :func:`lstm_params` made under ``name``."""
+    return nx.lstm_batch(xs, *(nx.use_param(tape, params[f"{name}.{part}"])
+                               for part in ("wx", "wh", "b")), reverse=reverse)
+
+
+def _token_batches(order: Sequence[int], lengths: Sequence[int],
+                   budget: int) -> list[list[int]]:
+    """``order`` cut into consecutive runs of at most ``budget`` tokens; an
+    item longer than the budget forms a run of its own."""
+    batches: list[list[int]] = []
+    used = budget
+    for i in order:
+        if used + lengths[i] > budget:
+            batches.append([])
+            used = 0
+        batches[-1].append(i)
+        used += lengths[i]
+    return batches
 
 
 def char_features(texts: Sequence[str], vocab: Vocabulary, table: Tensor,
@@ -178,81 +212,117 @@ class BiLm:
                               for i in range(len(self.config.char_filters))],
                              (param("bilm.proj.w"), param("bilm.proj.b")))
 
-    def _stack(self, direction: str, xs: Tensor, tape: Tape | None) -> list[Tensor]:
-        states = []
-        h = xs
-        for layer in range(self.config.num_layers):
-            name = f"bilm.{direction}.l{layer}"
-            h = nx.lstm_batch([h],
-                              nx.use_param(tape, self.params[f"{name}.wx"]),
-                              nx.use_param(tape, self.params[f"{name}.wh"]),
-                              nx.use_param(tape, self.params[f"{name}.b"]),
-                              reverse=(direction == "bwd"))[0]
-            states.append(h)
-        return states
+    def lm_states_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
+                        ) -> tuple[list[Tensor], list[list[Tensor]], list[list[Tensor]]]:
+        """Projections and hidden states of a ragged batch of non-empty
+        sentences: one char-CNN pass over all their tokens, then one fused
+        pass per direction-layer. Returns the per-sentence projections and,
+        per direction, one list of per-sentence states for each layer."""
+        sizes = [len(texts) for texts in texts_list]
+        if not sizes or min(sizes) < 1:
+            raise ValueError("need a non-empty batch of non-empty sentences")
+        proj = self.token_projections([t for texts in texts_list for t in texts], tape)
+        projs = nx.split_rows(proj, sizes) if len(sizes) > 1 else [proj]
+        stacks = []
+        for direction in ("fwd", "bwd"):
+            states, hs = [], projs
+            for layer in range(self.config.num_layers):
+                hs = lstm_layer(self.params, f"bilm.{direction}.l{layer}", hs, tape,
+                                reverse=(direction == "bwd"))
+                states.append(hs)
+            stacks.append(states)
+        return projs, stacks[0], stacks[1]
 
-    def lm_states(self, texts: Sequence[str], tape: Tape | None = None
-                  ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-        proj = self.token_projections(texts, tape)
-        return proj, self._stack("fwd", proj, tape), self._stack("bwd", proj, tape)
+    def nll_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
+                  ) -> tuple[Tensor, int]:
+        """Summed forward+backward next-token NLL of a batch of sentences of
+        at least 2 tokens each, and the prediction count.
+
+        One head ``linear`` over the top forward and backward states, then
+        one tape entry for the sum over the predicting rows r of
+        lse(z_r) − z_r[y_r]; its vjp is exp(z_r − lse(z_r)) − one-hot(y_r),
+        built in place, so no dense one-hot matrix is made.
+        """
+        if not texts_list or min(len(texts) for texts in texts_list) < 2:
+            raise ValueError("need at least 2 tokens for next-token prediction")
+        limit, vocab = self.config.max_token_len, self.config.vocab
+        _, fwd, bwd = self.lm_states_batch(texts_list, tape)
+        logits = nx.linear(nx.concat(fwd[-1] + bwd[-1], axis=0),
+                           nx.use_param(tape, self.params["bilm.head.w"]),
+                           nx.use_param(tape, self.params["bilm.head.b"]))
+        ids = [[vocab.word_id(t if len(t) <= limit else LONG_TOKEN_TEXT) for t in texts]
+               for texts in texts_list]
+        starts = np.cumsum([0] + [len(i) for i in ids])
+        # forward row t predicts token t+1, backward row t token t-1
+        rows = np.concatenate([lo + np.arange(len(i) - 1) for lo, i in zip(starts, ids)]
+                              + [starts[-1] + lo + np.arange(1, len(i))
+                                 for lo, i in zip(starts, ids)])
+        targets = [y for i in ids for y in i[1:]] + [y for i in ids for y in i[:-1]]
+        n = len(targets)
+        z = logits.data
+        m = z.max(axis=1, keepdims=True)
+        e = z - m
+        np.exp(e, out=e)
+        lse = m + np.log(e.sum(axis=1, keepdims=True))
+        gold = rows, np.asarray(targets)
+        total = np.asarray((lse[rows, 0] - z[gold]).sum())
+
+        def vjp_in(g):
+            dz = np.exp(z - lse)
+            dz[gold] -= 1.0
+            dz[np.isin(np.arange(len(z)), rows, invert=True)] = 0.0
+            dz *= g
+            return [dz]
+        return nx.primitive("lm_nll", [logits], total, vjp_in), n
 
     def sentence_nll(self, texts: Sequence[str], tape: Tape | None = None
                      ) -> tuple[Tensor, int]:
-        """Total forward+backward next-token NLL and the prediction count."""
-        T = len(texts)
-        if T < 2:
-            raise ValueError("need at least 2 tokens for next-token prediction")
-        vocab = self.config.vocab
-        ids = [vocab.word_id(t if len(t) <= self.config.max_token_len else LONG_TOKEN_TEXT)
-               for t in texts]
-        proj, fwd, bwd = self.lm_states(texts, tape)
-        w = nx.use_param(tape, self.params["bilm.head.w"])
-        b = nx.use_param(tape, self.params["bilm.head.b"])
-
-        def direction_nll(states: Tensor, rows: tuple[int, int], targets: list[int]) -> Tensor:
-            hs = nx.slice_rows(states, rows[0], rows[1])
-            logits = nx.linear(hs, w, b)
-            lse = nx.logsumexp(logits, axis=1)
-            onehot = np.zeros((len(targets), vocab.size))
-            onehot[np.arange(len(targets)), targets] = 1.0
-            gold = nx.sum_axis(nx.mul(logits, nx.constant(onehot)), axis=1)
-            return nx.sum_all(nx.sub(lse, gold))
-
-        nll_f = direction_nll(fwd[-1], (0, T - 1), ids[1:])
-        nll_b = direction_nll(bwd[-1], (1, T), ids[:-1])
-        return nx.add(nll_f, nll_b), 2 * (T - 1)
+        """:meth:`nll_batch` of one sentence."""
+        return self.nll_batch([texts], tape)
 
     def perplexity(self, sentences: Sequence[Sequence[str]]) -> float:
-        """exp(mean NLL per prediction) over the corpus, evaluation mode."""
+        """exp(mean NLL per prediction) over the corpus, evaluation mode, in
+        passes of at most DECODE_BATCH_TOKENS tokens, longest first."""
+        usable = [s for s in sentences if len(s) >= 2]
+        if not usable:
+            raise ValueError("no sentence with >= 2 tokens")
+        lengths = [len(s) for s in usable]
+        order = sorted(range(len(usable)), key=lambda i: -lengths[i])
         total, count = 0.0, 0
-        for texts in sentences:
-            if len(texts) < 2:
-                continue
-            nll_t, n = self.sentence_nll(texts, tape=None)
+        for batch in _token_batches(order, lengths, DECODE_BATCH_TOKENS):
+            nll_t, n = self.nll_batch([usable[i] for i in batch])
             total += float(nll_t.data)
             count += n
-        if count == 0:
-            raise ValueError("no sentence with >= 2 tokens")
         return float(np.exp(total / count))
 
-    def contextualize(self, texts: Sequence[str]) -> np.ndarray:
-        """Per-token layer representations, shape (T, num_layers+1, 2*layer_dim).
+    def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """Per-token layer representations of every sentence, each of shape
+        (T, num_layers+1, 2*layer_dim), from one :meth:`lm_states_batch`.
 
         Layer 0 duplicates the character projection; layers above
-        concatenate forward and backward hidden states at that depth.
+        concatenate forward and backward hidden states at that depth. An
+        empty sentence gives a (0, num_layers+1, 2*layer_dim) array.
         """
-        if not texts:
-            return np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
-        proj, fwd, bwd = self.lm_states(texts, tape=None)
-        layers = [np.concatenate([proj.data, proj.data], axis=1)]
-        for hf, hb in zip(fwd, bwd):
-            layers.append(np.concatenate([hf.data, hb.data], axis=1))
-        return np.stack(layers, axis=1)
+        out = [np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
+               for _ in texts_list]
+        kept = [i for i, texts in enumerate(texts_list) if len(texts)]
+        if kept:
+            projs, fwd, bwd = self.lm_states_batch([texts_list[i] for i in kept])
+            for k, i in enumerate(kept):
+                layers = [np.concatenate([projs[k].data, projs[k].data], axis=1)]
+                layers += [np.concatenate([hf[k].data, hb[k].data], axis=1)
+                           for hf, hb in zip(fwd, bwd)]
+                out[i] = np.stack(layers, axis=1)
+        return out
+
+    def contextualize(self, texts: Sequence[str]) -> np.ndarray:
+        """:meth:`contextualize_batch` of one sentence."""
+        return self.contextualize_batch([texts])[0]
 
 
 @dataclass
 class MixingWeights:
-    """Trainable scalars: softmax(s) mixture scaled by gamma."""
+    """Trainable scalars: mixture weights exp(s)/Σ exp(s), scaled by gamma."""
 
     s: Parameter      # (num_layers + 1,)
     gamma: Parameter  # scalar
@@ -272,19 +342,29 @@ class MixingWeights:
 
 def mix_layers(layers: Sequence, weights: MixingWeights,
                tape: Tape | None = None) -> Tensor:
-    """gamma * sum_j softmax(s)_j * layer_j; gradients flow to s and gamma."""
-    tensors = [x if isinstance(x, Tensor) else nx.constant(x) for x in layers]
-    if len(tensors) != weights.s.value.shape[0]:
-        raise ShapeError(f"mix_layers: {len(tensors)} layers for "
+    """gamma * sum_j w_j * layer_j with w = :meth:`MixingWeights.normalized`,
+    as one tape entry.
+
+    The layers are constant arrays of one shape. The vjp gives
+    d gamma = <G, sum_j w_j X_j> and ds = w * (a - <w, a>) with
+    a_j = gamma <G, X_j>.
+    """
+    xs = [np.asarray(x, dtype=np.float64) for x in layers]
+    if len(xs) != weights.s.value.shape[0]:
+        raise ShapeError(f"mix_layers: {len(xs)} layers for "
                          f"{weights.s.value.shape[0]} mixing scalars")
-    shape = tensors[0].data.shape
-    if any(t.data.shape != shape for t in tensors):
+    if any(x.shape != xs[0].shape for x in xs):
         raise ShapeError("mix_layers: layer shapes differ")
-    w = nx.softmax(nx.use_param(tape, weights.s), axis=0)
-    total = nx.scalar_mul(tensors[0], nx.index1d(w, 0))
-    for j in range(1, len(tensors)):
-        total = nx.add(total, nx.scalar_mul(tensors[j], nx.index1d(w, j)))
-    return nx.scalar_mul(total, nx.use_param(tape, weights.gamma))
+    s, gamma = nx.use_param(tape, weights.s), nx.use_param(tape, weights.gamma)
+    w = weights.normalized()
+    mixed = xs[0] * w[0]
+    for j in range(1, len(xs)):
+        mixed = mixed + xs[j] * w[j]
+
+    def vjp_in(g):
+        a = gamma.data * np.array([np.vdot(g, x) for x in xs])
+        return [w * (a - np.dot(w, a)), np.asarray(np.vdot(g, mixed))]
+    return nx.primitive("mix_layers", [s, gamma], mixed * gamma.data, vjp_in)
 
 
 def bilm_from_checkpoint(ckpt) -> BiLm:
@@ -314,6 +394,8 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
     """
     from .training import AdamState, TrainConfig, adam_step, clip_gradients
 
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     usable = [list(s) for s in sentences if len(s) >= 2]
     if not usable:
         raise ValueError("empty corpus: no sentence with >= 2 tokens")

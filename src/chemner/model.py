@@ -10,13 +10,11 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import (BiLm, MixingWeights, NoDraw, char_features, glorot, lstm_params,
-                   mix_layers)
+from .bilm import (DECODE_BATCH_TOKENS, BiLm, MixingWeights, NoDraw, _token_batches,
+                   char_features, glorot, lstm_layer, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
-
-DECODE_BATCH_TOKENS = 512  # tokens per predict_batch pass; bounds decode memory
 
 
 class ConfigurationError(ValueError):
@@ -109,7 +107,6 @@ class NerModel:
             crf.enable_bio_mask(config.scheme)
         if config.use_contextual and (bilm is None or mixing is None):
             raise ConfigurationError("contextual features need a biLM and mixing weights")
-        self._ctx_cache: dict[tuple[str, ...], np.ndarray] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -214,24 +211,15 @@ class NerModel:
                              [(param("char_conv.w"), param("char_conv.b"))],
                              (param("char_proj.w"), param("char_proj.b")))
 
-    def _contextual_layers(self, texts: tuple[str, ...]) -> np.ndarray:
-        cached = self._ctx_cache.get(texts)
-        if cached is None:
-            cached = self.bilm.contextualize(list(texts))
-            self._ctx_cache[texts] = cached
-        return cached
-
-    def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None,
-                     contextual_layers: np.ndarray | None = None) -> Tensor:
+    def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None) -> Tensor:
         """Per-token features (T x D), concatenated word, char, contextual."""
-        return self.embed_batch([sentence], tape, None if contextual_layers is None
-                                else [contextual_layers])[0]
+        return self.embed_batch([sentence], tape)[0]
 
-    def embed_batch(self, sentences: Sequence[TaggedSentence], tape: Tape | None = None,
-                    contextual_layers: Sequence[np.ndarray] | None = None) -> list[Tensor]:
+    def embed_batch(self, sentences: Sequence[TaggedSentence],
+                    tape: Tape | None = None) -> list[Tensor]:
         """:meth:`embed_tokens` of every sentence: one word-id gather, one
-        char-CNN call and one layer mix over all the batch's tokens, then the
-        rows split back per sentence. The biLM runs per sentence (cached)."""
+        char-CNN call, one biLM pass and one layer mix over all the batch's
+        tokens, then the rows split back per sentence."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
         texts = [t for s in sentences for t in s.texts]
@@ -243,16 +231,10 @@ class NerModel:
         if self.config.use_char_cnn:
             parts.append(self._char_rows(texts, tape))
         if self.config.use_contextual:
-            if contextual_layers is None:
-                contextual_layers = [self._contextual_layers(tuple(s.texts))
-                                     for s in sentences]
-            if [c.shape[0] for c in contextual_layers] != sizes:
-                raise ConfigurationError("contextual layer count != token count")
-            stacked = np.concatenate(contextual_layers, axis=0)
+            stacked = np.concatenate(self.bilm.contextualize_batch([s.texts for s in sentences]),
+                                     axis=0)
             parts.append(mix_layers([stacked[:, j, :] for j in range(stacked.shape[1])],
                                     self.mixing, tape))
-        elif contextual_layers is not None:
-            raise ConfigurationError("contextual layers supplied but use_contextual is off")
         feats = parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
         return [feats] if len(sizes) == 1 else nx.split_rows(feats, sizes)
 
@@ -275,13 +257,8 @@ class NerModel:
                 hs = [h if masks is None or masks[layer] is None
                       else nx.dropout(h, masks[layer], rate)
                       for h, masks in zip(hs, dropout_masks)]
-            outs = []
-            for direction in ("fwd", "bwd"):
-                name = f"lstm.l{layer}.{direction}"
-                outs.append(nx.lstm_batch(hs, nx.use_param(tape, self.params[f"{name}.wx"]),
-                                          nx.use_param(tape, self.params[f"{name}.wh"]),
-                                          nx.use_param(tape, self.params[f"{name}.b"]),
-                                          reverse=(direction == "bwd")))
+            outs = [lstm_layer(self.params, f"lstm.l{layer}.{direction}", hs, tape,
+                               reverse=(direction == "bwd")) for direction in ("fwd", "bwd")]
             hs = [nx.concat(pair, axis=1) for pair in zip(*outs)]
         return hs
 
@@ -355,21 +332,6 @@ class NerModel:
                     np.split(emissions, bounds), self.crf)):
                 out[i] = tags
         return out
-
-
-def _token_batches(order: Sequence[int], lengths: Sequence[int],
-                   budget: int) -> list[list[int]]:
-    """``order`` cut into consecutive runs of at most ``budget`` tokens; an
-    item longer than the budget forms a run of its own."""
-    batches: list[list[int]] = []
-    used = budget
-    for i in order:
-        if used + lengths[i] > budget:
-            batches.append([])
-            used = 0
-        batches[-1].append(i)
-        used += lengths[i]
-    return batches
 
 
 def model_from_checkpoint(ckpt) -> NerModel:

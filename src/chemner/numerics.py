@@ -188,7 +188,8 @@ def primitive(name: str, inputs: Sequence[Tensor], out_data,
               vjp_in: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
     """One tape entry with one output: ``vjp_in`` maps the output's
     gradient to one gradient per input. Every single-output primitive
-    records itself through it, and so does the CRF NLL block."""
+    records itself through it, and so do the CRF NLL, the biLM loss and
+    the biLM layer mix."""
     tape = _join_tape(name, *inputs)
     out = Tensor(out_data, tape)
     if tape is not None:
@@ -212,13 +213,6 @@ def add(a, b) -> Tensor:
                      lambda g: [g, g.sum(axis=0) if bias else g])
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    return primitive("sub", [a, b], a.data - b.data, lambda g: [g, -g])
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
@@ -230,15 +224,6 @@ def scale(x, c: float) -> Tensor:
     x = _wrap(x)
     c = float(c)
     return primitive("scale", [x], x.data * c, lambda g: [g * c])
-
-
-def scalar_mul(x, s) -> Tensor:
-    """Multiply tensor ``x`` by a scalar (0-d) tensor ``s``."""
-    x, s = _wrap(x), _wrap(s)
-    if s.data.ndim != 0:
-        raise ShapeError(f"scalar_mul: scalar must be 0-d, got {s.data.shape}")
-    return primitive("scalar_mul", [x, s], x.data * s.data,
-                     lambda g: [g * s.data, np.asarray((g * x.data).sum())])
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -283,17 +268,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return primitive("concat", parts, out_data, lambda g: np.split(g, bounds, axis=axis))
 
 
-def slice_rows(x, start: int, stop: int) -> Tensor:
-    x = _wrap(x)
-    if x.data.ndim < 1 or not (0 <= start < stop <= x.data.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] of {x.data.shape}")
-    def vjp_in(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return [gx]
-    return primitive("slice_rows", [x], x.data[start:stop].copy(), vjp_in)
-
-
 def split_rows(x, sizes: Sequence[int]) -> list[Tensor]:
     """Consecutive row blocks of ``x`` with the given positive sizes, which
     must add up to its row count; one tape entry with one output per block."""
@@ -320,32 +294,10 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
                      lambda g: [g.reshape(x.data.shape)])
 
 
-def index1d(x, i: int) -> Tensor:
-    """x (n,) → scalar x[i]."""
-    x = _wrap(x)
-    if x.data.ndim != 1 or not (0 <= i < x.data.shape[0]):
-        raise ShapeError(f"index1d: index {i} of {x.data.shape}")
-    def vjp_in(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return [gx]
-    return primitive("index1d", [x], x.data[i], vjp_in)
-
-
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+e^−z) for z ≥ 0 and e^z/(1+e^z) below, with no exp overflow."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    x = _wrap(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    def vjp_in(g):
-        return [s * (g - (g * s).sum(axis=axis, keepdims=True))]
-    return primitive("softmax", [x], s, vjp_in)
 
 
 def logsumexp(x, axis: int | None = None) -> Tensor:
@@ -361,14 +313,6 @@ def sum_all(x) -> Tensor:
     x = _wrap(x)
     return primitive("sum_all", [x], np.asarray(x.data.sum()),
                      lambda g: [np.full_like(x.data, g)])
-
-
-def sum_axis(x, axis: int) -> Tensor:
-    x = _wrap(x)
-    out_data = x.data.sum(axis=axis)
-    def vjp_in(g):
-        return [np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()]
-    return primitive("sum_axis", [x], out_data, vjp_in)
 
 
 def dropout(x, mask, rate: float) -> Tensor:
@@ -556,13 +500,12 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
     tape = _join_tape("lstm_scan", xs, wx, wh, b)
     h = Tensor(np.zeros((1, H)), tape)
     c = Tensor(np.zeros((1, H)), tape)
-    order = range(T - 1, -1, -1) if reverse else range(T)
+    rows = split_rows(xs, [1] * T)
     outs: list[Tensor | None] = [None] * T
-    for t in order:
-        x_t = slice_rows(xs, t, t + 1)
-        h, c = lstm_step(x_t, h, c, wx, wh, b)
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        h, c = lstm_step(rows[t], h, c, wx, wh, b)
         outs[t] = h
-    return concat([o for o in outs], axis=0)
+    return concat(outs, axis=0)
 
 
 def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:

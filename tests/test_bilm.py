@@ -36,6 +36,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_layers"):
             small_config(SENTS, num_layers=0)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(char_embed_dim=0), dict(token_projection_dim=0, layer_dim=0),
+        dict(token_projection_dim=-2, layer_dim=-2), dict(char_filters=((0, 8),)),
+        dict(char_filters=((3, 0),)), dict(char_filters=((3, 8), (5, -1)))])
+    def test_non_positive_sizes_rejected(self, overrides):
+        with pytest.raises(ValueError, match="positive"):
+            small_config(SENTS, **overrides)
+
 
 class TestShapes:
     def test_contextualize_shape(self):
@@ -120,10 +128,10 @@ class TestDirectionality:
     only on tokens > t."""
 
     def logits(self, bilm, texts):
-        proj, fwd, bwd = bilm.lm_states(texts, tape=None)
+        _, fwd, bwd = bilm.lm_states_batch([texts])
         w, b = bilm.params["bilm.head.w"].value, bilm.params["bilm.head.b"].value
-        lf = fwd[-1].data[:-1] @ w + b   # predicts tokens 1..T-1
-        lb = bwd[-1].data[1:] @ w + b    # predicts tokens 0..T-2
+        lf = fwd[-1][0].data[:-1] @ w + b   # predicts tokens 1..T-1
+        lb = bwd[-1][0].data[1:] @ w + b    # predicts tokens 0..T-2
         return lf, lb
 
     def test_forward_ignores_future(self):
@@ -154,6 +162,82 @@ class TestDirectionality:
         assert np.array_equal(a, b)
 
 
+class TestBatchedBlocks:
+    """The batched biLM path against its one-sentence views."""
+
+    RAGGED = [SENTS[0], ["cat"], [], ["the", "x" * 30, "sat"], SENTS[1], ["a", "mat"]]
+
+    def test_contextualize_batch_equals_single(self):
+        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=4)
+        batch = bilm.contextualize_batch(self.RAGGED)
+        assert len(batch) == len(self.RAGGED)
+        for texts, got in zip(self.RAGGED, batch):
+            want = bilm.contextualize(texts)
+            assert got.shape == want.shape == (len(texts), 3, 32)
+            scale = max(np.abs(want).max(initial=0.0), 1.0)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+        assert bilm.contextualize_batch([[], []])[1].shape == (0, 3, 32)
+
+    def test_lm_states_batch_rejects_empty(self):
+        bilm = BiLm.init(small_config(SENTS), seed=0)
+        for bad in ([], [SENTS[0], []]):
+            with pytest.raises(ValueError):
+                bilm.lm_states_batch(bad)
+
+    def test_nll_batch_equals_summed_sentences(self):
+        bilm = BiLm.init(small_config(SENTS), seed=5)
+        batch = [s for s in self.RAGGED if len(s) >= 2]
+        total, n = bilm.nll_batch(batch)
+        singles = [bilm.sentence_nll(s) for s in batch]
+        assert n == sum(m for _, m in singles) == sum(2 * (len(s) - 1) for s in batch)
+        want = sum(float(t.data) for t, _ in singles)
+        assert abs(float(total.data) - want) <= 1e-12 * want
+
+    def test_nll_batch_gradients_equal_summed_sentences(self):
+        bilm = BiLm.init(small_config(SENTS), seed=6)
+        batch = [s for s in self.RAGGED if len(s) >= 2]
+
+        def grads(groups):
+            for p in bilm.params.values():
+                p.zero_grad()
+            for group in groups:
+                tape = Tape()
+                backward(tape, bilm.nll_batch(group, tape)[0])
+            return {k: p.gradient.copy() for k, p in bilm.params.items()}
+
+        together, apart = grads([batch]), grads([[s] for s in batch])
+        for name, g in apart.items():
+            assert np.abs(together[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1.0), name
+
+    def test_nll_batch_grad_check(self):
+        sents = [["ab", "c", "ab", "d"], ["c", "d"], ["d", "xyzzy" * 2, "ab"]]
+        bilm = BiLm.init(small_config(sents, char_embed_dim=3, char_filters=((3, 2),),
+                                      token_projection_dim=3, layer_dim=3,
+                                      max_token_len=6), seed=7)
+        params = bilm.parameters()
+        head = [p for p in params if not p.name.startswith(("bilm.fwd", "bilm.bwd"))]
+        assert grad_check(lambda t: bilm.nll_batch(sents, t)[0], head) < 1e-6
+        # some recurrent coordinates have gradients near 1e-7, where the
+        # central difference is noise at this size (as in the full-model check)
+        assert grad_check(lambda t: bilm.nll_batch(sents, t)[0], params) < 1e-3
+
+    def test_nll_needs_two_tokens_per_sentence(self):
+        bilm = BiLm.init(small_config(SENTS), seed=0)
+        for bad in ([], [SENTS[0], ["cat"]]):
+            with pytest.raises(ValueError, match="2 tokens"):
+                bilm.nll_batch(bad)
+
+    @pytest.mark.parametrize("length", [2, 6, 40])
+    def test_training_step_tape_size(self, length):
+        # one train_bilm step: char CNN 3, LSTM 4, head 2, loss 1, scale 1
+        bilm = BiLm.init(small_config(SENTS), seed=0)
+        texts = (SENTS[0] * 7)[:length]
+        tape = Tape()
+        total, n = bilm.sentence_nll(texts, tape)
+        nx.scale(total, 1.0 / n)
+        assert len(tape) == 11
+
+
 class TestTraining:
     def test_single_repeated_sentence_memorized(self):
         sents = [SENTS[0]]
@@ -179,6 +263,11 @@ class TestTraining:
         b = train_bilm(SENTS, small_config(SENTS), epochs=4, seed=9)
         for k in a.params:
             assert np.array_equal(a.params[k].value, b.params[k].value)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            train_bilm(SENTS, small_config(SENTS), epochs=epochs, seed=0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -241,6 +330,12 @@ class TestMixing:
             out = mix_layers(layers, mw, tape)
             return nx.sum_all(nx.mul(out, nx.constant(probe)))
         assert grad_check(fn, [mw.s, mw.gamma]) < 1e-6
+
+    def test_one_tape_entry(self):
+        mw = MixingWeights.init(3)
+        tape = Tape()
+        mix_layers([np.ones((2, 5)) * j for j in range(4)], mw, tape)
+        assert len(tape) == 1
 
     def test_gradients_flow(self):
         mw = MixingWeights.init(1)

@@ -269,6 +269,23 @@ class TestTrainBilmCommand:
         assert ckpt.kind == "bilm"
         assert len(ckpt.meta["perplexities"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--epochs", "0"), ("--epochs", "-1"), ("--layer-dim", "0"),
+        ("--filter-count", "0"), ("--char-embed-dim", "0"), ("--filter-width", "0")],
+        ids=lambda flags: f"{flags[0][2:]}={flags[1]}")
+    def test_train_bilm_bad_size_is_data_error(self, capsys, tmp_path, flags):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        out = tmp_path / "bilm.ckpt"
+        argv = {"--epochs": "1", "--char-embed-dim": "4", "--filter-count": "4",
+                "--layer-dim": "8", "--filter-width": "3"}
+        argv[flags[0]] = flags[1]
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus), "--out", str(out),
+                           *(x for item in argv.items() for x in item))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [corpus]
+
     def test_train_bilm_corpus_with_byte_order_mark(self, capsys, tmp_path):
         corpus = tmp_path / "plain.txt"
         corpus.write_text("\ufeffthe cat sat\nthe dog ran\n", encoding="utf-8")

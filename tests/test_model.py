@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,12 +111,6 @@ class TestEmbedTokens:
         a = model.embed_tokens(sentences[0]).data
         b = model.embed_tokens(sentences[0]).data
         assert np.array_equal(a, b)
-
-    def test_contextual_layers_rejected_when_disabled(self, toy_data):
-        sentences, scheme, vocab = toy_data
-        model = tiny_model(vocab, labels=scheme.entity_labels)
-        with pytest.raises(ConfigurationError):
-            model.embed_tokens(sentences[0], contextual_layers=np.zeros((5, 3, 8)))
 
 
 class TestEncode:
@@ -280,6 +277,29 @@ class TestContextualIntegration:
         assert restored.loss(sentences[:2]) == model.loss(sentences[:2])
 
 
+class TestContextualMemory:
+    def test_decode_keeps_no_per_sentence_state(self, toy_data):
+        # the traced heap after tagging 4x as many distinct sentences stays
+        # within 10% of the 1x figure: nothing grows with the input
+        words = sorted({t for s in toy_data[0] for t in s.texts})
+        rng = np.random.default_rng(12)
+        inputs = [[sentence_from_texts([words[int(i)] for i in rng.integers(0, len(words), n)],
+                                       [0] * int(n), f"d{k}")
+                   for n in rng.integers(4, 16, count)] for k, count in ((0, 40), (1, 160))]
+        assert len({tuple(s.texts) for batch in inputs for s in batch}) == 200
+        tracemalloc.start()
+        try:
+            model, _, _ = TestContextualIntegration().make_contextual_model(toy_data)
+            current = []
+            for batch in inputs:
+                model.predict_batch(batch)
+                gc.collect()
+                current.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert current[1] <= 1.1 * current[0], current
+
+
 class TestFullModelGradient:
     def test_tiny_grad_check(self, toy_data):
         sentences, scheme, vocab = toy_data
@@ -361,9 +381,17 @@ class TestPredictBatch:
 class TestEmbedBatch:
     def test_equals_per_sentence_features(self, toy_data):
         sentences, scheme, vocab = toy_data
-        model = tiny_model(vocab, labels=scheme.entity_labels)
-        batch = model.embed_batch(sentences[:5])
-        for sent, feats in zip(sentences[:5], batch):
+        self.assert_equals_per_sentence(tiny_model(vocab, labels=scheme.entity_labels),
+                                        sentences[:5])
+
+    def test_contextual_equals_per_sentence_features(self, toy_data):
+        model, sentences, _ = TestContextualIntegration().make_contextual_model(toy_data)
+        self.assert_equals_per_sentence(model, sentences[:5])
+
+    @staticmethod
+    def assert_equals_per_sentence(model, sentences):
+        batch = model.embed_batch(sentences)
+        for sent, feats in zip(sentences, batch):
             single = model.embed_tokens(sent).data
             assert np.abs(feats.data - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,13 +31,6 @@ class TestForwardValues:
     def test_concat_shapes(self):
         out = nx.concat([constant(np.zeros(4)), constant(np.ones(6))], axis=0)
         assert out.shape == (10,)
-
-    def test_softmax_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-50, 50, (5, 7))
-        s = nx.softmax(constant(x), axis=1).data
-        assert np.all(s >= 0)
-        assert np.abs(s.sum(axis=1) - 1).max() < 1e-12
 
     def test_logsumexp_overflow_safe(self):
         big = constant([1e300, 1e300 - 1e284])
@@ -156,7 +153,7 @@ class TestAdjointsMatchFiniteDifferences:
         bias = Parameter("bias", self.u(4))
         def fn(t):
             s = nx.add(nx.mul(t.param(a), t.param(b)),
-                       nx.scale(nx.sub(t.param(a), t.param(b)), 0.7))
+                       nx.scale(nx.add(t.param(a), nx.scale(t.param(b), -1.0)), 0.7))
             return nx.sum_all(nx.mul(nx.add(s, t.param(bias)), s))
         _fd_check(fn, [a, b, bias])
 
@@ -168,13 +165,6 @@ class TestAdjointsMatchFiniteDifferences:
             h = nx.linear(constant(x), t.param(w), t.param(b))
             return nx.sum_all(nx.mul(h, h))
         _fd_check(fn, [w, b])
-
-    def test_softmax(self):
-        p = Parameter("p", self.u(4, 5))
-        probe = self.u(4, 5)
-        def fn(t):
-            return nx.sum_all(nx.mul(nx.softmax(t.param(p), axis=1), constant(probe)))
-        _fd_check(fn, [p])
 
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_logsumexp(self, axis):
@@ -197,8 +187,9 @@ class TestAdjointsMatchFiniteDifferences:
         b = Parameter("b", self.u(3, 3))
         def fn(t):
             cat = nx.concat([t.param(a), t.param(b)], axis=0)
-            row = nx.reshape(nx.slice_rows(cat, 1, 3), (6,))
-            return nx.add(nx.index1d(row, 2), nx.sum_all(nx.mul(cat, cat)))
+            _, rows, _ = nx.split_rows(cat, [1, 2, 2])
+            flat = nx.reshape(rows, (6, 1))
+            return nx.add(nx.sum_all(nx.embedding(flat, [2])), nx.sum_all(nx.mul(cat, cat)))
         _fd_check(fn, [a, b])
 
     def test_split_rows_some_blocks_unused(self):
@@ -242,24 +233,6 @@ class TestAdjointsMatchFiniteDifferences:
             return nx.add(nx.sum_all(nx.mul(nx.mul(d, d), constant(mask))),
                           nx.sum_all(nx.mul(t.param(p), constant(mask / mask.sum()))))
         _fd_check(fn, [p])
-
-    def test_sum_axis(self):
-        p = Parameter("p", self.u(4, 3))
-        probe = self.u(4, 3)
-        def fn(t):
-            m = nx.mul(t.param(p), constant(probe))
-            rows, cols = nx.sum_axis(m, axis=1), nx.sum_axis(m, axis=0)
-            return nx.add(nx.scale(nx.sum_all(nx.mul(rows, rows)), 1 / 4),
-                          nx.sum_all(nx.mul(cols, cols)))
-        _fd_check(fn, [p])
-
-    def test_scalar_mul(self):
-        s = Parameter("s", np.asarray(0.8))
-        p = Parameter("p", self.u(5))
-        def fn(t):
-            out = nx.scalar_mul(t.param(p), t.param(s))
-            return nx.sum_all(nx.mul(out, out))
-        _fd_check(fn, [s, p])
 
     def test_lstm_step(self):
         D, H = 3, 2
@@ -562,3 +535,32 @@ class TestGradCheck:
             return nx.mul(x, x)
         with pytest.raises(NumericError):
             grad_check(fn, [p])
+
+
+class TestNoDeadPrimitives:
+    """Every public function of ``chemner.numerics`` is used somewhere in
+    ``src/``, or is one of the few kept as a test reference or operand, so
+    primitives left without a caller do not come back."""
+
+    KEPT = {"lstm_step", "lstm_scan", "conv1d", "max_over_time", "reshape",  # references
+            "add", "mul", "sum_all"}  # operands of the tape-engine tests
+
+    def test_every_public_function_has_a_user_in_src(self):
+        used = set()
+        for path in Path(nx.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # a use inside a kept reference does not keep a primitive alive
+            tops = [n for n in tree.body
+                    if not (isinstance(n, ast.FunctionDef) and n.name in self.KEPT)]
+            for node in (n for top in tops for n in ast.walk(top)):
+                if isinstance(node, ast.Name) and path.name == "numerics.py":
+                    used.add(node.id)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "nx"):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module == "numerics":
+                    used.update(alias.name for alias in node.names)
+        public = {name for name, f in vars(nx).items() if inspect.isfunction(f)
+                  and f.__module__ == nx.__name__ and not name.startswith("_")}
+        assert self.KEPT <= public
+        assert public - used <= self.KEPT, f"unused: {sorted(public - used - self.KEPT)}"
