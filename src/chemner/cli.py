@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics as nx
 from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
 from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelError,
-                     build_vocabulary, corpus_stats, normalize_long_tokens,
+                     atomic_open, build_vocabulary, corpus_stats, normalize_long_tokens,
                      read_column_corpus, sentence_from_texts, split_dataset,
                      write_column_corpus)
 from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
@@ -26,8 +26,8 @@ from .evaluation import (confusion_matrix, error_listing, evaluate, format_confu
 from .model import ConfigurationError, ModelConfig, NerModel, model_from_checkpoint
 from .numerics import NumericError
 from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
-from .training import (CheckpointError, TrainConfig, atomic_open, load_checkpoint,
-                       make_checkpoint, save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, load_checkpoint, make_checkpoint,
+                       save_checkpoint, train)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(result.best, ckpt_path)
     report_path = os.path.join(args.out, "train_report.json")
-    with open(report_path, "w", encoding="utf-8") as f:
+    with atomic_open(report_path, encoding="utf-8") as f:
         json.dump(result.report.to_payload(), f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"best dev F1 {result.report.best_f1:.4f} at epoch {result.report.best_epoch} "

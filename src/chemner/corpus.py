@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import uuid
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -284,9 +287,25 @@ def _repair_bio(tag_ids: list[int], scheme: LabelScheme) -> tuple[list[int], int
     return repaired, repairs
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "", **kwargs):
+    """A new file beside ``path`` for writing (``mode`` "b" or "" for text),
+    renamed over ``path`` when the block ends; a failure anywhere removes
+    it, so the previous content of ``path`` stays intact."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x" + mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_column_corpus(path: str, sentences: Sequence[TaggedSentence],
                         scheme: LabelScheme) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, encoding="utf-8") as f:
         current_doc = None
         for sent in sentences:
             if sent.document_id != current_doc:

@@ -519,6 +519,23 @@ def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
     major. The input projection and the weight gradients are single GEMMs
     over all tokens; only the (n_t×H)@(H×4H) recurrence loops over time,
     forward and in the hand-written BPTT of the vjp.
+
+    Both loops work in place and make one temporary per step, the
+    recurrence GEMM's. The forward adds it into the step's gate rows and
+    applies all four gates with one ``tanh`` over those rows: the i,f,o
+    columns are halved before and after it and lifted by ½, which is the
+    sigmoid (1 + tanh(z/2)) / 2 with exact power-of-two scalings and no
+    exp to overflow; the g columns are left at tanh. c, tanh c and h are
+    written with ``out=``. There is one forward loop with or without a
+    tape; only where c and tanh c live differs. A taped pass keeps both
+    for every step, as the vjp needs them. An untaped one keeps a single
+    running (B×H) cell, updated in place as ``c[:n_t]`` since the running
+    sequences are a prefix, and writes tanh c into the step's h rows.
+
+    The vjp computes every local derivative for all steps at once into
+    the gate gradients, so the BPTT step only scales them in place by the
+    running (B×H) dc and by dh, and adds dz @ whᵀ straight into the
+    previous step's dh rows.
     """
     xs = [_wrap(x) for x in xs]
     wx, wh, b = _wrap(wx), _wrap(wh), _wrap(b)
@@ -540,70 +557,95 @@ def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
     seq = order[slot]
     # perm[r]: the concat row (sequence, position) that packed row r holds
     perm = cat_lo[seq] + (lengths[seq] - 1 - step if reverse else step)
-    # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
-    prev = step_lo[step[running[0]:] - 1] + slot[running[0]:]
+    bounds = step_lo.tolist()
+    steps = len(bounds) - 1
 
+    tape = _join_tape("lstm_batch", *xs, wx, wh, b)
     x_packed = np.concatenate([x.data for x in xs], axis=0)[perm]
     gates = x_packed @ wx.data
     gates += b.data
-    hs = np.empty((len(perm), H))
-    cs = np.empty((len(perm), H))
-    tcs = np.empty((len(perm), H))
-    for t, n in enumerate(running):
-        lo, hi = step_lo[t], step_lo[t + 1]
+    N, B = len(perm), int(running[0])
+    hs = np.empty((N, H))
+    # taped: every step's c and tanh c rows, for the vjp; untaped: one
+    # running cell, and tanh c written into the h rows
+    keep = tape is not None
+    cs = np.empty((N if keep else B, H))
+    tcs = np.empty((N, H)) if keep else hs
+    # σ = half·tanh(half·z) + lift on the i,f,o columns, tanh on g
+    half = np.full(4 * H, 0.5)
+    half[2 * H:3 * H] = 1.0
+    lift = 1.0 - half
+    for t in range(steps):
+        lo, hi = bounds[t], bounds[t + 1]
+        n = hi - lo
+        plo = bounds[t - 1] if t else 0
         z = gates[lo:hi]
         if t:
-            z += hs[step_lo[t - 1]:step_lo[t - 1] + n] @ wh.data
-        z[:, :2 * H] = _stable_sigmoid(z[:, :2 * H])
-        z[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-        z[:, 3 * H:] = _stable_sigmoid(z[:, 3 * H:])
-        gi, gf, gg = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H]
-        cs[lo:hi] = gi * gg
+            z += hs[plo:plo + n] @ wh.data
+        z *= half
+        np.tanh(z, out=z)
+        z *= half
+        z += lift
+        gi, gf, gg, go = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+        h, tc = hs[lo:hi], tcs[lo:hi]
+        c = cs[lo:hi] if keep else cs[:n]
         if t:
-            cs[lo:hi] += gf * cs[step_lo[t - 1]:step_lo[t - 1] + n]
-        tcs[lo:hi] = np.tanh(cs[lo:hi])
-        hs[lo:hi] = z[:, 3 * H:] * tcs[lo:hi]
+            np.multiply(gf, cs[plo:plo + n] if keep else c, out=c)
+            np.multiply(gi, gg, out=h)
+            c += h
+        else:
+            np.multiply(gi, gg, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(go, tc, out=h)
     h_cat = np.empty_like(hs)
     h_cat[perm] = hs
 
-    tape = _join_tape("lstm_batch", *xs, wx, wh, b)
     outs = [Tensor(h_cat[lo:hi], tape) for lo, hi in zip(cat_lo[:-1], cat_lo[1:])]
     if tape is not None:
         def vjp(grads, acc):
-            dh_cat = np.zeros((len(perm), H))
+            dh_cat = np.zeros((N, H))
             for g, lo, hi in zip(grads, cat_lo[:-1], cat_lo[1:]):
                 if g is not None:
                     dh_cat[lo:hi] = g
-            dhs = dh_cat[perm]
-            dz_all = np.empty_like(gates)
-            dh_next = dc_next = None
-            for t in range(len(running) - 1, -1, -1):
-                n, lo, hi = running[t], step_lo[t], step_lo[t + 1]
-                gi, gf = gates[lo:hi, :H], gates[lo:hi, H:2 * H]
-                gg, go = gates[lo:hi, 2 * H:3 * H], gates[lo:hi, 3 * H:]
-                tc = tcs[lo:hi]
-                dh = dhs[lo:hi]
-                if dh_next is not None:
-                    dh[:len(dh_next)] += dh_next
-                dc = dh * go * (1.0 - tc * tc)
-                if dc_next is not None:
-                    dc[:len(dc_next)] += dc_next
-                dz = dz_all[lo:hi]
-                dz[:, :H] = dc * gg * gi * (1.0 - gi)
-                dz[:, 2 * H:3 * H] = dc * gi * (1.0 - gg * gg)
-                dz[:, 3 * H:] = dh * tc * go * (1.0 - go)
+            dhs = dh_cat[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
+            # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
+            prev = step_lo[step[B:] - 1] + slot[B:]
+            # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
+            # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
+            # on the o block; dc = dc₊₁ + dh·dc_dh
+            dz_all = np.subtract(1.0, gates)
+            dz_all *= gates
+            dz4, g4 = dz_all.reshape(N, 4, H), gates.reshape(N, 4, H)
+            dz4[:, 0] *= g4[:, 2]
+            dz4[:B, 1] = 0.0  # step 0 has no c₋₁
+            dz4[B:, 1] *= cs[prev]
+            np.multiply(g4[:, 2], g4[:, 2], out=dz4[:, 2])
+            np.subtract(1.0, dz4[:, 2], out=dz4[:, 2])
+            dz4[:, 2] *= g4[:, 0]
+            dz4[:, 3] *= tcs
+            dc_dh = np.multiply(tcs, tcs)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= g4[:, 3]
+            dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
+            scratch = np.empty((B, H))
+            for t in range(steps - 1, -1, -1):
+                lo, hi = bounds[t], bounds[t + 1]
+                n = hi - lo
+                dh, dc, s = dhs[lo:hi], dc_run[:n], scratch[:n]
+                np.multiply(dh, dc_dh[lo:hi], out=s)
+                dc += s
+                dz4[lo:hi, 3] *= dh
+                dz4[lo:hi, :3] *= dc[:, None]
                 if t:
-                    dz[:, H:2 * H] = dc * cs[step_lo[t - 1]:step_lo[t - 1] + n] * gf * (1.0 - gf)
-                    dc_next = dc * gf
-                    dh_next = dz @ wh.data.T
-                else:
-                    dz[:, H:2 * H] = 0.0
-            dx_cat = np.empty((len(perm), D))
+                    plo = bounds[t - 1]
+                    dc *= g4[lo:hi, 1]
+                    dhs[plo:plo + n] += dz_all[lo:hi] @ wh.data.T
+            dx_cat = np.empty((N, D))
             dx_cat[perm] = dz_all @ wx.data.T
             for x, lo, hi in zip(xs, cat_lo[:-1], cat_lo[1:]):
                 acc(x, dx_cat[lo:hi])
             acc(wx, x_packed.T @ dz_all)
-            acc(wh, hs[prev].T @ dz_all[running[0]:])
+            acc(wh, hs[prev].T @ dz_all[B:])
             acc(b, dz_all.sum(axis=0))
         tape._record(tuple(outs), vjp)
     return outs

@@ -79,6 +79,8 @@ class TokenizerKind:
 
 def _byte_offsets(text: str) -> list[int]:
     """offsets[i] = byte offset of character i; offsets[len] = total bytes."""
+    if text.isascii():  # one byte per character
+        return list(range(len(text) + 1))
     offsets = [0]
     total = 0
     for ch in text:

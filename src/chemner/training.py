@@ -3,20 +3,18 @@ and bit-exact binary checkpoints."""
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
 import os
 import struct
-import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numerics as nx
-from .corpus import DatasetSplit, TaggedSentence, Vocabulary
+from .corpus import DatasetSplit, TaggedSentence, Vocabulary, atomic_open
 from .evaluation import evaluate
 from .numerics import NumericError, Parameter, Tape
 
@@ -92,7 +90,9 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0) -> float:
 def adam_step(params: Sequence[Parameter], state: AdamState,
               config: TrainConfig) -> None:
     """Standard bias-corrected Adam; frozen rows and non-trainable
-    parameters are never updated."""
+    parameters are never updated. Computed in place through two scratch
+    buffers per parameter, in the operation order of
+    ``value -= lr·m̂ / (√v̂ + ε)``, so the result is bitwise that formula's."""
     state.step += 1
     t = state.step
     b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
@@ -106,13 +106,21 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
             raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         m = state.m[p.name]
         v = state.v[p.name]
+        num, den = np.empty_like(g), np.empty_like(g)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=num)
+        m += num
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1.0 - b2, out=num)
+        num *= g
+        v += num
+        np.divide(m, 1.0 - b1 ** t, out=num)
+        num *= lr
+        np.divide(v, 1.0 - b2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        p.value -= num
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +220,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         f.write(struct.pack("<I", len(blocks)))
         for name, arr in blocks:
             _write_tensor(f, name, arr)
-
-
-@contextlib.contextmanager
-def atomic_open(path: str, mode: str = "", **kwargs):
-    """A new file beside ``path`` for writing (``mode`` "b" or "" for text),
-    renamed over ``path`` when the block ends; a failure anywhere removes
-    it, so the previous content of ``path`` stays intact."""
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "x" + mode, **kwargs) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:

@@ -79,3 +79,21 @@ def scale_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = max(1.0, float(np.abs(analytic).max(initial=0.0)),
                 float(np.abs(numeric).max(initial=0.0)))
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
+
+
+def adam_formula_step(params, m: dict, v: dict, t: int, config) -> None:
+    """One bias-corrected Adam step (step count ``t``) as the plain array
+    formula, one temporary per operation: the reference the in-place
+    ``training.adam_step`` must equal bit for bit."""
+    b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    for p in params:
+        if not p.trainable:
+            continue
+        g = p.gradient
+        if p.frozen_rows:
+            g[list(p.frozen_rows)] = 0.0
+        m[p.name] = b1 * m[p.name] + (1.0 - b1) * g
+        v[p.name] = b2 * v[p.name] + (1.0 - b2) * g * g
+        m_hat = m[p.name] / (1.0 - b1 ** t)
+        v_hat = v[p.name] / (1.0 - b2 ** t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -116,6 +116,22 @@ class TestTrainTagEval:
         report = json.loads((out_dir / "train_report.json").read_text())
         assert report["epochs"] and "best_f1" in report
 
+    def test_failed_report_write_keeps_previous_report(self, capsys, trained_setup,
+                                                        monkeypatch):
+        corpus_path, out_dir, _, cfg_path = trained_setup
+        before = (out_dir / "train_report.json").read_bytes()
+
+        def failing_dump(obj, f, **kwargs):
+            f.write('{"epochs": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            main(["train", "--config", str(cfg_path), "--train", str(corpus_path),
+                  "--dev", str(corpus_path), "--out", str(out_dir), "--seed", "6"])
+        assert (out_dir / "train_report.json").read_bytes() == before
+        assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
+
     def test_tag_then_eval_reproduces_dev_f1(self, capsys, trained_setup, tmp_path):
         corpus_path, out_dir, scheme, _ = trained_setup
         ckpt = str(out_dir / "model.ckpt")

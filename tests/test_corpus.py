@@ -89,6 +89,19 @@ class TestReadColumnCorpus:
         assert [s.document_id for s in back] == ["d1", "d2"]
 
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        write_column_corpus(str(path), [sentence_from_texts(["a", "b"], [1, 2], "d1")],
+                            SCHEME)
+        before = path.read_bytes()
+        # the second sentence's tag id has no name: the write fails halfway
+        bad = [sentence_from_texts(["c"], [0], "d2"), sentence_from_texts(["d"], [99], "d2")]
+        with pytest.raises(IndexError):
+            write_column_corpus(str(path), bad, SCHEME)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
 class TestBioRepairProperties:
     @pytest.mark.parametrize("tags,expected", [
         (["I-G"], ["B-G"]),

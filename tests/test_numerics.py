@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ from chemner.numerics import (NumericError, Parameter, ShapeError, Tape, backwar
                               constant, evaluate, grad_check)
 
 from oracles import central_difference
+
+# an overflow or invalid operation anywhere in a kernel fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def taped(value):
@@ -339,6 +343,45 @@ class TestLstmBatch:
         nx.lstm_batch(xs, wx, wh, b)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_taped_and_untaped_outputs_bitwise_equal(self, reverse):
+        rng = np.random.default_rng(8)
+        weights = self.weights(rng)
+        xs = [rng.normal(size=(T, self.D)) for T in (4, 9, 1, 9, 2)]
+        tape = Tape()
+        taped = nx.lstm_batch([tape.input(x) for x in xs],
+                              *(tape.param(w) for w in weights), reverse=reverse)
+        untaped = nx.lstm_batch([constant(x) for x in xs],
+                                *(constant(w.value) for w in weights), reverse=reverse)
+        for a, u in zip(taped, untaped):
+            assert np.array_equal(a.data, u.data)
+
+    def test_untaped_pass_keeps_no_per_step_cell(self):
+        """A 512-token decode pass at the paper's first-layer size: without a
+        tape, c and tanh c are not stored per step, only the running cell."""
+        D, H = 260, 250
+        rng = np.random.default_rng(9)
+        lengths = [80, 61, 52, 47, 40, 36, 33, 30, 28, 25, 22, 19, 15, 12, 8, 4]
+        N, B = sum(lengths), len(lengths)
+        assert N == 512
+        xs = [rng.normal(size=(T, D)) for T in lengths]
+        weights = [Parameter("wx", rng.normal(size=(D, 4 * H)) * 0.05),
+                   Parameter("wh", rng.normal(size=(H, 4 * H)) * 0.05),
+                   Parameter("b", rng.normal(size=4 * H) * 0.05)]
+
+        def peak(tape):
+            inputs = [constant(x) for x in xs]
+            ws = [constant(w.value) if tape is None else tape.param(w) for w in weights]
+            tracemalloc.start()
+            try:
+                nx.lstm_batch(inputs, *ws)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        saved = peak(Tape()) - peak(None)
+        assert saved >= 2 * (N - B) * H * 8
+
     def test_shape_errors(self):
         rng = np.random.default_rng(7)
         wx, wh, b = (constant(w.value) for w in self.weights(rng))
@@ -494,6 +537,35 @@ class TestLstmGatingAlgebra:
                               constant(c0), wx, wh, constant(b))
         assert np.array_equal(c1.data, c0)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_cell_carried_through_ragged_batch(self, reverse, taped):
+        """Input gate open only on a sequence's first step, forget and output
+        gates forced open: the first step's tanh(v) is carried exactly, so
+        every hidden row is tanh(tanh(v)) of that sequence's first v, whatever
+        the recurrent weights add and whichever batch mates run beside it."""
+        H = 3
+        rng = np.random.default_rng(10)
+        wx = np.zeros((2, 4 * H))
+        wx[0, :H] = 2000.0          # column 0 flags the first step: i → 1, else 0
+        wx[1, 2 * H:3 * H] = 1.0    # column 1 is the candidate's pre-activation v
+        b = np.zeros(4 * H)
+        b[:H] = -1000.0
+        b[H:2 * H] = 1000.0         # forget gate → 1
+        b[3 * H:] = 1000.0          # output gate → 1
+        wh = rng.normal(size=(H, 4 * H))
+        xs = []
+        for T in (3, 7, 1, 5):
+            x = np.column_stack([np.zeros(T), rng.normal(size=T)])
+            x[-1 if reverse else 0, 0] = 1.0
+            xs.append(x)
+        tape = Tape() if taped else None
+        ins = [constant(x) if tape is None else tape.input(x) for x in xs]
+        outs = nx.lstm_batch(ins, constant(wx), constant(wh), constant(b), reverse=reverse)
+        for x, out in zip(xs, outs):
+            v = x[-1 if reverse else 0, 1]
+            assert np.array_equal(out.data, np.full((len(x), H), np.tanh(np.tanh(v))))
+
     def test_zero_everything_zero_output(self):
         H = 2
         h1, c1 = nx.lstm_step(constant(np.zeros((1, 3))), constant(np.zeros((1, H))),
@@ -527,13 +599,14 @@ class TestGradCheck:
         fd = central_difference(value, w.value)
         assert np.abs(fd - w.gradient).max() < 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_raises(self):
         p = Parameter("x", np.asarray(1e308))
         def fn(t):
             x = t.param(p)
             return nx.mul(x, x)
-        with pytest.raises(NumericError):
+        # the overflow is the point here; the module's warning filter would
+        # turn numpy's overflow warning into an error before grad_check sees it
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
             grad_check(fn, [p])
 
 

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemner.textproc import (RuleConfig, Sentence, TokenizerKind, split_sentences,
-                              tokenize_chemical, tokenize_general)
+from chemner.textproc import (RuleConfig, Sentence, TokenizerKind, _byte_offsets,
+                              split_sentences, tokenize_chemical, tokenize_general)
 
 IUPAC = "3-(4,5-dimethylthiazol-2-yl)-2,5-diphenyl tetrazolium bromide"
 
@@ -194,3 +195,18 @@ def test_rule_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"bogus": 1}', encoding="utf-8")
     with pytest.raises(ValueError, match="unknown keys"):
         RuleConfig.from_file(str(path))
+
+
+def per_character_byte_offsets(text):
+    offsets = [0]
+    for ch in text:
+        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127))
+       | st.text()
+       | st.text(st.characters(max_codepoint=127) | st.characters(min_codepoint=0x10000)))
+def test_byte_offsets_equal_per_character_loop(text):
+    assert _byte_offsets(text) == per_character_byte_offsets(text)

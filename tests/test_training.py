@@ -16,6 +16,7 @@ from chemner.training import (AdamState, CheckpointError, TrainConfig, adam_step
 
 from conftest import toy_corpus
 from chemner.corpus import build_vocabulary
+from oracles import adam_formula_step
 
 
 def make_model(sentences, scheme, vocab, seed=0, **overrides):
@@ -85,6 +86,31 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g * g
             x -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
             assert p.value[0] == pytest.approx(x, abs=1e-14)
+
+
+    def test_in_place_step_equals_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        def params():
+            return [Parameter("emb", np.linspace(-1, 1, 12).reshape(4, 3), frozen_rows=(0, 2)),
+                    Parameter("w", np.linspace(0.5, -2, 6).reshape(2, 3)),
+                    Parameter("fixed", np.ones(5), trainable=False)]
+        ours, ref = params(), params()
+        state = AdamState.init(ours)
+        m = {p.name: np.zeros_like(p.value) for p in ref}
+        v = {p.name: np.zeros_like(p.value) for p in ref}
+        config = TrainConfig(learning_rate=0.03, beta1=0.8, beta2=0.99)
+        for t in range(1, 8):
+            for a, b in zip(ours, ref):
+                a.gradient[...] = b.gradient[...] = rng.normal(size=a.value.shape) * 10.0 ** -t
+            adam_step(ours, state, config)
+            adam_formula_step(ref, m, v, t, config)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a.value, b.value), (t, a.name)
+                if a.trainable:
+                    assert np.array_equal(state.m[a.name], m[a.name])
+                    assert np.array_equal(state.v[a.name], v[a.name])
+        assert np.array_equal(ours[0].value[[0, 2]], params()[0].value[[0, 2]])
+        assert np.array_equal(ours[2].value, np.ones(5))
 
 
 class TestClipGradients:
