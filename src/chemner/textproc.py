@@ -78,15 +78,12 @@ class TokenizerKind:
 
 
 def _byte_offsets(text: str) -> list[int]:
-    """offsets[i] = byte offset of character i; offsets[len] = total bytes."""
-    if text.isascii():  # one byte per character
-        return list(range(len(text) + 1))
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+    """offsets[i] = byte offset of character i; offsets[len] = total bytes.
+
+    A character starts at every UTF-8 byte that is not a continuation byte
+    (10xxxxxx)."""
+    b = text.encode("utf-8")
+    return [i for i, x in enumerate(b) if x & 0xC0 != 0x80] + [len(b)]
 
 
 # ---------------------------------------------------------------------------
