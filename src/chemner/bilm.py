@@ -98,12 +98,13 @@ def lstm_params(rng: np.random.Generator, name: str, in_dim: int,
     }
 
 
-def lstm_layer(params: dict[str, Parameter], name: str, xs: Sequence[Tensor],
-               tape: Tape | None, reverse: bool) -> list[Tensor]:
-    """One fused LSTM direction over a ragged batch, with the weights
+def lstm_layer(params: dict[str, Parameter], name: str, x: Tensor, lengths: Sequence[int],
+               tape: Tape | None, reverse: bool) -> Tensor:
+    """One fused LSTM direction over the rows of a ragged batch (see
+    :func:`~chemner.numerics.lstm_batch`), with the weights
     :func:`lstm_params` made under ``name``."""
-    return nx.lstm_batch(xs, *(nx.use_param(tape, params[f"{name}.{part}"])
-                               for part in ("wx", "wh", "b")), reverse=reverse)
+    return nx.lstm_batch(x, lengths, *(nx.use_param(tape, params[f"{name}.{part}"])
+                                       for part in ("wx", "wh", "b")), reverse=reverse)
 
 
 def _token_batches(order: Sequence[int], lengths: Sequence[int],
@@ -128,20 +129,25 @@ def char_features(texts: Sequence[str], vocab: Vocabulary, table: Tensor,
     (T x projection width).
 
     Each distinct non-empty text, in first-occurrence order, becomes one
-    row of char ids framed by ``max_width // 2`` CHAR_PAD ids on each side.
-    One :func:`~chemner.numerics.char_cnn` over those rows, one ``linear``
-    projection, then every text gathers its row; empty text gives zeros.
+    row of char ids framed by ``max_width // 2`` CHAR_PAD ids on each side;
+    each distinct character is looked up once, and one assignment fills
+    every row's own span. One :func:`~chemner.numerics.char_cnn` over those
+    rows, one ``linear`` projection, then every text gathers its row; empty
+    text gives zeros.
     """
     width = proj[0].data.shape[1]
     distinct = list(dict.fromkeys(t for t in texts if t))
     if not distinct:
         return nx.constant(np.zeros((len(texts), width)))
     pad = max(f.data.shape[1] for f, _ in convs) // 2
-    lengths = np.array([len(t) + 2 * pad for t in distinct])
-    ids = np.full((len(distinct), lengths.max()), Vocabulary.CHAR_PAD, dtype=np.intp)
-    for u, text in enumerate(distinct):
-        ids[u, pad:pad + len(text)] = [vocab.char_id(c) for c in text]
-    rows = nx.linear(nx.char_cnn(table, ids, lengths, convs), *proj)
+    sizes = np.array([len(t) for t in distinct])
+    ids = np.full((len(distinct), sizes.max() + 2 * pad), Vocabulary.CHAR_PAD, dtype=np.intp)
+    points = np.frombuffer("".join(distinct).encode("utf-32-le", "surrogatepass"), np.uint32)
+    alphabet, inverse = np.unique(points, return_inverse=True)
+    cols = np.arange(ids.shape[1]) - pad
+    ids[(cols >= 0) & (cols < sizes[:, None])] = np.array(
+        [vocab.char_id(chr(c)) for c in alphabet.tolist()], dtype=np.intp)[inverse]
+    rows = nx.linear(nx.char_cnn(table, ids, sizes + 2 * pad, convs), *proj)
     if "" in texts:
         rows = nx.concat([rows, nx.constant(np.zeros((1, width)))], axis=0)
     row_of = {t: u for u, t in enumerate(distinct)}
@@ -213,25 +219,25 @@ class BiLm:
                              (param("bilm.proj.w"), param("bilm.proj.b")))
 
     def lm_states_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
-                        ) -> tuple[list[Tensor], list[list[Tensor]], list[list[Tensor]]]:
+                        ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Projections and hidden states of a ragged batch of non-empty
-        sentences: one char-CNN pass over all their tokens, then one fused
-        pass per direction-layer. Returns the per-sentence projections and,
-        per direction, one list of per-sentence states for each layer."""
+        sentences, their rows one after another: one char-CNN pass over all
+        their tokens, then one fused pass per direction-layer. Returns the
+        projection (N x proj_dim) and, per direction, each layer's states
+        (N x layer_dim)."""
         sizes = [len(texts) for texts in texts_list]
         if not sizes or min(sizes) < 1:
             raise ValueError("need a non-empty batch of non-empty sentences")
         proj = self.token_projections([t for texts in texts_list for t in texts], tape)
-        projs = nx.split_rows(proj, sizes) if len(sizes) > 1 else [proj]
         stacks = []
         for direction in ("fwd", "bwd"):
-            states, hs = [], projs
+            states, h = [], proj
             for layer in range(self.config.num_layers):
-                hs = lstm_layer(self.params, f"bilm.{direction}.l{layer}", hs, tape,
-                                reverse=(direction == "bwd"))
-                states.append(hs)
+                h = lstm_layer(self.params, f"bilm.{direction}.l{layer}", h, sizes, tape,
+                               reverse=(direction == "bwd"))
+                states.append(h)
             stacks.append(states)
-        return projs, stacks[0], stacks[1]
+        return proj, stacks[0], stacks[1]
 
     def nll_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
                   ) -> tuple[Tensor, int]:
@@ -247,7 +253,7 @@ class BiLm:
             raise ValueError("need at least 2 tokens for next-token prediction")
         limit, vocab = self.config.max_token_len, self.config.vocab
         _, fwd, bwd = self.lm_states_batch(texts_list, tape)
-        logits = nx.linear(nx.concat(fwd[-1] + bwd[-1], axis=0),
+        logits = nx.linear(nx.concat([fwd[-1], bwd[-1]], axis=0),
                            nx.use_param(tape, self.params["bilm.head.w"]),
                            nx.use_param(tape, self.params["bilm.head.b"]))
         ids = [[vocab.word_id(t if len(t) <= limit else LONG_TOKEN_TEXT) for t in texts]
@@ -297,7 +303,8 @@ class BiLm:
 
     def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-token layer representations of every sentence, each of shape
-        (T, num_layers+1, 2*layer_dim), from one :meth:`lm_states_batch`.
+        (T, num_layers+1, 2*layer_dim), from one :meth:`lm_states_batch`
+        stacked once and split per sentence.
 
         Layer 0 duplicates the character projection; layers above
         concatenate forward and backward hidden states at that depth. An
@@ -307,12 +314,12 @@ class BiLm:
                for _ in texts_list]
         kept = [i for i, texts in enumerate(texts_list) if len(texts)]
         if kept:
-            projs, fwd, bwd = self.lm_states_batch([texts_list[i] for i in kept])
-            for k, i in enumerate(kept):
-                layers = [np.concatenate([projs[k].data, projs[k].data], axis=1)]
-                layers += [np.concatenate([hf[k].data, hb[k].data], axis=1)
-                           for hf, hb in zip(fwd, bwd)]
-                out[i] = np.stack(layers, axis=1)
+            proj, fwd, bwd = self.lm_states_batch([texts_list[i] for i in kept])
+            stacked = np.stack([np.concatenate([a.data, b.data], axis=1)
+                                for a, b in [(proj, proj), *zip(fwd, bwd)]], axis=1)
+            bounds = np.cumsum([len(texts_list[i]) for i in kept])[:-1]
+            for i, part in zip(kept, np.split(stacked, bounds)):
+                out[i] = part
         return out
 
     def contextualize(self, texts: Sequence[str]) -> np.ndarray:

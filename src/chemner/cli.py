@@ -86,7 +86,11 @@ def load_run_config(path: str) -> dict:
     return raw
 
 
-def _tokenizer_from_payload(payload: dict) -> TokenizerKind:
+def _tokenizer_from_payload(payload) -> TokenizerKind:
+    """The tokenizer a checkpoint's metadata names."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("rules"), (str, type(None))):
+        raise CheckpointError("checkpoint tokenizer metadata is not an object "
+                              "with a string or null rules path")
     rules = payload.get("rules")
     return TokenizerKind(payload.get("mode", "general"),
                          RuleConfig.from_file(rules) if rules else None)
@@ -328,14 +332,15 @@ def cmd_gradcheck(args) -> int:
     scheme = LabelScheme(labels)
     words = [f"w{i}" for i in range(14)] + ["2-xy", "qz9", "benzol", "acidum",
                                             "salz", "aqua"]
+    # a ragged batch, so the check covers the packed multi-sentence path
     sents = [sentence_from_texts(
-        [words[int(rng.integers(0, len(words)))] for _ in range(6)],
-        [int(rng.integers(0, scheme.num_tags)) for _ in range(6)], "d0")]
+        [words[int(rng.integers(0, len(words)))] for _ in range(n)],
+        [int(rng.integers(0, scheme.num_tags)) for _ in range(n)], "d0") for n in (6, 3, 1)]
     vocab = build_vocabulary(sents * 4, [], min_count=1)
     config = ModelConfig(labels=labels, word_dim=8, char_embed_dim=4,
                          char_filter_count=4, char_output_dim=4, lstm_hidden=6)
     model = NerModel.init(config, vocab, seed=args.seed)
-    masks = model.make_dropout_masks([6], np.random.default_rng(args.seed + 1))
+    masks = model.make_dropout_masks([6, 3, 1], np.random.default_rng(args.seed + 1))
     err = nx.grad_check(lambda tape: model.build_loss(tape, sents, masks),
                         model.trainable_parameters(), epsilon=1e-5)
     print(f"max relative gradient error: {err:.3e} (threshold 1e-3)")

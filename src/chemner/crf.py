@@ -209,13 +209,15 @@ score_sequence = score_sequence_value  # the older name, hooked by bench/tracing
 
 def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:
     """Best-scoring tag sequence of one sentence: :func:`viterbi_batch` of it."""
-    return viterbi_batch([emissions], params)[0]
+    return viterbi_batch(emissions, [len(emissions)], params)[0]
 
 
-def viterbi_batch(emissions_list: Sequence[np.ndarray], params: CrfParams
+def viterbi_batch(emissions: np.ndarray, lengths: Sequence[int], params: CrfParams
                   ) -> list[tuple[list[int], float]]:
-    """Best-scoring tag sequence and its score for each (T_i x K) emission
-    matrix; ties take the lowest tag id while backtracking.
+    """Best-scoring tag sequence and its score for each sentence whose
+    (T_i x K) emission rows follow one another in ``emissions``, as
+    :func:`nll_batch` takes them; ties take the lowest tag id while
+    backtracking.
 
     The forward recursion of :func:`nll_batch` with max in place of
     log-sum-exp, backtracked from each sentence's own last step; each score
@@ -223,11 +225,9 @@ def viterbi_batch(emissions_list: Sequence[np.ndarray], params: CrfParams
     :func:`score_sequence_value` exactly. Non-finite emissions or potentials
     raise NumericError, since no tag sequence is best under them.
     """
-    if not emissions_list:
+    if not len(lengths):
         return []
-    lengths = [len(e) for e in emissions_list]
-    p = _pack(np.concatenate([np.asarray(e, dtype=np.float64) for e in emissions_list]),
-              lengths, params.num_tags)
+    p = _pack(np.asarray(emissions, dtype=np.float64), list(lengths), params.num_tags)
     trans, start, stop = params.effective()
     if not all(np.isfinite(a).all() for a in (p.emissions, trans, start, stop)):
         raise NumericError("viterbi: non-finite emissions or CRF potentials")

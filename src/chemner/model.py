@@ -213,17 +213,16 @@ class NerModel:
 
     def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None) -> Tensor:
         """Per-token features (T x D), concatenated word, char, contextual."""
-        return self.embed_batch([sentence], tape)[0]
+        return self.embed_batch([sentence], tape)
 
     def embed_batch(self, sentences: Sequence[TaggedSentence],
-                    tape: Tape | None = None) -> list[Tensor]:
-        """:meth:`embed_tokens` of every sentence: one word-id gather, one
-        char-CNN call, one biLM pass and one layer mix over all the batch's
-        tokens, then the rows split back per sentence."""
+                    tape: Tape | None = None) -> Tensor:
+        """:meth:`embed_tokens` of every sentence, their rows one after
+        another (N x D): one word-id gather, one char-CNN call, one biLM pass
+        and one layer mix over all the batch's tokens."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
         texts = [t for s in sentences for t in s.texts]
-        sizes = [len(s.tokens) for s in sentences]
         parts: list[Tensor] = []
         if self.config.use_words:
             parts.append(nx.embedding(nx.use_param(tape, self.params["words"]),
@@ -235,52 +234,48 @@ class NerModel:
                                      axis=0)
             parts.append(mix_layers([stacked[:, j, :] for j in range(stacked.shape[1])],
                                     self.mixing, tape))
-        feats = parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
-        return [feats] if len(sizes) == 1 else nx.split_rows(feats, sizes)
+        return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
 
     def encode(self, features: Tensor, tape: Tape | None = None,
                dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
-        """Stacked biLSTM encoder (T x 2*hidden); dropout on each layer's input."""
-        masks = None if dropout_masks is None else [dropout_masks]
-        return self.encode_batch([features], tape, masks)[0]
+        """Stacked biLSTM encoder (T x 2*hidden) of one sentence; dropout on
+        each layer's input."""
+        return self.encode_batch(features, [features.shape[0]], tape, dropout_masks)
 
-    def encode_batch(self, features: Sequence[Tensor], tape: Tape | None = None,
-                     dropout_masks: Sequence[Sequence[np.ndarray | None]] | None = None
-                     ) -> list[Tensor]:
-        """:meth:`encode` of every sentence, each direction-layer one fused
-        pass over the whole batch; ``dropout_masks`` holds one per-layer mask
-        list per sentence."""
-        hs = list(features)
+    def encode_batch(self, features: Tensor, lengths: Sequence[int], tape: Tape | None = None,
+                     dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
+        """:meth:`encode` of the sentences whose rows follow one another in
+        ``features`` (N x D), ``lengths`` rows each: per layer one dropout
+        (a ``dropout_masks`` entry of None skips it), one fused pass per
+        direction and one concat of the two."""
+        h = features
         for layer in range(self.config.lstm_layers):
-            rate = self.config.dropout[layer]
-            if dropout_masks is not None and rate > 0:
-                hs = [h if masks is None or masks[layer] is None
-                      else nx.dropout(h, masks[layer], rate)
-                      for h, masks in zip(hs, dropout_masks)]
-            outs = [lstm_layer(self.params, f"lstm.l{layer}.{direction}", hs, tape,
-                               reverse=(direction == "bwd")) for direction in ("fwd", "bwd")]
-            hs = [nx.concat(pair, axis=1) for pair in zip(*outs)]
-        return hs
+            if dropout_masks is not None and dropout_masks[layer] is not None:
+                h = nx.dropout(h, dropout_masks[layer], self.config.dropout[layer])
+            h = nx.concat([lstm_layer(self.params, f"lstm.l{layer}.{direction}", h, lengths,
+                                      tape, reverse=(direction == "bwd"))
+                           for direction in ("fwd", "bwd")], axis=1)
+        return h
 
     def emissions(self, encoded: Tensor, tape: Tape | None = None) -> Tensor:
         return nx.linear(encoded, nx.use_param(tape, self.params["emit.w"]),
                          nx.use_param(tape, self.params["emit.b"]))
 
     def make_dropout_masks(self, lengths: Sequence[int], rng: np.random.Generator
-                           ) -> list[list[np.ndarray | None]]:
-        """Per-sentence keep masks for each stacked layer's input."""
-        masks = []
+                           ) -> list[np.ndarray | None]:
+        """0/1 keep masks of each stacked layer's input (N x d), rows in
+        sentence order, None where the layer's rate is 0. The draws go
+        sentence by sentence, layer by layer within a sentence."""
         dims = [self.config.feature_dim] + [self.config.encoder_dim] * (
             self.config.lstm_layers - 1)
-        for T in lengths:
-            per_layer = []
-            for layer, rate in enumerate(self.config.dropout):
-                if rate > 0:
-                    per_layer.append(
-                        (rng.random((T, dims[layer])) >= rate).astype(np.float64))
-                else:
-                    per_layer.append(None)
-            masks.append(per_layer)
+        masks = [np.empty((sum(lengths), d)) if rate > 0 else None
+                 for d, rate in zip(dims, self.config.dropout)]
+        drawn = [(mask, rate) for mask, rate in zip(masks, self.config.dropout) if rate > 0]
+        for hi, T in zip(np.cumsum(lengths).tolist(), lengths):
+            for mask, _ in drawn:
+                rng.random(out=mask[hi - T:hi])
+        for mask, rate in drawn:
+            np.greater_equal(mask, rate, out=mask)
         return masks
 
     def build_loss(self, tape: Tape | None, batch: Sequence[TaggedSentence],
@@ -292,9 +287,10 @@ class NerModel:
             raise ValueError("empty batch")
         sentences = [normalize_long_tokens(s, self.config.long_token_threshold)
                      for s in batch]
-        encoded = self.encode_batch(self.embed_batch(sentences, tape), tape, dropout_masks)
-        emissions = self.emissions(nx.concat(encoded, axis=0), tape)
-        total = crf_mod.nll_batch(emissions, [s.tags for s in sentences], self.crf, tape)
+        encoded = self.encode_batch(self.embed_batch(sentences, tape),
+                                    [len(s.tokens) for s in sentences], tape, dropout_masks)
+        total = crf_mod.nll_batch(self.emissions(encoded, tape), [s.tags for s in sentences],
+                                  self.crf, tape)
         return nx.scale(total, 1.0 / len(sentences))
 
     def loss(self, sentences: Sequence[TaggedSentence],
@@ -325,11 +321,10 @@ class NerModel:
                                     DECODE_BATCH_TOKENS):
             sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
                      for i in batch]
-            encoded = self.encode_batch(self.embed_batch(sents))
-            emissions = self.emissions(nx.concat(encoded, axis=0)).data
-            bounds = np.cumsum([len(s.tokens) for s in sents])[:-1]
-            for i, (tags, _) in zip(batch, crf_mod.viterbi_batch(
-                    np.split(emissions, bounds), self.crf)):
+            lengths = [len(s.tokens) for s in sents]
+            emissions = self.emissions(self.encode_batch(self.embed_batch(sents), lengths))
+            for i, (tags, _) in zip(batch, crf_mod.viterbi_batch(emissions.data, lengths,
+                                                                 self.crf)):
                 out[i] = tags
         return out
 

@@ -268,23 +268,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return primitive("concat", parts, out_data, lambda g: np.split(g, bounds, axis=axis))
 
 
-def split_rows(x, sizes: Sequence[int]) -> list[Tensor]:
-    """Consecutive row blocks of ``x`` with the given positive sizes, which
-    must add up to its row count; one tape entry with one output per block."""
-    x = _wrap(x)
-    if (x.data.ndim < 1 or not sizes or min(sizes) < 1
-            or sum(sizes) != x.data.shape[0]):
-        raise ShapeError(f"split_rows: sizes {list(sizes)} of {x.data.shape}")
-    tape = _join_tape("split_rows", x)
-    outs = [Tensor(part, tape) for part in np.split(x.data, np.cumsum(sizes)[:-1])]
-    if tape is not None:
-        def vjp(gs, acc):
-            acc(x, np.concatenate([np.zeros_like(o.data) if g is None else g
-                                   for o, g in zip(outs, gs)]))
-        tape._record(tuple(outs), vjp)
-    return outs
-
-
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _wrap(x)
     shape = tuple(shape)
@@ -500,25 +483,26 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
     tape = _join_tape("lstm_scan", xs, wx, wh, b)
     h = Tensor(np.zeros((1, H)), tape)
     c = Tensor(np.zeros((1, H)), tape)
-    rows = split_rows(xs, [1] * T)
     outs: list[Tensor | None] = [None] * T
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        h, c = lstm_step(rows[t], h, c, wx, wh, b)
+        h, c = lstm_step(embedding(xs, [t]), h, c, wx, wh, b)
         outs[t] = h
     return concat(outs, axis=0)
 
 
-def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
+def lstm_batch(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> Tensor:
     """One LSTM direction over a ragged batch, as one tape entry.
 
-    ``xs`` holds B sequences (T_i×D); returns their hidden states (T_i×H),
-    each equal to ``lstm_scan`` of that sequence alone. The sequences are
-    packed: sorted longest first, and for ``reverse`` flipped within their
-    own length, so the ones still running at step t are a prefix of those
-    running at t−1. Every per-step array has one row per real token, time
-    major. The input projection and the weight gradients are single GEMMs
-    over all tokens; only the (n_t×H)@(H×4H) recurrence loops over time,
-    forward and in the hand-written BPTT of the vjp.
+    ``x`` (N×D) holds the rows of B sequences one after another, sequence
+    i owning the next ``lengths[i]`` rows; returns their hidden states
+    (N×H) in the same rows, each sequence's equal to ``lstm_scan`` of its
+    rows alone. The rows are packed: sequences sorted longest first, and
+    for ``reverse`` flipped within their own length, so the ones still
+    running at step t are a prefix of those running at t−1. Every
+    per-step array has one row per real token, time major. The input
+    projection and the weight gradients are single GEMMs over all tokens;
+    only the (n_t×H)@(H×4H) recurrence loops over time, forward and in the
+    hand-written BPTT of the vjp.
 
     Both loops work in place and make one temporary per step, the
     recurrence GEMM's. The forward adds it into the step's gate rows and
@@ -537,31 +521,30 @@ def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
     running (B×H) dc and by dh, and adds dz @ whᵀ straight into the
     previous step's dh rows.
     """
-    xs = [_wrap(x) for x in xs]
-    wx, wh, b = _wrap(wx), _wrap(wh), _wrap(b)
+    x, wx, wh, b = map(_wrap, (x, wx, wh, b))
+    lengths = np.asarray(lengths, dtype=np.intp)
     H = wh.data.shape[0] if wh.data.ndim == 2 else -1
     D = wx.data.shape[0] if wx.data.ndim == 2 else -1
-    if (not xs or wx.data.shape != (D, 4 * H) or wh.data.shape != (H, 4 * H)
-            or b.data.shape != (4 * H,)
-            or any(x.data.ndim != 2 or x.data.shape[1] != D or x.data.shape[0] < 1
-                   for x in xs)):
-        raise ShapeError(f"lstm_batch: xs {[x.data.shape for x in xs]}, "
+    if (x.data.ndim != 2 or x.data.shape[1] != D or wx.data.shape != (D, 4 * H)
+            or wh.data.shape != (H, 4 * H) or b.data.shape != (4 * H,)
+            or lengths.ndim != 1 or not lengths.size or lengths.min() < 1
+            or lengths.sum() != x.data.shape[0]):
+        raise ShapeError(f"lstm_batch: x {x.data.shape}, lengths {lengths.tolist()}, "
                          f"wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape}")
-    lengths = np.array([x.data.shape[0] for x in xs], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     running = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
     step_lo = np.concatenate(([0], np.cumsum(running)))  # packed rows of step t
-    cat_lo = np.concatenate(([0], np.cumsum(lengths)))   # rows of sequence i in the concat
+    row_lo = np.cumsum(lengths) - lengths                # first row of sequence i in x
     step = np.repeat(np.arange(len(running)), running)   # step of each packed row
     slot = np.arange(len(step)) - step_lo[step]          # its rank among running ones
     seq = order[slot]
-    # perm[r]: the concat row (sequence, position) that packed row r holds
-    perm = cat_lo[seq] + (lengths[seq] - 1 - step if reverse else step)
+    # perm[r]: the row of x (sequence, position) that packed row r holds
+    perm = row_lo[seq] + (lengths[seq] - 1 - step if reverse else step)
     bounds = step_lo.tolist()
     steps = len(bounds) - 1
 
-    tape = _join_tape("lstm_batch", *xs, wx, wh, b)
-    x_packed = np.concatenate([x.data for x in xs], axis=0)[perm]
+    tape = _join_tape("lstm_batch", x, wx, wh, b)
+    x_packed = x.data[perm]
     gates = x_packed @ wx.data
     gates += b.data
     N, B = len(perm), int(running[0])
@@ -597,58 +580,47 @@ def lstm_batch(xs: Sequence, wx, wh, b, reverse: bool = False) -> list[Tensor]:
             np.multiply(gi, gg, out=c)
         np.tanh(c, out=tc)
         np.multiply(go, tc, out=h)
-    h_cat = np.empty_like(hs)
-    h_cat[perm] = hs
+    h_out = np.empty_like(hs)
+    h_out[perm] = hs
 
-    outs = [Tensor(h_cat[lo:hi], tape) for lo, hi in zip(cat_lo[:-1], cat_lo[1:])]
-    if tape is not None:
-        def vjp(grads, acc):
-            dh_cat = np.zeros((N, H))
-            for g, lo, hi in zip(grads, cat_lo[:-1], cat_lo[1:]):
-                if g is not None:
-                    dh_cat[lo:hi] = g
-            dhs = dh_cat[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
-            # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
-            prev = step_lo[step[B:] - 1] + slot[B:]
-            # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
-            # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
-            # on the o block; dc = dc₊₁ + dh·dc_dh
-            dz_all = np.subtract(1.0, gates)
-            dz_all *= gates
-            dz4, g4 = dz_all.reshape(N, 4, H), gates.reshape(N, 4, H)
-            dz4[:, 0] *= g4[:, 2]
-            dz4[:B, 1] = 0.0  # step 0 has no c₋₁
-            dz4[B:, 1] *= cs[prev]
-            np.multiply(g4[:, 2], g4[:, 2], out=dz4[:, 2])
-            np.subtract(1.0, dz4[:, 2], out=dz4[:, 2])
-            dz4[:, 2] *= g4[:, 0]
-            dz4[:, 3] *= tcs
-            dc_dh = np.multiply(tcs, tcs)
-            np.subtract(1.0, dc_dh, out=dc_dh)
-            dc_dh *= g4[:, 3]
-            dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
-            scratch = np.empty((B, H))
-            for t in range(steps - 1, -1, -1):
-                lo, hi = bounds[t], bounds[t + 1]
-                n = hi - lo
-                dh, dc, s = dhs[lo:hi], dc_run[:n], scratch[:n]
-                np.multiply(dh, dc_dh[lo:hi], out=s)
-                dc += s
-                dz4[lo:hi, 3] *= dh
-                dz4[lo:hi, :3] *= dc[:, None]
-                if t:
-                    plo = bounds[t - 1]
-                    dc *= g4[lo:hi, 1]
-                    dhs[plo:plo + n] += dz_all[lo:hi] @ wh.data.T
-            dx_cat = np.empty((N, D))
-            dx_cat[perm] = dz_all @ wx.data.T
-            for x, lo, hi in zip(xs, cat_lo[:-1], cat_lo[1:]):
-                acc(x, dx_cat[lo:hi])
-            acc(wx, x_packed.T @ dz_all)
-            acc(wh, hs[prev].T @ dz_all[B:])
-            acc(b, dz_all.sum(axis=0))
-        tape._record(tuple(outs), vjp)
-    return outs
+    def vjp_in(g):
+        dhs = g[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
+        # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
+        prev = step_lo[step[B:] - 1] + slot[B:]
+        # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
+        # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
+        # on the o block; dc = dc₊₁ + dh·dc_dh
+        dz_all = np.subtract(1.0, gates)
+        dz_all *= gates
+        dz4, g4 = dz_all.reshape(N, 4, H), gates.reshape(N, 4, H)
+        dz4[:, 0] *= g4[:, 2]
+        dz4[:B, 1] = 0.0  # step 0 has no c₋₁
+        dz4[B:, 1] *= cs[prev]
+        np.multiply(g4[:, 2], g4[:, 2], out=dz4[:, 2])
+        np.subtract(1.0, dz4[:, 2], out=dz4[:, 2])
+        dz4[:, 2] *= g4[:, 0]
+        dz4[:, 3] *= tcs
+        dc_dh = np.multiply(tcs, tcs)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= g4[:, 3]
+        dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
+        scratch = np.empty((B, H))
+        for t in range(steps - 1, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            n = hi - lo
+            dh, dc, s = dhs[lo:hi], dc_run[:n], scratch[:n]
+            np.multiply(dh, dc_dh[lo:hi], out=s)
+            dc += s
+            dz4[lo:hi, 3] *= dh
+            dz4[lo:hi, :3] *= dc[:, None]
+            if t:
+                plo = bounds[t - 1]
+                dc *= g4[lo:hi, 1]
+                dhs[plo:plo + n] += dz_all[lo:hi] @ wh.data.T
+        dx = np.empty((N, D))
+        dx[perm] = dz_all @ wx.data.T
+        return [dx, x_packed.T @ dz_all, hs[prev].T @ dz_all[B:], dz_all.sum(axis=0)]
+    return primitive("lstm_batch", [x, wx, wh, b], h_out, vjp_in)
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,11 @@ def _copy_arrays(targets: dict[str, np.ndarray], stored: dict[str, np.ndarray],
         target[...] = stored[name]
 
 
-_METADATA_KEYS = ("kind", "config", "bilm_config", "trainable", "opt_step", "vocab",
-                  "rng_state", "meta", "version")
+# each required metadata field and its decoded JSON type, exactly (a true
+# is not an int)
+_METADATA_KEYS = {"kind": (str,), "config": (dict,), "bilm_config": (dict, type(None)),
+                  "trainable": (dict,), "opt_step": (int,), "vocab": (dict,),
+                  "rng_state": (dict, type(None)), "meta": (dict,), "version": (int,)}
 
 
 def _read_exact(f, n: int, what: str, size: int) -> bytes:
@@ -302,6 +305,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             groups[group][bare] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
+    wrong = [k for k, kinds in _METADATA_KEYS.items() if type(metadata[k]) not in kinds]
+    if type(metadata.get("bilm_vocab")) not in (dict, type(None)):
+        wrong.append("bilm_vocab")
+    if not wrong and any(type(v) is not bool for v in metadata["trainable"].values()):
+        wrong = ["trainable"]
+    if wrong:
+        raise CheckpointError(f"{path}: metadata fields of the wrong JSON type: {wrong}")
     return Checkpoint(kind=metadata["kind"], config=metadata["config"],
                       bilm_config=metadata["bilm_config"], tensors=tensors,
                       trainable=metadata["trainable"], opt_m=opt_m, opt_v=opt_v,

@@ -81,6 +81,17 @@ def scale_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
+def per_sentence_dropout_masks(lengths, dims, rates, rng) -> list[list]:
+    """Keep masks drawn one sentence at a time, one layer at a time within a
+    sentence, one fresh (T x d) array per draw (None where a rate is 0): the
+    draw order that ``NerModel.make_dropout_masks`` must keep."""
+    masks = []
+    for T in lengths:
+        masks.append([(rng.random((T, d)) >= rate).astype(np.float64) if rate > 0 else None
+                      for d, rate in zip(dims, rates)])
+    return masks
+
+
 def adam_formula_step(params, m: dict, v: dict, t: int, config) -> None:
     """One bias-corrected Adam step (step count ``t``) as the plain array
     formula, one temporary per operation: the reference the in-place

@@ -72,7 +72,10 @@ class TestCharFeatures:
     """The shared char-CNN block against the per-token chain it replaced:
     embedding, conv1d and max_over_time per filter width, then linear."""
 
-    TEXTS = ["cat", "a", "", "sat", "cat", "a", "mat"]
+    # two-byte, astral and lone-surrogate characters too, in the vocabulary
+    # (VOCAB_TEXTS) and not
+    TEXTS = ["cat", "a", "", "sat", "cat", "a", "mat", "µg", "β-cat", "a😀t", "\udcffa", "ü"]
+    VOCAB_TEXTS = ["µg", "β-cat", "a😀t"]
 
     @staticmethod
     def per_token(texts, vocab, table, convs, proj):
@@ -104,7 +107,8 @@ class TestCharFeatures:
 
     def test_matches_per_token_chain(self):
         # widths 3 and 5, repeated texts, a one-char text and an empty one
-        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=3)
+        bilm = BiLm.init(small_config(SENTS + [self.VOCAB_TEXTS], char_filters=((3, 8), (5, 4))),
+                         seed=3)
         probe = np.random.default_rng(0).normal(size=(len(self.TEXTS), 16))
         out, grads, entries = self.run(bilm, char_features, probe)
         ref, ref_grads, ref_entries = self.run(bilm, self.per_token, probe)
@@ -130,8 +134,8 @@ class TestDirectionality:
     def logits(self, bilm, texts):
         _, fwd, bwd = bilm.lm_states_batch([texts])
         w, b = bilm.params["bilm.head.w"].value, bilm.params["bilm.head.b"].value
-        lf = fwd[-1][0].data[:-1] @ w + b   # predicts tokens 1..T-1
-        lb = bwd[-1][0].data[1:] @ w + b    # predicts tokens 0..T-2
+        lf = fwd[-1].data[:-1] @ w + b   # predicts tokens 1..T-1
+        lb = bwd[-1].data[1:] @ w + b    # predicts tokens 0..T-2
         return lf, lb
 
     def test_forward_ignores_future(self):

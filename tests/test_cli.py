@@ -1,11 +1,15 @@
 import json
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from chemner.cli import main
-from chemner.corpus import write_column_corpus
-from chemner.training import load_checkpoint, save_checkpoint
+from chemner.corpus import build_vocabulary, write_column_corpus
+from chemner.model import ModelConfig, NerModel
+from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
 from conftest import toy_corpus
 
@@ -422,3 +426,97 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == 0
         assert "relative gradient error" in out
+
+
+@dataclass
+class TagFiles:
+    raw: bytes = field(repr=False)  # the valid checkpoint
+    text: str                       # a raw text to tag
+    path: str                       # where a damaged copy goes
+
+
+@pytest.fixture(scope="module")
+def tag_files(tmp_path_factory):
+    """A small valid checkpoint (its bytes too) with a tokenizer in its
+    metadata, a raw text to tag, and a path for damaged copies."""
+    sentences, scheme = toy_corpus()
+    vocab = build_vocabulary(sentences, [], min_count=1)
+    model = NerModel.init(ModelConfig(labels=scheme.entity_labels, word_dim=4,
+                                      char_embed_dim=3, char_filter_count=3,
+                                      char_output_dim=3, lstm_hidden=3), vocab, seed=0)
+    base = tmp_path_factory.mktemp("fuzz")
+    good = str(base / "good.ckpt")
+    save_checkpoint(make_checkpoint(model, None, np.random.default_rng(0),
+                                    meta={"tokenizer": {"mode": "chemical", "rules": None}}),
+                    good)
+    text = base / "raw.txt"
+    text.write_text("The 2-chlorotoluene was added. Then heating began.", encoding="utf-8")
+    with open(good, "rb") as f:
+        return TagFiles(f.read(), str(text), str(base / "damaged.ckpt"))
+
+
+def tag_exit_code(files: TagFiles, data: bytes) -> int:
+    with open(files.path, "wb") as f:
+        f.write(data)
+    return main(["tag", "--model", files.path, "--in", files.text, "--raw"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+METADATA_KEYS = ["bilm_config", "bilm_vocab", "config", "kind", "meta", "opt_step",
+                 "rng_state", "trainable", "version", "vocab"]
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint ends ``chemner tag`` in an exit code (0, 2 for
+    data, 3 for numerics, as a NaN weight stops Viterbi), never a traceback."""
+
+    def test_valid_checkpoint_tags(self, tag_files):
+        assert tag_exit_code(tag_files, tag_files.raw) == 0
+
+    @pytest.mark.parametrize("key,value", [("trainable", 5), ("meta", [1]),
+                                           ("meta", {"tokenizer": 5}),
+                                           ("meta", {"tokenizer": {"rules": [1]}}),
+                                           ("opt_step", True)])
+    def test_wrong_metadata_type_exit_2(self, tag_files, key, value):
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, key, value)) == 2
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(METADATA_KEYS), value=JSON_VALUES)
+    def test_metadata_key_of_another_json_type(self, tag_files, key, value):
+        metadata = read_metadata(tag_files.raw)
+        assume(type(value) is not type(metadata.get(key)))
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, key, value)) in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_flipped_or_extended_bytes(self, tag_files, data):
+        raw = tag_files.raw
+        how = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+        if how == "truncate":
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif how == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            damaged = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        else:
+            damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
+        assert tag_exit_code(tag_files, damaged) in (0, 2, 3)
+
+
+def read_metadata(raw: bytes) -> dict:
+    size = struct.unpack("<Q", raw[12:20])[0]
+    return json.loads(raw[20:20 + size])
+
+
+def with_metadata(raw: bytes, key: str, value) -> bytes:
+    """The checkpoint bytes with one metadata key set to ``value``."""
+    size = struct.unpack("<Q", raw[12:20])[0]
+    metadata = json.loads(raw[20:20 + size])
+    metadata[key] = value
+    meta_b = json.dumps(metadata).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(meta_b)) + meta_b + raw[20 + size:]

@@ -343,12 +343,18 @@ class TestViterbi:
             viterbi(em, zero_params(2))
 
 class TestViterbiBatch:
+    @staticmethod
+    def decode(ems, params):
+        """viterbi_batch of the sentences' emission rows one after another."""
+        return viterbi_batch(np.concatenate(ems), [len(em) for em in ems], params)
+
     def test_matches_brute_force_and_single_decodes(self):
         rng = np.random.default_rng(41)
         for k in (1, 2, 3, 4):
             params = random_params(rng, k)
             ems = [rng.uniform(-2, 2, (t, k)) for t in (3, 1, 5, 2, 1, 4)]
-            batched = viterbi_batch(ems, params)
+            batched = self.decode(ems, params)
+            assert len(batched) == len(ems)
             for em, (tags, score) in zip(ems, batched):
                 btags, bscore = brute_viterbi(em, params.transitions.value,
                                               params.start.value, params.stop.value)
@@ -363,10 +369,10 @@ class TestViterbiBatch:
         params = random_params(rng, scheme.num_tags)
         params.enable_bio_mask(scheme)
         ems = [rng.uniform(-4, 4, (t, scheme.num_tags)) for t in (6, 1, 3, 6, 2)]
-        assert viterbi_batch(ems, params) == [viterbi(em, params) for em in ems]
+        assert self.decode(ems, params) == [viterbi(em, params) for em in ems]
 
     def test_all_equal_potentials_lowest_ids(self):
-        out = viterbi_batch([np.zeros((t, 3)) for t in (4, 1, 2)], zero_params(3))
+        out = viterbi_batch(np.zeros((7, 3)), [4, 1, 2], zero_params(3))
         assert [tags for tags, _ in out] == [[0, 0, 0, 0], [0], [0, 0]]
 
     def test_padding_does_not_reach_shorter_sentences(self):
@@ -376,22 +382,27 @@ class TestViterbiBatch:
         long = np.vstack([short, np.tile([0.0, 50.0], (4, 1))])
         params = zero_params(2)
         params.stop.value[:] = [0.0, 0.5]
-        (tags_s, score_s), (tags_l, _) = viterbi_batch([short, long], params)
+        (tags_s, score_s), (tags_l, _) = self.decode([short, long], params)
         assert tags_s == [0, 0] and score_s == 2.0
         assert tags_l == [0, 0, 1, 1, 1, 1]
 
     def test_empty_batch(self):
-        assert viterbi_batch([], zero_params(2)) == []
+        assert viterbi_batch(np.zeros((0, 2)), [], zero_params(2)) == []
 
     def test_non_finite_emissions_raise(self):
         bad = np.zeros((2, 2))
         bad[1, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            viterbi_batch([np.zeros((3, 2)), bad], zero_params(2))
+            self.decode([np.zeros((3, 2)), bad], zero_params(2))
 
     def test_tag_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            viterbi_batch([np.zeros((3, 2)), np.zeros((3, 3))], zero_params(2))
+            viterbi_batch(np.zeros((6, 3)), [3, 3], zero_params(2))
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [3, 4], [6, 0]])
+    def test_lengths_must_cover_rows(self, lengths):
+        with pytest.raises(ValueError):
+            viterbi_batch(np.zeros((6, 2)), lengths, zero_params(2))
 
 
 class TestBioMask:

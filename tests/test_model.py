@@ -13,6 +13,8 @@ from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig,
 from chemner.numerics import Tape, backward
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
+from oracles import per_sentence_dropout_masks
+
 
 def tiny_model(vocab, labels=("A", "B"), seed=0, **overrides):
     defaults = dict(word_dim=8, char_embed_dim=4, char_filter_count=4,
@@ -209,6 +211,35 @@ class TestPredictAndLoss:
             sizes.append(len(tape))
         assert sizes[0] == sizes[1] < 100
 
+    def test_tape_size_independent_of_batch_size(self, toy_data):
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        sizes = []
+        for n in (1, 4, 16):
+            batch = sentences[:n]
+            tape = Tape()
+            model.build_loss(tape, batch, model.make_dropout_masks(
+                [len(s.tokens) for s in batch], np.random.default_rng(0)))
+            sizes.append(len(tape))
+        assert sizes == [sizes[0]] * 3 and sizes[0] <= 16
+
+    @pytest.mark.parametrize("rates", [(0.25, 0.25), (0.5, 0.0), (0.0, 0.1), (0.0, 0.0)])
+    def test_dropout_masks_keep_per_sentence_draws(self, toy_data, rates):
+        _, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels, dropout=rates)
+        lengths = [6, 1, 5, 3]
+        drawn = np.random.default_rng(3)
+        masks = model.make_dropout_masks(lengths, drawn)
+        rng = np.random.default_rng(3)
+        ref = per_sentence_dropout_masks(lengths, [12, 12], rates, rng)
+        assert len(masks) == 2
+        for layer, mask in enumerate(masks):
+            if rates[layer] == 0:
+                assert mask is None
+            else:
+                assert np.array_equal(mask, np.concatenate([m[layer] for m in ref]))
+        assert drawn.random() == rng.random()  # both generators left at one place
+
     def test_loss_finite_long_sentence(self, toy_data):
         _, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)
@@ -302,11 +333,15 @@ class TestContextualMemory:
 
 class TestFullModelGradient:
     def test_tiny_grad_check(self, toy_data):
+        # a ragged batch with dropout: the packed multi-sentence path through
+        # dropout, both directions and the CRF
         sentences, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=("A", "B"), seed=5)
-        sent = sentence_from_texts(sentences[0].texts[:4], [1, 0, 2, 3], "d")
-        masks = model.make_dropout_masks([4], np.random.default_rng(7))
-        err = nx.grad_check(lambda t: model.build_loss(t, [sent], masks),
+        batch = [sentence_from_texts(sentences[0].texts[:6], [1, 0, 2, 3, 4, 0], "d"),
+                 sentence_from_texts(sentences[1].texts[:3], [3, 4, 0], "d"),
+                 sentence_from_texts(sentences[2].texts[:1], [1], "d")]
+        masks = model.make_dropout_masks([6, 3, 1], np.random.default_rng(7))
+        err = nx.grad_check(lambda t: model.build_loss(t, batch, masks),
                             model.trainable_parameters(), epsilon=1e-5)
         assert err < 1e-3
 
@@ -363,9 +398,10 @@ class TestPredictBatch:
         seen = []
         real = NerModel.encode_batch
 
-        def spy(self, features, *args, **kwargs):
-            seen.append([f.shape[0] for f in features])
-            return real(self, features, *args, **kwargs)
+        def spy(self, features, lengths, *args, **kwargs):
+            assert features.shape[0] == sum(lengths)
+            seen.append(list(lengths))
+            return real(self, features, lengths, *args, **kwargs)
 
         monkeypatch.setattr(NerModel, "encode_batch", spy)
         inputs = decode_inputs()
@@ -391,9 +427,11 @@ class TestEmbedBatch:
     @staticmethod
     def assert_equals_per_sentence(model, sentences):
         batch = model.embed_batch(sentences)
-        for sent, feats in zip(sentences, batch):
+        lengths = [len(s.tokens) for s in sentences]
+        assert batch.shape == (sum(lengths), model.config.feature_dim)
+        for sent, feats in zip(sentences, np.split(batch.data, np.cumsum(lengths)[:-1])):
             single = model.embed_tokens(sent).data
-            assert np.abs(feats.data - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
+            assert np.abs(feats - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
     def test_char_cnn_once_per_batch(self, toy_data, monkeypatch):
         sentences, scheme, vocab = toy_data

@@ -191,19 +191,10 @@ class TestAdjointsMatchFiniteDifferences:
         b = Parameter("b", self.u(3, 3))
         def fn(t):
             cat = nx.concat([t.param(a), t.param(b)], axis=0)
-            _, rows, _ = nx.split_rows(cat, [1, 2, 2])
+            rows = nx.embedding(cat, [1, 2])
             flat = nx.reshape(rows, (6, 1))
             return nx.add(nx.sum_all(nx.embedding(flat, [2])), nx.sum_all(nx.mul(cat, cat)))
         _fd_check(fn, [a, b])
-
-    def test_split_rows_some_blocks_unused(self):
-        p = Parameter("p", self.u(6, 3))
-        probe = self.u(3, 3)
-        def fn(t):
-            first, _, last = nx.split_rows(t.param(p), [2, 1, 3])
-            return nx.add(nx.sum_all(nx.mul(first, first)),
-                          nx.sum_all(nx.mul(last, constant(probe))))
-        _fd_check(fn, [p])
 
     def test_conv1d_max_over_time(self):
         # quadratic head keeps every gradient coordinate well above the
@@ -271,16 +262,13 @@ class TestAdjointsMatchFiniteDifferences:
         wx = Parameter("wx", self.u(D, 4 * H) * 0.5)
         wh = Parameter("wh", self.u(H, 4 * H) * 0.5)
         b = Parameter("b", self.u(4 * H) * 0.5)
-        xs = [Parameter(f"x{i}", self.u(T, D)) for i, T in enumerate((2, 4, 1))]
+        x = Parameter("x", self.u(7, D))
         def fn(t):
-            total = None
-            for reverse in (False, True):
-                for h in nx.lstm_batch([t.param(x) for x in xs], t.param(wx),
-                                       t.param(wh), t.param(b), reverse=reverse):
-                    s = nx.sum_all(nx.mul(h, h))
-                    total = s if total is None else nx.add(total, s)
-            return total
-        _fd_check(fn, [wx, wh, b, *xs])
+            h = nx.concat([nx.lstm_batch(t.param(x), [2, 4, 1], t.param(wx), t.param(wh),
+                                         t.param(b), reverse=reverse)
+                           for reverse in (False, True)], axis=1)
+            return nx.sum_all(nx.mul(h, h))
+        _fd_check(fn, [wx, wh, b, x])
 
 
 class TestLstmBatch:
@@ -293,34 +281,34 @@ class TestLstmBatch:
                 Parameter("wh", rng.normal(size=(self.H, 4 * self.H)) * 0.5),
                 Parameter("b", rng.normal(size=4 * self.H) * 0.5))
 
-    def run(self, xs, weights, probes, reverse, fused):
-        """Outputs and gradients (xs..., wx, wh, b) of sum_i <probe_i, out_i>."""
-        params = [*xs, *weights]
+    def run(self, x, lengths, weights, probe, reverse, fused):
+        """Output and gradients (x, wx, wh, b) of <probe, out>; the reference
+        runs ``lstm_scan`` over each sequence's rows and concatenates."""
+        params = [x, *weights]
         for p in params:
             p.zero_grad()
         tape = Tape()
-        xt = [tape.param(x) for x in xs]
+        xt = tape.param(x)
         wt = [tape.param(w) for w in weights]
         if fused:
-            outs = nx.lstm_batch(xt, *wt, reverse=reverse)
+            out = nx.lstm_batch(xt, lengths, *wt, reverse=reverse)
         else:
-            outs = [nx.lstm_scan(x, *wt, reverse=reverse) for x in xt]
-        total = None
-        for out, probe in zip(outs, probes):
-            s = nx.sum_all(nx.mul(out, constant(probe)))
-            total = s if total is None else nx.add(total, s)
-        backward(tape, total)
-        return [o.data for o in outs], [p.gradient.copy() for p in params]
+            starts = np.cumsum(lengths) - lengths
+            out = nx.concat([nx.lstm_scan(nx.embedding(xt, range(lo, lo + T)), *wt,
+                                          reverse=reverse)
+                             for lo, T in zip(starts, lengths)], axis=0)
+        backward(tape, nx.sum_all(nx.mul(out, constant(probe))))
+        return [out.data], [p.gradient.copy() for p in params]
 
     @pytest.mark.parametrize("lengths", [(1, 3, 7), (7, 1, 3), (4, 4, 4), (6,)])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_per_step_scan(self, lengths, reverse):
         rng = np.random.default_rng(sum(lengths))
         weights = self.weights(rng)
-        xs = [Parameter(f"x{i}", rng.normal(size=(T, self.D))) for i, T in enumerate(lengths)]
-        probes = [rng.normal(size=(T, self.H)) for T in lengths]
-        outs, grads = self.run(xs, weights, probes, reverse, fused=True)
-        ref_outs, ref_grads = self.run(xs, weights, probes, reverse, fused=False)
+        x = Parameter("x", rng.normal(size=(sum(lengths), self.D)))
+        probe = rng.normal(size=(sum(lengths), self.H))
+        outs, grads = self.run(x, lengths, weights, probe, reverse, fused=True)
+        ref_outs, ref_grads = self.run(x, lengths, weights, probe, reverse, fused=False)
         for got, want in zip(outs + grads, ref_outs + ref_grads):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
@@ -329,32 +317,35 @@ class TestLstmBatch:
     def test_output_independent_of_batch_mates(self, reverse):
         rng = np.random.default_rng(5)
         wx, wh, b = (constant(w.value) for w in self.weights(rng))
-        xs = [constant(rng.normal(size=(T, self.D))) for T in (3, 9, 1, 6)]
-        alone = [nx.lstm_batch([x], wx, wh, b, reverse=reverse)[0].data for x in xs]
-        together = nx.lstm_batch(xs, wx, wh, b, reverse=reverse)
-        for a, t in zip(alone, together):
-            assert np.abs(a - t.data).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+        xs = [rng.normal(size=(T, self.D)) for T in (3, 9, 1, 6)]
+        alone = [nx.lstm_batch(constant(x), [len(x)], wx, wh, b, reverse=reverse).data
+                 for x in xs]
+        together = nx.lstm_batch(constant(np.concatenate(xs)), [len(x) for x in xs],
+                                 wx, wh, b, reverse=reverse)
+        assert together.shape == (19, self.H)
+        for a, t in zip(alone, np.split(together.data, np.cumsum([3, 9, 1]))):
+            assert np.abs(a - t).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
 
     def test_one_tape_entry_per_batch(self):
         rng = np.random.default_rng(6)
         tape = Tape()
         wx, wh, b = (tape.param(w) for w in self.weights(rng))
-        xs = [constant(rng.normal(size=(T, self.D))) for T in (2, 5)]
-        nx.lstm_batch(xs, wx, wh, b)
+        nx.lstm_batch(constant(rng.normal(size=(7, self.D))), [2, 5], wx, wh, b)
         assert len(tape) == 1
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_taped_and_untaped_outputs_bitwise_equal(self, reverse):
         rng = np.random.default_rng(8)
         weights = self.weights(rng)
-        xs = [rng.normal(size=(T, self.D)) for T in (4, 9, 1, 9, 2)]
+        lengths = (4, 9, 1, 9, 2)
+        x = rng.normal(size=(sum(lengths), self.D))
         tape = Tape()
-        taped = nx.lstm_batch([tape.input(x) for x in xs],
+        taped = nx.lstm_batch(tape.input(x), lengths,
                               *(tape.param(w) for w in weights), reverse=reverse)
-        untaped = nx.lstm_batch([constant(x) for x in xs],
+        untaped = nx.lstm_batch(constant(x), lengths,
                                 *(constant(w.value) for w in weights), reverse=reverse)
-        for a, u in zip(taped, untaped):
-            assert np.array_equal(a.data, u.data)
+        assert len(tape) == 1
+        assert np.array_equal(taped.data, untaped.data)
 
     def test_untaped_pass_keeps_no_per_step_cell(self):
         """A 512-token decode pass at the paper's first-layer size: without a
@@ -364,17 +355,17 @@ class TestLstmBatch:
         lengths = [80, 61, 52, 47, 40, 36, 33, 30, 28, 25, 22, 19, 15, 12, 8, 4]
         N, B = sum(lengths), len(lengths)
         assert N == 512
-        xs = [rng.normal(size=(T, D)) for T in lengths]
+        x = rng.normal(size=(N, D))
         weights = [Parameter("wx", rng.normal(size=(D, 4 * H)) * 0.05),
                    Parameter("wh", rng.normal(size=(H, 4 * H)) * 0.05),
                    Parameter("b", rng.normal(size=4 * H) * 0.05)]
 
         def peak(tape):
-            inputs = [constant(x) for x in xs]
+            inputs = constant(x)
             ws = [constant(w.value) if tape is None else tape.param(w) for w in weights]
             tracemalloc.start()
             try:
-                nx.lstm_batch(inputs, *ws)
+                nx.lstm_batch(inputs, lengths, *ws)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -385,27 +376,11 @@ class TestLstmBatch:
     def test_shape_errors(self):
         rng = np.random.default_rng(7)
         wx, wh, b = (constant(w.value) for w in self.weights(rng))
-        with pytest.raises(ShapeError):
-            nx.lstm_batch([], wx, wh, b)
-        with pytest.raises(ShapeError):
-            nx.lstm_batch([constant(np.zeros((0, self.D)))], wx, wh, b)
-        with pytest.raises(ShapeError):
-            nx.lstm_batch([constant(np.zeros((2, self.D + 1)))], wx, wh, b)
-
-
-class TestSplitRows:
-    def test_blocks_and_one_tape_entry(self):
-        x = np.arange(12.0).reshape(6, 2)
-        tape, _, leaf = taped(x)
-        parts = nx.split_rows(leaf, [1, 3, 2])
-        assert [p.data.tolist() for p in parts] == [x[:1].tolist(), x[1:4].tolist(),
-                                                     x[4:].tolist()]
-        assert len(tape) == 1
-
-    @pytest.mark.parametrize("sizes", [[], [2, 3], [0, 6], [4, 3]])
-    def test_sizes_must_cover_rows(self, sizes):
-        with pytest.raises(ShapeError):
-            nx.split_rows(constant(np.zeros((6, 2))), sizes)
+        for x, lengths in [(np.zeros((0, self.D)), []), (np.zeros((0, self.D)), [0]),
+                           (np.zeros((2, self.D + 1)), [2]), (np.zeros((6, self.D)), [2, 3]),
+                           (np.zeros((6, self.D)), [0, 6]), (np.zeros(6), [6])]:
+            with pytest.raises(ShapeError):
+                nx.lstm_batch(constant(x), lengths, wx, wh, b)
 
 
 class TestCharCnn:
@@ -559,12 +534,13 @@ class TestLstmGatingAlgebra:
             x = np.column_stack([np.zeros(T), rng.normal(size=T)])
             x[-1 if reverse else 0, 0] = 1.0
             xs.append(x)
-        tape = Tape() if taped else None
-        ins = [constant(x) if tape is None else tape.input(x) for x in xs]
-        outs = nx.lstm_batch(ins, constant(wx), constant(wh), constant(b), reverse=reverse)
-        for x, out in zip(xs, outs):
+        cat = np.concatenate(xs)
+        x_in = constant(cat) if not taped else Tape().input(cat)
+        out = nx.lstm_batch(x_in, [3, 7, 1, 5], constant(wx), constant(wh), constant(b),
+                            reverse=reverse)
+        for x, rows in zip(xs, np.split(out.data, np.cumsum([3, 7, 1]))):
             v = x[-1 if reverse else 0, 1]
-            assert np.array_equal(out.data, np.full((len(x), H), np.tanh(np.tanh(v))))
+            assert np.array_equal(rows, np.full((len(x), H), np.tanh(np.tanh(v))))
 
     def test_zero_everything_zero_output(self):
         H = 2
