@@ -424,7 +424,7 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
             loss = nx.scale(total, 1.0 / n)
             nx.backward(tape, loss)
             tape.clear()
-            clip_gradients(params, tc.clip_norm)
+            clip_gradients(params, tc.clip_norm, opt.scratch)
             adam_step(params, opt, tc)
         ppl = model.perplexity(usable)
         model.training_perplexities.append(ppl)

@@ -47,34 +47,55 @@ class ConfigError(ValueError):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"labels", "tokenizer", "model", "train", "embeddings", "bilm"}
-_TOKENIZER_KEYS = {"mode", "rules"}
-_MODEL_KEYS = {"use_words", "use_pretrained_words", "use_char_cnn", "use_contextual",
-               "word_dim", "char_embed_dim", "char_filter_width", "char_filter_count",
-               "char_output_dim", "lstm_layers", "lstm_hidden", "dropout",
-               "crf_bio_mask", "long_token_threshold"}
-_TRAIN_KEYS = {"learning_rate", "batch_size", "clip_norm", "max_epochs", "patience",
-               "seed", "beta1", "beta2", "epsilon"}
+# the decoded JSON types each config value may have, exactly (a true is not
+# an int, but a number may be written as an int or a float); [types] is a
+# list of such values
+_NUMBER = (int, float)
+_PATH = (str, type(None))
+_TOP_TYPES = {"labels": [(str,)], "tokenizer": (dict,), "model": (dict,), "train": (dict,),
+              "embeddings": _PATH, "bilm": _PATH}
+_TOKENIZER_TYPES = {"mode": (str,), "rules": _PATH}
+_MODEL_TYPES = {**dict.fromkeys(("use_words", "use_pretrained_words", "use_char_cnn",
+                                 "use_contextual", "crf_bio_mask"), (bool,)),
+                **dict.fromkeys(("word_dim", "char_embed_dim", "char_filter_width",
+                                 "char_filter_count", "char_output_dim", "lstm_layers",
+                                 "lstm_hidden", "long_token_threshold"), (int,)),
+                "dropout": [_NUMBER]}
+_TRAIN_TYPES = {**dict.fromkeys(("learning_rate", "clip_norm", "beta1", "beta2",
+                                 "epsilon"), _NUMBER),
+                **dict.fromkeys(("batch_size", "max_epochs", "patience", "seed"), (int,))}
 
 
-def _reject_unknown(section: str, raw: dict, allowed: set[str]) -> None:
-    unknown = set(raw) - allowed
+def _has_type(value, types) -> bool:
+    if isinstance(types, list):
+        return type(value) is list and all(_has_type(v, types[0]) for v in value)
+    return type(value) in types
+
+
+def _check_section(section: str, raw, types: dict) -> dict:
+    """``raw`` if it is a JSON object whose keys all appear in ``types``,
+    each with a value of its JSON type; a ``ConfigError`` otherwise."""
+    if type(raw) is not dict:
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    unknown = set(raw) - types.keys()
     if unknown:
         raise ConfigError(f"config section {section!r}: unknown keys {sorted(unknown)}")
+    wrong = sorted(k for k, v in raw.items() if not _has_type(v, types[k]))
+    if wrong:
+        raise ConfigError(f"config section {section!r}: values of the wrong JSON type "
+                          f"for {wrong}")
+    return raw
 
 
 def load_run_config(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown("<top>", raw, _TOP_KEYS)
-    if "labels" not in raw or not raw["labels"]:
+        raw = _check_section("<top>", json.load(f), _TOP_TYPES)
+    if not raw.get("labels"):
         raise ConfigError("config needs a non-empty 'labels' list")
-    tok = raw.get("tokenizer") or {"mode": "general", "rules": None}
-    _reject_unknown("tokenizer", tok, _TOKENIZER_KEYS)
-    _reject_unknown("model", raw.get("model") or {}, _MODEL_KEYS)
-    _reject_unknown("train", raw.get("train") or {}, _TRAIN_KEYS)
+    tok = (_check_section("tokenizer", raw.get("tokenizer", {}), _TOKENIZER_TYPES)
+           or {"mode": "general", "rules": None})
+    _check_section("model", raw.get("model", {}), _MODEL_TYPES)
+    _check_section("train", raw.get("train", {}), _TRAIN_TYPES)
     for key in ("embeddings", "bilm"):
         p = raw.get(key)
         if p is not None and not os.path.exists(p):
@@ -158,9 +179,10 @@ def _read_plain_sentences(path: str, kind: TokenizerKind) -> list[list[str]]:
     return out
 
 
-_BILM_CONFIG_KEYS = {"char_embed_dim", "filter_width", "filter_count", "layer_dim",
-                     "layers", "max_token_len", "learning_rate", "min_count",
-                     "tokenizer", "rules"}
+_BILM_CONFIG_TYPES = {**dict.fromkeys(("char_embed_dim", "filter_width", "filter_count",
+                                        "layer_dim", "layers", "max_token_len",
+                                        "min_count"), (int,)),
+                      "learning_rate": _NUMBER, "tokenizer": (str,), "rules": _PATH}
 
 
 def cmd_train_bilm(args) -> int:
@@ -170,10 +192,9 @@ def cmd_train_bilm(args) -> int:
                 "tokenizer": "chemical", "rules": None}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            raw = json.load(f)
-        _reject_unknown("train-bilm config", raw, _BILM_CONFIG_KEYS)
-        settings.update(raw)
-    for key in _BILM_CONFIG_KEYS:  # explicit flags win over the config file
+            settings.update(_check_section("train-bilm config", json.load(f),
+                                           _BILM_CONFIG_TYPES))
+    for key in _BILM_CONFIG_TYPES:  # explicit flags win over the config file
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -220,9 +241,8 @@ def cmd_train(args) -> int:
     pretrained_words: list[str] = []
     pretrained = None
     if run.get("embeddings"):
-        words, vectors = load_embedding_text(run["embeddings"])
-        pretrained = (words, vectors)
-        pretrained_words = words
+        pretrained = load_embedding_text(run["embeddings"])
+        pretrained_words = pretrained[0]
 
     vocab = build_vocabulary(train_sents, dev_sents, pretrained_words)
 
@@ -230,7 +250,7 @@ def cmd_train(args) -> int:
     if run.get("bilm"):
         bilm = bilm_from_checkpoint(load_checkpoint(run["bilm"]))
 
-    model_kwargs = dict(run.get("model") or {})
+    model_kwargs = dict(run.get("model", {}))
     if "dropout" in model_kwargs:
         model_kwargs["dropout"] = tuple(model_kwargs["dropout"])
     if bilm is not None:
@@ -241,7 +261,7 @@ def cmd_train(args) -> int:
         model_kwargs["word_source"] = os.path.basename(run["embeddings"])
     config = ModelConfig(labels=scheme_labels, **model_kwargs)
 
-    train_kwargs = dict(run.get("train") or {})
+    train_kwargs = dict(run.get("train", {}))
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
     tconfig = TrainConfig(**train_kwargs)
@@ -253,6 +273,7 @@ def cmd_train(args) -> int:
         if word_table.dim != config.word_dim:
             config = ModelConfig.from_payload(
                 {**config.to_payload(), "word_dim": word_table.dim})
+    pretrained = None  # the aligned table holds a copy of every row it uses
 
     model = NerModel.init(config, vocab, seed=tconfig.seed,
                           word_table=word_table, bilm=bilm)

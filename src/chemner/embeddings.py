@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ class EmbeddingTable:
 def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
     """Parse `<count> <dim>` header then exactly ``count`` `word v1 ... v_dim` lines.
 
-    Every line's shape is checked as it is read; the components are parsed
-    by one ``np.loadtxt`` call per run of ``_PARSE_ROWS`` lines.
+    A header that the file is too short to hold is refused before the
+    (count x dim) table is allocated. Every line's shape is checked as it
+    is read; the components are parsed by one ``np.loadtxt`` call per run
+    of ``_PARSE_ROWS`` lines, straight into the table.
     """
     with open(path, encoding="utf-8-sig") as f:
         header = f.readline()
@@ -44,8 +47,13 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
             raise EmbeddingFormatError(f"{path}:1: non-integer header {header!r}") from None
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"{path}:1: bad header values {count} {dim}")
+        # a row is at least dim one-character components, each after a space
+        size = os.fstat(f.fileno()).st_size
+        if count * (2 * dim + 1) > size:
+            raise EmbeddingFormatError(f"{path}:1: header declares {count} rows of {dim} "
+                                       f"components, more than its {size} bytes can hold")
+        vectors = np.empty((count, dim), dtype=np.float64)
         words: list[str] = []
-        blocks: list[np.ndarray] = []
         linenos: list[int] = []
         bodies: list[str] = []
         for lineno, raw in enumerate(f, 2):
@@ -64,14 +72,14 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
             linenos.append(lineno)
             bodies.append(body)
             if len(bodies) == _PARSE_ROWS:
-                blocks.append(_parse_vectors(path, linenos, bodies, dim))
+                done = len(words) - _PARSE_ROWS
+                _parse_vectors(path, linenos, bodies, vectors[done:len(words)])
                 linenos, bodies = [], []
         if len(words) != count:
             raise EmbeddingFormatError(
                 f"{path}: declared {count} rows but found {len(words)}")
     if bodies:
-        blocks.append(_parse_vectors(path, linenos, bodies, dim))
-    vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.float64)
+        _parse_vectors(path, linenos, bodies, vectors[count - len(bodies):])
     return words, vectors
 
 
@@ -82,25 +90,24 @@ _PARSE_ROWS = 64
 
 
 def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
-                   dim: int) -> np.ndarray:
-    """The components of a run of vector lines (len(bodies) x dim). Where
-    ``np.loadtxt`` refuses a component or reads the rows differently,
-    Python's ``float`` parses them instead and names the first line it
-    cannot parse either."""
+                   out: np.ndarray) -> None:
+    """Parse the components of a run of vector lines into ``out``
+    (len(bodies) x dim). Where ``np.loadtxt`` refuses a component or reads
+    the rows differently, Python's ``float`` parses them instead and names
+    the first line it cannot parse either."""
     try:
         block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
                            quotechar=None, ndmin=2)
-        if block.shape == (len(bodies), dim):
-            return block
+        if block.shape == out.shape:
+            out[...] = block
+            return
     except ValueError:
         pass
-    block = np.empty((len(bodies), dim), dtype=np.float64)
     for row, (lineno, body) in enumerate(zip(linenos, bodies)):
         try:
-            block[row] = [float(v) for v in body.split(" ")]
+            out[row] = [float(v) for v in body.split(" ")]
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-    return block
 
 
 def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,

@@ -79,7 +79,11 @@ class Tape:
         self._leaf_cache: dict[int, Tensor] = {}
 
     def param(self, p: Parameter) -> Tensor:
-        """Leaf tensor bound to ``p``; backward flushes into ``p.gradient``."""
+        """Leaf tensor bound to ``p``; backward adds into ``p.gradient``. A
+        non-trainable ``p`` is a constant: nothing is recorded or replayed
+        for it, and its gradient is never touched."""
+        if not p.trainable:
+            return Tensor(p.value, tape=None)
         leaf = self._leaf_cache.get(id(p))
         if leaf is None:
             leaf = Tensor(p.value, tape=self)
@@ -141,8 +145,11 @@ def evaluate(fn: Callable[["Tape"], Tensor]) -> tuple[Tensor, Tape]:
 def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, np.ndarray]:
     """Replay ``tape`` in reverse, accumulating into Parameter gradients.
 
-    Returns the per-tensor gradient map (inputs included). Each call adds
-    its contribution to Parameter buffers, so replaying twice doubles them.
+    A gradient that reaches a parameter leaf is added straight into its
+    ``p.gradient``, contribution by contribution, so replaying twice doubles
+    it; from zeroed buffers the result is bitwise that of summing the
+    contributions first. Returns the gradient map of every other taped
+    tensor, :meth:`Tape.input` leaves included.
     """
     if output.tape is not tape:
         raise ValueError("backward: output was not produced on this tape")
@@ -156,27 +163,27 @@ def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, n
             raise ShapeError(f"backward: output_gradient shape {seed.shape} "
                              f"!= output shape {output.data.shape}")
 
-    grads: dict[Tensor, np.ndarray] = {output: seed.copy()}
+    grads: dict[Tensor, np.ndarray] = {}
+    into = {leaf: p.gradient for leaf, p in tape._leaves}
 
     def acc(t: Tensor, g: np.ndarray) -> None:
         if t.tape is None:
             return
-        cur = grads.get(t)
+        cur = into.get(t)
         if cur is None:
-            grads[t] = np.array(g, dtype=np.float64, copy=True)
-        else:
-            cur += g
+            cur = grads.get(t)
+            if cur is None:
+                grads[t] = np.array(g, dtype=np.float64, copy=True)
+                return
+        cur += g
+
+    acc(output, seed)
 
     for outputs, vjp in reversed(tape._entries):
         gs = tuple(grads.get(o) for o in outputs)
         if all(g is None for g in gs):
             continue
         vjp(gs, acc)
-
-    for leaf, p in tape._leaves:
-        g = grads.get(leaf)
-        if g is not None:
-            p.gradient += g
     return grads
 
 
@@ -637,6 +644,10 @@ def grad_check(fn: Callable[[Tape], Tensor], params: Iterable[Parameter],
     ``params`` is returned.
     """
     params = list(params)
+    frozen = [p.name for p in params if not p.trainable]
+    if frozen:
+        raise ValueError(f"grad_check: non-trainable parameters {frozen} are tape "
+                         "constants and have no gradient to check")
     for p in params:
         p.zero_grad()
     out, tape = evaluate(fn)

@@ -63,22 +63,38 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    # room for two arrays of the largest parameter: adam_step's and
+    # clip_gradients' temporaries, neither checkpointed nor compared
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False,
+                                repr=False)
 
     @classmethod
     def init(cls, params: Sequence[Parameter]) -> "AdamState":
         return cls(m={p.name: np.zeros_like(p.value) for p in params},
-                   v={p.name: np.zeros_like(p.value) for p in params})
+                   v={p.name: np.zeros_like(p.value) for p in params},
+                   scratch=np.empty(2 * max((p.value.size for p in params), default=0)))
 
 
-def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0) -> float:
+def _view(buf: np.ndarray, like: np.ndarray, slot: int = 0) -> np.ndarray:
+    """The ``slot``-th run of ``like.size`` elements of ``buf``, in the
+    shape of ``like``."""
+    return buf[slot * like.size:(slot + 1) * like.size].reshape(like.shape)
+
+
+def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
+                   scratch: np.ndarray | None = None) -> float:
     """Scale all trainable gradients so the global L2 norm is <= max_norm.
 
-    Returns the pre-clip global norm.
+    Each gradient is squared into ``scratch`` (one buffer of the largest
+    gradient's size, allocated here when not given) and summed there, the
+    same pairwise sum as ``(g * g).sum()``. Returns the pre-clip global norm.
     """
     sq = 0.0
     grads = [p.gradient for p in params if p.trainable]
+    if scratch is None:
+        scratch = np.empty(max((g.size for g in grads), default=0))
     for g in grads:
-        sq += float((g * g).sum())
+        sq += float(np.multiply(g, g, out=_view(scratch, g)).sum())
     norm = float(np.sqrt(sq))
     if norm > max_norm:
         factor = max_norm / norm
@@ -90,8 +106,8 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0) -> float:
 def adam_step(params: Sequence[Parameter], state: AdamState,
               config: TrainConfig) -> None:
     """Standard bias-corrected Adam; frozen rows and non-trainable
-    parameters are never updated. Computed in place through two scratch
-    buffers per parameter, in the operation order of
+    parameters are never updated. Computed in place through two views of
+    ``state.scratch``, in the operation order of
     ``value -= lr·m̂ / (√v̂ + ε)``, so the result is bitwise that formula's."""
     state.step += 1
     t = state.step
@@ -106,7 +122,7 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
             raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         m = state.m[p.name]
         v = state.v[p.name]
-        num, den = np.empty_like(g), np.empty_like(g)
+        num, den = _view(state.scratch, g, 0), _view(state.scratch, g, 1)
         m *= b1
         np.multiply(g, 1.0 - b1, out=num)
         m += num
@@ -191,7 +207,7 @@ def _write_tensor(out: io.BufferedWriter, name: str, arr: np.ndarray) -> None:
     out.write(struct.pack("<I", arr.ndim))
     for d in arr.shape:
         out.write(struct.pack("<Q", d))
-    out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    out.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -255,14 +271,21 @@ _METADATA_KEYS = {"kind": (str,), "config": (dict,), "bilm_config": (dict, type(
                   "rng_state": (dict, type(None)), "meta": (dict,), "version": (int,)}
 
 
-def _read_exact(f, n: int, what: str, size: int) -> bytes:
-    """Read n bytes, refusing before reading when the file holds fewer, so a
-    corrupt size field cannot trigger a huge allocation."""
+def _check_left(f, n: int, what: str, size: int) -> None:
+    """Refuse a read of n bytes, before anything is allocated for it, when
+    the file holds fewer, so a corrupt size field cannot trigger a huge
+    allocation."""
     left = size - f.tell()
-    data = f.read(n) if n <= left else b""
-    if len(data) != n:
+    if n > left:
         raise CheckpointError(f"truncated checkpoint while reading {what}: {n} bytes "
                               f"declared, {left} left at offset {size - left}")
+
+
+def _read_exact(f, n: int, what: str, size: int) -> bytes:
+    _check_left(f, n, what, size)
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"checkpoint shrank while reading {what}")
     return data
 
 
@@ -301,8 +324,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(f"{path}: unknown or repeated tensor block {name!r}")
             ndim = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim", size))[0]
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, f"{name} shape", size))
-            raw = _read_exact(f, 8 * math.prod(shape), f"{name} data", size)
-            groups[group][bare] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            _check_left(f, 8 * math.prod(shape), f"{name} data", size)
+            arr = np.empty(shape, dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"checkpoint shrank while reading {name} data")
+            groups[group][bare] = arr
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
     wrong = [k for k, kinds in _METADATA_KEYS.items() if type(metadata[k]) not in kinds]
@@ -407,7 +433,7 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             nx.backward(tape, out)
             tape.clear()
-            clip_gradients(trainable, config.clip_norm)
+            clip_gradients(trainable, config.clip_norm, opt.scratch)
             adam_step(trainable, opt, config)
             loss_sum += float(out.data) * len(batch)
         train_loss = loss_sum / len(train_sents)
@@ -424,9 +450,14 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
                 stopping_reason = "patience"
                 break
 
-    final_ckpt = make_checkpoint(model, opt, rng,
-                                 meta={"epoch": epoch, "best_f1": best_f1,
-                                       "best_epoch": best_epoch, "stall": stall})
+    if best_ckpt is not None and best_epoch == epoch:
+        # the last epoch run is the best: the same tensors, moments, rng
+        # state and meta, so one snapshot serves as both
+        final_ckpt = best_ckpt
+    else:
+        final_ckpt = make_checkpoint(model, opt, rng,
+                                     meta={"epoch": epoch, "best_f1": best_f1,
+                                           "best_epoch": best_epoch, "stall": stall})
     if best_ckpt is None:  # dev F1 never improved over a resumed best
         best_ckpt = final_ckpt
     report = TrainReport(epochs=epochs, best_epoch=best_epoch,

@@ -8,6 +8,7 @@ gradients by central differences on the loss value alone.
 from __future__ import annotations
 
 import itertools
+import struct
 from typing import Callable
 
 import numpy as np
@@ -108,3 +109,16 @@ def adam_formula_step(params, m: dict, v: dict, t: int, config) -> None:
         m_hat = m[p.name] / (1.0 - b1 ** t)
         v_hat = v[p.name] / (1.0 - b2 ** t)
         p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def tobytes_write_tensor(out, name: str, arr: np.ndarray) -> None:
+    """One checkpoint tensor block with its data written as a ``.tobytes()``
+    copy: the bytes the buffer-writing ``training._write_tensor`` must
+    reproduce exactly."""
+    name_b = name.encode("utf-8")
+    out.write(struct.pack("<I", len(name_b)))
+    out.write(name_b)
+    out.write(struct.pack("<I", arr.ndim))
+    for d in arr.shape:
+        out.write(struct.pack("<Q", d))
+    out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())

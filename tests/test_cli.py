@@ -520,3 +520,77 @@ def with_metadata(raw: bytes, key: str, value) -> bytes:
     metadata[key] = value
     meta_b = json.dumps(metadata).encode("utf-8")
     return raw[:12] + struct.pack("<Q", len(meta_b)) + meta_b + raw[20 + size:]
+
+
+# a valid run configuration that names every key; each replacement below is
+# tried in a copy of it
+RUN_CONFIG = {"labels": ["CHEM", "PROC", "QTY"],
+              "tokenizer": {"mode": "general", "rules": None},
+              "model": {"use_words": True, "use_pretrained_words": False,
+                        "use_char_cnn": True, "use_contextual": False, "word_dim": 4,
+                        "char_embed_dim": 3, "char_filter_width": 3, "char_filter_count": 3,
+                        "char_output_dim": 3, "lstm_layers": 1, "lstm_hidden": 3,
+                        "dropout": [0.25], "crf_bio_mask": False, "long_token_threshold": 25},
+              "train": {"learning_rate": 0.01, "batch_size": 16, "clip_norm": 1.0,
+                        "max_epochs": 1, "patience": 1, "seed": 0, "beta1": 0.9,
+                        "beta2": 0.999, "epsilon": 1e-8},
+              "embeddings": None, "bilm": None}
+RUN_CONFIG_KEYS = [(key,) for key in RUN_CONFIG] + [
+    (section, key) for section in ("tokenizer", "model", "train") for key in RUN_CONFIG[section]]
+
+
+def json_kind(value) -> str:
+    """The JSON type of a decoded value: ints and floats are both numbers."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def train_with_config(capsys, corpus_path, tmp_path, key: tuple, value) -> int:
+    config = json.loads(json.dumps(RUN_CONFIG))
+    *section, last = key
+    (config[section[0]] if section else config)[last] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(capsys, "train", "--config", str(cfg), "--train", str(corpus_path),
+                       "--dev", str(corpus_path), "--out", str(tmp_path / "out"))
+    assert "Traceback" not in err
+    return code
+
+
+class TestRunConfigTypes:
+    """A run configuration value of the wrong JSON type ends ``chemner
+    train`` (and ``train-bilm --config``) in exit 2, never in a traceback or
+    a run on a misread value."""
+
+    def test_valid_config_trains(self, capsys, corpus_file, tmp_path):
+        assert train_with_config(capsys, corpus_file[0], tmp_path, ("bilm",), None) == 0
+
+    @pytest.mark.parametrize("key,value", [
+        (("embeddings",), 0),  # os.path.exists(0) is true while stdin is open
+        (("bilm",), 0), (("tokenizer", "rules"), 0), (("labels",), ["CHEM", 1]),
+        (("labels",), []), (("tokenizer",), None), (("model",), None),
+        (("model", "word_dim"), 4.0), (("model", "use_words"), 1),
+        (("model", "dropout"), ["0.25"]), (("model", "dropout"), [True]),
+        (("train", "seed"), True), (("train", "learning_rate"), "0.01")])
+    def test_wrong_type_exit_2(self, capsys, corpus_file, tmp_path, key, value):
+        assert train_with_config(capsys, corpus_file[0], tmp_path, key, value) == 2
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(RUN_CONFIG_KEYS), value=JSON_VALUES)
+    def test_value_of_another_json_type(self, capsys, corpus_file, tmp_path, key, value):
+        *section, last = key
+        assume(json_kind(value) != json_kind((RUN_CONFIG[section[0]] if section
+                                               else RUN_CONFIG)[last]))
+        assert train_with_config(capsys, corpus_file[0], tmp_path, key, value) in (0, 2)
+
+    @pytest.mark.parametrize("raw", [[1, 2], {"layers": "2"}, {"learning_rate": True},
+                                     {"rules": 0}, {"tokenizer": None}])
+    def test_train_bilm_config_wrong_type_exit_2(self, capsys, tmp_path, raw):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        cfg = tmp_path / "bilm.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        code, _, err = run(capsys, "train-bilm", "--config", str(cfg), "--corpus", str(corpus),
+                           "--epochs", "1", "--out", str(tmp_path / "bilm.ckpt"))
+        assert code == 2 and "Traceback" not in err
+        assert not (tmp_path / "bilm.ckpt").exists()

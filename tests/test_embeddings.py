@@ -92,6 +92,13 @@ class TestLoadEmbeddingText:
         with pytest.raises(EmbeddingFormatError, match=where):
             load_embedding_text(write(tmp_path, content))
 
+    def test_header_larger_than_the_file_refused_before_allocating(self, tmp_path):
+        # 10^12 x 10^6 float64s: allocating the table first would fail or swap
+        with pytest.raises(EmbeddingFormatError, match=r":1: header declares 1000000000000 rows"):
+            load_embedding_text(write(tmp_path, "1000000000000 1000000\na 1 2\n"))
+        with pytest.raises(EmbeddingFormatError, match="header declares 3 rows"):
+            load_embedding_text(write(tmp_path, "3 4\na 1 2 3 4\n"))
+
 
 class TestAlignToVocab:
     def test_file_rows_verbatim(self, tmp_path):

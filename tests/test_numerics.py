@@ -586,6 +586,15 @@ class TestGradCheck:
             grad_check(fn, [p])
 
 
+    def test_non_trainable_parameter_refused(self):
+        w = Parameter("w", np.ones(2))
+        table = Parameter("frozen_table", np.ones(2), trainable=False)
+        def fn(t):
+            return nx.sum_all(nx.mul(t.param(w), t.param(table)))
+        with pytest.raises(ValueError, match="frozen_table"):
+            grad_check(fn, [w, table])
+
+
 class TestNoDeadPrimitives:
     """Every public function of ``chemner.numerics`` is used somewhere in
     ``src/``, or is one of the few kept as a test reference or operand, so

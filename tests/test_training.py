@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ import chemner.training
 
 from chemner.bilm import BiLmConfig, train_bilm
 from chemner.corpus import DatasetSplit, Vocabulary
+from chemner.embeddings import EmbeddingTable
 from chemner.model import ModelConfig, NerModel, model_from_checkpoint
-from chemner.numerics import NumericError, Parameter, Tape
+from chemner.numerics import NumericError, Parameter, Tape, backward
 from chemner.training import (AdamState, CheckpointError, TrainConfig, adam_step,
                               clip_gradients, dev_micro_f1, load_checkpoint,
                               make_checkpoint, save_checkpoint, train)
 
 from conftest import toy_corpus
 from chemner.corpus import build_vocabulary
-from oracles import adam_formula_step
+from oracles import adam_formula_step, tobytes_write_tensor
 
 
 def make_model(sentences, scheme, vocab, seed=0, **overrides):
@@ -242,6 +244,33 @@ class TestCheckpointIO:
         restored = model_from_checkpoint(back)
         assert restored.predict(sentences[0]) == model.predict(sentences[0])
 
+    def test_bytes_equal_the_tobytes_writer(self, toy_setup, tmp_path, monkeypatch):
+        # a contextual model (frozen biLM tensors) with Adam moments, one
+        # moment stored in Fortran order so the writer must reorder it
+        sentences, scheme, vocab = toy_setup
+        bcfg = BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                          token_projection_dim=8, layer_dim=8)
+        bilm = train_bilm([s.texts for s in sentences[:4]], bcfg, epochs=1)
+        cfg = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
+                          char_filter_count=4, char_output_dim=4, lstm_hidden=6,
+                          use_contextual=True, contextual_dim=bcfg.output_dim)
+        model = NerModel.init(cfg, vocab, seed=0, bilm=bilm)
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        ckpt = train(model, splits, TrainConfig(max_epochs=1, patience=1),
+                     dev_scorer=lambda m, d: 0.0).final
+        assert ckpt.opt_step > 0 and any(n.startswith("bilm.") for n in ckpt.tensors)
+        ckpt.opt_m["emit.w"] = np.asfortranarray(ckpt.opt_m["emit.w"])
+        ours, ref = str(tmp_path / "ours.ckpt"), str(tmp_path / "ref.ckpt")
+        save_checkpoint(ckpt, ours)
+        monkeypatch.setattr(chemner.training, "_write_tensor", tobytes_write_tensor)
+        save_checkpoint(ckpt, ref)
+        assert open(ours, "rb").read() == open(ref, "rb").read()
+        back = load_checkpoint(ours)
+        for name, arr in ckpt.opt_m.items():
+            assert back.opt_m[name].dtype == np.float64
+            assert np.array_equal(back.opt_m[name], arr), name
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPTxxxxxxxxxxxx")
@@ -390,6 +419,48 @@ class TestTrainLoop:
         for name, arr in full.final.tensors.items():
             assert np.array_equal(resumed.final.tensors[name], arr), name
 
+    def test_final_is_best_when_the_last_epoch_is_best(self, toy_setup):
+        sentences, scheme, vocab = toy_setup
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        config = TrainConfig(max_epochs=3, patience=3, seed=0)
+        rising = iter([0.1, 0.2, 0.3])
+        result = train(make_model(sentences, scheme, vocab), splits, config,
+                       dev_scorer=lambda m, d: next(rising))
+        assert result.report.best_epoch == 3
+        assert result.final is result.best
+        falling = iter([0.3, 0.2, 0.1])
+        result = train(make_model(sentences, scheme, vocab), splits, config,
+                       dev_scorer=lambda m, d: next(falling))
+        assert result.final is not result.best
+        assert (result.best.meta["epoch"], result.final.meta["epoch"]) == (1, 3)
+        assert result.final.meta["stall"] == 2
+
+    def test_resume_from_a_final_that_is_best(self, toy_setup, tmp_path):
+        # criterion 8 through the shared snapshot: 4 epochs at once, and 2
+        # epochs then 2 more from the saved final, give the same bytes
+        sentences, scheme, vocab = toy_setup
+        splits = DatasetSplit(train=tuple(sentences), dev=tuple(sentences[:5]),
+                              test=(), seed=23)
+        def config(epochs):
+            return TrainConfig(learning_rate=0.01, max_epochs=epochs, patience=epochs,
+                               seed=23)
+        scores = iter(range(1, 5))
+        full = train(make_model(sentences, scheme, vocab), splits, config(4),
+                     dev_scorer=lambda m, d: next(scores))
+        scores = iter(range(1, 5))
+        first = train(make_model(sentences, scheme, vocab), splits, config(2),
+                      dev_scorer=lambda m, d: next(scores))
+        assert first.final is first.best
+        mid = str(tmp_path / "mid.ckpt")
+        save_checkpoint(first.final, mid)
+        resumed = train(make_model(sentences, scheme, vocab, seed=99), splits, config(4),
+                        dev_scorer=lambda m, d: next(scores), resume=load_checkpoint(mid))
+        pa, pb = str(tmp_path / "full.ckpt"), str(tmp_path / "resumed.ckpt")
+        save_checkpoint(full.final, pa)
+        save_checkpoint(resumed.final, pb)
+        assert open(pa, "rb").read() == open(pb, "rb").read()
+
     @pytest.mark.parametrize("section,name,value", [
         ("tensors", "crf.start", np.zeros(1)),  # would broadcast into the (K,) parameter
         ("tensors", "emit.b", None),
@@ -419,6 +490,20 @@ class TestTrainLoop:
         train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
               dev_scorer=lambda m, d: 0.0)
         assert np.array_equal(model.params["words"].value, before)
+
+    def test_frozen_table_is_a_tape_constant(self, toy_setup):
+        sentences, scheme, vocab = toy_setup
+        model = make_model(sentences, scheme, vocab)
+        words = model.params["words"]
+        words.trainable = False
+        tape = Tape()
+        assert tape.param(words).tape is None
+        assert len(tape) == 0
+        splits = DatasetSplit(train=tuple(sentences[:8]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
+              dev_scorer=lambda m, d: 0.0)
+        assert not words.gradient.any()
 
     def test_pad_rows_stay_zero(self, toy_setup):
         sentences, scheme, vocab = toy_setup
@@ -480,3 +565,52 @@ class TestTrainLoop:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationGuards:
+    """A training step on a model with a frozen 2,000 x 50 word table: the
+    table gets no gradient work in backward, and the optimizer works in its
+    own scratch."""
+
+    @pytest.fixture
+    def frozen_table_model(self, toy_setup):
+        sentences, scheme, vocab = toy_setup
+        table = EmbeddingTable(matrix=np.random.default_rng(0).normal(size=(2000, 50)),
+                               dim=50, trainable=False, source_name="frozen")
+        cfg = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=4,
+                          char_filter_count=4, char_output_dim=4, lstm_hidden=8)
+        return NerModel.init(cfg, vocab, seed=0, word_table=table), sentences[:8]
+
+    def test_backward_allocates_nothing_of_the_table_size(self, frozen_table_model):
+        model, batch = frozen_table_model
+        tape = Tape()
+        out = model.build_loss(tape, batch)
+        peak = traced_peak(lambda: backward(tape, out))
+        assert peak < model.params["words"].value.nbytes
+
+    def test_optimizer_step_allocates_less_than_one_parameter(self, frozen_table_model):
+        model, batch = frozen_table_model
+        trainable = model.trainable_parameters()
+        opt = AdamState.init(trainable)
+        config = TrainConfig()
+
+        def step():
+            clip_gradients(trainable, config.clip_norm, opt.scratch)
+            adam_step(trainable, opt, config)
+
+        for p in trainable:
+            p.zero_grad()
+        tape = Tape()
+        backward(tape, model.build_loss(tape, batch))
+        step()
+        assert traced_peak(step) < max(p.value.nbytes for p in trainable)
