@@ -205,30 +205,28 @@ class BiLm:
 
     # -- forward pieces ----------------------------------------------------
 
-    def token_projections(self, texts: Sequence[str], tape: Tape | None = None) -> Tensor:
-        """Context-independent projections, one row per token (T x proj_dim);
-        texts over ``max_token_len`` characters are encoded as Long_Token."""
-        def param(name: str) -> Tensor:
-            return nx.use_param(tape, self.params[name])
-
-        limit = self.config.max_token_len
-        return char_features([t if len(t) <= limit else LONG_TOKEN_TEXT for t in texts],
-                             self.config.vocab, param("bilm.chars"),
-                             [(param(f"bilm.conv{i}.w"), param(f"bilm.conv{i}.b"))
-                              for i in range(len(self.config.char_filters))],
-                             (param("bilm.proj.w"), param("bilm.proj.b")))
-
     def lm_states_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
                         ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Projections and hidden states of a ragged batch of non-empty
         sentences, their rows one after another: one char-CNN pass over all
-        their tokens, then one fused pass per direction-layer. Returns the
+        their tokens (texts over ``max_token_len`` characters encoded as
+        Long_Token), then one fused pass per direction-layer. Returns the
         projection (N x proj_dim) and, per direction, each layer's states
         (N x layer_dim)."""
         sizes = [len(texts) for texts in texts_list]
         if not sizes or min(sizes) < 1:
             raise ValueError("need a non-empty batch of non-empty sentences")
-        proj = self.token_projections([t for texts in texts_list for t in texts], tape)
+
+        def param(name: str) -> Tensor:
+            return nx.use_param(tape, self.params[name])
+
+        limit = self.config.max_token_len
+        proj = char_features([t if len(t) <= limit else LONG_TOKEN_TEXT
+                              for texts in texts_list for t in texts],
+                             self.config.vocab, param("bilm.chars"),
+                             [(param(f"bilm.conv{i}.w"), param(f"bilm.conv{i}.b"))
+                              for i in range(len(self.config.char_filters))],
+                             (param("bilm.proj.w"), param("bilm.proj.b")))
         stacks = []
         for direction in ("fwd", "bwd"):
             states, h = [], proj
@@ -301,22 +299,27 @@ class BiLm:
             count += n
         return float(np.exp(total / count))
 
+    def layers_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """The num_layers+1 layer representations of a ragged batch of
+        non-empty sentences, untaped, each (N x 2*layer_dim) with the
+        sentences' rows one after another: layer 0 duplicates the character
+        projection, and each layer above is the forward hidden states beside
+        the backward ones at that depth. :func:`mix_layers` takes this list."""
+        proj, fwd, bwd = self.lm_states_batch(texts_list)
+        return [np.concatenate([a.data, b.data], axis=1)
+                for a, b in [(proj, proj), *zip(fwd, bwd)]]
+
     def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-token layer representations of every sentence, each of shape
-        (T, num_layers+1, 2*layer_dim), from one :meth:`lm_states_batch`
-        stacked once and split per sentence.
-
-        Layer 0 duplicates the character projection; layers above
-        concatenate forward and backward hidden states at that depth. An
-        empty sentence gives a (0, num_layers+1, 2*layer_dim) array.
+        (T, num_layers+1, 2*layer_dim): :meth:`layers_batch` stacked once and
+        split per sentence. An empty sentence gives a
+        (0, num_layers+1, 2*layer_dim) array.
         """
         out = [np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
                for _ in texts_list]
         kept = [i for i, texts in enumerate(texts_list) if len(texts)]
         if kept:
-            proj, fwd, bwd = self.lm_states_batch([texts_list[i] for i in kept])
-            stacked = np.stack([np.concatenate([a.data, b.data], axis=1)
-                                for a, b in [(proj, proj), *zip(fwd, bwd)]], axis=1)
+            stacked = np.stack(self.layers_batch([texts_list[i] for i in kept]), axis=1)
             bounds = np.cumsum([len(texts_list[i]) for i in kept])[:-1]
             for i, part in zip(kept, np.split(stacked, bounds)):
                 out[i] = part
@@ -399,7 +402,7 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
     ``training_perplexities``. Stops early once ``target_perplexity`` is
     reached, if given.
     """
-    from .training import AdamState, TrainConfig, adam_step, clip_gradients
+    from .training import AdamState, TrainConfig, _optimizer_step
 
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -413,19 +416,14 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
     tc = TrainConfig(learning_rate=learning_rate, clip_norm=clip_norm, seed=seed)
     rng = np.random.default_rng(seed)
 
-    for _ in range(epochs):
-        order = rng.permutation(len(usable))
-        for idx in order:
-            texts = usable[idx]
-            for p in params:
-                p.zero_grad()
-            tape = Tape()
-            total, n = model.sentence_nll(texts, tape)
-            loss = nx.scale(total, 1.0 / n)
-            nx.backward(tape, loss)
-            tape.clear()
-            clip_gradients(params, tc.clip_norm, opt.scratch)
-            adam_step(params, opt, tc)
+    def mean_nll(texts: Sequence[str], tape: Tape) -> Tensor:
+        total, n = model.sentence_nll(texts, tape)
+        return nx.scale(total, 1.0 / n)
+
+    for epoch in range(1, epochs + 1):
+        for idx in rng.permutation(len(usable)):
+            _optimizer_step(params, opt, tc, lambda tape: mean_nll(usable[idx], tape),
+                            f"biLM loss at epoch {epoch}")
         ppl = model.perplexity(usable)
         model.training_perplexities.append(ppl)
         if target_perplexity is not None and ppl < target_perplexity:

@@ -100,15 +100,14 @@ def load_run_config(path: str) -> dict:
         p = raw.get(key)
         if p is not None and not os.path.exists(p):
             raise ConfigError(f"config {key!r}: path does not exist: {p}")
-    rules = tok.get("rules")
-    if rules is not None and not os.path.exists(rules):
-        raise ConfigError(f"tokenizer rules path does not exist: {rules}")
+    _tokenizer_kind(tok)  # an unknown mode or a missing or bad rules file fails here
     raw["tokenizer"] = tok
     return raw
 
 
-def _tokenizer_from_payload(payload) -> TokenizerKind:
-    """The tokenizer a checkpoint's metadata names."""
+def _tokenizer_kind(payload) -> TokenizerKind:
+    """The tokenizer a ``{"mode", "rules"}`` object names: a checkpoint's
+    metadata, a run config's section, or command-line settings."""
     if not isinstance(payload, dict) or not isinstance(payload.get("rules"), (str, type(None))):
         raise CheckpointError("checkpoint tokenizer metadata is not an object "
                               "with a string or null rules path")
@@ -122,8 +121,7 @@ def _tokenizer_from_payload(payload) -> TokenizerKind:
 # ---------------------------------------------------------------------------
 
 def cmd_tokenize(args) -> int:
-    rules = RuleConfig.from_file(args.rules) if args.rules else None
-    kind = TokenizerKind(args.mode, rules)
+    kind = _tokenizer_kind({"mode": args.mode, "rules": args.rules})
     text = sys.stdin.read()
     first = True
     for sentence in split_sentences(text):
@@ -199,9 +197,7 @@ def cmd_train_bilm(args) -> int:
         if flag is not None:
             settings[key] = flag
 
-    kind = TokenizerKind(settings["tokenizer"],
-                         RuleConfig.from_file(settings["rules"])
-                         if settings["rules"] else None)
+    kind = _tokenizer_kind({"mode": settings["tokenizer"], "rules": settings["rules"]})
     sentences = _read_plain_sentences(args.corpus, kind)
     if not sentences:
         raise CorpusFormatError(f"{args.corpus}: no sentences found")
@@ -300,7 +296,7 @@ def cmd_tag(args) -> int:
     model = model_from_checkpoint(ckpt)
     scheme = model.config.scheme
     if args.raw:
-        kind = _tokenizer_from_payload(ckpt.meta.get("tokenizer") or {"mode": "general"})
+        kind = _tokenizer_kind(ckpt.meta.get("tokenizer") or {"mode": "general"})
         sentences = []
         with open(args.input, encoding="utf-8-sig") as f:
             text = f.read()

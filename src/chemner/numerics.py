@@ -207,26 +207,6 @@ def primitive(name: str, inputs: Sequence[Tensor], out_data,
     return out
 
 
-def add(a, b) -> Tensor:
-    """Elementwise add; the one allowed broadcast is a 1-d bias onto 2-d rows."""
-    a, b = _wrap(a), _wrap(b)
-    bias = False
-    if a.data.shape != b.data.shape:
-        if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-            bias = True
-        else:
-            raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    return primitive("add", [a, b], a.data + b.data,
-                     lambda g: [g, g.sum(axis=0) if bias else g])
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
-    return primitive("mul", [a, b], a.data * b.data, lambda g: [g * b.data, g * a.data])
-
-
 def scale(x, c: float) -> Tensor:
     x = _wrap(x)
     c = float(c)
@@ -275,36 +255,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return primitive("concat", parts, out_data, lambda g: np.split(g, bounds, axis=axis))
 
 
-def reshape(x, shape: Sequence[int]) -> Tensor:
-    x = _wrap(x)
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
-        raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
-    return primitive("reshape", [x], x.data.reshape(shape).copy(),
-                     lambda g: [g.reshape(x.data.shape)])
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """1/(1+e^−z) for z ≥ 0 and e^z/(1+e^z) below, with no exp overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-def logsumexp(x, axis: int | None = None) -> Tensor:
-    """Overflow-safe log-sum-exp over one axis, or over everything (axis=None)."""
-    x = _wrap(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    kept = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
-    return primitive("logsumexp", [x], kept.squeeze(axis),
-                     lambda g: [np.reshape(g, kept.shape) * np.exp(x.data - kept)])
-
-
-def sum_all(x) -> Tensor:
-    x = _wrap(x)
-    return primitive("sum_all", [x], np.asarray(x.data.sum()),
-                     lambda g: [np.full_like(x.data, g)])
-
-
 def dropout(x, mask, rate: float) -> Tensor:
     """Inverted dropout with a caller-supplied 0/1 keep mask."""
     x = _wrap(x)
@@ -317,46 +267,6 @@ def dropout(x, mask, rate: float) -> Tensor:
     return primitive("dropout", [x], x.data * keep, lambda g: [g * keep])
 
 
-def conv1d(x, filters, bias) -> Tensor:
-    """Valid 1-d convolution over time: x (T×C), filters (K×W×C) → (T−W+1 × K).
-
-    With :func:`max_over_time`, the per-row reference :func:`char_cnn` is
-    tested against.
-    """
-    x, filters, bias = _wrap(x), _wrap(filters), _wrap(bias)
-    if x.data.ndim != 2 or filters.data.ndim != 3:
-        raise ShapeError(f"conv1d: x {x.data.shape}, filters {filters.data.shape}")
-    T, C = x.data.shape
-    K, W, Cf = filters.data.shape
-    if C != Cf or bias.data.shape != (K,):
-        raise ShapeError(f"conv1d: channels {C} vs {Cf}, bias {bias.data.shape}")
-    if T < W:
-        raise ShapeError(f"conv1d: sequence length {T} shorter than filter width {W}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, W, axis=0)  # (T', C, W)
-    out_data = np.einsum("tcw,kwc->tk", windows, filters.data) + bias.data
-    def vjp_in(g):  # g (T', K)
-        gx = np.zeros_like(x.data)
-        for w in range(W):
-            gx[w:w + g.shape[0]] += g @ filters.data[:, w, :]
-        return [gx, np.einsum("tcw,tk->kwc", windows, g), g.sum(axis=0)]
-    return primitive("conv1d", [x, filters, bias], out_data, vjp_in)
-
-
-def max_over_time(x) -> Tensor:
-    """Column-wise max of x (T×K) → (K,); ties take the earliest row."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_over_time: need 2-d, got {x.data.shape}")
-    idx = np.argmax(x.data, axis=0)
-    cols = np.arange(x.data.shape[1])
-    out_data = x.data[idx, cols]
-    def vjp_in(g):
-        gx = np.zeros_like(x.data)
-        gx[idx, cols] = g
-        return [gx]
-    return primitive("max_over_time", [x], out_data, vjp_in)
-
-
 def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
     """Multi-width character CNN over a padded batch of id rows, as one tape entry.
 
@@ -366,7 +276,8 @@ def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
     then a max over time with ties to the earliest window; windows reaching
     past the row's length are −inf before the max, so padding never wins
     it. Returns the pooled features of all pairs side by side (U×ΣK), row u
-    equal to ``embedding`` + ``conv1d`` + ``max_over_time`` of row u alone.
+    equal to a gather, a valid convolution per pair and a max over time of
+    row u alone.
     The vjp scatters into the table with ``np.add.at``; padding beyond a
     row's length gets zero gradient.
     """
@@ -424,6 +335,12 @@ def char_cnn(table, ids, lengths, convs: Sequence) -> Tensor:
         return [gt, *conv_grads]
     return primitive("char_cnn", [table, *(t for pair in pairs for t in pair)],
                      np.concatenate(pooled, axis=1), vjp_in)
+
+
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1/(1+e^−z) for z ≥ 0 and e^z/(1+e^z) below, with no exp overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def lstm_step(x, h, c, wx, wh, b) -> tuple[Tensor, Tensor]:

@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nx
 from .corpus import DatasetSplit, TaggedSentence, Vocabulary, atomic_open
 from .evaluation import evaluate
-from .numerics import NumericError, Parameter, Tape
+from .numerics import NumericError, Parameter, Tape, Tensor
 
 CHECKPOINT_MAGIC = b"CHEMNER\x01"
 CHECKPOINT_VERSION = 1
@@ -137,6 +137,24 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
         den += eps
         num /= den
         p.value -= num
+
+
+def _optimizer_step(params: Sequence[Parameter], opt: AdamState, config: TrainConfig,
+                    loss_fn: Callable[[Tape], Tensor], what: str) -> float:
+    """Zero the gradients, record ``loss_fn`` on a fresh tape, refuse a
+    non-finite loss (naming ``what``), backward, clear, clip, then Adam.
+    Returns the loss value."""
+    for p in params:
+        p.zero_grad()
+    tape = Tape()
+    out = loss_fn(tape)
+    if not np.isfinite(out.data):
+        raise NumericError(f"non-finite {what}")
+    nx.backward(tape, out)
+    tape.clear()
+    clip_gradients(params, config.clip_norm, opt.scratch)
+    adam_step(params, opt, config)
+    return float(out.data)
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +442,10 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = [train_sents[i] for i in order[lo:lo + config.batch_size]]
-            for p in trainable:
-                p.zero_grad()
             masks = model.make_dropout_masks([len(s.tokens) for s in batch], rng)
-            tape = Tape()
-            out = model.build_loss(tape, batch, masks)
-            if not np.isfinite(out.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            nx.backward(tape, out)
-            tape.clear()
-            clip_gradients(trainable, config.clip_norm, opt.scratch)
-            adam_step(trainable, opt, config)
-            loss_sum += float(out.data) * len(batch)
+            loss_sum += _optimizer_step(trainable, opt, config,
+                                        lambda tape: model.build_loss(tape, batch, masks),
+                                        f"training loss at epoch {epoch}") * len(batch)
         train_loss = loss_sum / len(train_sents)
         f1 = scorer(model, dev_sents)
         epochs.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_f1=f1))

@@ -2,16 +2,21 @@
 
 These deliberately avoid the library's dynamic programs: partition and
 argmax are computed by full enumeration over all K^T tag sequences, and
-gradients by central differences on the loss value alone.
+gradients by central differences on the loss value alone. The taped ops
+at the end, built on ``nx.primitive``, are the tape-engine tests' operands
+and the per-row chain the fused ``numerics.char_cnn`` is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+
+from chemner import numerics as nx
+from chemner.numerics import ShapeError, Tensor, _wrap
 
 
 def enumerate_sequence_scores(emissions: np.ndarray, transitions: np.ndarray,
@@ -122,3 +127,80 @@ def tobytes_write_tensor(out, name: str, arr: np.ndarray) -> None:
     for d in arr.shape:
         out.write(struct.pack("<Q", d))
     out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def add(a, b) -> Tensor:
+    """Elementwise add; the one allowed broadcast is a 1-d bias onto 2-d rows."""
+    a, b = _wrap(a), _wrap(b)
+    bias = a.data.shape != b.data.shape
+    if bias and not (a.data.ndim == 2 and b.data.shape == a.data.shape[1:]):
+        raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
+    return nx.primitive("add", [a, b], a.data + b.data,
+                        lambda g: [g, g.sum(axis=0) if bias else g])
+
+
+def mul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
+    return nx.primitive("mul", [a, b], a.data * b.data, lambda g: [g * b.data, g * a.data])
+
+
+def sum_all(x) -> Tensor:
+    x = _wrap(x)
+    return nx.primitive("sum_all", [x], np.asarray(x.data.sum()),
+                        lambda g: [np.full_like(x.data, g)])
+
+
+def reshape(x, shape: Sequence[int]) -> Tensor:
+    x = _wrap(x)
+    shape = tuple(shape)
+    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+        raise ShapeError(f"reshape: {x.data.shape} -> {shape}")
+    return nx.primitive("reshape", [x], x.data.reshape(shape).copy(),
+                        lambda g: [g.reshape(x.data.shape)])
+
+
+def conv1d(x, filters, bias) -> Tensor:
+    """Valid 1-d convolution over time: x (T×C), filters (K×W×C) → (T−W+1 × K)."""
+    x, filters, bias = _wrap(x), _wrap(filters), _wrap(bias)
+    if (x.data.ndim != 2 or filters.data.ndim != 3 or x.data.shape[1] != filters.data.shape[2]
+            or bias.data.shape != filters.data.shape[:1]):
+        raise ShapeError(f"conv1d: x {x.data.shape}, filters {filters.data.shape}, "
+                         f"bias {bias.data.shape}")
+    T, W = x.data.shape[0], filters.data.shape[1]
+    if T < W:
+        raise ShapeError(f"conv1d: sequence length {T} shorter than filter width {W}")
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, W, axis=0)  # (T', C, W)
+    out_data = np.einsum("tcw,kwc->tk", windows, filters.data) + bias.data
+    def vjp_in(g):  # g (T', K)
+        gx = np.zeros_like(x.data)
+        for w in range(W):
+            gx[w:w + g.shape[0]] += g @ filters.data[:, w, :]
+        return [gx, np.einsum("tcw,tk->kwc", windows, g), g.sum(axis=0)]
+    return nx.primitive("conv1d", [x, filters, bias], out_data, vjp_in)
+
+
+def max_over_time(x) -> Tensor:
+    """Column-wise max of x (T×K) → (K,); ties take the earliest row."""
+    x = _wrap(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"max_over_time: need 2-d, got {x.data.shape}")
+    idx = np.argmax(x.data, axis=0)
+    cols = np.arange(x.data.shape[1])
+    def vjp_in(g):
+        gx = np.zeros_like(x.data)
+        gx[idx, cols] = g
+        return [gx]
+    return nx.primitive("max_over_time", [x], x.data[idx, cols], vjp_in)
+
+
+def char_cnn_rows(table, rows, convs) -> Tensor:
+    """The per-row reference of ``numerics.char_cnn``: each id row gathered,
+    convolved by every (filters, bias) pair, pooled over time and joined."""
+    out = []
+    for ids in rows:
+        emb = nx.embedding(table, ids)
+        vec = nx.concat([max_over_time(conv1d(emb, f, b)) for f, b in convs], axis=0)
+        out.append(reshape(vec, (1, vec.shape[0])))
+    return nx.concat(out, axis=0)

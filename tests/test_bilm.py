@@ -8,6 +8,8 @@ from chemner.corpus import build_vocabulary, sentence_from_texts
 from chemner.numerics import ShapeError, Tape, backward, evaluate, grad_check
 from chemner.training import make_checkpoint
 
+from oracles import char_cnn_rows, mul, sum_all
+
 
 def small_vocab(sentences):
     tagged = [sentence_from_texts(s, [0] * len(s), f"d{i}")
@@ -70,7 +72,7 @@ class TestShapes:
 
 class TestCharFeatures:
     """The shared char-CNN block against the per-token chain it replaced:
-    embedding, conv1d and max_over_time per filter width, then linear."""
+    the oracles' per-row char CNN, then linear."""
 
     # two-byte, astral and lone-surrogate characters too, in the vocabulary
     # (VOCAB_TEXTS) and not
@@ -79,18 +81,11 @@ class TestCharFeatures:
 
     @staticmethod
     def per_token(texts, vocab, table, convs, proj):
-        pad = max(f.shape[1] for f, _ in convs) // 2
-        rows = []
-        for text in texts:
-            if not text:
-                rows.append(nx.constant(np.zeros((1, proj[0].shape[1]))))
-                continue
-            ids = [0] * pad + [vocab.char_id(c) for c in text] + [0] * pad
-            emb = nx.embedding(table, ids)
-            vec = nx.concat([nx.max_over_time(nx.conv1d(emb, f, b)) for f, b in convs],
-                            axis=0)
-            rows.append(nx.linear(nx.reshape(vec, (1, vec.shape[0])), *proj))
-        return nx.concat(rows, axis=0)
+        pad = [0] * (max(f.shape[1] for f, _ in convs) // 2)
+        rows = [pad + [vocab.char_id(c) for c in text] + pad for text in texts]
+        return nx.concat([nx.linear(char_cnn_rows(table, [ids], convs), *proj) if text
+                          else nx.constant(np.zeros((1, proj[0].shape[1])))
+                          for text, ids in zip(texts, rows)], axis=0)
 
     def run(self, bilm, block, probe):
         for p in bilm.params.values():
@@ -102,7 +97,7 @@ class TestCharFeatures:
                      (par["bilm.conv1.w"], par["bilm.conv1.b"])],
                     (par["bilm.proj.w"], par["bilm.proj.b"]))
         entries = len(tape)
-        backward(tape, nx.sum_all(nx.mul(out, nx.constant(probe))))
+        backward(tape, sum_all(mul(out, nx.constant(probe))))
         return out.data, {k: p.gradient.copy() for k, p in bilm.params.items()}, entries
 
     def test_matches_per_token_chain(self):
@@ -181,6 +176,17 @@ class TestBatchedBlocks:
             scale = max(np.abs(want).max(initial=0.0), 1.0)
             assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
         assert bilm.contextualize_batch([[], []])[1].shape == (0, 3, 32)
+
+    def test_layers_batch_rows_are_contextualize_bitwise(self):
+        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=4)
+        kept = [texts for texts in self.RAGGED if texts]
+        layers = bilm.layers_batch(kept)
+        assert [(x.shape, x.flags.c_contiguous) for x in layers] == [((16, 32), True)] * 3
+        stacked = np.split(np.stack(layers, axis=1), np.cumsum([len(t) for t in kept])[:-1])
+        for texts, rows, ctx in zip(kept, stacked, bilm.contextualize_batch(kept)):
+            assert np.array_equal(rows, ctx)
+            assert np.array_equal(np.stack(bilm.layers_batch([texts]), axis=1),
+                                  bilm.contextualize(texts))
 
     def test_lm_states_batch_rejects_empty(self):
         bilm = BiLm.init(small_config(SENTS), seed=0)
@@ -332,7 +338,7 @@ class TestMixing:
         probe = rng.uniform(-1, 1, 4)
         def fn(tape):
             out = mix_layers(layers, mw, tape)
-            return nx.sum_all(nx.mul(out, nx.constant(probe)))
+            return sum_all(mul(out, nx.constant(probe)))
         assert grad_check(fn, [mw.s, mw.gamma]) < 1e-6
 
     def test_one_tape_entry(self):
@@ -343,7 +349,7 @@ class TestMixing:
 
     def test_gradients_flow(self):
         mw = MixingWeights.init(1)
-        out, tape = evaluate(lambda t: nx.sum_all(
+        out, tape = evaluate(lambda t: sum_all(
             mix_layers([np.ones(3), 2 * np.ones(3)], mw, t)))
         backward(tape, out)
         assert np.abs(mw.s.gradient).max() > 0

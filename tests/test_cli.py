@@ -574,6 +574,15 @@ class TestRunConfigTypes:
     def test_wrong_type_exit_2(self, capsys, corpus_file, tmp_path, key, value):
         assert train_with_config(capsys, corpus_file[0], tmp_path, key, value) == 2
 
+    @pytest.mark.parametrize("mode,rules", [("xyz", None), ("chemical", "{not json")])
+    def test_bad_tokenizer_refused_before_training(self, capsys, corpus_file, tmp_path,
+                                                   mode, rules):
+        path = tmp_path / "rules.json"
+        path.write_text(rules or "", encoding="utf-8")
+        assert train_with_config(capsys, corpus_file[0], tmp_path, ("tokenizer",),
+                                 {"mode": mode, "rules": rules and str(path)}) == 2
+        assert not (tmp_path / "out").exists()  # no checkpoint `tag --raw` cannot read
+
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(key=st.sampled_from(RUN_CONFIG_KEYS), value=JSON_VALUES)

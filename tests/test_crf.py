@@ -3,8 +3,8 @@ import pytest
 
 from chemner import numerics as nx
 from chemner.corpus import LabelScheme
-from chemner.crf import (CrfParams, bio_transition_masks, log_partition, nll, nll_batch,
-                         score_sequence_value, viterbi, viterbi_batch)
+from chemner.crf import (CrfParams, _logsumexp, bio_transition_masks, log_partition, nll,
+                         nll_batch, score_sequence_value, viterbi, viterbi_batch)
 from chemner.numerics import NumericError, Parameter, backward, constant, evaluate
 
 from oracles import (brute_log_partition, brute_nll, brute_viterbi,
@@ -51,11 +51,25 @@ class TestScoreSequence:
             score_sequence_value(np.zeros((1, 2)), [5], zero_params(2))
 
 
+class TestLogSumExp:
+    def test_overflow_safe(self):
+        assert np.isfinite(_logsumexp(np.array([1e300, 1e300 - 1e284]), axis=0))
+        assert np.isfinite(_logsumexp(np.array([-1e300, -1e300]), axis=0))
+        # the NLL and its gradients on emissions far beyond exp's range
+        rng = np.random.default_rng(31)
+        params = random_params(rng, 3)
+        em_p = Parameter("em", rng.uniform(-1, 1, (4, 3)) * 1e300)
+        out, tape = evaluate(lambda tp: nll(tp.param(em_p), [0, 2, 1, 1], params, tp))
+        backward(tape, out)
+        assert np.isfinite(out.data)
+        assert all(np.isfinite(p.gradient).all() for p in [em_p, *params.parameters()])
+
+
 class TestLogPartition:
     def test_single_token_closed_form(self):
         em = constant(np.array([[2.0, 5.0]]))
         lz = float(log_partition(em, zero_params(2)).data)
-        assert lz == pytest.approx(5 + np.log1p(np.exp(-3)), abs=1e-12)
+        assert lz == pytest.approx(5 + np.log1p(np.exp(-3)), abs=1e-14)
 
     def test_t3_k2_brute_force(self):
         rng = np.random.default_rng(21)

@@ -23,6 +23,17 @@ def tiny_model(vocab, labels=("A", "B"), seed=0, **overrides):
     return NerModel.init(ModelConfig(labels=labels, **defaults), vocab, seed=seed)
 
 
+def encode_chars(model, text):
+    """The char-CNN columns of ``embed_batch`` for a one-token sentence."""
+    feats = model.embed_batch([sentence_from_texts([text], [0], "d")]).data
+    lo = model.config.word_dim * model.config.use_words
+    return feats[:, lo:lo + model.config.char_output_dim]
+
+
+def mean_loss(model, sentences, masks=None):
+    return float(model.build_loss(None, sentences, masks).data)
+
+
 @pytest.fixture
 def vocab(toy_data):
     return toy_data[2]
@@ -61,25 +72,25 @@ class TestModelConfig:
 class TestEncodeChars:
     def test_output_width(self, vocab):
         model = tiny_model(vocab)
-        out = model.encode_chars("benzene")
+        out = encode_chars(model, "benzene")
         assert out.shape == (1, 4)
         wide = NerModel.init(ModelConfig(labels=("A",)),
                              vocab, seed=0)
-        assert wide.encode_chars("benzene").shape == (1, 30)
+        assert encode_chars(wide, "benzene").shape == (1, 30)
 
     def test_single_char_token(self, vocab):
         model = tiny_model(vocab)
-        assert np.isfinite(model.encode_chars("x").data).all()
+        assert np.isfinite(encode_chars(model, "x")).all()
 
     def test_empty_text_zero_vector(self, vocab):
         model = tiny_model(vocab)
-        assert np.array_equal(model.encode_chars("").data, np.zeros((1, 4)))
+        assert np.array_equal(encode_chars(model, ""), np.zeros((1, 4)))
 
     def test_unknown_char_uses_unk(self, vocab):
         model = tiny_model(vocab)
-        a = model.encode_chars("☃")     # not in char vocab
-        b = model.encode_chars("☄")
-        assert np.array_equal(a.data, b.data)
+        a = encode_chars(model, "☃")     # not in char vocab
+        b = encode_chars(model, "☄")
+        assert np.array_equal(a, b)
 
     def test_maxpool_invariance_hand_filters(self, vocab):
         model = tiny_model(vocab)
@@ -91,16 +102,16 @@ class TestEncodeChars:
         cid = vocab.char_id("b")
         model.params["chars"].value[cid, 0] = 1.0
         model.params["char_conv.w"].value[:, 1, 0] = 1.0  # center of width-3 window
-        a = model.encode_chars("abc")
-        b = model.encode_chars("abcd")
-        assert np.array_equal(a.data, b.data)
+        a = encode_chars(model, "abc")
+        b = encode_chars(model, "abcd")
+        assert np.array_equal(a, b)
 
 
 class TestEmbedTokens:
     def test_concatenation_order_and_width(self, toy_data):
         sentences, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)
-        feats = model.embed_tokens(sentences[0])
+        feats = model.embed_batch([sentences[0]])
         T = len(sentences[0].tokens)
         assert feats.shape == (T, 12)
         # word block first: matches a direct embedding lookup
@@ -110,15 +121,15 @@ class TestEmbedTokens:
     def test_eval_mode_dropout_free(self, toy_data):
         sentences, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)
-        a = model.embed_tokens(sentences[0]).data
-        b = model.embed_tokens(sentences[0]).data
+        a = model.embed_batch([sentences[0]]).data
+        b = model.embed_batch([sentences[0]]).data
         assert np.array_equal(a, b)
 
 
 class TestEncode:
     def test_output_shape(self, vocab):
         model = tiny_model(vocab)
-        out = model.encode(nx.constant(np.random.default_rng(0).normal(size=(1, 12))))
+        out = model.encode_batch(nx.constant(np.random.default_rng(0).normal(size=(1, 12))), [1])
         assert out.shape == (1, 12)  # 2 * hidden(6)
 
     def test_default_dims_single_token(self, toy_data):
@@ -127,9 +138,9 @@ class TestEncode:
         model = NerModel.init(ModelConfig(labels=scheme.entity_labels), vocab, seed=0)
         assert model.config.feature_dim == 230
         one = sentence_from_texts(["benzene"], [0], "d")
-        feats = model.embed_tokens(one)
+        feats = model.embed_batch([one])
         assert feats.shape == (1, 230)
-        encoded = model.encode(feats)
+        encoded = model.encode_batch(feats, [1])
         assert encoded.shape == (1, 500)
         assert model.emissions(encoded).shape == (1, scheme.num_tags)
 
@@ -138,7 +149,7 @@ class TestEncode:
         for name, p in model.params.items():
             if name.startswith("lstm."):
                 p.value[:] = 0.0
-        out = model.encode(nx.constant(np.zeros((4, 12))))
+        out = model.encode_batch(nx.constant(np.zeros((4, 12))), [4])
         assert np.array_equal(out.data, np.zeros((4, 12)))
 
     def test_direction_symmetry_with_mirrored_parameters(self, vocab):
@@ -155,8 +166,8 @@ class TestEncode:
         wx2.value[H:] = wx2.value[:H]
         model.params["lstm.l1.bwd.wx"].value[...] = wx2.value
         x = np.random.default_rng(1).normal(size=(5, 12))
-        out_fwd = model.encode(nx.constant(x)).data
-        out_rev = model.encode(nx.constant(x[::-1].copy())).data
+        out_fwd = model.encode_batch(nx.constant(x), [5]).data
+        out_rev = model.encode_batch(nx.constant(x[::-1].copy()), [5]).data
         assert np.allclose(out_rev[::-1, H:], out_fwd[:, :H], atol=1e-12)
         assert np.allclose(out_rev[::-1, :H], out_fwd[:, H:], atol=1e-12)
 
@@ -193,8 +204,8 @@ class TestPredictAndLoss:
         sentences, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)
         batch = sentences[:4]
-        total = model.loss(batch)
-        singles = [model.loss([s]) for s in batch]
+        total = mean_loss(model, batch)
+        singles = [mean_loss(model, [s]) for s in batch]
         assert total == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_tape_size_independent_of_sentence_length(self, toy_data):
@@ -245,14 +256,14 @@ class TestPredictAndLoss:
         model = tiny_model(vocab, labels=scheme.entity_labels)
         texts = ["benzene"] * 200
         sent = sentence_from_texts(texts, [0] * 200, "d")
-        assert np.isfinite(model.loss([sent]))
+        assert np.isfinite(mean_loss(model, [sent]))
 
     def test_dropout_seed_changes_training_loss(self, toy_data):
         sentences, scheme, vocab = toy_data
         model = tiny_model(vocab, labels=scheme.entity_labels)
-        l1 = model.loss(sentences[:2], dropout_seed=1)
-        l2 = model.loss(sentences[:2], dropout_seed=2)
-        l1_again = model.loss(sentences[:2], dropout_seed=1)
+        lengths = [len(s.tokens) for s in sentences[:2]]
+        l1, l2, l1_again = (mean_loss(model, sentences[:2], model.make_dropout_masks(
+            lengths, np.random.default_rng(seed))) for seed in (1, 2, 1))
         assert l1 != l2
         assert l1 == l1_again
 
@@ -279,7 +290,7 @@ class TestContextualIntegration:
 
     def test_feature_width(self, toy_data):
         model, sentences, _ = self.make_contextual_model(toy_data)
-        feats = model.embed_tokens(sentences[0])
+        feats = model.embed_batch([sentences[0]])
         assert feats.shape == (len(sentences[0].tokens), 8 + 4 + 16)
 
     def test_mixing_gradient_nonzero(self, toy_data):
@@ -305,7 +316,7 @@ class TestContextualIntegration:
         save_checkpoint(ckpt, path)
         restored = model_from_checkpoint(load_checkpoint(path))
         assert restored.predict(sentences[0]) == model.predict(sentences[0])
-        assert restored.loss(sentences[:2]) == model.loss(sentences[:2])
+        assert mean_loss(restored, sentences[:2]) == mean_loss(model, sentences[:2])
 
 
 class TestContextualMemory:
@@ -430,7 +441,7 @@ class TestEmbedBatch:
         lengths = [len(s.tokens) for s in sentences]
         assert batch.shape == (sum(lengths), model.config.feature_dim)
         for sent, feats in zip(sentences, np.split(batch.data, np.cumsum(lengths)[:-1])):
-            single = model.embed_tokens(sent).data
+            single = model.embed_batch([sent]).data
             assert np.abs(feats - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
     def test_char_cnn_once_per_batch(self, toy_data, monkeypatch):

@@ -287,7 +287,6 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated.*offset"):
             load_checkpoint(path)
 
-
     def saved(self, toy_setup, tmp_path):
         sentences, scheme, vocab = toy_setup
         path = str(tmp_path / "m.ckpt")
@@ -393,13 +392,13 @@ class TestTrainLoop:
         corpus = sentences[:4]
         for seed in range(5):
             model = make_model(corpus, scheme, vocab, seed=seed)
-            initial = model.loss(corpus)
+            initial = float(model.build_loss(None, corpus).data)
             splits = DatasetSplit(train=tuple(corpus), dev=tuple(corpus[:1]),
                                   test=(), seed=seed)
             config = TrainConfig(learning_rate=0.01, max_epochs=50, patience=50,
                                  seed=seed)
             train(model, splits, config, dev_scorer=lambda m, d: 0.0)
-            assert model.loss(corpus) < initial
+            assert float(model.build_loss(None, corpus).data) < initial
 
     def test_resume_reproduces_trajectory(self, toy_setup, tmp_path):
         # one 4-epoch run vs 2 epochs, checkpoint, resume for 2 more
