@@ -52,6 +52,13 @@ class TestScoreSequence:
 
 
 class TestLogSumExp:
+    def test_closed_form(self):
+        out = _logsumexp(np.array([2.0, 5.0]), axis=0)
+        assert out == pytest.approx(5 + np.log1p(np.exp(-3)), abs=1e-14)
+        # one reduction per row along axis 1
+        rows = _logsumexp(np.array([[2.0, 5.0], [0.0, 0.0]]), axis=1)
+        np.testing.assert_allclose(rows, [5 + np.log1p(np.exp(-3)), np.log(2)], rtol=0, atol=1e-14)
+
     def test_overflow_safe(self):
         assert np.isfinite(_logsumexp(np.array([1e300, 1e300 - 1e284]), axis=0))
         assert np.isfinite(_logsumexp(np.array([-1e300, -1e300]), axis=0))
