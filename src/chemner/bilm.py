@@ -15,7 +15,7 @@ word features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -56,12 +56,9 @@ class BiLmConfig:
         return 2 * self.layer_dim
 
     def to_payload(self) -> dict:
-        return {"char_embed_dim": self.char_embed_dim,
-                "char_filters": [list(f) for f in self.char_filters],
-                "token_projection_dim": self.token_projection_dim,
-                "num_layers": self.num_layers,
-                "layer_dim": self.layer_dim,
-                "max_token_len": self.max_token_len}
+        """The fields, the vocabulary left out (checkpoints store it apart)."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "vocab"}
+        return {**payload, "char_filters": [list(f) for f in self.char_filters]}
 
     @classmethod
     def from_payload(cls, payload: dict, vocab: Vocabulary) -> "BiLmConfig":

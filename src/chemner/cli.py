@@ -8,6 +8,7 @@ failure. Diagnostics go to stderr, results to stdout or files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -267,8 +268,7 @@ def cmd_train(args) -> int:
         word_table = align_to_vocab(pretrained[0], pretrained[1], vocab,
                                     seed=tconfig.seed, source_name=run["embeddings"])
         if word_table.dim != config.word_dim:
-            config = ModelConfig.from_payload(
-                {**config.to_payload(), "word_dim": word_table.dim})
+            config = dataclasses.replace(config, word_dim=word_table.dim)
     pretrained = None  # the aligned table holds a copy of every row it uses
 
     model = NerModel.init(config, vocab, seed=tconfig.seed,

@@ -2,14 +2,15 @@
 
 Transitions[i, j] scores tag j following tag i; start/stop are explicit
 boundary potentials, masked for BIO only in :meth:`CrfParams.effective`.
-Everything runs on a ragged batch packed longest first, where step t
-touches only the sentences longer than t.
+Everything runs on a ragged batch's emission rows in the time-major order
+of ``nx.pack``, the one ``lstm_batch`` runs in: longest sentence first,
+step t's rows holding only the sentences longer than t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,38 +73,19 @@ def bio_transition_masks(scheme: LabelScheme) -> tuple[np.ndarray, np.ndarray]:
     return trans, start
 
 
-class _Packed(NamedTuple):
-    """A ragged batch padded to (B, T_max), longest sentence first (stable)."""
-    order: np.ndarray      # (B,) input index of each packed sentence
-    lengths: np.ndarray    # (B,) packed sentence lengths
-    running: np.ndarray    # (T_max,) sentences longer than t, a prefix
-    real: np.ndarray       # (B, T_max) the step exists
-    rows: np.ndarray       # input row of each real step, row-major over real
-    emissions: np.ndarray  # (B, T_max, K), zero padding
-    tags: np.ndarray       # (B, T_max), zero padding
-
-
 def _pack(emissions: np.ndarray, lengths: list[int], num_tags: int,
-          tags: np.ndarray | None = None) -> _Packed:
-    """The sentences whose (T_i x K) rows follow one another in
-    ``emissions``, and whose tags follow one another in ``tags``."""
+          tags: np.ndarray | None = None) -> tuple[nx.Packing, np.ndarray, np.ndarray | None]:
+    """:func:`nx.pack` of the sentences whose (T_i x K) rows follow one
+    another in ``emissions`` and whose tags follow one another in ``tags``,
+    with those rows and tags in its time-major order."""
     if (emissions.ndim != 2 or emissions.shape[1] != num_tags or not lengths
             or min(lengths) < 1 or sum(lengths) != len(emissions)):
         raise ValueError(f"emissions of shape {emissions.shape} for {num_tags} tags "
                          f"and sentence lengths {lengths}")
     if tags is not None and (tags.min() < 0 or tags.max() >= num_tags):
         raise ValueError("tag id out of range")
-    lengths = np.asarray(lengths)
-    order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(lengths.max())
-    real = steps < lengths[order, None]
-    rows = ((np.cumsum(lengths) - lengths)[order, None] + steps)[real]
-    padded = np.zeros(real.shape + (num_tags,))
-    padded[real] = emissions[rows]
-    padded_tags = np.zeros(real.shape, dtype=np.intp)
-    if tags is not None:
-        padded_tags[real] = tags[rows]
-    return _Packed(order, lengths[order], real.sum(axis=0), real, rows, padded, padded_tags)
+    p = nx.pack(lengths)
+    return p, emissions[p.perm], None if tags is None else tags[p.perm]
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -113,29 +95,32 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _forward(p: _Packed, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
-             reduce) -> tuple[np.ndarray, np.ndarray]:
-    """alpha (B, T_max, K), ``reduce`` (log-sum-exp, or max for Viterbi)
-    over the scores of every prefix ending in each tag, its emission
-    included; and (B, K) the same over whole sentences, stop included."""
-    alpha = np.zeros_like(p.emissions)
-    alpha[:, 0] = start + p.emissions[:, 0]
-    for t, n in enumerate(p.running.tolist()[1:], 1):
-        alpha[:n, t] = reduce(alpha[:n, t - 1, :, None] + trans, axis=1) + p.emissions[:n, t]
-    return alpha, alpha[np.arange(len(p.order)), p.lengths - 1] + stop
+def _forward(p: nx.Packing, emissions: np.ndarray, trans: np.ndarray, start: np.ndarray,
+             stop: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
+    """alpha (N, K), ``reduce`` (log-sum-exp, or max for Viterbi) over the
+    scores of every prefix ending in each tag at each packed row, its
+    emission included; and (B, K) the same over whole packed sentences,
+    stop included."""
+    b = p.bounds
+    alpha = np.empty_like(emissions)
+    alpha[:b[1]] = start + emissions[:b[1]]
+    for plo, lo, hi in zip(b, b[1:], b[2:]):  # step t's rows, and step t−1's first row
+        alpha[lo:hi] = reduce(alpha[plo:plo + hi - lo, :, None] + trans, axis=1) + emissions[lo:hi]
+    return alpha, alpha[p.last] + stop
 
 
-def _gold_scores(p: _Packed, trans: np.ndarray, start: np.ndarray,
-                 stop: np.ndarray) -> np.ndarray:
+def _gold_scores(p: nx.Packing, emissions: np.ndarray, tags: np.ndarray, trans: np.ndarray,
+                 start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """start[y1] + emissions[1, y1] + transitions[y1, y2] + emissions[2, y2]
-    + ... + stop[yT] of each packed tag row, added left to right as the
-    forward recursion adds, so a single-tag scheme's NLL is exactly zero."""
-    B, T = p.tags.shape
-    terms = np.zeros((B, 2 * T + 1))  # padding adds zeros
-    terms[:, 0] = start[p.tags[:, 0]]
-    terms[:, 1::2] = np.take_along_axis(p.emissions, p.tags[..., None], axis=2)[..., 0]
-    terms[:, 2:-1:2] = np.where(p.real[:, 1:], trans[p.tags[:, :-1], p.tags[:, 1:]], 0.0)
-    terms[:, -1] = stop[p.tags[np.arange(B), p.lengths - 1]]
+    + ... + stop[yT] of each packed sentence, scattered from its packed
+    rows and added left to right as the forward recursion adds, so a
+    single-tag scheme's NLL is exactly zero."""
+    B = len(p.order)
+    terms = np.zeros((B, 2 * len(p.bounds) - 1))  # shorter sentences add zeros
+    terms[:, 0] = start[tags[:B]]
+    terms[p.slot, 2 * p.step + 1] = emissions[np.arange(len(tags)), tags]
+    terms[p.slot[B:], 2 * p.step[B:]] = trans[tags[p.prev], tags[B:]]
+    terms[:, -1] = stop[tags[p.last]]
     return np.cumsum(terms, axis=1)[:, -1]
 
 
@@ -151,36 +136,35 @@ def nll_batch(emissions: Tensor, tags_list: Sequence[Sequence[int]], params: Crf
     and summed edge marginals minus gold transition counts.
     """
     flat = np.array([y for tags in tags_list for y in tags], dtype=np.intp)
-    p = _pack(emissions.data, [len(tags) for tags in tags_list], params.num_tags, flat)
+    p, emit, tags = _pack(emissions.data, [len(tags) for tags in tags_list],
+                          params.num_tags, flat)
     trans, start, stop = params.effective()
-    alpha, finals = _forward(p, trans, start, stop, _logsumexp)
+    alpha, finals = _forward(p, emit, trans, start, stop, _logsumexp)
     log_z = _logsumexp(finals, axis=1)
-    nlls = np.empty(len(p.order))
-    nlls[p.order] = log_z - _gold_scores(p, trans, start, stop)
+    B, b = len(p.order), p.bounds
+    nlls = np.empty(B)
+    nlls[p.order] = log_z - _gold_scores(p, emit, tags, trans, start, stop)
 
     def vjp_in(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        beta = np.zeros_like(alpha)  # log-sum-exp over every suffix after step t
-        beta[np.arange(len(p.order)), p.lengths - 1] = stop
+        beta = np.empty_like(alpha)  # log-sum-exp over every suffix after each row
+        beta[p.last] = stop
         g_trans = np.zeros_like(trans)
-        for t in range(len(p.running) - 1, 0, -1):
-            n = p.running[t]
-            ahead = (p.emissions[:n, t] + beta[:n, t])[:, None, :] + trans  # (n, prev, cur)
-            beta[:n, t - 1] = _logsumexp(ahead, axis=2)
-            g_trans += np.exp(alpha[:n, t - 1, :, None] + ahead
-                              - log_z[:n, None, None]).sum(axis=0)
-        nodes = np.exp((alpha + beta)[p.real] - np.repeat(log_z, p.lengths)[:, None])
-        nodes[np.arange(len(flat)), p.tags[p.real]] -= 1.0
-        pairs = p.real[:, 1:]
-        np.subtract.at(g_trans, (p.tags[:, :-1][pairs], p.tags[:, 1:][pairs]), 1.0)
-        last_rows = np.cumsum(p.lengths) - 1
-        g_start = nodes[last_rows + 1 - p.lengths].sum(axis=0)
+        for plo, lo, hi in reversed(list(zip(b, b[1:], b[2:]))):
+            ahead = (emit[lo:hi] + beta[lo:hi])[:, None, :] + trans  # (n, prev, cur)
+            beta[plo:plo + hi - lo] = _logsumexp(ahead, axis=2)
+            g_trans += np.exp(alpha[plo:plo + hi - lo, :, None] + ahead
+                              - log_z[:hi - lo, None, None]).sum(axis=0)
+        nodes = np.exp(alpha + beta - log_z[p.slot, None])
+        nodes[np.arange(len(tags)), tags] -= 1.0
+        np.subtract.at(g_trans, (tags[p.prev], tags[B:]), 1.0)
+        g_start = nodes[:B].sum(axis=0)
         if params.bio_mask is not None:
             g_trans[params.bio_mask] = 0.0
         if params.bio_start_mask is not None:
             g_start[params.bio_start_mask] = 0.0
         g_emit = np.empty_like(emissions.data)
-        g_emit[p.rows] = nodes
-        return g * g_emit, g * g_trans, g * g_start, g * nodes[last_rows].sum(axis=0)
+        g_emit[p.perm] = nodes
+        return g * g_emit, g * g_trans, g * g_start, g * nodes[p.last].sum(axis=0)
 
     leaves = [nx.use_param(tape, q) for q in params.parameters()]
     return nx.primitive("crf.nll_batch", [emissions, *leaves], np.cumsum(nlls)[-1], vjp_in)
@@ -195,16 +179,18 @@ def nll(emissions: Tensor, tags: Sequence[int], params: CrfParams,
 def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
     """log of the summed exp-scores of all K^T tag sequences of one
     sentence, by the forward recursion of :func:`nll_batch` (untaped)."""
-    p = _pack(emissions.data, [len(emissions.data)], params.num_tags)
-    return nx.constant(_logsumexp(_forward(p, *params.effective(), _logsumexp)[1][0], axis=0))
+    p, emit, _ = _pack(emissions.data, [len(emissions.data)], params.num_tags)
+    return nx.constant(_logsumexp(_forward(p, emit, *params.effective(), _logsumexp)[1][0],
+                                  axis=0))
 
 
 def score_sequence_value(emissions: np.ndarray, tags: Sequence[int],
                          params: CrfParams) -> float:
     """Score of one tag sequence: the batched gold score of one sentence."""
     tags = np.asarray(tags, dtype=np.intp)
-    p = _pack(np.asarray(emissions, dtype=np.float64), [len(tags)], params.num_tags, tags)
-    return float(_gold_scores(p, *params.effective())[0])
+    p, emit, tags = _pack(np.asarray(emissions, dtype=np.float64), [len(tags)],
+                          params.num_tags, tags)
+    return float(_gold_scores(p, emit, tags, *params.effective())[0])
 
 
 def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:
@@ -227,20 +213,21 @@ def viterbi_batch(emissions: np.ndarray, lengths: Sequence[int], params: CrfPara
     """
     if not len(lengths):
         return []
-    p = _pack(np.asarray(emissions, dtype=np.float64), list(lengths), params.num_tags)
+    p, emit, _ = _pack(np.asarray(emissions, dtype=np.float64), list(lengths), params.num_tags)
     trans, start, stop = params.effective()
-    if not all(np.isfinite(a).all() for a in (p.emissions, trans, start, stop)):
+    if not all(np.isfinite(a).all() for a in (emit, trans, start, stop)):
         raise NumericError("viterbi: non-finite emissions or CRF potentials")
-    delta, finals = _forward(p, trans, start, stop, np.ndarray.max)
-    best_prev = (delta[:, :-1, :, None] + trans).argmax(axis=2)  # lowest tag id wins ties
-    idx = np.arange(len(lengths))
-    path = np.zeros(p.tags.shape, dtype=np.intp)
-    path[idx, p.lengths - 1] = finals.argmax(axis=1)
-    for t, n in reversed(list(enumerate(p.running.tolist()[1:], 1))):
-        path[:n, t - 1] = best_prev[idx[:n], t - 1, path[:n, t]]
-    scores = np.empty(len(lengths))
-    scores[p.order] = _gold_scores(p._replace(tags=path), trans, start, stop)
-    flat = np.empty(len(p.rows), dtype=np.intp)
-    flat[p.rows] = path[p.real]
+    delta, finals = _forward(p, emit, trans, start, stop, np.ndarray.max)
+    # best previous tag of each tag at each row of steps ≥ 1; the lowest tag id wins ties
+    best_prev = (delta[p.prev, :, None] + trans).argmax(axis=1)
+    B, b = len(p.order), p.bounds
+    path = np.empty(len(emit), dtype=np.intp)
+    path[p.last] = finals.argmax(axis=1)
+    for plo, lo, hi in reversed(list(zip(b, b[1:], b[2:]))):
+        path[plo:plo + hi - lo] = best_prev[lo - B:hi - B][p.slot[lo:hi], path[lo:hi]]
+    scores = np.empty(B)
+    scores[p.order] = _gold_scores(p, emit, path, trans, start, stop)
+    flat = np.empty_like(path)
+    flat[p.perm] = path
     return [(tags.tolist(), float(score))
             for tags, score in zip(np.split(flat, np.cumsum(lengths)[:-1]), scores)]

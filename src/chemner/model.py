@@ -3,7 +3,7 @@ stacked bidirectional LSTM encoder with a linear-chain CRF head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,18 +70,7 @@ class ModelConfig:
         return 2 * self.lstm_hidden
 
     def to_payload(self) -> dict:
-        return {"labels": list(self.labels), "use_words": self.use_words,
-                "use_pretrained_words": self.use_pretrained_words,
-                "use_char_cnn": self.use_char_cnn, "use_contextual": self.use_contextual,
-                "word_dim": self.word_dim, "char_embed_dim": self.char_embed_dim,
-                "char_filter_width": self.char_filter_width,
-                "char_filter_count": self.char_filter_count,
-                "char_output_dim": self.char_output_dim,
-                "lstm_layers": self.lstm_layers, "lstm_hidden": self.lstm_hidden,
-                "dropout": list(self.dropout), "contextual_dim": self.contextual_dim,
-                "crf_bio_mask": self.crf_bio_mask,
-                "long_token_threshold": self.long_token_threshold,
-                "word_source": self.word_source}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ModelConfig":

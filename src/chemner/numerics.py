@@ -9,7 +9,7 @@ prediction works.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -414,15 +414,44 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
     return concat(outs, axis=0)
 
 
+class Packing(NamedTuple):
+    """B ragged sequences in time-major rows: the sequences sorted longest
+    first (stable), so the ones still running at step t are a prefix of
+    those running at t−1, and step t's rows hold them in that order."""
+    order: np.ndarray   # (B,) input index of each packed sequence
+    perm: np.ndarray    # (N,) input row that each packed row holds
+    bounds: list[int]   # step t's packed rows are bounds[t]:bounds[t+1]
+    step: np.ndarray    # (N,) step of each packed row
+    slot: np.ndarray    # (N,) its packed sequence: rank among the running ones
+    prev: np.ndarray    # (N−B,) packed row one step earlier, for rows of steps ≥ 1
+    last: np.ndarray    # (B,) packed row of each packed sequence's final step
+
+
+def pack(lengths: Sequence[int], reverse: bool = False) -> Packing:
+    """The packing of sequences whose rows follow one another, sequence i
+    owning the next ``lengths[i]`` (all ≥ 1); for ``reverse`` each is
+    flipped within its own length, so step t holds its t-th row from the
+    end. The LSTM scan and every CRF recurrence run in this order."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    running = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    bounds = np.concatenate(([0], np.cumsum(running)))
+    step = np.repeat(np.arange(len(running)), running)
+    slot = np.arange(len(step)) - bounds[step]
+    seq = order[slot]
+    perm = (np.cumsum(lengths) - lengths)[seq] + (lengths[seq] - 1 - step if reverse else step)
+    B = len(order)
+    return Packing(order, perm, bounds.tolist(), step, slot, bounds[step[B:] - 1] + slot[B:],
+                   bounds[lengths[order] - 1] + np.arange(B))
+
+
 def lstm_batch(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> Tensor:
     """One LSTM direction over a ragged batch, as one tape entry.
 
     ``x`` (N×D) holds the rows of B sequences one after another, sequence
     i owning the next ``lengths[i]`` rows; returns their hidden states
     (N×H) in the same rows, each sequence's equal to ``lstm_scan`` of its
-    rows alone. The rows are packed: sequences sorted longest first, and
-    for ``reverse`` flipped within their own length, so the ones still
-    running at step t are a prefix of those running at t−1. Every
+    rows alone. The rows run in the order of :func:`pack`, so every
     per-step array has one row per real token, time major. The input
     projection and the weight gradients are single GEMMs over all tokens;
     only the (n_t×H)@(H×4H) recurrence loops over time, forward and in the
@@ -455,23 +484,15 @@ def lstm_batch(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> T
             or lengths.sum() != x.data.shape[0]):
         raise ShapeError(f"lstm_batch: x {x.data.shape}, lengths {lengths.tolist()}, "
                          f"wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape}")
-    order = np.argsort(-lengths, kind="stable")
-    running = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
-    step_lo = np.concatenate(([0], np.cumsum(running)))  # packed rows of step t
-    row_lo = np.cumsum(lengths) - lengths                # first row of sequence i in x
-    step = np.repeat(np.arange(len(running)), running)   # step of each packed row
-    slot = np.arange(len(step)) - step_lo[step]          # its rank among running ones
-    seq = order[slot]
-    # perm[r]: the row of x (sequence, position) that packed row r holds
-    perm = row_lo[seq] + (lengths[seq] - 1 - step if reverse else step)
-    bounds = step_lo.tolist()
+    p = pack(lengths, reverse)
+    perm, prev, bounds = p.perm, p.prev, p.bounds
     steps = len(bounds) - 1
 
     tape = _join_tape("lstm_batch", x, wx, wh, b)
     x_packed = x.data[perm]
     gates = x_packed @ wx.data
     gates += b.data
-    N, B = len(perm), int(running[0])
+    N, B = len(perm), len(p.order)
     hs = np.empty((N, H))
     # taped: every step's c and tanh c rows, for the vjp; untaped: one
     # running cell, and tanh c written into the h rows
@@ -509,8 +530,6 @@ def lstm_batch(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> T
 
     def vjp_in(g):
         dhs = g[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
-        # packed row of the same sequence one step earlier, for rows of steps t ≥ 1
-        prev = step_lo[step[B:] - 1] + slot[B:]
         # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
         # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
         # on the o block; dc = dc₊₁ + dh·dc_dh

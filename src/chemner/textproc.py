@@ -51,11 +51,18 @@ class RuleConfig:
     def from_file(cls, path: str) -> "RuleConfig":
         with open(path, encoding="utf-8-sig") as f:
             raw = json.load(f)
+        if type(raw) is not dict:
+            raise ValueError("rule config: not a JSON object")
         unknown = set(raw) - {"no_split_chars", "suffixes"}
         if unknown:
             raise ValueError(f"rule config: unknown keys {sorted(unknown)}")
-        return cls(no_split_chars=raw.get("no_split_chars", DEFAULT_NO_SPLIT_CHARS),
-                   suffixes=tuple(raw.get("suffixes", DEFAULT_CHEMICAL_SUFFIXES)))
+        chars = raw.get("no_split_chars", DEFAULT_NO_SPLIT_CHARS)
+        suffixes = raw.get("suffixes", list(DEFAULT_CHEMICAL_SUFFIXES))
+        if type(chars) is not str or type(suffixes) is not list or any(
+                type(s) is not str for s in suffixes):
+            raise ValueError("rule config: no_split_chars must be a string and suffixes "
+                             "a list of strings")
+        return cls(no_split_chars=chars, suffixes=tuple(suffixes))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,16 +46,6 @@ class TrainConfig:
             raise ValueError("betas must lie in (0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
-
-    def to_payload(self) -> dict:
-        return {"learning_rate": self.learning_rate, "batch_size": self.batch_size,
-                "clip_norm": self.clip_norm, "max_epochs": self.max_epochs,
-                "patience": self.patience, "seed": self.seed, "beta1": self.beta1,
-                "beta2": self.beta2, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -178,6 +168,14 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
 
+# the checkpoint fields stored as JSON metadata, each with its decoded JSON
+# type, exactly (a true is not an int); every one is required
+_METADATA_KEYS = {"kind": (str,), "config": (dict,), "bilm_config": (dict, type(None)),
+                  "trainable": (dict,), "opt_step": (int,), "vocab": (dict,),
+                  "bilm_vocab": (dict, type(None)), "rng_state": (dict, type(None)),
+                  "meta": (dict,), "version": (int,)}
+
+
 def vocab_payload(vocab: Vocabulary) -> dict:
     return {"words": vocab.words, "chars": vocab.chars,
             "pretrained": sorted(vocab.pretrained), "min_count": vocab.min_count}
@@ -193,27 +191,19 @@ def vocab_from_payload(payload: dict) -> Vocabulary:
 def make_checkpoint(model, opt: AdamState | None, rng: np.random.Generator | None,
                     meta: dict | None = None, kind: str = "ner") -> Checkpoint:
     """Snapshot of a model (duck-typed: config, vocab, all_tensors/params)."""
-    if kind == "ner":
-        named = model.all_tensors()
-        config = model.config.to_payload()
-        bilm_config = model.bilm.config.to_payload() if model.bilm is not None else None
-        vocab = vocab_payload(model.vocab)
-        bilm_vocab = (vocab_payload(model.bilm.config.vocab)
-                      if model.bilm is not None else None)
-    else:
-        named = dict(model.params)
-        config = model.config.to_payload()
-        bilm_config = None
-        vocab = vocab_payload(model.config.vocab)
-        bilm_vocab = None
+    ner = kind == "ner"
+    bilm = model.bilm if ner else None
+    named = model.all_tensors() if ner else dict(model.params)
     return Checkpoint(
-        kind=kind, config=config, bilm_config=bilm_config,
+        kind=kind, config=model.config.to_payload(),
+        bilm_config=bilm.config.to_payload() if bilm is not None else None,
         tensors={name: p.value.copy() for name, p in named.items()},
         trainable={name: p.trainable for name, p in named.items()},
         opt_m={k: a.copy() for k, a in opt.m.items()} if opt else {},
         opt_v={k: a.copy() for k, a in opt.v.items()} if opt else {},
         opt_step=opt.step if opt else 0,
-        vocab=vocab, bilm_vocab=bilm_vocab,
+        vocab=vocab_payload(model.vocab if ner else model.config.vocab),
+        bilm_vocab=vocab_payload(bilm.config.vocab) if bilm is not None else None,
         rng_state=json.loads(json.dumps(rng.bit_generator.state)) if rng else None,
         meta=dict(meta or {}))
 
@@ -231,12 +221,7 @@ def _write_tensor(out: io.BufferedWriter, name: str, arr: np.ndarray) -> None:
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Magic, version, length-prefixed JSON metadata, then named tensor
     blocks (name, shape, little-endian float64) in sorted-name order."""
-    metadata = {"kind": ckpt.kind, "config": ckpt.config,
-                "bilm_config": ckpt.bilm_config, "trainable": ckpt.trainable,
-                "opt_step": ckpt.opt_step, "vocab": ckpt.vocab,
-                "bilm_vocab": ckpt.bilm_vocab,
-                "rng_state": ckpt.rng_state, "meta": ckpt.meta,
-                "version": ckpt.version}
+    metadata = {k: getattr(ckpt, k) for k in _METADATA_KEYS}
     meta_b = json.dumps(metadata, sort_keys=True, ensure_ascii=True,
                         separators=(",", ":")).encode("utf-8")
     blocks: list[tuple[str, np.ndarray]] = []
@@ -280,13 +265,6 @@ def _copy_arrays(targets: dict[str, np.ndarray], stored: dict[str, np.ndarray],
                                   f"!= expected {target.shape}")
     for name, target in targets.items():
         target[...] = stored[name]
-
-
-# each required metadata field and its decoded JSON type, exactly (a true
-# is not an int)
-_METADATA_KEYS = {"kind": (str,), "config": (dict,), "bilm_config": (dict, type(None)),
-                  "trainable": (dict,), "opt_step": (int,), "vocab": (dict,),
-                  "rng_state": (dict, type(None)), "meta": (dict,), "version": (int,)}
 
 
 def _check_left(f, n: int, what: str, size: int) -> None:
@@ -350,19 +328,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
     wrong = [k for k, kinds in _METADATA_KEYS.items() if type(metadata[k]) not in kinds]
-    if type(metadata.get("bilm_vocab")) not in (dict, type(None)):
-        wrong.append("bilm_vocab")
     if not wrong and any(type(v) is not bool for v in metadata["trainable"].values()):
         wrong = ["trainable"]
     if wrong:
         raise CheckpointError(f"{path}: metadata fields of the wrong JSON type: {wrong}")
-    return Checkpoint(kind=metadata["kind"], config=metadata["config"],
-                      bilm_config=metadata["bilm_config"], tensors=tensors,
-                      trainable=metadata["trainable"], opt_m=opt_m, opt_v=opt_v,
-                      opt_step=metadata["opt_step"], vocab=metadata["vocab"],
-                      bilm_vocab=metadata.get("bilm_vocab"),
-                      rng_state=metadata["rng_state"], meta=metadata["meta"],
-                      version=metadata["version"])
+    return Checkpoint(tensors=tensors, opt_m=opt_m, opt_v=opt_v,
+                      **{k: metadata[k] for k in _METADATA_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +355,7 @@ class TrainReport:
     stopping_reason: str  # "patience" or "max_epochs"
 
     def to_payload(self) -> dict:
-        return {"epochs": [{"epoch": e.epoch, "train_loss": e.train_loss,
-                            "dev_f1": e.dev_f1} for e in self.epochs],
-                "best_epoch": self.best_epoch, "best_f1": self.best_f1,
-                "stopping_reason": self.stopping_reason}
+        return asdict(self)
 
 
 @dataclass

@@ -37,6 +37,18 @@ class TestTokenizeCommand:
         lines = [l for l in out.splitlines() if l]
         assert lines[0].split("\t") == ["0", "12", "2,5-diphenyl"]
 
+    @pytest.mark.parametrize("rules", ["1", "null", "[]", '{"suffixes": 5}',
+                                       '{"suffixes": "yl"}', '{"suffixes": ["yl", 1]}',
+                                       '{"no_split_chars": 5}', '{"no_split_chars": ["-"]}'])
+    def test_rules_of_the_wrong_json_type_exit_2(self, capsys, monkeypatch, tmp_path, rules):
+        import io
+        path = tmp_path / "rules.json"
+        path.write_text(rules, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO("2-methylpropyl bromide melts."))
+        code, out, err = run(capsys, "tokenize", "--mode", "chemical", "--rules", str(path))
+        assert (code, out) == (2, "")
+        assert "rule config" in err
+
     def test_unknown_flag_usage_error(self, capsys):
         code, _, err = run(capsys, "tokenize", "--bogus")
         assert code == 1

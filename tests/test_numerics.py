@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemner import numerics as nx
 from chemner.numerics import (NumericError, Parameter, ShapeError, Tape, backward,
@@ -245,6 +246,34 @@ class TestAdjointsMatchFiniteDifferences:
                            for reverse in (False, True)], axis=1)
             return sum_all(mul(h, h))
         _fd_check(fn, [wx, wh, b, x])
+
+
+class TestPack:
+    """``nx.pack``, the one time-major order of the LSTM scan and the CRF."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8), reverse=st.booleans())
+    def test_rows_are_the_running_sequences_longest_first(self, lengths, reverse):
+        p = nx.pack(lengths, reverse)
+        N, B = sum(lengths), len(lengths)
+        starts = np.cumsum(lengths) - lengths
+        seq = np.repeat(np.arange(B), lengths)  # sequence and position of each input row
+        pos = np.arange(N) - starts[seq]
+        assert sorted(p.perm.tolist()) == list(range(N))
+        assert p.order.tolist() == sorted(range(B), key=lambda i: -lengths[i])
+        assert (p.bounds[0], p.bounds[-1], len(p.bounds)) == (0, N, max(lengths) + 1)
+        for t, (lo, hi) in enumerate(zip(p.bounds, p.bounds[1:])):
+            running = [i for i in p.order.tolist() if lengths[i] > t]
+            assert seq[p.perm[lo:hi]].tolist() == running
+            assert p.slot[lo:hi].tolist() == list(range(len(running)))
+            assert (p.step[lo:hi] == t).all()
+            at = [lengths[i] - 1 - t if reverse else t for i in running]
+            assert pos[p.perm[lo:hi]].tolist() == at
+        rows = p.perm[B:]
+        assert (seq[p.perm[p.prev]] == seq[rows]).all()
+        assert (pos[p.perm[p.prev]] == pos[rows] + (1 if reverse else -1)).all()
+        final = np.asarray(lengths) - 1 if not reverse else np.zeros(B, dtype=int)
+        assert p.perm[p.last].tolist() == (starts + final)[p.order].tolist()
 
 
 class TestLstmBatch:

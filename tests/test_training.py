@@ -313,13 +313,14 @@ class TestCheckpointIO:
         path = self.saved(toy_setup, tmp_path)
         data = open(path, "rb").read()
         meta_len = struct.unpack("<Q", data[12:20])[0]
-        metadata = json.loads(data[20:20 + meta_len])
-        del metadata["opt_step"]
-        meta_b = json.dumps(metadata).encode("utf-8")
-        open(path, "wb").write(data[:12] + struct.pack("<Q", len(meta_b)) + meta_b
-                               + data[20 + meta_len:])
-        with pytest.raises(CheckpointError, match="opt_step"):
-            load_checkpoint(path)
+        for key in ("opt_step", "bilm_vocab"):  # a null bilm_vocab is still required
+            metadata = json.loads(data[20:20 + meta_len])
+            del metadata[key]
+            meta_b = json.dumps(metadata).encode("utf-8")
+            open(path, "wb").write(data[:12] + struct.pack("<Q", len(meta_b)) + meta_b
+                                   + data[20 + meta_len:])
+            with pytest.raises(CheckpointError, match=f"lacks.*{key}"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("section,key", [("config", "labels"), ("vocab", "words"),
                                              ("trainable", "emit.b")])
