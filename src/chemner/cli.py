@@ -292,11 +292,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    ckpt = load_checkpoint(args.model)
+    # decoding needs neither the Adam moments nor, once the model holds its
+    # own copy, the checkpoint's arrays
+    ckpt = load_checkpoint(args.model, moments=False)
+    tokenizer = ckpt.meta.get("tokenizer") or {"mode": "general"}
     model = model_from_checkpoint(ckpt)
+    del ckpt
     scheme = model.config.scheme
     if args.raw:
-        kind = _tokenizer_kind(ckpt.meta.get("tokenizer") or {"mode": "general"})
+        kind = _tokenizer_kind(tokenizer)
         sentences = []
         with open(args.input, encoding="utf-8-sig") as f:
             text = f.read()

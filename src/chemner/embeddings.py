@@ -118,17 +118,16 @@ def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
         raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
     dim = int(vectors.shape[1])
     by_word = {w: i for i, w in enumerate(words)}
-    rng = np.random.default_rng(seed)
-    std = 1.0 / np.sqrt(dim)
+    rows = np.array([by_word.get(w, -1) for w in vocab.words], dtype=np.intp)
+    rows[Vocabulary.PAD] = -2  # neither copied nor drawn: stays zero
+    found = np.flatnonzero(rows >= 0)
+    missing = np.flatnonzero(rows == -1)
     matrix = np.zeros((vocab.size, dim), dtype=np.float64)
-    for word, wid in sorted(vocab.word_to_id.items(), key=lambda kv: kv[1]):
-        if wid == Vocabulary.PAD:
-            continue
-        row = by_word.get(word)
-        if row is not None:
-            matrix[wid] = vectors[row]
-        else:
-            matrix[wid] = rng.normal(0.0, std, size=dim)
+    matrix[found] = vectors[rows[found]]
+    # one draw of every missing row, in word-id order: the same numbers as
+    # one draw per row
+    matrix[missing] = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(dim),
+                                                          size=(missing.size, dim))
     if not np.isfinite(matrix).all():
         raise EmbeddingFormatError("embedding matrix contains non-finite values")
     return EmbeddingTable(matrix=matrix, dim=dim, trainable=False, source_name=source_name)

@@ -32,21 +32,30 @@ def _as_f64(data) -> np.ndarray:
 class Parameter:
     """Named trainable (or frozen) tensor with a persistent gradient buffer.
 
-    ``frozen_rows`` marks rows (e.g. a PAD embedding) that optimizers must
-    never update; gradients still accumulate there so finite-difference
-    checks stay honest.
+    The buffer is allocated, zeroed, on first use of :attr:`gradient`, so a
+    parameter that is only read (a decoding model, a frozen table) holds
+    one copy of its values. ``frozen_rows`` marks rows (e.g. a PAD
+    embedding) that optimizers must never update; gradients still
+    accumulate there so finite-difference checks stay honest.
     """
 
     def __init__(self, name: str, value, trainable: bool = True,
                  frozen_rows: Sequence[int] = ()):
         self.name = name
         self.value = _as_f64(value)
-        self.gradient = np.zeros_like(self.value)
+        self._gradient: np.ndarray | None = None
         self.trainable = trainable
         self.frozen_rows = tuple(frozen_rows)
 
+    @property
+    def gradient(self) -> np.ndarray:
+        if self._gradient is None:
+            self._gradient = np.zeros_like(self.value)
+        return self._gradient
+
     def zero_grad(self) -> None:
-        self.gradient[...] = 0.0
+        if self._gradient is not None:
+            self._gradient[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"

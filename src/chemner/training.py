@@ -60,6 +60,12 @@ class AdamState:
 
     @classmethod
     def init(cls, params: Sequence[Parameter]) -> "AdamState":
+        # each gradient buffer is allocated here, with the moments: one first
+        # allocated inside a step's backward sits above that step's
+        # temporaries in the heap, and glibc cannot return them to the
+        # system while the model lives (~100 MB held at the paper size)
+        for p in params:
+            p.gradient
         return cls(m={p.name: np.zeros_like(p.value) for p in params},
                    v={p.name: np.zeros_like(p.value) for p in params},
                    scratch=np.empty(2 * max((p.value.size for p in params), default=0)))
@@ -285,7 +291,12 @@ def _read_exact(f, n: int, what: str, size: int) -> bytes:
     return data
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def load_checkpoint(path: str, moments: bool = True) -> Checkpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`. With
+    ``moments=False`` the Adam moment blocks (``m/`` and ``v/``) have their
+    headers read and checked like any other block, but their data is
+    skipped, and the result holds no moments: enough for decoding, not for
+    resuming training."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -304,11 +315,17 @@ def load_checkpoint(path: str) -> Checkpoint:
         missing = [k for k in _METADATA_KEYS if k not in metadata]
         if missing:
             raise CheckpointError(f"{path}: metadata lacks {missing}")
+        wrong = [k for k, kinds in _METADATA_KEYS.items() if type(metadata[k]) not in kinds]
+        if not wrong and any(type(v) is not bool for v in metadata["trainable"].values()):
+            wrong = ["trainable"]
+        if wrong:
+            raise CheckpointError(f"{path}: metadata fields of the wrong JSON type: {wrong}")
         count = struct.unpack("<I", _read_exact(f, 4, "tensor count", size))[0]
         tensors: dict[str, np.ndarray] = {}
         opt_m: dict[str, np.ndarray] = {}
         opt_v: dict[str, np.ndarray] = {}
         groups = {"p": tensors, "m": opt_m, "v": opt_v}
+        seen: set[str] = set()
         for _ in range(count):
             name_len = struct.unpack("<I", _read_exact(f, 4, "tensor name length", size))[0]
             try:
@@ -316,22 +333,22 @@ def load_checkpoint(path: str) -> Checkpoint:
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"{path}: corrupt tensor name: {e}") from None
             group, _, bare = name.partition("/")
-            if group not in groups or not bare or bare in groups[group]:
+            if group not in groups or not bare or name in seen:
                 raise CheckpointError(f"{path}: unknown or repeated tensor block {name!r}")
+            seen.add(name)
             ndim = struct.unpack("<I", _read_exact(f, 4, f"{name} ndim", size))[0]
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, f"{name} shape", size))
-            _check_left(f, 8 * math.prod(shape), f"{name} data", size)
+            nbytes = 8 * math.prod(shape)
+            _check_left(f, nbytes, f"{name} data", size)
+            if not moments and group != "p":
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
             arr = np.empty(shape, dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"checkpoint shrank while reading {name} data")
             groups[group][bare] = arr
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
-    wrong = [k for k, kinds in _METADATA_KEYS.items() if type(metadata[k]) not in kinds]
-    if not wrong and any(type(v) is not bool for v in metadata["trainable"].values()):
-        wrong = ["trainable"]
-    if wrong:
-        raise CheckpointError(f"{path}: metadata fields of the wrong JSON type: {wrong}")
     return Checkpoint(tensors=tensors, opt_m=opt_m, opt_v=opt_v,
                       **{k: metadata[k] for k in _METADATA_KEYS})
 

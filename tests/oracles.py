@@ -11,12 +11,24 @@ from __future__ import annotations
 
 import itertools
 import struct
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
 
 from chemner import numerics as nx
+from chemner.corpus import Vocabulary
 from chemner.numerics import ShapeError, Tensor, _wrap
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def enumerate_sequence_scores(emissions: np.ndarray, transitions: np.ndarray,
@@ -114,6 +126,27 @@ def adam_formula_step(params, m: dict, v: dict, t: int, config) -> None:
         m_hat = m[p.name] / (1.0 - b1 ** t)
         v_hat = v[p.name] / (1.0 - b2 ** t)
         p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def align_rows(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
+               seed: int) -> np.ndarray:
+    """The aligned word table built one vocabulary row at a time, in
+    word-id order: a file row copied, or a fresh N(0, 1/sqrt(dim)) draw;
+    PAD zero. The reference ``embeddings.align_to_vocab`` must equal bit
+    for bit."""
+    dim = vectors.shape[1]
+    by_word = {w: i for i, w in enumerate(words)}
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((vocab.size, dim))
+    for word, wid in sorted(vocab.word_to_id.items(), key=lambda kv: kv[1]):
+        if wid == Vocabulary.PAD:
+            continue
+        row = by_word.get(word)
+        if row is not None:
+            matrix[wid] = vectors[row]
+        else:
+            matrix[wid] = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
+    return matrix
 
 
 def tobytes_write_tensor(out, name: str, arr: np.ndarray) -> None:

@@ -8,6 +8,7 @@ finite-difference noise on identically-zero gradients.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,13 +319,13 @@ def test_criterion_08_determinism(tmp_path):
     a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     save_checkpoint(r1.best, a)
     save_checkpoint(r2.best, b)
-    bytes_a = open(a, "rb").read()
-    assert bytes_a == open(b, "rb").read()
+    bytes_a = Path(a).read_bytes()
+    assert bytes_a == Path(b).read_bytes()
 
     # save -> load -> save is bit-identical
     c = str(tmp_path / "c.ckpt")
     save_checkpoint(load_checkpoint(a), c)
-    assert bytes_a == open(c, "rb").read()
+    assert bytes_a == Path(c).read_bytes()
     report_line(8, "bit-identical training runs and checkpoint round trips", started)
 
 

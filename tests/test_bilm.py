@@ -8,7 +8,7 @@ from chemner.corpus import build_vocabulary, sentence_from_texts
 from chemner.numerics import ShapeError, Tape, backward, evaluate, grad_check
 from chemner.training import make_checkpoint
 
-from oracles import char_cnn_rows, mul, sum_all
+from oracles import char_cnn_rows, mul, sum_all, traced_peak
 
 
 def small_vocab(sentences):
@@ -369,6 +369,16 @@ class TestCheckpointRoundtrip:
         a = bilm.contextualize(SENTS[1])
         b = restored.contextualize(SENTS[1])
         assert np.array_equal(a, b)
+
+    def test_restored_bilm_holds_one_copy_of_its_weights(self):
+        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 32),), token_projection_dim=64,
+                                      layer_dim=64), seed=2)
+        ckpt = make_checkpoint(bilm, None, None, kind="bilm")
+        values = sum(a.nbytes for a in ckpt.tensors.values())
+        assert traced_peak(lambda: bilm_from_checkpoint(ckpt)) < 1.5 * values
+        restored = bilm_from_checkpoint(ckpt)
+        assert np.array_equal(restored.contextualize(SENTS[1]), bilm.contextualize(SENTS[1]))
+        assert all(p._gradient is None for p in restored.parameters())
 
     @pytest.mark.parametrize("section,key", [("config", "char_filters"), ("vocab", "chars"),
                                              ("trainable", "bilm.head.b")])

@@ -1,17 +1,21 @@
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import chemner.cli
 from chemner.cli import main
-from chemner.corpus import build_vocabulary, write_column_corpus
-from chemner.model import ModelConfig, NerModel
+from chemner.corpus import build_vocabulary, read_column_corpus, write_column_corpus
+from chemner.model import ModelConfig, NerModel, model_from_checkpoint
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
 from conftest import toy_corpus
+from oracles import traced_peak
 
 
 @pytest.fixture
@@ -284,6 +288,109 @@ class TestTrainTagEval:
         assert (out_dir / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
         assert (out_dir / "train_report.json").read_text() == \
             (out2 / "train_report.json").read_text()
+
+
+def block_spans(raw: bytes) -> dict[str, tuple[int, int]]:
+    """The start and end offsets of each tensor block of checkpoint bytes."""
+    at = 20 + struct.unpack("<Q", raw[12:20])[0]
+    count = struct.unpack("<I", raw[at:at + 4])[0]
+    at += 4
+    spans = {}
+    for _ in range(count):
+        start = at
+        name_len = struct.unpack("<I", raw[at:at + 4])[0]
+        name = raw[at + 4:at + 4 + name_len].decode("utf-8")
+        at += 4 + name_len
+        ndim = struct.unpack("<I", raw[at:at + 4])[0]
+        shape = struct.unpack(f"<{ndim}Q", raw[at + 4:at + 4 + 8 * ndim])
+        at += 4 + 8 * ndim + 8 * math.prod(shape)
+        spans[name] = (start, at)
+    return spans
+
+
+class TestTagMemory:
+    """``chemner tag`` skips the Adam moments of a train-written checkpoint
+    and frees the checkpoint before it decodes."""
+
+    def test_tag_reads_no_moments_and_matches_a_full_load(self, capsys, corpus_file,
+                                                          tmp_path):
+        path, sentences, scheme = corpus_file
+        config = {"labels": list(scheme.entity_labels),
+                  "model": {"word_dim": 32, "char_embed_dim": 4, "char_filter_count": 8,
+                            "char_output_dim": 8, "lstm_hidden": 48},
+                  "train": {"max_epochs": 1, "patience": 1, "seed": 5}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run(capsys, "train", "--config", str(cfg_path), "--train", str(path),
+                           "--dev", str(path), "--out", str(tmp_path / "run_out"))
+        assert code == 0, err
+        written = tmp_path / "run_out" / "model.ckpt"
+        full = load_checkpoint(str(written))
+        moments = sum(a.nbytes for a in [*full.opt_m.values(), *full.opt_v.values()])
+        assert moments > 0
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(replace(full, opt_m={}, opt_v={}), str(bare))
+        want = model_from_checkpoint(full).predict_batch(read_column_corpus(str(path), None))
+        del full
+
+        def tag(model, out):
+            return traced_peak(lambda: main(["tag", "--model", str(model), "--in", str(path),
+                                             "--out", str(out)]))
+
+        peak_written, peak_bare = tag(written, tmp_path / "a.tsv"), tag(bare, tmp_path / "b.tsv")
+        assert peak_written - peak_bare < moments / 4, (peak_written, peak_bare, moments)
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        assert [list(s.tags) for s in read_column_corpus(str(tmp_path / "a.tsv"),
+                                                          scheme)] == want
+
+    def test_checkpoint_freed_before_decoding(self, capsys, trained_setup, monkeypatch):
+        corpus_path, out_dir, _, _ = trained_setup
+        refs = []
+        predicted = []
+
+        def load(*args, **kwargs):
+            ckpt = load_checkpoint(*args, **kwargs)
+            refs.append(weakref.ref(ckpt))
+            refs.extend(weakref.ref(a) for a in ckpt.tensors.values())
+            return ckpt
+
+        def predict_batch(model, sentences):
+            predicted.append([ref() is None for ref in refs])
+            return real_predict_batch(model, sentences)
+
+        real_predict_batch = NerModel.predict_batch
+        monkeypatch.setattr(chemner.cli, "load_checkpoint", load)
+        monkeypatch.setattr(NerModel, "predict_batch", predict_batch)
+        code, _, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                           "--in", str(corpus_path))
+        assert code == 0, err
+        assert len(refs) > 1 and predicted == [[True] * len(refs)]
+
+    @pytest.mark.parametrize("group", ["m/", "v/"])
+    @pytest.mark.parametrize("damage", ["truncated", "oversized", "repeated"])
+    def test_damaged_moment_block_exit_2(self, capsys, tmp_path, trained_setup, group,
+                                         damage):
+        corpus_path, out_dir, _, _ = trained_setup
+        raw = (out_dir / "model.ckpt").read_bytes()
+        spans = block_spans(raw)
+        assert len(raw) == max(end for _, end in spans.values())
+        name = next(n for n in spans if n.startswith(group))
+        start, end = spans[name]
+        if damage == "truncated":
+            raw = raw[:end - 8]
+        elif damage == "oversized":
+            at = start + 8 + len(name.encode("utf-8"))
+            raw = raw[:at] + struct.pack("<Q", 2 ** 40) + raw[at + 8:]
+        else:
+            at = 20 + struct.unpack("<Q", raw[12:20])[0]
+            count = struct.unpack("<I", raw[at:at + 4])[0]
+            raw = (raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:end]
+                   + raw[start:end] + raw[end:])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw)
+        code, out, err = run(capsys, "tag", "--model", str(bad), "--in", str(corpus_path))
+        assert (code, out) == (2, "")
+        assert name in err
 
 
 class TestTrainBilmCommand:

@@ -5,6 +5,8 @@ from chemner.corpus import Vocabulary, build_vocabulary, sentence_from_texts
 from chemner.embeddings import (EmbeddingFormatError, EmbeddingTable, align_to_vocab,
                                 load_embedding_text)
 
+from oracles import align_rows
+
 
 def write(tmp_path, content):
     path = tmp_path / "vectors.txt"
@@ -129,6 +131,23 @@ class TestAlignToVocab:
         table = align_to_vocab([], np.zeros((0, dim)), vocab, seed=1)
         sampled = table.matrix[3:]
         assert abs(sampled.std() - 1 / np.sqrt(dim)) < 0.05 / np.sqrt(dim) * 10
+
+    @pytest.mark.parametrize("in_file", ["none", "some", "all"])
+    def test_equals_the_per_row_loop(self, in_file):
+        # 300 vocabulary words at 200 dims; the file holds none, every
+        # third or all of them, plus words the vocabulary lacks
+        vocab = make_vocab(words=tuple(f"w{i}" for i in range(300)))
+        names = [w for w in vocab.words[3:]
+                 if in_file == "all" or (in_file == "some" and int(w[1:]) % 3 == 0)]
+        names += ["absent", "W7"]
+        vectors = np.random.default_rng(1).normal(size=(len(names), 200))
+        table = align_to_vocab(names, vectors, vocab, seed=5)
+        assert table.matrix.tobytes() == align_rows(names, vectors, vocab, 5).tobytes()
+
+    def test_non_finite_file_row_refused(self):
+        vocab = make_vocab()
+        with pytest.raises(EmbeddingFormatError, match="non-finite"):
+            align_to_vocab(["alpha"], np.array([[1.0, np.inf]]), vocab)
 
 
 class TestEmbeddingTable:

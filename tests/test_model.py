@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chemner import numerics as nx
-from chemner.bilm import BiLmConfig, train_bilm
+from chemner.bilm import BiLm, BiLmConfig, train_bilm
 from chemner.corpus import sentence_from_texts
 from chemner.embeddings import EmbeddingTable
 from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
@@ -13,7 +13,7 @@ from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig,
 from chemner.numerics import Tape, backward
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
-from oracles import per_sentence_dropout_masks
+from oracles import per_sentence_dropout_masks, traced_peak
 
 
 def tiny_model(vocab, labels=("A", "B"), seed=0, **overrides):
@@ -303,6 +303,23 @@ class TestContextualIntegration:
         assert np.abs(model.mixing.s.gradient).max() > 0
         assert abs(float(model.mixing.gamma.gradient)) > 0
 
+    def test_training_allocates_no_bilm_gradient(self, toy_data):
+        from chemner.corpus import DatasetSplit
+        from chemner.training import TrainConfig, train
+        sentences, scheme, vocab = toy_data
+        bilm = BiLm.init(BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                                    token_projection_dim=8, layer_dim=8))
+        cfg = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
+                          char_filter_count=4, char_output_dim=4, lstm_hidden=6,
+                          use_contextual=True, contextual_dim=bilm.config.output_dim)
+        model = NerModel.init(cfg, vocab, bilm=bilm)
+        splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        train(model, splits, TrainConfig(max_epochs=1, patience=1, seed=0),
+              dev_scorer=lambda m, d: 0.0)
+        assert all(p._gradient is None for p in model.bilm.parameters())
+        assert all(p._gradient is not None for p in model.trainable_parameters())
+
     def test_bilm_frozen_out_of_training(self, toy_data):
         model, _, _ = self.make_contextual_model(toy_data)
         trainable_names = {p.name for p in model.trainable_parameters()}
@@ -480,6 +497,27 @@ class TestCheckpointRestore:
         assert restored.params["chars"].frozen_rows == model.params["chars"].frozen_rows
         monkeypatch.undo()
         assert restored.predict_batch(sentences) == model.predict_batch(sentences)
+
+    @pytest.mark.parametrize("contextual", [False, True])
+    def test_restored_model_holds_one_copy_of_its_weights(self, toy_data, contextual):
+        # building allocates the values once and no gradient buffer (those
+        # would make it 2x); decoding allocates no gradient buffer either
+        sentences, scheme, vocab = toy_data
+        bilm = None
+        if contextual:
+            bilm = BiLm.init(BiLmConfig(vocab=vocab, char_embed_dim=8, char_filters=((3, 16),),
+                                        token_projection_dim=32, layer_dim=32), seed=1)
+        config = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=8,
+                             char_filter_count=16, char_output_dim=16, lstm_hidden=64,
+                             use_contextual=contextual,
+                             contextual_dim=bilm.config.output_dim if contextual else 0)
+        model = NerModel.init(config, vocab, seed=2, bilm=bilm)
+        ckpt = make_checkpoint(model, None, None)
+        values = sum(a.nbytes for a in ckpt.tensors.values())
+        assert traced_peak(lambda: model_from_checkpoint(ckpt)) < 1.5 * values
+        restored = model_from_checkpoint(ckpt)
+        assert restored.predict_batch(sentences) == model.predict_batch(sentences)
+        assert all(p._gradient is None for p in restored.all_tensors().values())
 
     def test_shape_mismatch_rejected(self, toy_data):
         from chemner.training import CheckpointError

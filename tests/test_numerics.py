@@ -1,6 +1,5 @@
 import ast
 import inspect
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from chemner.numerics import (NumericError, Parameter, ShapeError, Tape, backwar
                               constant, evaluate, grad_check)
 
 from oracles import (add, central_difference, char_cnn_rows, conv1d, max_over_time, mul,
-                     reshape, sum_all)
+                     reshape, sum_all, traced_peak)
 
 # an overflow or invalid operation anywhere in a kernel fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -368,12 +367,7 @@ class TestLstmBatch:
         def peak(tape):
             inputs = constant(x)
             ws = [constant(w.value) if tape is None else tape.param(w) for w in weights]
-            tracemalloc.start()
-            try:
-                nx.lstm_batch(inputs, lengths, *ws)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: nx.lstm_batch(inputs, lengths, *ws))
 
         saved = peak(Tape()) - peak(None)
         assert saved >= 2 * (N - B) * H * 8

@@ -1,6 +1,6 @@
 import json
 import struct
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +18,27 @@ from chemner.training import (AdamState, CheckpointError, TrainConfig, adam_step
 
 from conftest import toy_corpus
 from chemner.corpus import build_vocabulary
-from oracles import adam_formula_step, tobytes_write_tensor
+from oracles import adam_formula_step, tobytes_write_tensor, traced_peak
+
+
+# checkpoint metadata of the right JSON types, for hand-built files
+WELL_TYPED_METADATA = {"kind": "ner", "config": {}, "bilm_config": None, "trainable": {},
+                       "opt_step": 0, "vocab": {}, "bilm_vocab": None, "rng_state": None,
+                       "meta": {}, "version": 1}
+
+
+def checkpoint_head(metadata: dict, count: int) -> bytes:
+    """Magic, version, metadata and block count of a checkpoint file."""
+    meta_b = json.dumps(metadata).encode("utf-8")
+    return (chemner.training.CHECKPOINT_MAGIC + struct.pack("<I", 1)
+            + struct.pack("<Q", len(meta_b)) + meta_b + struct.pack("<I", count))
+
+
+def block_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """Name and shape fields of one tensor block, without its data."""
+    name_b = name.encode("utf-8")
+    return (struct.pack("<I", len(name_b)) + name_b + struct.pack("<I", len(shape))
+            + struct.pack(f"<{len(shape)}Q", *shape))
 
 
 def make_model(sentences, scheme, vocab, seed=0, **overrides):
@@ -230,7 +250,7 @@ class TestCheckpointIO:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_tensors_roundtrip_exact(self, toy_setup, tmp_path):
         sentences, scheme, vocab = toy_setup
@@ -265,7 +285,7 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, ours)
         monkeypatch.setattr(chemner.training, "_write_tensor", tobytes_write_tensor)
         save_checkpoint(ckpt, ref)
-        assert open(ours, "rb").read() == open(ref, "rb").read()
+        assert Path(ours).read_bytes() == Path(ref).read_bytes()
         back = load_checkpoint(ours)
         for name, arr in ckpt.opt_m.items():
             assert back.opt_m[name].dtype == np.float64
@@ -282,8 +302,8 @@ class TestCheckpointIO:
         model = make_model(sentences, scheme, vocab)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(make_checkpoint(model, None, None), path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-16])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated.*offset"):
             load_checkpoint(path)
 
@@ -296,28 +316,28 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("keep", [10, 17, 40, 400])
     def test_truncated_anywhere(self, toy_setup, tmp_path, keep):
         path = self.saved(toy_setup, tmp_path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:keep])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:keep])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_unknown_block_group(self, toy_setup, tmp_path):
         path = self.saved(toy_setup, tmp_path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data.count(b"p/crf.start") == 1
-        open(path, "wb").write(data.replace(b"p/crf.start", b"q/crf.start"))
+        Path(path).write_bytes(data.replace(b"p/crf.start", b"q/crf.start"))
         with pytest.raises(CheckpointError, match="q/crf.start"):
             load_checkpoint(path)
 
     def test_missing_metadata_key(self, toy_setup, tmp_path):
         path = self.saved(toy_setup, tmp_path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         meta_len = struct.unpack("<Q", data[12:20])[0]
         for key in ("opt_step", "bilm_vocab"):  # a null bilm_vocab is still required
             metadata = json.loads(data[20:20 + meta_len])
             del metadata[key]
             meta_b = json.dumps(metadata).encode("utf-8")
-            open(path, "wb").write(data[:12] + struct.pack("<Q", len(meta_b)) + meta_b
+            Path(path).write_bytes(data[:12] + struct.pack("<Q", len(meta_b)) + meta_b
                                    + data[20 + meta_len:])
             with pytest.raises(CheckpointError, match=f"lacks.*{key}"):
                 load_checkpoint(path)
@@ -332,19 +352,26 @@ class TestCheckpointIO:
             model_from_checkpoint(ckpt)
 
     def test_huge_declared_shape_refused_before_reading(self, tmp_path):
-        meta_b = json.dumps(dict.fromkeys(chemner.training._METADATA_KEYS)).encode("utf-8")
-        name = b"p/x"
         path = tmp_path / "huge.ckpt"
-        path.write_bytes(chemner.training.CHECKPOINT_MAGIC + struct.pack("<I", 1)
-                         + struct.pack("<Q", len(meta_b)) + meta_b + struct.pack("<I", 1)
-                         + struct.pack("<I", len(name)) + name
-                         + struct.pack("<I", 1) + struct.pack("<Q", 2 ** 40) + bytes(64))
+        path.write_bytes(checkpoint_head(WELL_TYPED_METADATA, 1) + block_head("p/x", (2 ** 40,))
+                         + bytes(64))
         with pytest.raises(CheckpointError, match="p/x data: 8796093022208 bytes declared"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field,value", [("trainable", 5), ("trainable", {"x": 5}),
+                                             ("meta", [1]), ("opt_step", True)])
+    def test_metadata_types_checked_before_any_block(self, tmp_path, field, value):
+        # the first block declares more data than the file holds: a type
+        # check made after the blocks would report the truncation instead
+        path = tmp_path / "typed.ckpt"
+        path.write_bytes(checkpoint_head({**WELL_TYPED_METADATA, field: value}, 1)
+                         + block_head("p/x", (4,)) + bytes(8))
+        with pytest.raises(CheckpointError, match=rf"wrong JSON type: \['{field}'\]"):
             load_checkpoint(str(path))
 
     def test_failed_save_keeps_previous_file(self, toy_setup, tmp_path, monkeypatch):
         path = self.saved(toy_setup, tmp_path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         sentences, scheme, vocab = toy_setup
         other = make_checkpoint(make_model(sentences, scheme, vocab, seed=1), None, None)
         real_write = chemner.training._write_tensor
@@ -359,7 +386,7 @@ class TestCheckpointIO:
         monkeypatch.setattr(chemner.training, "_write_tensor", failing_write)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(other, path)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 class TestTrainLoop:
@@ -379,7 +406,7 @@ class TestTrainLoop:
         pa, pb = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(r1.final, pa)
         save_checkpoint(r2.final, pb)
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_best_checkpoint_reproduces_best_f1(self, toy_setup):
         result, model = self.run(toy_setup, seed=17, epochs=4)
@@ -459,7 +486,7 @@ class TestTrainLoop:
         pa, pb = str(tmp_path / "full.ckpt"), str(tmp_path / "resumed.ckpt")
         save_checkpoint(full.final, pa)
         save_checkpoint(resumed.final, pb)
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     @pytest.mark.parametrize("section,name,value", [
         ("tensors", "crf.start", np.zeros(1)),  # would broadcast into the (K,) parameter
@@ -567,16 +594,6 @@ class TestTrainLoop:
                 gc.enable()
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes that ``fn`` allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestAllocationGuards:
     """A training step on a model with a frozen 2,000 x 50 word table: the
     table gets no gradient work in backward, and the optimizer works in its
@@ -597,6 +614,22 @@ class TestAllocationGuards:
         out = model.build_loss(tape, batch)
         peak = traced_peak(lambda: backward(tape, out))
         assert peak < model.params["words"].value.nbytes
+
+    def test_optimizer_state_allocates_the_gradients_it_updates(self, frozen_table_model):
+        # before any step, so no step's temporaries sit below them in the heap
+        model, _ = frozen_table_model
+        assert all(p._gradient is None for p in model.parameters())
+        AdamState.init(model.trainable_parameters())
+        assert all(p._gradient is not None for p in model.trainable_parameters())
+        assert model.params["words"]._gradient is None
+
+    def test_training_never_allocates_the_table_gradient(self, frozen_table_model):
+        model, batch = frozen_table_model
+        splits = DatasetSplit(train=tuple(batch), dev=tuple(batch[:2]), test=(), seed=0)
+        train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
+              dev_scorer=lambda m, d: 0.0)
+        assert model.params["words"]._gradient is None
+        assert all(p._gradient is not None for p in model.trainable_parameters())
 
     def test_optimizer_step_allocates_less_than_one_parameter(self, frozen_table_model):
         model, batch = frozen_table_model
