@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nx
-from .corpus import LONG_TOKEN_TEXT, Vocabulary
+from .corpus import Vocabulary, normalize_long_texts
 from .numerics import Parameter, ShapeError, Tape, Tensor
 
 DECODE_BATCH_TOKENS = 512  # tokens per evaluation pass; bounds its memory
@@ -67,17 +67,6 @@ class BiLmConfig:
         return cls(vocab=vocab, **kwargs)
 
 
-class NoDraw:
-    """Stands in for a ``np.random.Generator`` when a parameter layout is
-    built only to receive stored values: every draw is a zero array of the
-    requested size, so no random numbers are generated."""
-
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return np.zeros(size)
-
-    uniform = normal
-
-
 def glorot(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -86,13 +75,12 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...],
 
 def lstm_params(rng: np.random.Generator, name: str, in_dim: int,
                  hidden: int) -> dict[str, Parameter]:
-    b = np.zeros(4 * hidden)
+    wx = glorot(rng, (in_dim, 4 * hidden), in_dim, hidden)
+    wh = glorot(rng, (hidden, 4 * hidden), hidden, hidden)
+    b = np.zeros(4 * hidden)  # made after the draws, which bound its size
     b[hidden:2 * hidden] = 1.0  # forget-gate bias
-    return {
-        f"{name}.wx": Parameter(f"{name}.wx", glorot(rng, (in_dim, 4 * hidden), in_dim, hidden)),
-        f"{name}.wh": Parameter(f"{name}.wh", glorot(rng, (hidden, 4 * hidden), hidden, hidden)),
-        f"{name}.b": Parameter(f"{name}.b", b),
-    }
+    return {f"{name}.wx": Parameter(f"{name}.wx", wx), f"{name}.wh": Parameter(f"{name}.wh", wh),
+            f"{name}.b": Parameter(f"{name}.b", b)}
 
 
 def lstm_layer(params: dict[str, Parameter], name: str, x: Tensor, lengths: Sequence[int],
@@ -166,7 +154,7 @@ class BiLm:
     @classmethod
     def build(cls, config: BiLmConfig, rng) -> "BiLm":
         """The parameter layout with values drawn from ``rng`` in a fixed
-        order (a :class:`NoDraw` leaves them zero)."""
+        order (a :class:`~chemner.training.NoDraw` leaves them zero)."""
         vocab = config.vocab
         p: dict[str, Parameter] = {}
         chars = rng.normal(0.0, 1.0 / np.sqrt(config.char_embed_dim),
@@ -206,10 +194,10 @@ class BiLm:
                         ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Projections and hidden states of a ragged batch of non-empty
         sentences, their rows one after another: one char-CNN pass over all
-        their tokens (texts over ``max_token_len`` characters encoded as
-        Long_Token), then one fused pass per direction-layer. Returns the
-        projection (N x proj_dim) and, per direction, each layer's states
-        (N x layer_dim)."""
+        their tokens, read as given (the callers apply
+        :func:`~chemner.corpus.normalize_long_texts`), then one fused pass
+        per direction-layer. Returns the projection (N x proj_dim) and, per
+        direction, each layer's states (N x layer_dim)."""
         sizes = [len(texts) for texts in texts_list]
         if not sizes or min(sizes) < 1:
             raise ValueError("need a non-empty batch of non-empty sentences")
@@ -217,9 +205,7 @@ class BiLm:
         def param(name: str) -> Tensor:
             return nx.use_param(tape, self.params[name])
 
-        limit = self.config.max_token_len
-        proj = char_features([t if len(t) <= limit else LONG_TOKEN_TEXT
-                              for texts in texts_list for t in texts],
+        proj = char_features([t for texts in texts_list for t in texts],
                              self.config.vocab, param("bilm.chars"),
                              [(param(f"bilm.conv{i}.w"), param(f"bilm.conv{i}.b"))
                               for i in range(len(self.config.char_filters))],
@@ -246,13 +232,12 @@ class BiLm:
         """
         if not texts_list or min(len(texts) for texts in texts_list) < 2:
             raise ValueError("need at least 2 tokens for next-token prediction")
-        limit, vocab = self.config.max_token_len, self.config.vocab
+        texts_list = [normalize_long_texts(t, self.config.max_token_len) for t in texts_list]
         _, fwd, bwd = self.lm_states_batch(texts_list, tape)
         logits = nx.linear(nx.concat([fwd[-1], bwd[-1]], axis=0),
                            nx.use_param(tape, self.params["bilm.head.w"]),
                            nx.use_param(tape, self.params["bilm.head.b"]))
-        ids = [[vocab.word_id(t if len(t) <= limit else LONG_TOKEN_TEXT) for t in texts]
-               for texts in texts_list]
+        ids = [[self.config.vocab.word_id(t) for t in texts] for texts in texts_list]
         starts = np.cumsum([0] + [len(i) for i in ids])
         # forward row t predicts token t+1, backward row t token t-1
         rows = np.concatenate([lo + np.arange(len(i) - 1) for lo, i in zip(starts, ids)]
@@ -302,7 +287,8 @@ class BiLm:
         sentences' rows one after another: layer 0 duplicates the character
         projection, and each layer above is the forward hidden states beside
         the backward ones at that depth. :func:`mix_layers` takes this list."""
-        proj, fwd, bwd = self.lm_states_batch(texts_list)
+        proj, fwd, bwd = self.lm_states_batch(
+            [normalize_long_texts(t, self.config.max_token_len) for t in texts_list])
         return [np.concatenate([a.data, b.data], axis=1)
                 for a, b in [(proj, proj), *zip(fwd, bwd)]]
 
@@ -376,7 +362,7 @@ def mix_layers(layers: Sequence, weights: MixingWeights,
 
 def bilm_from_checkpoint(ckpt) -> BiLm:
     """Rebuild a BiLm from a kind="bilm" checkpoint."""
-    from .training import CheckpointError, restore_tensors, vocab_from_payload
+    from .training import CheckpointError, NoDraw, restore_tensors, vocab_from_payload
 
     if ckpt.kind != "bilm":
         raise CheckpointError(f"expected a bilm checkpoint, got kind {ckpt.kind!r}")
@@ -384,7 +370,7 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
         config = BiLmConfig.from_payload(ckpt.config, vocab_from_payload(ckpt.vocab))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    model = BiLm.build(config, NoDraw())
+    model = BiLm.build(config, NoDraw(ckpt))
     restore_tensors(model.params, ckpt, "biLM")
     return model
 

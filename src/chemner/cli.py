@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nx
 from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
 from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelError,
-                     atomic_open, build_vocabulary, corpus_stats, normalize_long_tokens,
+                     atomic_open, build_vocabulary, corpus_stats, normalize_long_texts,
                      read_column_corpus, sentence_from_texts, split_dataset,
                      write_column_corpus)
 from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
@@ -202,13 +202,8 @@ def cmd_train_bilm(args) -> int:
     sentences = _read_plain_sentences(args.corpus, kind)
     if not sentences:
         raise CorpusFormatError(f"{args.corpus}: no sentences found")
-    normalized = []
-    for texts in sentences:
-        sent = normalize_long_tokens(sentence_from_texts(texts, [0] * len(texts), "d"),
-                                     settings["max_token_len"])
-        normalized.append(sent.texts)
-    tagged = [sentence_from_texts(t, [0] * len(t), f"doc{i}")
-              for i, t in enumerate(normalized)]
+    normalized = [normalize_long_texts(texts, settings["max_token_len"]) for texts in sentences]
+    tagged = [sentence_from_texts(t, [0] * len(t), "d") for t in normalized]
     vocab = build_vocabulary(tagged, [], min_count=settings["min_count"])
     config = BiLmConfig(vocab=vocab, char_embed_dim=settings["char_embed_dim"],
                         char_filters=((settings["filter_width"],

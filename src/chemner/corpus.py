@@ -59,12 +59,22 @@ class LabelScheme:
     def tag_name(self, tag_id: int) -> str:
         return self.tags[tag_id]
 
+    def label(self, tag_id: int) -> str | None:
+        """The entity label of a B or I tag; None for O."""
+        return self.entity_labels[(tag_id - 1) // 2] if tag_id else None
+
     def split_tag(self, tag_id: int) -> tuple[str, str | None]:
         """('O', None) or ('B'|'I', label)."""
         if tag_id == 0:
             return "O", None
-        lab = self.entity_labels[(tag_id - 1) // 2]
-        return ("B" if tag_id % 2 == 1 else "I"), lab
+        return ("B" if tag_id % 2 == 1 else "I"), self.label(tag_id)
+
+    def may_follow(self, prev: int | None, tag: int) -> bool:
+        """The BIO rule: whether ``tag`` may follow ``prev`` (None at the
+        start of a sentence). O and B-x may follow anything, I-x only B-x or
+        I-x. The corpus repair, the span decoder and the CRF masks all ask
+        this one predicate."""
+        return tag == 0 or tag % 2 == 1 or prev in (tag - 1, tag)
 
 
 @dataclass(frozen=True)
@@ -81,9 +91,6 @@ class TaggedSentence:
     @property
     def texts(self) -> list[str]:
         return [t.text for t in self.tokens]
-
-    def tag_names(self, scheme: LabelScheme) -> list[str]:
-        return [scheme.tag_name(t) for t in self.tags]
 
 
 def sentence_from_texts(texts: Sequence[str], tags: Sequence[int], document_id: str,
@@ -224,7 +231,7 @@ def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSent
     """
     sentences: list[TaggedSentence] = []
     texts: list[str] = []
-    tags: list[str] = []
+    tags: list[int] = []
     doc_index = 0
     doc_id = "doc0000"
     saw_docstart = False
@@ -234,7 +241,7 @@ def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSent
         if texts:
             tag_ids, repairs = [0] * len(texts), 0
             if scheme is not None:
-                tag_ids, repairs = _repair_bio([scheme.tag_id(t) for t in tags], scheme)
+                tag_ids, repairs = _repair_bio(tags, scheme)
             sentences.append(sentence_from_texts(texts, tag_ids, doc_id, repairs))
             texts, tags = [], []
 
@@ -261,29 +268,25 @@ def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSent
             if len(cols) != 2:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 2 columns (token, tag), got {len(cols)}")
-            token, tag = cols
             try:
-                scheme.tag_id(tag)
+                tags.append(scheme.tag_id(cols[1]))
             except UnknownLabelError:
-                raise UnknownLabelError(f"{path}:{lineno}: unknown tag {tag!r}") from None
-            texts.append(token)
-            tags.append(tag)
+                raise UnknownLabelError(f"{path}:{lineno}: unknown tag {cols[1]!r}") from None
+            texts.append(cols[0])
     flush()
     return sentences
 
 
 def _repair_bio(tag_ids: list[int], scheme: LabelScheme) -> tuple[list[int], int]:
-    """Convert dangling I-x (after O, start, or a different label) into B-x."""
-    repaired = list(tag_ids)
+    """Turn each tag that may not follow the repaired tag before it (a
+    dangling I-x) into B-x, and count the changes."""
+    repaired: list[int] = []
     repairs = 0
-    prev_label: str | None = None
-    for i, tid in enumerate(repaired):
-        prefix, label = scheme.split_tag(tid)
-        if prefix == "I" and label != prev_label:
-            repaired[i] = tid - 1  # I-x id is always B-x id + 1
+    for tid in tag_ids:
+        if not scheme.may_follow(repaired[-1] if repaired else None, tid):
+            tid -= 1  # only an I tag is refused, and I-x is B-x's id + 1
             repairs += 1
-            prefix = "B"
-        prev_label = label if prefix in ("B", "I") else None
+        repaired.append(tid)
     return repaired, repairs
 
 
@@ -371,20 +374,27 @@ def split_dataset(sentences: Sequence[TaggedSentence],
                         test=tuple(parts["test"]), seed=seed)
 
 
-def normalize_long_tokens(sentence: TaggedSentence, max_len: int = 25) -> TaggedSentence:
-    """Replace tokens longer than ``max_len`` characters by Long_Token.
-
-    Offsets and tags are untouched, so normalized tokens may no longer match
-    the source substring; idempotent because Long_Token itself is short.
-    """
+def normalize_long_texts(texts: Iterable[str], max_len: int) -> list[str]:
+    """Each text, or Long_Token in place of one longer than ``max_len``
+    characters; idempotent because Long_Token maps to itself."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if all(len(t.text) <= max_len for t in sentence.tokens):
+    return [t if len(t) <= max_len else LONG_TOKEN_TEXT for t in texts]
+
+
+def normalize_long_tokens(sentence: TaggedSentence, max_len: int = 25) -> TaggedSentence:
+    """:func:`normalize_long_texts` of a sentence's tokens; the sentence
+    itself when no token changes.
+
+    Offsets and tags are untouched, so normalized tokens may no longer match
+    the source substring.
+    """
+    before = sentence.texts
+    texts = normalize_long_texts(before, max_len)
+    if texts == before:
         return sentence
-    tokens = tuple(
-        Token(text=LONG_TOKEN_TEXT, start=t.start, end=t.end)
-        if len(t.text) > max_len else t
-        for t in sentence.tokens)
+    tokens = tuple(Token(text=text, start=t.start, end=t.end)
+                   for text, t in zip(texts, sentence.tokens))
     return TaggedSentence(tokens=tokens, tags=sentence.tags,
                           document_id=sentence.document_id, repairs=sentence.repairs)
 

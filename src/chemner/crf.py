@@ -57,19 +57,11 @@ class CrfParams:
 
 
 def bio_transition_masks(scheme: LabelScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Forbidden transitions under BIO: I-x may only follow B-x or I-x."""
-    k = scheme.num_tags
-    trans = np.zeros((k, k), dtype=bool)
-    start = np.zeros(k, dtype=bool)
-    for j in range(k):
-        prefix_j, label_j = scheme.split_tag(j)
-        if prefix_j != "I":
-            continue
-        start[j] = True
-        for i in range(k):
-            prefix_i, label_i = scheme.split_tag(i)
-            if not (prefix_i in ("B", "I") and label_i == label_j):
-                trans[i, j] = True
+    """The transitions (K, K) and starts (K,) that :meth:`LabelScheme.may_follow`
+    refuses; True = forbidden."""
+    tags = range(scheme.num_tags)
+    trans = np.array([[not scheme.may_follow(i, j) for j in tags] for i in tags], dtype=bool)
+    start = np.array([not scheme.may_follow(None, j) for j in tags], dtype=bool)
     return trans, start
 
 

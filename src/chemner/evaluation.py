@@ -62,29 +62,18 @@ class ConfusionMatrix:
 
 
 def spans_from_bio(tags: Sequence[int], scheme: LabelScheme) -> list[EntitySpan]:
-    """B-x opens a span, consecutive same-label I-x extend it.
-
-    A dangling I-x (after O, start, or another label) opens a new span, the
-    same repair convention the corpus reader applies.
-    """
+    """B-x opens a span, and so does an I-x that may not follow the tag
+    before it (:meth:`LabelScheme.may_follow`); the I tags that may follow
+    extend it. A dangling I-x thus opens the span the corpus reader's repair
+    to B-x would."""
     spans: list[EntitySpan] = []
-    open_start: int | None = None
-    open_label: str | None = None
-
-    def close(pos: int) -> None:
-        nonlocal open_start, open_label
-        if open_start is not None:
-            spans.append(EntitySpan(open_start, pos, open_label))
-        open_start, open_label = None, None
-
-    for i, tid in enumerate(tags):
-        prefix, label = scheme.split_tag(tid)
-        if prefix == "O":
-            close(i)
-        elif prefix == "B" or label != open_label:
-            close(i)
-            open_start, open_label = i, label
-    close(len(tags))
+    start, label, prev = 0, None, None
+    for i, tid in enumerate([*tags, 0]):  # the final O closes the last span
+        if scheme.may_follow(None, tid) or not scheme.may_follow(prev, tid):
+            if label is not None:
+                spans.append(EntitySpan(start, i, label))
+            start, label = i, scheme.label(tid)
+        prev = tid
     return spans
 
 

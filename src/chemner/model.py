@@ -10,7 +10,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import (DECODE_BATCH_TOKENS, BiLm, MixingWeights, NoDraw, _token_batches,
+from .bilm import (DECODE_BATCH_TOKENS, BiLm, MixingWeights, _token_batches,
                    char_features, glorot, lstm_layer, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
@@ -110,7 +110,7 @@ class NerModel:
                word_table: EmbeddingTable | None = None,
                bilm: BiLm | None = None) -> "NerModel":
         """The parameter layout with values drawn from ``rng`` in a fixed
-        order (a :class:`~chemner.bilm.NoDraw` leaves them zero)."""
+        order (a :class:`~chemner.training.NoDraw` leaves them zero)."""
         p: dict[str, Parameter] = {}
         if config.use_words:
             if word_table is not None:
@@ -287,7 +287,7 @@ class NerModel:
 def model_from_checkpoint(ckpt) -> NerModel:
     """Rebuild a NerModel (including any embedded biLM) from a checkpoint."""
     from .bilm import BiLmConfig
-    from .training import CheckpointError, restore_tensors, vocab_from_payload
+    from .training import CheckpointError, NoDraw, restore_tensors, vocab_from_payload
 
     if ckpt.kind != "ner":
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
@@ -299,7 +299,9 @@ def model_from_checkpoint(ckpt) -> NerModel:
                                                vocab_from_payload(ckpt.bilm_vocab)))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    bilm = None if bilm_config is None else BiLm.build(bilm_config, NoDraw())
-    model = NerModel.build(config, vocab, NoDraw(), bilm=bilm)
+    rng = NoDraw(ckpt)
+    rng.take((config.scheme.num_tags,) * 2)  # the CRF transitions, which are not drawn
+    bilm = None if bilm_config is None else BiLm.build(bilm_config, rng)
+    model = NerModel.build(config, vocab, rng, bilm=bilm)
     restore_tensors(model.all_tensors(), ckpt, "model")
     return model

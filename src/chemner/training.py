@@ -247,6 +247,31 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             _write_tensor(f, name, arr)
 
 
+class NoDraw:
+    """Stands in for a ``np.random.Generator`` when a parameter layout is
+    built only to receive the values of ``ckpt``: each draw is a zero array,
+    refused once the draws outgrow those values, which the layout could then
+    not match. The builders make each undrawn array after a drawn one at
+    least its size, so a config is refused before any array outgrows them."""
+
+    def __init__(self, ckpt: Checkpoint):
+        self.left = sum(a.size for a in ckpt.tensors.values())
+
+    def take(self, shape: tuple[int, ...]) -> None:
+        """Count an array of ``shape`` against the stored elements."""
+        count = math.prod(shape)
+        if count > self.left:
+            raise CheckpointError(f"checkpoint config asks for an array of shape {shape}, "
+                                  f"more than the {self.left} stored values left")
+        self.left -= count
+
+    def normal(self, loc=0.0, scale=1.0, size=()) -> np.ndarray:
+        self.take(size)
+        return np.zeros(size)
+
+    uniform = normal
+
+
 def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
     """Copy each checkpoint tensor and trainable flag into the parameter of
     the same name in a built layout; the names, shapes and trainable map

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's dynamic programs: partition and
 argmax are computed by full enumeration over all K^T tag sequences, and
-gradients by central differences on the loss value alone. The taped ops
-at the end, built on ``nx.primitive``, are the tape-engine tests' operands
+gradients by central differences on the loss value alone. The BIO
+references decide each tag from ``LabelScheme.split_tag``, apart from the
+``LabelScheme.may_follow`` rule the library uses. The taped ops at the end, built on ``nx.primitive``, are the tape-engine tests' operands
 and the per-row chain the fused ``numerics.char_cnn`` is tested against.
 """
 
@@ -17,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from chemner import numerics as nx
-from chemner.corpus import Vocabulary
+from chemner.corpus import LabelScheme, Vocabulary
+from chemner.evaluation import EntitySpan
 from chemner.numerics import ShapeError, Tensor, _wrap
 
 
@@ -147,6 +149,67 @@ def align_rows(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
         else:
             matrix[wid] = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
     return matrix
+
+
+def repair_bio(tag_ids: list[int], scheme: LabelScheme) -> tuple[list[int], int]:
+    """Dangling I-x (after O, the start, or another label) turned into B-x,
+    and the count of such repairs, decided from ``split_tag`` label by
+    label: the reference for ``corpus._repair_bio``."""
+    repaired = list(tag_ids)
+    repairs = 0
+    prev_label: str | None = None
+    for i, tid in enumerate(repaired):
+        prefix, label = scheme.split_tag(tid)
+        if prefix == "I" and label != prev_label:
+            repaired[i] = tid - 1  # I-x id is always B-x id + 1
+            repairs += 1
+            prefix = "B"
+        prev_label = label if prefix in ("B", "I") else None
+    return repaired, repairs
+
+
+def spans_from_bio(tags: Sequence[int], scheme: LabelScheme) -> list[EntitySpan]:
+    """B-x opens a span, consecutive same-label I-x extend it, a dangling
+    I-x opens a new one, decided from ``split_tag``: the reference for
+    ``evaluation.spans_from_bio``."""
+    spans: list[EntitySpan] = []
+    open_start: int | None = None
+    open_label: str | None = None
+
+    def close(pos: int) -> None:
+        nonlocal open_start, open_label
+        if open_start is not None:
+            spans.append(EntitySpan(open_start, pos, open_label))
+        open_start, open_label = None, None
+
+    for i, tid in enumerate(tags):
+        prefix, label = scheme.split_tag(tid)
+        if prefix == "O":
+            close(i)
+        elif prefix == "B" or label != open_label:
+            close(i)
+            open_start, open_label = i, label
+    close(len(tags))
+    return spans
+
+
+def bio_transition_masks(scheme: LabelScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Transitions and starts forbidden under BIO (I-x may only follow B-x
+    or I-x), by a double loop over ``split_tag``: the reference for
+    ``crf.bio_transition_masks``."""
+    k = scheme.num_tags
+    trans = np.zeros((k, k), dtype=bool)
+    start = np.zeros(k, dtype=bool)
+    for j in range(k):
+        prefix_j, label_j = scheme.split_tag(j)
+        if prefix_j != "I":
+            continue
+        start[j] = True
+        for i in range(k):
+            prefix_i, label_i = scheme.split_tag(i)
+            if not (prefix_i in ("B", "I") and label_i == label_j):
+                trans[i, j] = True
+    return trans, start
 
 
 def tobytes_write_tensor(out, name: str, arr: np.ndarray) -> None:

@@ -370,6 +370,20 @@ class TestCheckpointRoundtrip:
         b = restored.contextualize(SENTS[1])
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [10**7, 10**9])
+    def test_config_larger_than_the_stored_values_refused(self, dim):
+        # refused before any layout array outgrows the stored values, so the
+        # refusal traces less memory than restoring the valid checkpoint
+        from chemner.training import CheckpointError
+        ckpt = make_checkpoint(BiLm.init(small_config(SENTS), seed=2), None, None, kind="bilm")
+        valid = traced_peak(lambda: bilm_from_checkpoint(ckpt))
+        ckpt.config = {**ckpt.config, "token_projection_dim": dim, "layer_dim": dim}
+
+        def load():
+            with pytest.raises(CheckpointError, match="stored values"):
+                bilm_from_checkpoint(ckpt)
+        assert traced_peak(load) < valid
+
     def test_restored_bilm_holds_one_copy_of_its_weights(self):
         bilm = BiLm.init(small_config(SENTS, char_filters=((3, 32),), token_projection_dim=64,
                                       layer_dim=64), seed=2)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chemner.cli
+from chemner.bilm import BiLm, BiLmConfig
 from chemner.cli import main
 from chemner.corpus import build_vocabulary, read_column_corpus, write_column_corpus
 from chemner.model import ModelConfig, NerModel, model_from_checkpoint
@@ -625,6 +626,29 @@ class TestCheckpointFuzz:
         else:
             damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
         assert tag_exit_code(tag_files, damaged) in (0, 2, 3)
+
+
+class TestOversizedConfig:
+    """A checkpoint whose config describes more values than its file holds
+    ends in exit 2 before the layout is allocated, never in a memory error."""
+
+    @pytest.mark.parametrize("hidden", [10**7, 10**9])
+    def test_ner_checkpoint_tag_exit_2(self, tag_files, capsys, hidden):
+        config = {**read_metadata(tag_files.raw)["config"], "lstm_hidden": hidden}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "config", config)) == 2
+        assert "stored values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [10**7, 10**9])
+    def test_bilm_checkpoint_train_exit_2(self, capsys, corpus_file, tmp_path, dim):
+        sentences, _ = toy_corpus()
+        bilm = BiLm.init(BiLmConfig(vocab=build_vocabulary(sentences, [], min_count=1),
+                                    char_embed_dim=3, char_filters=((3, 3),),
+                                    token_projection_dim=4, layer_dim=4))
+        ckpt = make_checkpoint(bilm, None, None, kind="bilm")
+        ckpt.config = {**ckpt.config, "token_projection_dim": dim, "layer_dim": dim}
+        save_checkpoint(ckpt, str(tmp_path / "bilm.ckpt"))
+        assert train_with_config(capsys, corpus_file[0], tmp_path, ("bilm",),
+                                 str(tmp_path / "bilm.ckpt")) == 2
 
 
 def read_metadata(raw: bytes) -> dict:

@@ -1,9 +1,15 @@
-import pytest
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from chemner.corpus import (CorpusFormatError, LabelScheme, UnknownLabelError,
-                            Vocabulary, build_vocabulary, corpus_stats,
+                            Vocabulary, _repair_bio, build_vocabulary, corpus_stats,
                             normalize_long_tokens, read_column_corpus,
                             sentence_from_texts, split_dataset, write_column_corpus)
+from chemner.crf import bio_transition_masks
 from chemner.evaluation import spans_from_bio
 
 SCHEME = LabelScheme(("G", "M"))
@@ -40,7 +46,7 @@ class TestReadColumnCorpus:
         sents = read_column_corpus(path, SCHEME)
         assert len(sents) == 1
         assert sents[0].texts == ["salt"]
-        assert sents[0].tag_names(SCHEME) == ["B-G"]
+        assert [SCHEME.tag_name(t) for t in sents[0].tags] == ["B-G"]
 
     def test_byte_order_mark_not_in_first_token(self, tmp_path):
         path = write(tmp_path, "\ufeffwater\tB-G\nsalt\tO\n")
@@ -49,13 +55,13 @@ class TestReadColumnCorpus:
     def test_dangling_i_repaired(self, tmp_path):
         path = write(tmp_path, "salt\tI-G\nwater\tI-G\n")
         sents = read_column_corpus(path, SCHEME)
-        assert sents[0].tag_names(SCHEME) == ["B-G", "I-G"]
+        assert [SCHEME.tag_name(t) for t in sents[0].tags] == ["B-G", "I-G"]
         assert sents[0].repairs == 1
 
     def test_i_after_other_label_repaired(self, tmp_path):
         path = write(tmp_path, "a\tB-M\nb\tI-G\n")
         sents = read_column_corpus(path, SCHEME)
-        assert sents[0].tag_names(SCHEME) == ["B-M", "B-G"]
+        assert [SCHEME.tag_name(t) for t in sents[0].tags] == ["B-M", "B-G"]
         assert sents[0].repairs == 1
 
     def test_three_columns_error(self, tmp_path):
@@ -76,7 +82,7 @@ class TestReadColumnCorpus:
 
     def test_space_separated_two_columns_ok(self, tmp_path):
         sents = read_column_corpus(write(tmp_path, "salt B-G\n"), SCHEME)
-        assert sents[0].tag_names(SCHEME) == ["B-G"]
+        assert [SCHEME.tag_name(t) for t in sents[0].tags] == ["B-G"]
 
     def test_roundtrip_write_read(self, tmp_path):
         sents = [sentence_from_texts(["a", "b"], [1, 2], "d1"),
@@ -112,12 +118,40 @@ class TestBioRepairProperties:
     def test_repair_cases(self, tmp_path, tags, expected):
         content = "".join(f"w{i}\t{t}\n" for i, t in enumerate(tags))
         sents = read_column_corpus(write(tmp_path, content), SCHEME)
-        repaired = sents[0].tag_names(SCHEME)
+        repaired = [SCHEME.tag_name(t) for t in sents[0].tags]
         assert repaired == expected
         # O count preserved, span count never decreases
         assert repaired.count("O") == tags.count("O")
         raw_b_count = sum(t.startswith("B-") for t in tags)
         assert len(spans_from_bio(sents[0].tags, SCHEME)) >= raw_b_count
+
+
+class TestBioRule:
+    """The repair, the span decoder and the CRF masks, all built on
+    ``LabelScheme.may_follow``, against the ``split_tag`` forms they replace."""
+
+    @pytest.mark.parametrize("labels", [("G",), ("G", "M"), ("G", "M", "Q")])
+    def test_every_short_sequence_matches_the_reference(self, labels):
+        scheme = LabelScheme(labels)
+        for length in range(6):
+            for tags in itertools.product(range(scheme.num_tags), repeat=length):
+                tags = list(tags)
+                assert _repair_bio(tags, scheme) == oracles.repair_bio(tags, scheme)
+                assert spans_from_bio(tags, scheme) == oracles.spans_from_bio(tags, scheme)
+        for got, want in zip(bio_transition_masks(scheme), oracles.bio_transition_masks(scheme)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), labels=st.integers(1, 4))
+    def test_repair_keeps_spans_obeys_the_masks_and_is_idempotent(self, data, labels):
+        scheme = LabelScheme(tuple(f"L{i}" for i in range(labels)))
+        tags = data.draw(st.lists(st.integers(0, scheme.num_tags - 1), max_size=12))
+        repaired, _ = _repair_bio(tags, scheme)
+        assert spans_from_bio(tags, scheme) == spans_from_bio(repaired, scheme)
+        trans_mask, start_mask = bio_transition_masks(scheme)
+        assert not (repaired and start_mask[repaired[0]])
+        assert not any(trans_mask[a, b] for a, b in zip(repaired, repaired[1:]))
+        assert _repair_bio(repaired, scheme) == (repaired, 0)
 
 
 class TestSplitDataset:

@@ -519,6 +519,44 @@ class TestCheckpointRestore:
         assert restored.predict_batch(sentences) == model.predict_batch(sentences)
         assert all(p._gradient is None for p in restored.all_tensors().values())
 
+    @pytest.mark.parametrize("hidden", [10**7, 10**9])
+    @pytest.mark.parametrize("section", ["config", "bilm_config"])
+    def test_config_larger_than_the_stored_values_refused(self, toy_data, section, hidden):
+        # refused before any layout array outgrows the stored values, so the
+        # refusal traces less memory than restoring the valid checkpoint
+        from chemner.training import CheckpointError
+        _, scheme, vocab = toy_data
+        bilm = BiLm.init(BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                                    token_projection_dim=8, layer_dim=8), seed=1)
+        config = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
+                             char_filter_count=4, char_output_dim=4, lstm_hidden=6,
+                             use_contextual=True, contextual_dim=16)
+        ckpt = make_checkpoint(NerModel.init(config, vocab, bilm=bilm), None, None)
+        valid = traced_peak(lambda: model_from_checkpoint(ckpt))
+        sizes = ({"lstm_hidden": hidden} if section == "config"
+                 else {"token_projection_dim": hidden, "layer_dim": hidden})
+        setattr(ckpt, section, {**getattr(ckpt, section), **sizes})
+
+        def load():
+            with pytest.raises(CheckpointError, match="stored values"):
+                model_from_checkpoint(ckpt)
+        assert traced_peak(load) < valid
+
+    def test_label_count_larger_than_the_stored_values_refused(self, toy_data):
+        # emit.w (2 x K) still fits the stored values, the undrawn (K x K)
+        # CRF transitions do not: they are counted before anything is built
+        from chemner.training import CheckpointError
+        _, _, vocab = toy_data
+        labels = tuple(f"L{i}" for i in range(50))
+        ckpt = make_checkpoint(tiny_model(vocab, labels=labels, lstm_hidden=1), None, None)
+        valid = traced_peak(lambda: model_from_checkpoint(ckpt))
+        ckpt.config = {**ckpt.config, "labels": [f"L{i}" for i in range(500)]}
+
+        def load():
+            with pytest.raises(CheckpointError, match="stored values"):
+                model_from_checkpoint(ckpt)
+        assert traced_peak(load) < valid
+
     def test_shape_mismatch_rejected(self, toy_data):
         from chemner.training import CheckpointError
         sentences, scheme, vocab = toy_data
