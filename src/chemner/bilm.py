@@ -23,8 +23,15 @@ import numpy as np
 from . import numerics as nx
 from .corpus import Vocabulary, normalize_long_texts
 from .numerics import Parameter, ShapeError, Tape, Tensor
+from .training import (AdamState, CheckpointError, TrainConfig, _optimizer_step,
+                       check_json_types, restore_tensors, stored, vocab_from_payload)
 
 DECODE_BATCH_TOKENS = 512  # tokens per evaluation pass; bounds its memory
+
+# the JSON type table (see training.check_json_types) of a BiLmConfig payload
+BILM_CONFIG_TYPES = {**dict.fromkeys(("char_embed_dim", "token_projection_dim", "num_layers",
+                                      "layer_dim", "max_token_len"), (int,)),
+                     "char_filters": [[(int,)]]}
 
 
 @dataclass
@@ -48,8 +55,8 @@ class BiLmConfig:
             # layer 0 is the projection duplicated to 2*layer_dim, so the
             # widths must agree for the layers to be mixable
             raise ValueError("token_projection_dim must equal layer_dim")
-        if not self.char_filters:
-            raise ValueError("need at least one character filter")
+        if not self.char_filters or any(len(f) != 2 for f in self.char_filters):
+            raise ValueError("need at least one character filter, each a (width, count) pair")
 
     @property
     def output_dim(self) -> int:
@@ -62,25 +69,17 @@ class BiLmConfig:
 
     @classmethod
     def from_payload(cls, payload: dict, vocab: Vocabulary) -> "BiLmConfig":
-        kwargs = dict(payload)
+        """A checkpoint's config, checked against BILM_CONFIG_TYPES."""
+        kwargs = dict(check_json_types("checkpoint biLM config", payload, BILM_CONFIG_TYPES))
         kwargs["char_filters"] = tuple(tuple(f) for f in kwargs["char_filters"])
         return cls(vocab=vocab, **kwargs)
 
 
-def glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def lstm_params(rng: np.random.Generator, name: str, in_dim: int,
-                 hidden: int) -> dict[str, Parameter]:
-    wx = glorot(rng, (in_dim, 4 * hidden), in_dim, hidden)
-    wh = glorot(rng, (hidden, 4 * hidden), hidden, hidden)
-    b = np.zeros(4 * hidden)  # made after the draws, which bound its size
-    b[hidden:2 * hidden] = 1.0  # forget-gate bias
-    return {f"{name}.wx": Parameter(f"{name}.wx", wx), f"{name}.wh": Parameter(f"{name}.wh", wh),
-            f"{name}.b": Parameter(f"{name}.b", b)}
+def lstm_params(new: nx.Maker, name: str, in_dim: int, hidden: int) -> list[Parameter]:
+    """One LSTM direction-layer's weights; the forget-gate bias starts at 1."""
+    return [new(f"{name}.wx", (in_dim, 4 * hidden), nx.glorot(in_dim, hidden)),
+            new(f"{name}.wh", (hidden, 4 * hidden), nx.glorot(hidden, hidden)),
+            new(f"{name}.b", (4 * hidden,), lambda *_: np.repeat([0.0, 1.0, 0.0, 0.0], hidden))]
 
 
 def lstm_layer(params: dict[str, Parameter], name: str, x: Tensor, lengths: Sequence[int],
@@ -149,41 +148,30 @@ class BiLm:
 
     @classmethod
     def init(cls, config: BiLmConfig, seed: int = 0) -> "BiLm":
-        return cls.build(config, np.random.default_rng(seed))
+        return cls.build(config, nx.drawn(np.random.default_rng(seed)))
 
     @classmethod
-    def build(cls, config: BiLmConfig, rng) -> "BiLm":
-        """The parameter layout with values drawn from ``rng`` in a fixed
-        order (a :class:`~chemner.training.NoDraw` leaves them zero)."""
-        vocab = config.vocab
-        p: dict[str, Parameter] = {}
-        chars = rng.normal(0.0, 1.0 / np.sqrt(config.char_embed_dim),
-                           size=(vocab.char_size, config.char_embed_dim))
-        chars[Vocabulary.CHAR_PAD] = 0.0
-        p["bilm.chars"] = Parameter("bilm.chars", chars,
-                                    frozen_rows=(Vocabulary.CHAR_PAD,))
-        total_filters = 0
+    def build(cls, config: BiLmConfig, new: nx.Maker) -> "BiLm":
+        """The parameter layout, each parameter made by ``new`` in a fixed
+        order (so a seeded ``numerics.drawn`` draws as init always has)."""
+        vocab, dim, proj = config.vocab, config.char_embed_dim, config.token_projection_dim
+        made = [new("bilm.chars", (vocab.char_size, dim), nx.padded_table(Vocabulary.CHAR_PAD),
+                    frozen_rows=(Vocabulary.CHAR_PAD,))]
         for i, (width, count) in enumerate(config.char_filters):
-            p[f"bilm.conv{i}.w"] = Parameter(
-                f"bilm.conv{i}.w",
-                glorot(rng, (count, width, config.char_embed_dim),
-                        width * config.char_embed_dim, count))
-            p[f"bilm.conv{i}.b"] = Parameter(f"bilm.conv{i}.b", np.zeros(count))
-            total_filters += count
-        p["bilm.proj.w"] = Parameter(
-            "bilm.proj.w", glorot(rng, (total_filters, config.token_projection_dim),
-                                   total_filters, config.token_projection_dim))
-        p["bilm.proj.b"] = Parameter("bilm.proj.b", np.zeros(config.token_projection_dim))
+            made += [new(f"bilm.conv{i}.w", (count, width, dim), nx.glorot(width * dim, count)),
+                     new(f"bilm.conv{i}.b", (count,))]
+        total = sum(count for _, count in config.char_filters)
+        made += [new("bilm.proj.w", (total, proj), nx.glorot(total, proj)),
+                 new("bilm.proj.b", (proj,))]
         for direction in ("fwd", "bwd"):
-            in_dim = config.token_projection_dim
+            in_dim = proj
             for layer in range(config.num_layers):
-                p.update(lstm_params(rng, f"bilm.{direction}.l{layer}", in_dim, config.layer_dim))
+                made += lstm_params(new, f"bilm.{direction}.l{layer}", in_dim, config.layer_dim)
                 in_dim = config.layer_dim
-        p["bilm.head.w"] = Parameter(
-            "bilm.head.w", glorot(rng, (config.layer_dim, vocab.size),
-                                   config.layer_dim, vocab.size))
-        p["bilm.head.b"] = Parameter("bilm.head.b", np.zeros(vocab.size))
-        return cls(config, p)
+        made += [new("bilm.head.w", (config.layer_dim, vocab.size),
+                     nx.glorot(config.layer_dim, vocab.size)),
+                 new("bilm.head.b", (vocab.size,))]
+        return cls(config, {p.name: p for p in made})
 
     def parameters(self) -> list[Parameter]:
         return [self.params[k] for k in sorted(self.params)]
@@ -321,9 +309,9 @@ class MixingWeights:
     gamma: Parameter  # scalar
 
     @classmethod
-    def init(cls, num_layers: int, prefix: str = "mix") -> "MixingWeights":
-        return cls(s=Parameter(f"{prefix}.s", np.zeros(num_layers + 1)),
-                   gamma=Parameter(f"{prefix}.gamma", np.asarray(1.0)))
+    def init(cls, new: nx.Maker, num_layers: int) -> "MixingWeights":
+        return cls(s=new("mix.s", (num_layers + 1,)),
+                   gamma=new("mix.gamma", (), lambda _, shape: np.ones(shape)))
 
     def parameters(self) -> list[Parameter]:
         return [self.s, self.gamma]
@@ -362,15 +350,13 @@ def mix_layers(layers: Sequence, weights: MixingWeights,
 
 def bilm_from_checkpoint(ckpt) -> BiLm:
     """Rebuild a BiLm from a kind="bilm" checkpoint."""
-    from .training import CheckpointError, NoDraw, restore_tensors, vocab_from_payload
-
     if ckpt.kind != "bilm":
         raise CheckpointError(f"expected a bilm checkpoint, got kind {ckpt.kind!r}")
     try:
         config = BiLmConfig.from_payload(ckpt.config, vocab_from_payload(ckpt.vocab))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    model = BiLm.build(config, NoDraw(ckpt))
+    model = BiLm.build(config, stored(ckpt))
     restore_tensors(model.params, ckpt, "biLM")
     return model
 
@@ -385,8 +371,6 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
     ``training_perplexities``. Stops early once ``target_perplexity`` is
     reached, if given.
     """
-    from .training import AdamState, TrainConfig, _optimizer_step
-
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     usable = [list(s) for s in sentences if len(s) >= 2]

@@ -24,11 +24,12 @@ from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelE
 from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
-from .model import ConfigurationError, ModelConfig, NerModel, model_from_checkpoint
+from .model import (MODEL_CONFIG_TYPES, ConfigurationError, ModelConfig, NerModel,
+                    model_from_checkpoint)
 from .numerics import NumericError
 from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
-from .training import (CheckpointError, TrainConfig, load_checkpoint, make_checkpoint,
-                       save_checkpoint, train)
+from .training import (JSON_NUMBER, CheckpointError, TrainConfig, check_json_types,
+                       load_checkpoint, make_checkpoint, save_checkpoint, train)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -48,44 +49,21 @@ class ConfigError(ValueError):
 # run configuration
 # ---------------------------------------------------------------------------
 
-# the decoded JSON types each config value may have, exactly (a true is not
-# an int, but a number may be written as an int or a float); [types] is a
-# list of such values
-_NUMBER = (int, float)
+# the JSON type tables (see training.check_json_types) of the run config; its
+# "model" section sets every ModelConfig field but those the command derives
 _PATH = (str, type(None))
 _TOP_TYPES = {"labels": [(str,)], "tokenizer": (dict,), "model": (dict,), "train": (dict,),
               "embeddings": _PATH, "bilm": _PATH}
 _TOKENIZER_TYPES = {"mode": (str,), "rules": _PATH}
-_MODEL_TYPES = {**dict.fromkeys(("use_words", "use_pretrained_words", "use_char_cnn",
-                                 "use_contextual", "crf_bio_mask"), (bool,)),
-                **dict.fromkeys(("word_dim", "char_embed_dim", "char_filter_width",
-                                 "char_filter_count", "char_output_dim", "lstm_layers",
-                                 "lstm_hidden", "long_token_threshold"), (int,)),
-                "dropout": [_NUMBER]}
+_RUN_MODEL_TYPES = {k: v for k, v in MODEL_CONFIG_TYPES.items()
+                    if k not in ("labels", "contextual_dim", "word_source")}
 _TRAIN_TYPES = {**dict.fromkeys(("learning_rate", "clip_norm", "beta1", "beta2",
-                                 "epsilon"), _NUMBER),
+                                 "epsilon"), JSON_NUMBER),
                 **dict.fromkeys(("batch_size", "max_epochs", "patience", "seed"), (int,))}
 
 
-def _has_type(value, types) -> bool:
-    if isinstance(types, list):
-        return type(value) is list and all(_has_type(v, types[0]) for v in value)
-    return type(value) in types
-
-
 def _check_section(section: str, raw, types: dict) -> dict:
-    """``raw`` if it is a JSON object whose keys all appear in ``types``,
-    each with a value of its JSON type; a ``ConfigError`` otherwise."""
-    if type(raw) is not dict:
-        raise ConfigError(f"config section {section!r} must be a JSON object")
-    unknown = set(raw) - types.keys()
-    if unknown:
-        raise ConfigError(f"config section {section!r}: unknown keys {sorted(unknown)}")
-    wrong = sorted(k for k, v in raw.items() if not _has_type(v, types[k]))
-    if wrong:
-        raise ConfigError(f"config section {section!r}: values of the wrong JSON type "
-                          f"for {wrong}")
-    return raw
+    return check_json_types(f"config section {section!r}", raw, types, ConfigError)
 
 
 def load_run_config(path: str) -> dict:
@@ -95,7 +73,7 @@ def load_run_config(path: str) -> dict:
         raise ConfigError("config needs a non-empty 'labels' list")
     tok = (_check_section("tokenizer", raw.get("tokenizer", {}), _TOKENIZER_TYPES)
            or {"mode": "general", "rules": None})
-    _check_section("model", raw.get("model", {}), _MODEL_TYPES)
+    _check_section("model", raw.get("model", {}), _RUN_MODEL_TYPES)
     _check_section("train", raw.get("train", {}), _TRAIN_TYPES)
     for key in ("embeddings", "bilm"):
         p = raw.get(key)
@@ -178,10 +156,10 @@ def _read_plain_sentences(path: str, kind: TokenizerKind) -> list[list[str]]:
     return out
 
 
-_BILM_CONFIG_TYPES = {**dict.fromkeys(("char_embed_dim", "filter_width", "filter_count",
+_TRAIN_BILM_TYPES = {**dict.fromkeys(("char_embed_dim", "filter_width", "filter_count",
                                         "layer_dim", "layers", "max_token_len",
                                         "min_count"), (int,)),
-                      "learning_rate": _NUMBER, "tokenizer": (str,), "rules": _PATH}
+                      "learning_rate": JSON_NUMBER, "tokenizer": (str,), "rules": _PATH}
 
 
 def cmd_train_bilm(args) -> int:
@@ -192,8 +170,8 @@ def cmd_train_bilm(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             settings.update(_check_section("train-bilm config", json.load(f),
-                                           _BILM_CONFIG_TYPES))
-    for key in _BILM_CONFIG_TYPES:  # explicit flags win over the config file
+                                           _TRAIN_BILM_TYPES))
+    for key in _TRAIN_BILM_TYPES:  # explicit flags win over the config file
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -260,8 +238,7 @@ def cmd_train(args) -> int:
 
     word_table = None
     if pretrained is not None and config.use_pretrained_words:
-        word_table = align_to_vocab(pretrained[0], pretrained[1], vocab,
-                                    seed=tconfig.seed, source_name=run["embeddings"])
+        word_table = align_to_vocab(pretrained[0], pretrained[1], vocab, seed=tconfig.seed)
         if word_table.dim != config.word_dim:
             config = dataclasses.replace(config, word_dim=word_table.dim)
     pretrained = None  # the aligned table holds a copy of every row it uses

@@ -8,6 +8,7 @@ import random
 import uuid
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .textproc import Token
@@ -38,13 +39,15 @@ class LabelScheme:
         if any(not lab for lab in self.entity_labels):
             raise ValueError("empty entity label")
 
-    @property
+    @cached_property
+    def _tag_ids(self) -> dict[str, int]:
+        """Each tag name's id: O, then the B and I tags of each label."""
+        return {tag: i for i, tag in enumerate(
+            ["O", *(f"{bio}-{lab}" for lab in self.entity_labels for bio in "BI")])}
+
+    @cached_property
     def tags(self) -> list[str]:
-        out = ["O"]
-        for lab in self.entity_labels:
-            out.append(f"B-{lab}")
-            out.append(f"I-{lab}")
-        return out
+        return list(self._tag_ids)
 
     @property
     def num_tags(self) -> int:
@@ -52,8 +55,8 @@ class LabelScheme:
 
     def tag_id(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._tag_ids[tag]
+        except KeyError:
             raise UnknownLabelError(f"unknown tag {tag!r}") from None
 
     def tag_name(self, tag_id: int) -> str:

@@ -30,10 +30,9 @@ class CrfParams:
     bio_start_mask: np.ndarray | None = None  # (K,) bool
 
     @classmethod
-    def init(cls, num_tags: int, prefix: str = "crf") -> "CrfParams":
-        return cls(transitions=Parameter(f"{prefix}.transitions", np.zeros((num_tags, num_tags))),
-                   start=Parameter(f"{prefix}.start", np.zeros(num_tags)),
-                   stop=Parameter(f"{prefix}.stop", np.zeros(num_tags)))
+    def init(cls, new: nx.Maker, num_tags: int) -> "CrfParams":
+        return cls(transitions=new("crf.transitions", (num_tags, num_tags)),
+                   start=new("crf.start", (num_tags,)), stop=new("crf.stop", (num_tags,)))
 
     @property
     def num_tags(self) -> int:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocabulary
-from .numerics import Parameter
 
 
 class EmbeddingFormatError(ValueError):
@@ -20,12 +19,6 @@ class EmbeddingTable:
     matrix: np.ndarray  # (|vocab|, dim) float64
     dim: int
     trainable: bool
-    source_name: str
-
-    def as_parameter(self, name: str = "word_embedding") -> Parameter:
-        """Parameter view; the PAD row is pinned (never updated)."""
-        return Parameter(name, self.matrix, trainable=self.trainable,
-                         frozen_rows=(Vocabulary.PAD,))
 
 
 def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
@@ -111,7 +104,7 @@ def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
 
 
 def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
-                   seed: int = 0, source_name: str = "pretrained") -> EmbeddingTable:
+                   seed: int = 0) -> EmbeddingTable:
     """Fixed table over the vocabulary: file rows verbatim, unseen rows seeded
     N(0, 1/sqrt(dim)), PAD all zeros."""
     if vectors.ndim != 2:
@@ -130,4 +123,4 @@ def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
                                                           size=(missing.size, dim))
     if not np.isfinite(matrix).all():
         raise EmbeddingFormatError("embedding matrix contains non-finite values")
-    return EmbeddingTable(matrix=matrix, dim=dim, trainable=False, source_name=source_name)
+    return EmbeddingTable(matrix=matrix, dim=dim, trainable=False)

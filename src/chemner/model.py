@@ -4,21 +4,34 @@ stacked bidirectional LSTM encoder with a linear-chain CRF head."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import (DECODE_BATCH_TOKENS, BiLm, MixingWeights, _token_batches,
-                   char_features, glorot, lstm_layer, lstm_params, mix_layers)
+from .bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights, _token_batches,
+                   char_features, lstm_layer, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
+from .training import (JSON_NUMBER, CheckpointError, check_json_types, restore_tensors,
+                       stored, vocab_from_payload)
 
 
 class ConfigurationError(ValueError):
     """Model configuration inconsistent with the requested operation."""
+
+
+# the JSON type table (see training.check_json_types) of a ModelConfig payload
+MODEL_CONFIG_TYPES = {**dict.fromkeys(("use_words", "use_pretrained_words", "use_char_cnn",
+                                       "use_contextual", "crf_bio_mask"), (bool,)),
+                      **dict.fromkeys(("word_dim", "char_embed_dim", "char_filter_width",
+                                       "char_filter_count", "char_output_dim", "lstm_layers",
+                                       "lstm_hidden", "contextual_dim",
+                                       "long_token_threshold"), (int,)),
+                      "labels": [(str,)], "dropout": [JSON_NUMBER], "word_source": (str,)}
 
 
 @dataclass
@@ -55,7 +68,7 @@ class ModelConfig:
         if not self.labels:
             raise ConfigurationError("label scheme is empty")
 
-    @property
+    @cached_property
     def scheme(self) -> LabelScheme:
         return LabelScheme(tuple(self.labels))
 
@@ -74,10 +87,9 @@ class ModelConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ModelConfig":
-        kwargs = dict(payload)
-        kwargs["labels"] = tuple(kwargs["labels"])
-        kwargs["dropout"] = tuple(kwargs["dropout"])
-        return cls(**kwargs)
+        """A checkpoint's config, checked against MODEL_CONFIG_TYPES."""
+        payload = check_json_types("checkpoint model config", payload, MODEL_CONFIG_TYPES)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
 
 
 class NerModel:
@@ -103,61 +115,49 @@ class NerModel:
     def init(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
              word_table: EmbeddingTable | None = None,
              bilm: BiLm | None = None) -> "NerModel":
-        return cls.build(config, vocab, np.random.default_rng(seed), word_table, bilm)
+        return cls.build(config, vocab, nx.drawn(np.random.default_rng(seed)), word_table, bilm)
 
     @classmethod
-    def build(cls, config: ModelConfig, vocab: Vocabulary, rng,
-               word_table: EmbeddingTable | None = None,
-               bilm: BiLm | None = None) -> "NerModel":
-        """The parameter layout with values drawn from ``rng`` in a fixed
-        order (a :class:`~chemner.training.NoDraw` leaves them zero)."""
-        p: dict[str, Parameter] = {}
+    def build(cls, config: ModelConfig, vocab: Vocabulary, new: nx.Maker,
+              word_table: EmbeddingTable | None = None,
+              bilm: BiLm | None = None) -> "NerModel":
+        """The parameter layout, each parameter made by ``new`` in a fixed
+        order (so a seeded ``numerics.drawn`` draws as init always has)."""
+        made: list[Parameter] = []
         if config.use_words:
+            init, trainable = nx.padded_table(Vocabulary.PAD), True
             if word_table is not None:
                 if word_table.dim != config.word_dim:
                     raise ConfigurationError(
                         f"word table dim {word_table.dim} != config {config.word_dim}")
-                p["words"] = word_table.as_parameter("words")
-            else:
-                matrix = rng.normal(0.0, 1.0 / np.sqrt(config.word_dim),
-                                    size=(vocab.size, config.word_dim))
-                matrix[Vocabulary.PAD] = 0.0
-                p["words"] = Parameter("words", matrix, trainable=True,
-                                       frozen_rows=(Vocabulary.PAD,))
+                init, trainable = (lambda *_: word_table.matrix), word_table.trainable
+            made.append(new("words", (vocab.size, config.word_dim), init, trainable,
+                            (Vocabulary.PAD,)))
         if config.use_char_cnn:
-            chars = rng.normal(0.0, 1.0 / np.sqrt(config.char_embed_dim),
-                               size=(vocab.char_size, config.char_embed_dim))
-            chars[Vocabulary.CHAR_PAD] = 0.0
-            p["chars"] = Parameter("chars", chars, frozen_rows=(Vocabulary.CHAR_PAD,))
-            p["char_conv.w"] = Parameter(
-                "char_conv.w",
-                glorot(rng, (config.char_filter_count, config.char_filter_width,
-                              config.char_embed_dim),
-                        config.char_filter_width * config.char_embed_dim,
-                        config.char_filter_count))
-            p["char_conv.b"] = Parameter("char_conv.b", np.zeros(config.char_filter_count))
-            p["char_proj.w"] = Parameter(
-                "char_proj.w", glorot(rng, (config.char_filter_count, config.char_output_dim),
-                                       config.char_filter_count, config.char_output_dim))
-            p["char_proj.b"] = Parameter("char_proj.b", np.zeros(config.char_output_dim))
-
+            dim, width = config.char_embed_dim, config.char_filter_width
+            count, out = config.char_filter_count, config.char_output_dim
+            made += [new("chars", (vocab.char_size, dim), nx.padded_table(Vocabulary.CHAR_PAD),
+                         frozen_rows=(Vocabulary.CHAR_PAD,)),
+                     new("char_conv.w", (count, width, dim), nx.glorot(width * dim, count)),
+                     new("char_conv.b", (count,)),
+                     new("char_proj.w", (count, out), nx.glorot(count, out)),
+                     new("char_proj.b", (out,))]
         in_dim = config.feature_dim
         for layer in range(config.lstm_layers):
             for direction in ("fwd", "bwd"):
-                p.update(lstm_params(rng, f"lstm.l{layer}.{direction}", in_dim,
-                                      config.lstm_hidden))
+                made += lstm_params(new, f"lstm.l{layer}.{direction}", in_dim,
+                                    config.lstm_hidden)
             in_dim = config.encoder_dim
         k = config.scheme.num_tags
-        p["emit.w"] = Parameter("emit.w", glorot(rng, (config.encoder_dim, k),
-                                                  config.encoder_dim, k))
-        p["emit.b"] = Parameter("emit.b", np.zeros(k))
-        crf = crf_mod.CrfParams.init(k)
+        made += [new("emit.w", (config.encoder_dim, k), nx.glorot(config.encoder_dim, k)),
+                 new("emit.b", (k,))]
         mixing = None
         if config.use_contextual:
             if bilm is None:
                 raise ConfigurationError("use_contextual requires a trained biLM")
-            mixing = MixingWeights.init(bilm.config.num_layers)
-        return cls(config, vocab, p, crf, mixing=mixing, bilm=bilm)
+            mixing = MixingWeights.init(new, bilm.config.num_layers)
+        return cls(config, vocab, {p.name: p for p in made}, crf_mod.CrfParams.init(new, k),
+                   mixing=mixing, bilm=bilm)
 
     def parameters(self) -> list[Parameter]:
         """All parameters in a stable name order (biLM ones frozen)."""
@@ -286,9 +286,6 @@ class NerModel:
 
 def model_from_checkpoint(ckpt) -> NerModel:
     """Rebuild a NerModel (including any embedded biLM) from a checkpoint."""
-    from .bilm import BiLmConfig
-    from .training import CheckpointError, NoDraw, restore_tensors, vocab_from_payload
-
     if ckpt.kind != "ner":
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
     try:
@@ -299,9 +296,8 @@ def model_from_checkpoint(ckpt) -> NerModel:
                                                vocab_from_payload(ckpt.bilm_vocab)))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
-    rng = NoDraw(ckpt)
-    rng.take((config.scheme.num_tags,) * 2)  # the CRF transitions, which are not drawn
-    bilm = None if bilm_config is None else BiLm.build(bilm_config, rng)
-    model = NerModel.build(config, vocab, rng, bilm=bilm)
+    new = stored(ckpt)
+    bilm = None if bilm_config is None else BiLm.build(bilm_config, new)
+    model = NerModel.build(config, vocab, new, bilm=bilm)
     restore_tensors(model.all_tensors(), ckpt, "model")
     return model

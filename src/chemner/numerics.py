@@ -61,6 +61,35 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"
 
 
+# a parameter maker: new(name, shape, init=None, trainable=True, frozen_rows=())
+Maker = Callable[..., Parameter]
+
+
+def drawn(rng: np.random.Generator | None) -> Maker:
+    """The maker of a fresh model: a Parameter holding ``init(rng, shape)``,
+    or zeros without an ``init``. A checkpoint load uses ``training.stored``."""
+    def new(name: str, shape: tuple[int, ...], init: Callable | None = None,
+            trainable: bool = True, frozen_rows: Sequence[int] = ()) -> Parameter:
+        return Parameter(name, np.zeros(shape) if init is None else init(rng, shape),
+                         trainable, frozen_rows)
+    return new
+
+
+def glorot(fan_in: int, fan_out: int) -> Callable:
+    """Uniform on ±sqrt(6 / (fan_in + fan_out))."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return lambda rng, shape: rng.uniform(-limit, limit, size=shape)
+
+
+def padded_table(pad: int) -> Callable:
+    """An embedding table: N(0, 1/sqrt(width)) entries, row ``pad`` zero."""
+    def init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        table = rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape)
+        table[pad] = 0.0
+        return table
+    return init
+
+
 class Tensor:
     """Value node. ``tape`` is None for constants (no gradient tracking)."""
 

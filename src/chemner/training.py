@@ -26,6 +26,31 @@ class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
+# A JSON type table gives each key the decoded JSON types its value may have, exactly
+# (a true is not an int, a number may be an int or a float); [types] is a list of such.
+JSON_NUMBER = (int, float)
+
+
+def _has_json_type(value, types) -> bool:
+    if isinstance(types, list):
+        return type(value) is list and all(_has_json_type(v, types[0]) for v in value)
+    return type(value) in types
+
+
+def check_json_types(what: str, raw, types: dict, error=CheckpointError) -> dict:
+    """``raw`` if it is a JSON object whose keys all appear in the type
+    table ``types``, each with a value of its JSON type; ``error`` otherwise."""
+    if type(raw) is not dict:
+        raise error(f"{what} must be a JSON object")
+    unknown = set(raw) - types.keys()
+    if unknown:
+        raise error(f"{what}: unknown keys {sorted(unknown)}")
+    wrong = sorted(k for k, v in raw.items() if not _has_json_type(v, types[k]))
+    if wrong:
+        raise error(f"{what}: values of the wrong JSON type for {wrong}")
+    return raw
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
@@ -247,55 +272,43 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             _write_tensor(f, name, arr)
 
 
-class NoDraw:
-    """Stands in for a ``np.random.Generator`` when a parameter layout is
-    built only to receive the values of ``ckpt``: each draw is a zero array,
-    refused once the draws outgrow those values, which the layout could then
-    not match. The builders make each undrawn array after a drawn one at
-    least its size, so a config is refused before any array outgrows them."""
-
-    def __init__(self, ckpt: Checkpoint):
-        self.left = sum(a.size for a in ckpt.tensors.values())
-
-    def take(self, shape: tuple[int, ...]) -> None:
-        """Count an array of ``shape`` against the stored elements."""
-        count = math.prod(shape)
-        if count > self.left:
-            raise CheckpointError(f"checkpoint config asks for an array of shape {shape}, "
-                                  f"more than the {self.left} stored values left")
-        self.left -= count
-
-    def normal(self, loc=0.0, scale=1.0, size=()) -> np.ndarray:
-        self.take(size)
-        return np.zeros(size)
-
-    uniform = normal
+def stored(ckpt: Checkpoint) -> nx.Maker:
+    """The parameter maker of a checkpoint load (see ``numerics.drawn``): the
+    stored tensor of that name, uncopied. A name the file lacks or another
+    shape is refused, so no config can make a load allocate beyond the file."""
+    def new(name: str, shape: tuple[int, ...], init=None, trainable: bool = True,
+            frozen_rows: Sequence[int] = ()) -> Parameter:
+        value = ckpt.tensors.get(name)
+        if value is None or value.shape != tuple(shape):
+            raise CheckpointError(f"checkpoint config asks for {name} of shape {tuple(shape)}, "
+                                  "which is not among the stored values")
+        return Parameter(name, value, trainable, frozen_rows)
+    return new
 
 
 def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
-    """Copy each checkpoint tensor and trainable flag into the parameter of
-    the same name in a built layout; the names, shapes and trainable map
-    must match the layout exactly."""
+    """Give each parameter of a built layout a copy of the stored tensor and
+    trainable flag of its name, once the names and every shape match."""
     if set(named) != set(ckpt.trainable):
         raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
-    _copy_arrays({name: p.value for name, p in named.items()}, ckpt.tensors, f"{layout} tensor")
+    _match_arrays({name: p.value for name, p in named.items()}, ckpt.tensors,
+                  f"{layout} tensor")
     for name, p in named.items():
+        p.value = ckpt.tensors[name].copy()
         p.trainable = ckpt.trainable[name]
 
 
-def _copy_arrays(targets: dict[str, np.ndarray], stored: dict[str, np.ndarray],
-                 what: str) -> None:
-    """Copy each stored array into the target of the same name; a name or
-    shape mismatch raises before anything is copied."""
-    if set(targets) != set(stored):
+def _match_arrays(targets: dict[str, np.ndarray], saved: dict[str, np.ndarray],
+                  what: str) -> None:
+    """Refuse unless ``saved`` holds exactly the names of ``targets``, each
+    in its target's shape."""
+    if set(targets) != set(saved):
         raise CheckpointError(f"checkpoint {what} names differ: "
-                              f"{sorted(set(targets) ^ set(stored))}")
+                              f"{sorted(set(targets) ^ set(saved))}")
     for name, target in targets.items():
-        if target.shape != stored[name].shape:
-            raise CheckpointError(f"{what} {name}: shape {stored[name].shape} "
+        if target.shape != saved[name].shape:
+            raise CheckpointError(f"{what} {name}: shape {saved[name].shape} "
                                   f"!= expected {target.shape}")
-    for name, target in targets.items():
-        target[...] = stored[name]
 
 
 def _check_left(f, n: int, what: str, size: int) -> None:
@@ -434,8 +447,11 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     best_epoch = 0
     stall = 0
     if resume is not None:
-        _copy_arrays(opt.m, resume.opt_m, "Adam first moment")
-        _copy_arrays(opt.v, resume.opt_v, "Adam second moment")
+        for moments, saved, what in ((opt.m, resume.opt_m, "Adam first moment"),
+                                     (opt.v, resume.opt_v, "Adam second moment")):
+            _match_arrays(moments, saved, what)
+            for name, a in moments.items():
+                a[...] = saved[name]
         opt.step = resume.opt_step
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.meta.get("epoch", 0) + 1

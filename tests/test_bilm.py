@@ -296,13 +296,13 @@ class TestTraining:
 
 class TestMixing:
     def test_uniform_softmax(self):
-        mw = MixingWeights.init(2)
+        mw = MixingWeights.init(nx.drawn(None), 2)
         layers = [np.full(4, 1.0), np.full(4, 2.0), np.full(4, 6.0)]
         out = mix_layers(layers, mw)
         assert np.allclose(out.data, 3.0)
 
     def test_saturated_softmax(self):
-        mw = MixingWeights.init(2)
+        mw = MixingWeights.init(nx.drawn(None), 2)
         mw.s.value[:] = [10.0, -10.0, -10.0]
         mw.gamma.value[...] = 2.0
         layers = [np.ones(3), 5 * np.ones(3), 9 * np.ones(3)]
@@ -310,13 +310,13 @@ class TestMixing:
         assert np.abs(out.data - 2.0).max() < 1e-7
 
     def test_zero_gamma(self):
-        mw = MixingWeights.init(1)
+        mw = MixingWeights.init(nx.drawn(None), 1)
         mw.gamma.value[...] = 0.0
         out = mix_layers([np.ones(5), np.ones(5)], mw)
         assert np.array_equal(out.data, np.zeros(5))
 
     def test_normalized_sums_to_one(self):
-        mw = MixingWeights.init(4)
+        mw = MixingWeights.init(nx.drawn(None), 4)
         mw.s.value[:] = [3.0, -1.0, 0.5, 2.0, -7.0]
         w = mw.normalized()
         assert np.all(w > 0)
@@ -324,15 +324,15 @@ class TestMixing:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            mix_layers([np.ones(3), np.ones(4)], MixingWeights.init(1))
+            mix_layers([np.ones(3), np.ones(4)], MixingWeights.init(nx.drawn(None), 1))
 
     def test_layer_count_mismatch(self):
         with pytest.raises(ShapeError):
-            mix_layers([np.ones(3)], MixingWeights.init(2))
+            mix_layers([np.ones(3)], MixingWeights.init(nx.drawn(None), 2))
 
     def test_grad_check_s_and_gamma(self):
         rng = np.random.default_rng(8)
-        mw = MixingWeights.init(2)
+        mw = MixingWeights.init(nx.drawn(None), 2)
         mw.s.value[:] = rng.uniform(-1, 1, 3)
         layers = [rng.uniform(-2, 2, (4,)) for _ in range(3)]
         probe = rng.uniform(-1, 1, 4)
@@ -342,13 +342,13 @@ class TestMixing:
         assert grad_check(fn, [mw.s, mw.gamma]) < 1e-6
 
     def test_one_tape_entry(self):
-        mw = MixingWeights.init(3)
+        mw = MixingWeights.init(nx.drawn(None), 3)
         tape = Tape()
         mix_layers([np.ones((2, 5)) * j for j in range(4)], mw, tape)
         assert len(tape) == 1
 
     def test_gradients_flow(self):
-        mw = MixingWeights.init(1)
+        mw = MixingWeights.init(nx.drawn(None), 1)
         out, tape = evaluate(lambda t: sum_all(
             mix_layers([np.ones(3), 2 * np.ones(3)], mw, t)))
         backward(tape, out)

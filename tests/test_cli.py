@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chemner.cli
-from chemner.bilm import BiLm, BiLmConfig
+from chemner.bilm import BILM_CONFIG_TYPES, BiLm, BiLmConfig
 from chemner.cli import main
 from chemner.corpus import build_vocabulary, read_column_corpus, write_column_corpus
-from chemner.model import ModelConfig, NerModel, model_from_checkpoint
+from chemner.model import MODEL_CONFIG_TYPES, ModelConfig, NerModel, model_from_checkpoint
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
 from conftest import toy_corpus
@@ -649,6 +649,56 @@ class TestOversizedConfig:
         save_checkpoint(ckpt, str(tmp_path / "bilm.ckpt"))
         assert train_with_config(capsys, corpus_file[0], tmp_path, ("bilm",),
                                  str(tmp_path / "bilm.ckpt")) == 2
+
+
+def train_with_bilm_config(capsys, corpus_path, tmp_path, key: str, value) -> int:
+    """``chemner train`` with a biLM checkpoint whose config has ``key`` set to
+    ``value``; the biLM is one whose numbers a misread value could match."""
+    sentences, _ = toy_corpus()
+    bilm = BiLm.init(BiLmConfig(vocab=build_vocabulary(sentences, [], min_count=1),
+                                char_embed_dim=3, char_filters=((3, 4),),
+                                token_projection_dim=8, layer_dim=8))
+    ckpt = make_checkpoint(bilm, None, None, kind="bilm")
+    ckpt.config = {**ckpt.config, key: value}
+    save_checkpoint(ckpt, str(tmp_path / "bilm.ckpt"))
+    return train_with_config(capsys, corpus_path, tmp_path, ("bilm",), str(tmp_path / "bilm.ckpt"))
+
+
+class TestCheckpointConfigTypes:
+    """A checkpoint config value of the wrong JSON type ends ``chemner tag``
+    (the model's config) and ``chemner train`` (a biLM's config) in exit 2,
+    never in a traceback or a load of a misread value."""
+
+    # "XYZ" has as many characters as the model has labels: read as a list
+    # of them, it would load and tag under the wrong label names
+    @pytest.mark.parametrize("key,value", [("lstm_hidden", 2.5), ("lstm_hidden", True),
+                                           ("word_dim", 4.0), ("labels", "XYZ"),
+                                           ("dropout", [True]), ("extra", 1)])
+    def test_ner_config_wrong_type_tag_exit_2(self, tag_files, capsys, key, value):
+        config = {**read_metadata(tag_files.raw)["config"], key: value}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "config", config)) == 2
+        assert ("unknown keys" if key == "extra" else "JSON type") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("layer_dim", 8.0), ("num_layers", 2.0),
+                                           ("char_filters", [[3.0, 4]]),
+                                           ("char_filters", [[3, 4, 5]]),
+                                           ("max_token_len", "25")])
+    def test_bilm_config_wrong_type_train_exit_2(self, capsys, corpus_file, tmp_path, key,
+                                                 value):
+        assert train_with_bilm_config(capsys, corpus_file[0], tmp_path, key, value) == 2
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(MODEL_CONFIG_TYPES) + ["extra"]), value=JSON_VALUES)
+    def test_ner_config_any_value_tag(self, tag_files, key, value):
+        config = {**read_metadata(tag_files.raw)["config"], key: value}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "config", config)) in (0, 2)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(BILM_CONFIG_TYPES) + ["extra"]), value=JSON_VALUES)
+    def test_bilm_config_any_value_train(self, capsys, corpus_file, tmp_path, key, value):
+        assert train_with_bilm_config(capsys, corpus_file[0], tmp_path, key, value) in (0, 2)
 
 
 def read_metadata(raw: bytes) -> dict:

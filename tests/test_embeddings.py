@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chemner.corpus import Vocabulary, build_vocabulary, sentence_from_texts
-from chemner.embeddings import (EmbeddingFormatError, EmbeddingTable, align_to_vocab,
-                                load_embedding_text)
+from chemner.embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
 
 from oracles import align_rows
 
@@ -149,11 +148,3 @@ class TestAlignToVocab:
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             align_to_vocab(["alpha"], np.array([[1.0, np.inf]]), vocab)
 
-
-class TestEmbeddingTable:
-    def test_parameter_view(self):
-        table = EmbeddingTable(matrix=np.arange(12.0).reshape(3, 4), dim=4,
-                               trainable=True, source_name="baseline")
-        p = table.as_parameter("words")
-        assert p.trainable and p.frozen_rows == (Vocabulary.PAD,)
-        assert np.array_equal(p.value, table.matrix)

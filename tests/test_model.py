@@ -1,12 +1,13 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chemner import numerics as nx
 from chemner.bilm import BiLm, BiLmConfig, train_bilm
-from chemner.corpus import sentence_from_texts
+from chemner.corpus import Vocabulary, sentence_from_texts
 from chemner.embeddings import EmbeddingTable
 from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
                            model_from_checkpoint)
@@ -270,11 +271,17 @@ class TestPredictAndLoss:
     def test_word_table_plumbed(self, toy_data):
         sentences, scheme, vocab = toy_data
         matrix = np.random.default_rng(4).normal(size=(vocab.size, 8))
-        table = EmbeddingTable(matrix=matrix, dim=8, trainable=True, source_name="baseline")
+        table = EmbeddingTable(matrix=matrix, dim=8, trainable=True)
         cfg = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
                           char_filter_count=4, char_output_dim=4, lstm_hidden=6)
         model = NerModel.init(cfg, vocab, seed=0, word_table=table)
         assert np.array_equal(model.params["words"].value, table.matrix)
+        # trainable as the table says, the PAD row pinned
+        for trainable in (True, False):
+            words = NerModel.init(cfg, vocab, seed=0, word_table=replace(
+                table, trainable=trainable)).params["words"]
+            assert words.trainable is trainable
+            assert words.frozen_rows == (Vocabulary.PAD,)
 
 
 class TestContextualIntegration:
@@ -560,10 +567,47 @@ class TestCheckpointRestore:
     def test_shape_mismatch_rejected(self, toy_data):
         from chemner.training import CheckpointError
         sentences, scheme, vocab = toy_data
-        ckpt = make_checkpoint(tiny_model(vocab, labels=scheme.entity_labels), None, None)
+        ckpt = make_checkpoint(tiny_model(vocab, labels=scheme.entity_labels, lstm_hidden=64),
+                               None, None)
         ckpt.tensors["emit.b"] = np.zeros(3)
         with pytest.raises(CheckpointError, match="emit.b"):
             model_from_checkpoint(ckpt)
+
+        # emit.b is made last: the refusal comes after every other tensor's
+        # layout is built, and still copies none of them
+        def load():
+            with pytest.raises(CheckpointError, match="emit.b"):
+                model_from_checkpoint(ckpt)
+        assert traced_peak(load) < max(a.nbytes for a in ckpt.tensors.values()) / 4
+
+    @pytest.mark.parametrize("bio_mask", [False, True])
+    @pytest.mark.parametrize("contextual", [False, True])
+    @pytest.mark.parametrize("chars", [False, True])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_load_builds_the_init_layout(self, toy_data, table, chars, contextual, bio_mask):
+        # the checkpoint maker and the seeded one build the same layout,
+        # whatever the feature combination
+        sentences, scheme, vocab = toy_data
+        bilm = word_table = None
+        if contextual:
+            bilm = BiLm.init(BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                                        token_projection_dim=8, layer_dim=8), seed=1)
+        if table:
+            word_table = EmbeddingTable(np.random.default_rng(2).normal(size=(vocab.size, 8)),
+                                        dim=8, trainable=False)
+        config = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
+                             char_filter_count=4, char_output_dim=4, lstm_hidden=6,
+                             use_pretrained_words=table, use_char_cnn=chars,
+                             use_contextual=contextual, contextual_dim=16 * contextual,
+                             crf_bio_mask=bio_mask)
+        model = NerModel.init(config, vocab, seed=3, word_table=word_table, bilm=bilm)
+        restored = model_from_checkpoint(make_checkpoint(model, None, None))
+
+        def layout(m):
+            return {name: (p.value.shape, p.trainable, p.frozen_rows)
+                    for name, p in m.all_tensors().items()}
+        assert layout(restored) == layout(model)
+        assert restored.predict_batch(sentences) == model.predict_batch(sentences)
 
     def test_init_draws_unchanged(self, toy_data):
         # the layout builder must draw in init's order: the first word row

@@ -603,7 +603,7 @@ class TestAllocationGuards:
     def frozen_table_model(self, toy_setup):
         sentences, scheme, vocab = toy_setup
         table = EmbeddingTable(matrix=np.random.default_rng(0).normal(size=(2000, 50)),
-                               dim=50, trainable=False, source_name="frozen")
+                               dim=50, trainable=False)
         cfg = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=4,
                           char_filter_count=4, char_output_dim=4, lstm_hidden=8)
         return NerModel.init(cfg, vocab, seed=0, word_table=table), sentences[:8]
