@@ -4,9 +4,10 @@ A character CNN (:func:`char_features`, the block the NER model uses too)
 feeds two independent LSTM stacks: the forward stack predicts each token
 from the tokens before it, the backward stack from the tokens after it.
 Both run over a whole ragged batch of sentences at once: one char-CNN call
-over all its tokens, then one fused ``lstm_batch`` per direction-layer
-(:func:`lstm_layer`, which the NER encoder uses too). The LM loss is one
-head GEMM and one tape entry (:meth:`BiLm.nll_batch`). Per-token layer
+over all its tokens, then one fused ``bilstm_batch`` per layer, each
+direction reading its own states below (:func:`bilstm_layer`, which the NER
+encoder uses too). The LM loss is one head GEMM and one tape entry
+(:meth:`BiLm.nll_batch`). Per-token layer
 representations (the projection at layer 0, forward and backward hidden
 states above) are combined by a trainable weighted sum with weights
 exp(s)/Σ exp(s), one tape entry (:func:`mix_layers`), for use as contextual
@@ -82,13 +83,14 @@ def lstm_params(new: nx.Maker, name: str, in_dim: int, hidden: int) -> list[Para
             new(f"{name}.b", (4 * hidden,), lambda *_: np.repeat([0.0, 1.0, 0.0, 0.0], hidden))]
 
 
-def lstm_layer(params: dict[str, Parameter], name: str, x: Tensor, lengths: Sequence[int],
-               tape: Tape | None, reverse: bool) -> Tensor:
-    """One fused LSTM direction over the rows of a ragged batch (see
-    :func:`~chemner.numerics.lstm_batch`), with the weights
-    :func:`lstm_params` made under ``name``."""
-    return nx.lstm_batch(x, lengths, *(nx.use_param(tape, params[f"{name}.{part}"])
-                                       for part in ("wx", "wh", "b")), reverse=reverse)
+def bilstm_layer(params: dict[str, Parameter], names: tuple[str, str], x,
+                 lengths: Sequence[int], tape: Tape | None, apart: bool = False):
+    """Both directions of one biLSTM layer over the rows of a ragged batch
+    (see :func:`~chemner.numerics.bilstm_batch`), with the weights
+    :func:`lstm_params` made under the forward and reverse ``names``."""
+    return nx.bilstm_batch(x, lengths, *([nx.use_param(tape, params[f"{name}.{part}"])
+                                          for part in ("wx", "wh", "b")] for name in names),
+                           apart=apart)
 
 
 def _token_batches(order: Sequence[int], lengths: Sequence[int],
@@ -183,9 +185,10 @@ class BiLm:
         """Projections and hidden states of a ragged batch of non-empty
         sentences, their rows one after another: one char-CNN pass over all
         their tokens, read as given (the callers apply
-        :func:`~chemner.corpus.normalize_long_texts`), then one fused pass
-        per direction-layer. Returns the projection (N x proj_dim) and, per
-        direction, each layer's states (N x layer_dim)."""
+        :func:`~chemner.corpus.normalize_long_texts`), then one
+        :func:`bilstm_layer` per layer, its two directions apart. Returns
+        the projection (N x proj_dim) and, per direction, each layer's
+        states (N x layer_dim)."""
         sizes = [len(texts) for texts in texts_list]
         if not sizes or min(sizes) < 1:
             raise ValueError("need a non-empty batch of non-empty sentences")
@@ -198,15 +201,13 @@ class BiLm:
                              [(param(f"bilm.conv{i}.w"), param(f"bilm.conv{i}.b"))
                               for i in range(len(self.config.char_filters))],
                              (param("bilm.proj.w"), param("bilm.proj.b")))
-        stacks = []
-        for direction in ("fwd", "bwd"):
-            states, h = [], proj
-            for layer in range(self.config.num_layers):
-                h = lstm_layer(self.params, f"bilm.{direction}.l{layer}", h, sizes, tape,
-                               reverse=(direction == "bwd"))
-                states.append(h)
-            stacks.append(states)
-        return proj, stacks[0], stacks[1]
+        fwd, bwd, h = [], [], (proj, proj)
+        for layer in range(self.config.num_layers):
+            h = bilstm_layer(self.params, (f"bilm.fwd.l{layer}", f"bilm.bwd.l{layer}"), h,
+                             sizes, tape, apart=True)
+            fwd.append(h[0])
+            bwd.append(h[1])
+        return proj, fwd, bwd
 
     def nll_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
                   ) -> tuple[Tensor, int]:

@@ -12,7 +12,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import numerics as nx
 from .bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights, _token_batches,
-                   char_features, lstm_layer, lstm_params, mix_layers)
+                   bilstm_layer, char_features, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
@@ -211,14 +211,14 @@ class NerModel:
         """Stacked biLSTM encoder (N x 2*hidden) of the sentences whose rows
         follow one another in ``features`` (N x D), ``lengths`` rows each:
         per layer one dropout on its input (a ``dropout_masks`` entry of None
-        skips it), one fused pass per direction and one concat of the two."""
+        skips it) and one :func:`~chemner.bilm.bilstm_layer`, whose block
+        holds the forward states beside the reverse ones."""
         h = features
         for layer in range(self.config.lstm_layers):
             if dropout_masks is not None and dropout_masks[layer] is not None:
                 h = nx.dropout(h, dropout_masks[layer], self.config.dropout[layer])
-            h = nx.concat([lstm_layer(self.params, f"lstm.l{layer}.{direction}", h, lengths,
-                                      tape, reverse=(direction == "bwd"))
-                           for direction in ("fwd", "bwd")], axis=1)
+            h = bilstm_layer(self.params, (f"lstm.l{layer}.fwd", f"lstm.l{layer}.bwd"), h,
+                             lengths, tape)
         return h
 
     def emissions(self, encoded: Tensor, tape: Tape | None = None) -> Tensor:

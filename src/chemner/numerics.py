@@ -9,6 +9,8 @@ prediction works.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -434,8 +436,8 @@ def lstm_scan(xs, wx, wh, b, reverse: bool = False) -> Tensor:
 
     Initial h and c are zeros. With ``reverse`` the rows are processed last
     to first and the output is re-aligned to input positions. One tape
-    entry per step: this is the reference :func:`lstm_batch` is tested
-    against, not a training path.
+    entry per step: this is the reference the kernel of
+    :func:`bilstm_batch` is tested against, not a training path.
     """
     xs, wx, wh, b = map(_wrap, (xs, wx, wh, b))
     if xs.data.ndim != 2:
@@ -483,125 +485,228 @@ def pack(lengths: Sequence[int], reverse: bool = False) -> Packing:
                    bounds[lengths[order] - 1] + np.arange(B))
 
 
-def lstm_batch(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a ragged batch, as one tape entry.
+def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
+                    b: np.ndarray, out: np.ndarray, taped: bool) -> Callable:
+    """One LSTM direction over the rows of a ragged batch, packed by ``p``:
+    the body of :func:`bilstm_batch`, which records it. It records nothing.
 
-    ``x`` (N×D) holds the rows of B sequences one after another, sequence
-    i owning the next ``lengths[i]`` rows; returns their hidden states
-    (N×H) in the same rows, each sequence's equal to ``lstm_scan`` of its
-    rows alone. The rows run in the order of :func:`pack`, so every
-    per-step array has one row per real token, time major. The input
-    projection and the weight gradients are single GEMMs over all tokens;
-    only the (n_t×H)@(H×4H) recurrence loops over time, forward and in the
-    hand-written BPTT of the vjp.
+    It runs in two phases, so that a second thread can do the arithmetic
+    while every large array comes from the calling thread's heap. This call
+    takes the packed rows of ``x`` (N×D) and allocates the pass's arrays.
+    It returns ``run``. run() fills ``out`` (N×H, rows in input order) with
+    the hidden states. When ``taped``, it returns ``bptt``; else None.
+    bptt(g) likewise allocates and returns a run() that gives the gradients
+    [dx, dwx, dwh, db] of <g, out>.
 
-    Both loops work in place and make one temporary per step, the
-    recurrence GEMM's. The forward adds it into the step's gate rows and
-    applies all four gates with one ``tanh`` over those rows: the i,f,o
+    The rows run in the order of :func:`pack`, so every per-step array has
+    one row per real token, time major. The input projection and the
+    weight gradients are single GEMMs over all tokens; only the
+    (n_t×H)@(H×4H) recurrence loops over time, forward and in the
+    hand-written BPTT.
+
+    Both loops work in place: each recurrence GEMM writes into one
+    step-sized scratch array. The forward adds it into the step's gate rows
+    and applies all four gates with one ``tanh`` over those rows: the i,f,o
     columns are halved before and after it and lifted by ½, which is the
     sigmoid (1 + tanh(z/2)) / 2 with exact power-of-two scalings and no
     exp to overflow; the g columns are left at tanh. c, tanh c and h are
     written with ``out=``. There is one forward loop with or without a
     tape; only where c and tanh c live differs. A taped pass keeps both
-    for every step, as the vjp needs them. An untaped one keeps a single
+    for every step, as the BPTT needs them. An untaped one keeps a single
     running (B×H) cell, updated in place as ``c[:n_t]`` since the running
     sequences are a prefix, and writes tanh c into the step's h rows.
 
-    The vjp computes every local derivative for all steps at once into
-    the gate gradients, so the BPTT step only scales them in place by the
-    running (B×H) dc and by dh, and adds dz @ whᵀ straight into the
-    previous step's dh rows.
+    The BPTT computes every local derivative for all steps at once into
+    the gate gradients, so its step only scales them in place by the
+    running (B×H) dc and by dh, and adds dz @ whᵀ into the previous step's
+    dh rows.
     """
-    x, wx, wh, b = map(_wrap, (x, wx, wh, b))
-    lengths = np.asarray(lengths, dtype=np.intp)
-    H = wh.data.shape[0] if wh.data.ndim == 2 else -1
-    D = wx.data.shape[0] if wx.data.ndim == 2 else -1
-    if (x.data.ndim != 2 or x.data.shape[1] != D or wx.data.shape != (D, 4 * H)
-            or wh.data.shape != (H, 4 * H) or b.data.shape != (4 * H,)
-            or lengths.ndim != 1 or not lengths.size or lengths.min() < 1
-            or lengths.sum() != x.data.shape[0]):
-        raise ShapeError(f"lstm_batch: x {x.data.shape}, lengths {lengths.tolist()}, "
-                         f"wx {wx.data.shape}, wh {wh.data.shape}, b {b.data.shape}")
-    p = pack(lengths, reverse)
     perm, prev, bounds = p.perm, p.prev, p.bounds
     steps = len(bounds) - 1
-
-    tape = _join_tape("lstm_batch", x, wx, wh, b)
-    x_packed = x.data[perm]
-    gates = x_packed @ wx.data
-    gates += b.data
-    N, B = len(perm), len(p.order)
+    N, B, H = len(perm), len(p.order), wh.shape[0]
+    x_packed = x[perm]
+    gates = np.empty((N, 4 * H))
     hs = np.empty((N, H))
-    # taped: every step's c and tanh c rows, for the vjp; untaped: one
+    # taped: every step's c and tanh c rows, for the BPTT; untaped: one
     # running cell, and tanh c written into the h rows
-    keep = tape is not None
-    cs = np.empty((N if keep else B, H))
-    tcs = np.empty((N, H)) if keep else hs
-    # σ = half·tanh(half·z) + lift on the i,f,o columns, tanh on g
-    half = np.full(4 * H, 0.5)
-    half[2 * H:3 * H] = 1.0
-    lift = 1.0 - half
-    for t in range(steps):
-        lo, hi = bounds[t], bounds[t + 1]
-        n = hi - lo
-        plo = bounds[t - 1] if t else 0
-        z = gates[lo:hi]
-        if t:
-            z += hs[plo:plo + n] @ wh.data
-        z *= half
-        np.tanh(z, out=z)
-        z *= half
-        z += lift
-        gi, gf, gg, go = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-        h, tc = hs[lo:hi], tcs[lo:hi]
-        c = cs[lo:hi] if keep else cs[:n]
-        if t:
-            np.multiply(gf, cs[plo:plo + n] if keep else c, out=c)
-            np.multiply(gi, gg, out=h)
-            c += h
-        else:
-            np.multiply(gi, gg, out=c)
-        np.tanh(c, out=tc)
-        np.multiply(go, tc, out=h)
-    h_out = np.empty_like(hs)
-    h_out[perm] = hs
+    cs = np.empty((N if taped else B, H))
+    tcs = np.empty((N, H)) if taped else hs
+    step_z = np.empty((B, 4 * H))
 
-    def vjp_in(g):
-        dhs = g[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
-        # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
-        # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
-        # on the o block; dc = dc₊₁ + dh·dc_dh
-        dz_all = np.subtract(1.0, gates)
-        dz_all *= gates
-        dz4, g4 = dz_all.reshape(N, 4, H), gates.reshape(N, 4, H)
-        dz4[:, 0] *= g4[:, 2]
-        dz4[:B, 1] = 0.0  # step 0 has no c₋₁
-        dz4[B:, 1] *= cs[prev]
-        np.multiply(g4[:, 2], g4[:, 2], out=dz4[:, 2])
-        np.subtract(1.0, dz4[:, 2], out=dz4[:, 2])
-        dz4[:, 2] *= g4[:, 0]
-        dz4[:, 3] *= tcs
-        dc_dh = np.multiply(tcs, tcs)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= g4[:, 3]
-        dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
-        scratch = np.empty((B, H))
-        for t in range(steps - 1, -1, -1):
+    def run() -> Callable | None:
+        np.matmul(x_packed, wx, out=gates)
+        np.add(gates, b, out=gates)
+        # σ = half·tanh(half·z) + lift on the i,f,o columns, tanh on g
+        half = np.full(4 * H, 0.5)
+        half[2 * H:3 * H] = 1.0
+        lift = 1.0 - half
+        for t in range(steps):
             lo, hi = bounds[t], bounds[t + 1]
             n = hi - lo
-            dh, dc, s = dhs[lo:hi], dc_run[:n], scratch[:n]
-            np.multiply(dh, dc_dh[lo:hi], out=s)
-            dc += s
-            dz4[lo:hi, 3] *= dh
-            dz4[lo:hi, :3] *= dc[:, None]
+            plo = bounds[t - 1] if t else 0
+            z = gates[lo:hi]
             if t:
-                plo = bounds[t - 1]
-                dc *= g4[lo:hi, 1]
-                dhs[plo:plo + n] += dz_all[lo:hi] @ wh.data.T
-        dx = np.empty((N, D))
-        dx[perm] = dz_all @ wx.data.T
-        return [dx, x_packed.T @ dz_all, hs[prev].T @ dz_all[B:], dz_all.sum(axis=0)]
-    return primitive("lstm_batch", [x, wx, wh, b], h_out, vjp_in)
+                z += np.matmul(hs[plo:plo + n], wh, out=step_z[:n])
+            z *= half
+            np.tanh(z, out=z)
+            z *= half
+            z += lift
+            gi, gf, gg, go = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+            h, tc = hs[lo:hi], tcs[lo:hi]
+            c = cs[lo:hi] if taped else cs[:n]
+            if t:
+                np.multiply(gf, cs[plo:plo + n] if taped else c, out=c)
+                np.multiply(gi, gg, out=h)
+                c += h
+            else:
+                np.multiply(gi, gg, out=c)
+            np.tanh(c, out=tc)
+            np.multiply(go, tc, out=h)
+        out[perm] = hs
+        return bptt if taped else None
+
+    def bptt(g: np.ndarray) -> Callable:
+        dhs = g[perm]  # step t's rows gain dz_{t+1} @ whᵀ before step t runs
+        h_prev = hs[prev]
+        dz_all = np.empty((N, 4 * H))
+        dc_dh = np.empty((N, H))
+        dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
+        scratch = np.empty((B, H))
+        dx_packed = np.empty_like(x_packed)
+        dx = np.empty_like(x_packed)
+        dwx, dwh = np.empty_like(wx), np.empty_like(wh)
+
+        def run() -> list[np.ndarray]:
+            # the local derivatives, for all steps at once: dz = dc·(g·i(1−i),
+            # c₋₁·f(1−f), i(1−g²)) on the i,f,g blocks and dh·tanh c·o(1−o)
+            # on the o block; dc = dc₊₁ + dh·dc_dh
+            np.subtract(1.0, gates, out=dz_all)
+            np.multiply(dz_all, gates, out=dz_all)
+            dz4, g4 = dz_all.reshape(N, 4, H), gates.reshape(N, 4, H)
+            dz4[:, 0] *= g4[:, 2]
+            dz4[:B, 1] = 0.0  # step 0 has no c₋₁
+            dz4[B:, 1] *= cs[prev]
+            np.multiply(g4[:, 2], g4[:, 2], out=dz4[:, 2])
+            np.subtract(1.0, dz4[:, 2], out=dz4[:, 2])
+            dz4[:, 2] *= g4[:, 0]
+            dz4[:, 3] *= tcs
+            np.multiply(tcs, tcs, out=dc_dh)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            np.multiply(dc_dh, g4[:, 3], out=dc_dh)
+            for t in range(steps - 1, -1, -1):
+                lo, hi = bounds[t], bounds[t + 1]
+                n = hi - lo
+                dh, dc, s = dhs[lo:hi], dc_run[:n], scratch[:n]
+                np.multiply(dh, dc_dh[lo:hi], out=s)
+                dc += s
+                dz4[lo:hi, 3] *= dh
+                dz4[lo:hi, :3] *= dc[:, None]
+                if t:
+                    plo = bounds[t - 1]
+                    dc *= g4[lo:hi, 1]
+                    dhs[plo:plo + n] += np.matmul(dz_all[lo:hi], wh.T, out=s)
+            dx[perm] = np.matmul(dz_all, wx.T, out=dx_packed)
+            return [dx, np.matmul(x_packed.T, dz_all, out=dwx),
+                    np.matmul(h_prev.T, dz_all[B:], out=dwh), dz_all.sum(axis=0)]
+        return run
+    return run
+
+
+# The reverse direction of a wide enough layer runs on one worker thread,
+# started on first use; numpy releases the GIL inside its GEMMs and ufunc
+# loops. Below WORKER_MIN_HIDDEN (measured) the hand-over costs more than
+# the second core gains.
+WORKER_MIN_HIDDEN = 192
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chemner-bilstm")
+
+
+def _use_worker(hidden: int) -> bool:
+    return _CPUS >= 2 and hidden >= WORKER_MIN_HIDDEN
+
+
+def _both(first: Callable, second: Callable, threaded: bool) -> tuple:
+    """(first()(), second()()). Each outer call allocates and the call of
+    its result computes (see :func:`_lstm_direction`). ``threaded``, both
+    allocate here and second's result runs on the worker meanwhile; either
+    one's exception reaches the caller once both have stopped."""
+    if not threaded:
+        return first()(), second()()
+    run_first, run_second = first(), second()
+    future = _WORKER.submit(run_second)
+    try:
+        done = run_first()
+    except BaseException:
+        future.exception()  # waits: the worker must not outlive this call's arrays
+        raise
+    return done, future.result()
+
+
+def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
+                 apart: bool = False):
+    """Both directions of a bidirectional LSTM layer over a ragged batch, as
+    one tape entry.
+
+    ``x`` (N×D) holds the rows of B sequences one after another, sequence
+    i owning the next ``lengths[i]`` rows (all ≥ 1). It is the input of
+    both directions, or a (forward input, reverse input) pair. ``fwd`` and
+    ``bwd`` are each direction's (wx D×4H, wh H×4H, b 4H) with gate blocks
+    ordered input, forget, cell, output; initial h and c are zeros. Returns
+    the (N×2H) block of forward states beside reverse states, or with
+    ``apart`` the two (N×H) blocks as one entry with two outputs. Each
+    sequence's rows equal ``lstm_scan`` of its rows alone, the reverse
+    direction running them last to first.
+
+    Each direction is one :func:`_lstm_direction`. The calling thread runs
+    the forward one. The reverse one runs meanwhile on the worker thread
+    when the process may use two CPUs and H ≥ WORKER_MIN_HIDDEN, else
+    after it. The vjp splits the two BPTTs the same way. Either way each
+    direction does the same arithmetic, so the bits are the same, and the
+    tape is written on the calling thread. The reverse direction's
+    gradients are added first, as when each direction was its own entry;
+    an input both directions read gets the two-term sum.
+    """
+    xs = tuple(map(_wrap, x)) if isinstance(x, tuple) else (_wrap(x),) * 2
+    ws = [tuple(map(_wrap, w)) for w in (fwd, bwd)]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    H = ws[0][1].data.shape[0] if ws[0][1].data.ndim == 2 else -1
+    N = int(lengths.sum())
+
+    def fits(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> bool:
+        D = wx.data.shape[0] if wx.data.ndim == 2 else -1
+        return (x.data.shape == (N, D) and wx.data.shape == (D, 4 * H)
+                and wh.data.shape == (H, 4 * H) and b.data.shape == (4 * H,))
+
+    if (len(xs) != 2 or lengths.ndim != 1 or not lengths.size or lengths.min() < 1
+            or not all(fits(xt, *wt) for xt, wt in zip(xs, ws))):
+        raise ShapeError(f"bilstm_batch: x {[xt.data.shape for xt in xs]}, lengths "
+                         f"{lengths.tolist()}, weights "
+                         f"{[[w.data.shape for w in wt] for wt in ws]}")
+    tape = _join_tape("bilstm_batch", *xs, *ws[0], *ws[1])
+    if apart:
+        outs = [np.empty((N, H)), np.empty((N, H))]
+    else:
+        joint = np.empty((N, 2 * H))
+        outs = [joint[:, :H], joint[:, H:]]
+    threaded = _use_worker(H)
+
+    def direction(i: int) -> Callable:
+        return lambda: _lstm_direction(xs[i].data, pack(lengths, reverse=i == 1),
+                                       *(w.data for w in ws[i]), outs[i], tape is not None)
+    bptts = _both(direction(0), direction(1), threaded)
+    result = tuple(Tensor(o, tape) for o in outs) if apart else Tensor(joint, tape)
+    if tape is not None:
+        def vjp(gs, acc):
+            if not apart:
+                gs = (gs[0][:, :H], gs[0][:, H:])
+            gs = [np.zeros((N, H)) if g is None else g for g in gs]
+            grads = _both(lambda: bptts[0](gs[0]), lambda: bptts[1](gs[1]), threaded)
+            for i in (1, 0):
+                for t, g in zip((xs[i], *ws[i]), grads[i]):
+                    acc(t, g)
+        tape._record(result if apart else (result,), vjp)
+    return result
 
 
 # ---------------------------------------------------------------------------

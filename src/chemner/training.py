@@ -33,7 +33,11 @@ JSON_NUMBER = (int, float)
 
 def _has_json_type(value, types) -> bool:
     if isinstance(types, list):
-        return type(value) is list and all(_has_json_type(v, types[0]) for v in value)
+        if type(value) is not list:
+            return False
+        if isinstance(types[0], tuple):  # a list of scalars: one pass over the element types
+            return set(map(type, value)) <= set(types[0])
+        return all(_has_json_type(v, types[0]) for v in value)
     return type(value) in types
 
 
@@ -212,7 +216,13 @@ def vocab_payload(vocab: Vocabulary) -> dict:
             "pretrained": sorted(vocab.pretrained), "min_count": vocab.min_count}
 
 
+# the JSON type table (see check_json_types) of a vocab_payload
+VOCAB_TYPES = {**dict.fromkeys(("words", "chars", "pretrained"), [(str,)]), "min_count": (int,)}
+
+
 def vocab_from_payload(payload: dict) -> Vocabulary:
+    """A checkpoint's vocabulary, checked against VOCAB_TYPES."""
+    payload = check_json_types("checkpoint vocabulary", payload, VOCAB_TYPES)
     return Vocabulary(word_to_id={w: i for i, w in enumerate(payload["words"])},
                       char_to_id={c: i for i, c in enumerate(payload["chars"])},
                       pretrained=frozenset(payload["pretrained"]),
@@ -286,13 +296,20 @@ def stored(ckpt: Checkpoint) -> nx.Maker:
     return new
 
 
-def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
+def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str,
+                    optimized: Sequence[str] | None = None) -> None:
     """Give each parameter of a built layout a copy of the stored tensor and
-    trainable flag of its name, once the names and every shape match."""
+    trainable flag of its name, once the names and every shape match. For
+    a resume, the Adam moments must match too, before anything is copied:
+    those of the ``optimized`` names that the checkpoint marks trainable."""
     if set(named) != set(ckpt.trainable):
         raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
     _match_arrays({name: p.value for name, p in named.items()}, ckpt.tensors,
                   f"{layout} tensor")
+    if optimized is not None:
+        moments = {name: named[name].value for name in optimized if ckpt.trainable[name]}
+        _match_arrays(moments, ckpt.opt_m, "Adam first moment")
+        _match_arrays(moments, ckpt.opt_v, "Adam second moment")
     for name, p in named.items():
         p.value = ckpt.tensors[name].copy()
         p.trainable = ckpt.trainable[name]
@@ -438,7 +455,8 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     scorer = dev_scorer or dev_micro_f1
 
     if resume is not None:
-        restore_tensors(model.all_tensors(), resume, "model")
+        restore_tensors(model.all_tensors(), resume, "model",
+                        [p.name for p in model.parameters()])
     trainable = model.trainable_parameters()
     opt = AdamState.init(trainable)
     rng = np.random.default_rng(config.seed)
@@ -447,9 +465,7 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     best_epoch = 0
     stall = 0
     if resume is not None:
-        for moments, saved, what in ((opt.m, resume.opt_m, "Adam first moment"),
-                                     (opt.v, resume.opt_v, "Adam second moment")):
-            _match_arrays(moments, saved, what)
+        for moments, saved in ((opt.m, resume.opt_m), (opt.v, resume.opt_v)):
             for name, a in moments.items():
                 a[...] = saved[name]
         opt.step = resume.opt_step

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from chemner import numerics as nx
 from chemner.corpus import LabelScheme, TaggedSentence, build_vocabulary, sentence_from_texts
 
 TOY_LABELS = ("CHEM", "PROC", "QTY")
@@ -42,3 +43,17 @@ def toy_data():
     sentences, scheme = toy_corpus()
     vocab = build_vocabulary(sentences, [], min_count=1)
     return sentences, scheme, vocab
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """``both_paths(fn)``: [fn() with each biLSTM layer's reverse direction
+    run after its forward one on the calling thread, fn() with it forced
+    onto the worker thread]. The forcing holds to the end of the test."""
+    def run(fn):
+        results = []
+        for threaded in (False, True):
+            monkeypatch.setattr(nx, "_use_worker", lambda hidden, threaded=threaded: threaded)
+            results.append(fn())
+        return results
+    return run

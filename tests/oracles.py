@@ -4,8 +4,9 @@ These deliberately avoid the library's dynamic programs: partition and
 argmax are computed by full enumeration over all K^T tag sequences, and
 gradients by central differences on the loss value alone. The BIO
 references decide each tag from ``LabelScheme.split_tag``, apart from the
-``LabelScheme.may_follow`` rule the library uses. The taped ops at the end, built on ``nx.primitive``, are the tape-engine tests' operands
-and the per-row chain the fused ``numerics.char_cnn`` is tested against.
+``LabelScheme.may_follow`` rule the library uses. The taped ops at the end, built on ``nx.primitive``, are the tape-engine tests' operands,
+the per-row chain the fused ``numerics.char_cnn`` is tested against, and
+one recorded direction of the biLSTM block's kernel.
 """
 
 from __future__ import annotations
@@ -300,3 +301,15 @@ def char_cnn_rows(table, rows, convs) -> Tensor:
         vec = nx.concat([max_over_time(conv1d(emb, f, b)) for f, b in convs], axis=0)
         out.append(reshape(vec, (1, vec.shape[0])))
     return nx.concat(out, axis=0)
+
+
+def lstm_direction(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) -> Tensor:
+    """One direction of ``numerics.bilstm_batch``'s kernel, run on the
+    calling thread and recorded as an entry of its own: what a layer ran
+    as, two such entries and a concat, before the block."""
+    x, wx, wh, b = map(_wrap, (x, wx, wh, b))
+    out = np.empty((x.data.shape[0], wh.data.shape[0]))
+    taped = nx._join_tape("lstm_direction", x, wx, wh, b) is not None
+    bptt = nx._lstm_direction(x.data, nx.pack(lengths, reverse), wx.data, wh.data, b.data,
+                              out, taped)()
+    return nx.primitive("lstm_direction", [x, wx, wh, b], out, lambda g: bptt(g)())

@@ -239,13 +239,36 @@ class TestBatchedBlocks:
 
     @pytest.mark.parametrize("length", [2, 6, 40])
     def test_training_step_tape_size(self, length):
-        # one train_bilm step: char CNN 3, LSTM 4, head 2, loss 1, scale 1
+        # one train_bilm step: char CNN 3, biLSTM 2 (one per layer), head 2,
+        # loss 1, scale 1
         bilm = BiLm.init(small_config(SENTS), seed=0)
         texts = (SENTS[0] * 7)[:length]
         tape = Tape()
         total, n = bilm.sentence_nll(texts, tape)
         nx.scale(total, 1.0 / n)
-        assert len(tape) == 11
+        assert len(tape) == 9
+
+
+    def test_worker_thread_gives_the_same_bits(self, both_paths):
+        """nll_batch gradients, contextualize_batch and perplexity, with each
+        layer's reverse direction on the calling thread and on the worker."""
+        bilm = BiLm.init(small_config(SENTS), seed=8)
+        batch = [s for s in self.RAGGED if len(s) >= 2]
+
+        def outputs():
+            for p in bilm.params.values():
+                p.zero_grad()
+            tape = Tape()
+            total, _ = bilm.nll_batch(batch, tape)
+            backward(tape, total)
+            return ([total.data, np.array(bilm.perplexity(self.RAGGED))]
+                    + bilm.contextualize_batch(self.RAGGED)
+                    + [bilm.params[k].gradient.copy() for k in sorted(bilm.params)])
+
+        sequential, threaded = both_paths(outputs)
+        assert len(sequential) == len(threaded)
+        for a, b in zip(sequential, threaded):
+            assert np.array_equal(a, b)
 
 
 class TestTraining:

@@ -13,7 +13,7 @@ from chemner.bilm import BILM_CONFIG_TYPES, BiLm, BiLmConfig
 from chemner.cli import main
 from chemner.corpus import build_vocabulary, read_column_corpus, write_column_corpus
 from chemner.model import MODEL_CONFIG_TYPES, ModelConfig, NerModel, model_from_checkpoint
-from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
+from chemner.training import VOCAB_TYPES, load_checkpoint, make_checkpoint, save_checkpoint
 
 from conftest import toy_corpus
 from oracles import traced_peak
@@ -699,6 +699,28 @@ class TestCheckpointConfigTypes:
     @given(key=st.sampled_from(sorted(BILM_CONFIG_TYPES) + ["extra"]), value=JSON_VALUES)
     def test_bilm_config_any_value_train(self, capsys, corpus_file, tmp_path, key, value):
         assert train_with_bilm_config(capsys, corpus_file[0], tmp_path, key, value) in (0, 2)
+
+
+class TestCheckpointVocabTypes:
+    """A checkpoint vocabulary value of the wrong JSON type ends ``chemner
+    tag`` in exit 2, never in a load of a misread value: a string
+    ``min_count``, or a ``pretrained`` string read as its set of characters."""
+
+    @pytest.mark.parametrize("key,value", [("min_count", "1"), ("min_count", 1.0),
+                                           ("min_count", True), ("pretrained", "ab"),
+                                           ("pretrained", [1]), ("words", ["<pad>", None]),
+                                           ("chars", "abc"), ("extra", 1)])
+    def test_wrong_type_tag_exit_2(self, tag_files, capsys, key, value):
+        vocab = {**read_metadata(tag_files.raw)["vocab"], key: value}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "vocab", vocab)) == 2
+        assert ("unknown keys" if key == "extra" else "JSON type") in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(VOCAB_TYPES) + ["extra"]), value=JSON_VALUES)
+    def test_any_value_tag(self, tag_files, key, value):
+        vocab = {**read_metadata(tag_files.raw)["vocab"], key: value}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "vocab", vocab)) in (0, 2)
 
 
 def read_metadata(raw: bytes) -> dict:

@@ -235,6 +235,42 @@ class TestPredictAndLoss:
             sizes.append(len(tape))
         assert sizes == [sizes[0]] * 3 and sizes[0] <= 16
 
+    def test_two_layer_build_loss_tape_entries(self, toy_data):
+        # words 1, char CNN 3 and their concat 1; per layer a dropout and
+        # one biLSTM block; emissions 1, CRF NLL 1, mean 1
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        batch = sentences[:5]
+        tape = Tape()
+        model.build_loss(tape, batch, model.make_dropout_masks(
+            [len(s.tokens) for s in batch], np.random.default_rng(0)))
+        assert len(tape) == 5 + 2 * 2 + 3
+
+    def test_worker_thread_gives_the_same_bits(self, toy_data, both_paths):
+        """Loss, every gradient, the encoder output and the tags, with each
+        layer's reverse direction on the calling thread and on the worker."""
+        sentences, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels)
+        batch = sentences[:7]
+        lengths = [len(s.tokens) for s in batch]
+        masks = model.make_dropout_masks(lengths, np.random.default_rng(2))
+
+        def outputs():
+            for p in model.parameters():
+                p.zero_grad()
+            tape = Tape()
+            loss = model.build_loss(tape, batch, masks)
+            backward(tape, loss)
+            encoded = model.encode_batch(model.embed_batch(batch), lengths).data
+            tags = np.array([t for tags in model.predict_batch(sentences) for t in tags])
+            return ([loss.data, encoded, tags]
+                    + [p.gradient.copy() for p in model.trainable_parameters()])
+
+        sequential, threaded = both_paths(outputs)
+        assert len(sequential) == len(threaded)
+        for a, b in zip(sequential, threaded):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("rates", [(0.25, 0.25), (0.5, 0.0), (0.0, 0.1), (0.0, 0.0)])
     def test_dropout_masks_keep_per_sentence_draws(self, toy_data, rates):
         _, scheme, vocab = toy_data

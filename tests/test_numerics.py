@@ -1,5 +1,7 @@
 import ast
 import inspect
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ from chemner import numerics as nx
 from chemner.numerics import (NumericError, Parameter, ShapeError, Tape, backward,
                               constant, evaluate, grad_check)
 
-from oracles import (add, central_difference, char_cnn_rows, conv1d, max_over_time, mul,
-                     reshape, sum_all, traced_peak)
+from oracles import (add, central_difference, char_cnn_rows, conv1d, lstm_direction,
+                     max_over_time, mul, reshape, sum_all, traced_peak)
 
 # an overflow or invalid operation anywhere in a kernel fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -239,12 +241,12 @@ class TestAdjointsMatchFiniteDifferences:
         wh = Parameter("wh", self.u(H, 4 * H) * 0.5)
         b = Parameter("b", self.u(4 * H) * 0.5)
         x = Parameter("x", self.u(7, D))
+        wr = Parameter("wr", self.u(D, 4 * H) * 0.5)
         def fn(t):
-            h = nx.concat([nx.lstm_batch(t.param(x), [2, 4, 1], t.param(wx), t.param(wh),
-                                         t.param(b), reverse=reverse)
-                           for reverse in (False, True)], axis=1)
+            h = nx.bilstm_batch(t.param(x), [2, 4, 1], (t.param(wx), t.param(wh), t.param(b)),
+                                (t.param(wr), t.param(wh), t.param(b)))
             return sum_all(mul(h, h))
-        _fd_check(fn, [wx, wh, b, x])
+        _fd_check(fn, [wx, wh, b, x, wr])
 
 
 class TestPack:
@@ -276,7 +278,8 @@ class TestPack:
 
 
 class TestLstmBatch:
-    """The fused batch pass against the per-step ``lstm_scan`` reference."""
+    """One direction of the fused batch kernel against the per-step
+    ``lstm_scan`` reference."""
 
     D, H = 5, 4
 
@@ -295,7 +298,7 @@ class TestLstmBatch:
         xt = tape.param(x)
         wt = [tape.param(w) for w in weights]
         if fused:
-            out = nx.lstm_batch(xt, lengths, *wt, reverse=reverse)
+            out = lstm_direction(xt, lengths, *wt, reverse=reverse)
         else:
             starts = np.cumsum(lengths) - lengths
             out = nx.concat([nx.lstm_scan(nx.embedding(xt, range(lo, lo + T)), *wt,
@@ -322,20 +325,22 @@ class TestLstmBatch:
         rng = np.random.default_rng(5)
         wx, wh, b = (constant(w.value) for w in self.weights(rng))
         xs = [rng.normal(size=(T, self.D)) for T in (3, 9, 1, 6)]
-        alone = [nx.lstm_batch(constant(x), [len(x)], wx, wh, b, reverse=reverse).data
-                 for x in xs]
-        together = nx.lstm_batch(constant(np.concatenate(xs)), [len(x) for x in xs],
-                                 wx, wh, b, reverse=reverse)
+        alone = [lstm_direction(x, [len(x)], wx, wh, b, reverse=reverse).data for x in xs]
+        together = lstm_direction(np.concatenate(xs), [len(x) for x in xs], wx, wh, b,
+                                  reverse=reverse)
         assert together.shape == (19, self.H)
         for a, t in zip(alone, np.split(together.data, np.cumsum([3, 9, 1]))):
             assert np.abs(a - t).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
 
     def test_one_tape_entry_per_batch(self):
         rng = np.random.default_rng(6)
-        tape = Tape()
-        wx, wh, b = (tape.param(w) for w in self.weights(rng))
-        nx.lstm_batch(constant(rng.normal(size=(7, self.D))), [2, 5], wx, wh, b)
-        assert len(tape) == 1
+        x = constant(rng.normal(size=(7, self.D)))
+        for apart, shapes in ((False, (7, 2 * self.H)), (True, [(7, self.H)] * 2)):
+            tape = Tape()
+            fwd, bwd = ([tape.param(w) for w in self.weights(rng)] for _ in range(2))
+            out = nx.bilstm_batch(x, [2, 5], fwd, bwd, apart=apart)
+            assert len(tape) == 1
+            assert ([o.shape for o in out] if apart else out.shape) == shapes
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_taped_and_untaped_outputs_bitwise_equal(self, reverse):
@@ -344,10 +349,9 @@ class TestLstmBatch:
         lengths = (4, 9, 1, 9, 2)
         x = rng.normal(size=(sum(lengths), self.D))
         tape = Tape()
-        taped = nx.lstm_batch(tape.input(x), lengths,
-                              *(tape.param(w) for w in weights), reverse=reverse)
-        untaped = nx.lstm_batch(constant(x), lengths,
-                                *(constant(w.value) for w in weights), reverse=reverse)
+        taped = lstm_direction(tape.input(x), lengths, *(tape.param(w) for w in weights),
+                               reverse=reverse)
+        untaped = lstm_direction(x, lengths, *(w.value for w in weights), reverse=reverse)
         assert len(tape) == 1
         assert np.array_equal(taped.data, untaped.data)
 
@@ -367,7 +371,7 @@ class TestLstmBatch:
         def peak(tape):
             inputs = constant(x)
             ws = [constant(w.value) if tape is None else tape.param(w) for w in weights]
-            return traced_peak(lambda: nx.lstm_batch(inputs, lengths, *ws))
+            return traced_peak(lambda: lstm_direction(inputs, lengths, *ws))
 
         saved = peak(Tape()) - peak(None)
         assert saved >= 2 * (N - B) * H * 8
@@ -378,8 +382,184 @@ class TestLstmBatch:
         for x, lengths in [(np.zeros((0, self.D)), []), (np.zeros((0, self.D)), [0]),
                            (np.zeros((2, self.D + 1)), [2]), (np.zeros((6, self.D)), [2, 3]),
                            (np.zeros((6, self.D)), [0, 6]), (np.zeros(6), [6])]:
-            with pytest.raises(ShapeError):
-                nx.lstm_batch(constant(x), lengths, wx, wh, b)
+            with pytest.raises(ShapeError, match="bilstm_batch"):
+                nx.bilstm_batch(constant(x), lengths, (wx, wh, b), (wx, wh, b))
+        x = constant(np.zeros((6, self.D)))
+        narrow = constant(np.zeros((self.D, 4 * (self.H - 1))))
+        for inputs, bwd in [((x, constant(np.zeros((5, self.D)))), (wx, wh, b)),
+                            ((x, x, x), (wx, wh, b)), (x, (narrow, wh, b)),
+                            (x, (wx, wh, constant(np.zeros(4 * self.H + 1))))]:
+            with pytest.raises(ShapeError, match="bilstm_batch"):
+                nx.bilstm_batch(inputs, [2, 4], (wx, wh, b), bwd)
+
+
+class TestBiLstmBatch:
+    """The two-direction block: the same bits as its two directions recorded
+    apart, and the same bits whether or not the worker thread runs the
+    reverse direction."""
+
+    D = 5
+    RAGGED = [(1,), (4, 1, 9, 1, 2), (6, 6, 6)]
+
+    def weights(self, rng, H):
+        return [[Parameter(f"{d}.{k}", rng.normal(size=shape) * 0.5)
+                 for k, shape in (("wx", (self.D, 4 * H)), ("wh", (H, 4 * H)),
+                                  ("b", (4 * H,)))] for d in ("fwd", "bwd")]
+
+    def run(self, x, lengths, weights, apart, taped, block=True):
+        """Outputs and, taped, the gradients of <probe, outputs> for every
+        weight and input; ``x`` is one array or a (forward, reverse) pair."""
+        params = [w for d in weights for w in d]
+        for p in params:
+            p.zero_grad()
+        tape = Tape() if taped else None
+        xs = [tape.input(a) if taped else constant(a) for a in (x if apart else (x,))]
+        ws = [[tape.param(w) if taped else constant(w.value) for w in d] for d in weights]
+        if block:
+            out = nx.bilstm_batch(tuple(xs) if apart else xs[0], lengths, *ws, apart=apart)
+        else:  # each direction its own entry, as before the block
+            out = [lstm_direction(xs[i % len(xs)], lengths, *ws[i], reverse=i == 1)
+                   for i in (0, 1)]
+            out = out if apart else nx.concat(out, axis=1)
+        outs = list(out) if apart else [out]
+        if not taped:
+            return [o.data for o in outs]
+        probes = np.random.default_rng(0).normal(size=(len(outs),) + outs[0].shape)
+        loss = sum_all(mul(outs[0], constant(probes[0])))
+        if apart:
+            loss = add(loss, sum_all(mul(outs[1], constant(probes[1]))))
+        grads = backward(tape, loss)
+        return ([o.data for o in outs] + [grads[t] for t in xs]
+                + [p.gradient.copy() for p in params])
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    @pytest.mark.parametrize("apart", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("H", [3, nx.WORKER_MIN_HIDDEN])
+    def test_threaded_and_sequential_bitwise_equal(self, both_paths, lengths, apart,
+                                                   taped, H):
+        rng = np.random.default_rng(sum(lengths) + H)
+        weights = self.weights(rng, H)
+        N = sum(lengths)
+        # apart, as in a layer above the first: each direction reads its own input
+        x = rng.normal(size=(2, N, self.D))
+        x = (x[0], x[1]) if apart else x[0]
+        sequential, threaded = both_paths(lambda: self.run(x, lengths, weights, apart, taped))
+        assert len(sequential) == len(threaded)
+        for a, b in zip(sequential, threaded):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("apart", [False, True])
+    def test_equals_the_two_directions_recorded_apart(self, both_paths, apart):
+        """Shared input: its gradient is the reverse term plus the forward
+        one, as the replay of two entries added them."""
+        rng = np.random.default_rng(11)
+        weights = self.weights(rng, 4)
+        lengths = (5, 1, 3)
+        x = rng.normal(size=(9, self.D))
+        x = (x, x) if apart else x
+        want = self.run(x, lengths, weights, apart, True, block=False)
+        for got in both_paths(lambda: self.run(x, lengths, weights, apart, True)):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def spy_threads(self, monkeypatch):
+        """The thread each direction's forward ran on, in call order."""
+        seen = []
+        kernel = nx._lstm_direction
+
+        def spy(*args):
+            run = kernel(*args)
+
+            def traced():
+                seen.append(threading.current_thread())
+                return run()
+            return traced
+        monkeypatch.setattr(nx, "_lstm_direction", spy)
+        return seen
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_needs_two_cpus_and_a_wide_layer(self, monkeypatch, cpus):
+        monkeypatch.setattr(nx, "_CPUS", cpus)
+        seen = self.spy_threads(monkeypatch)
+        rng = np.random.default_rng(12)
+        for H in (nx.WORKER_MIN_HIDDEN - 1, nx.WORKER_MIN_HIDDEN):
+            weights = [[constant(w.value) for w in d] for d in self.weights(rng, H)]
+            nx.bilstm_batch(constant(rng.normal(size=(4, self.D))), [3, 1], *weights)
+            forward, reverse = seen[-2:]
+            assert forward is threading.current_thread()
+            assert (reverse is not forward) == (cpus >= 2 and H >= nx.WORKER_MIN_HIDDEN)
+
+
+class TestBiLstmWorker:
+    """The one worker thread: it is started once, and an exception on it
+    reaches the caller and leaves the block usable."""
+
+    def call(self, tape=None, H=3):
+        rng = np.random.default_rng(13)
+        weights = [[rng.normal(size=s) * 0.5 for s in ((2, 4 * H), (H, 4 * H), (4 * H,))]
+                   for _ in range(2)]
+        ws = [[constant(w) if tape is None else tape.input(w) for w in d] for d in weights]
+        return nx.bilstm_batch(constant(rng.normal(size=(6, 2))), [4, 2], *ws)
+
+    def test_fifty_calls_start_at_most_one_thread(self, monkeypatch):
+        monkeypatch.setattr(nx, "_use_worker", lambda hidden: True)
+        start = threading.active_count()
+        for i in range(50):
+            tape = Tape()
+            out = self.call(tape if i % 2 else None)
+            if i % 2:
+                backward(tape, out, np.ones((6, 6)))
+        assert threading.active_count() <= start + 1
+        assert sum(t.name.startswith("chemner-bilstm") for t in threading.enumerate()) == 1
+
+    def test_concurrent_callers_share_the_one_worker(self, monkeypatch):
+        """Four calling threads on two cores, switching often: each call
+        waits for its own reverse direction, so every result is the
+        single-thread one."""
+        monkeypatch.setattr(nx, "_use_worker", lambda hidden: True)
+        want = self.call().data
+        results: list[bool] = []
+
+        def caller():
+            for _ in range(20):
+                results.append(np.array_equal(self.call().data, want))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 80 and all(results)
+        assert sum(t.name.startswith("chemner-bilstm") for t in threading.enumerate()) == 1
+
+    def test_off_thread_exception_reaches_the_caller(self, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+        monkeypatch.setattr(nx, "_use_worker", lambda hidden: True)
+        kernel = nx._lstm_direction
+
+        def failing(*args):
+            run = kernel(*args)
+
+            def checked():
+                if threading.current_thread() is not threading.main_thread():
+                    raise Boom("reverse direction")
+                return run()
+            return checked
+        want = self.call().data
+        monkeypatch.setattr(nx, "_lstm_direction", failing)
+        tape = Tape()
+        with pytest.raises(Boom, match="reverse direction"):
+            self.call(tape)
+        assert len(tape) == 0
+        monkeypatch.setattr(nx, "_lstm_direction", kernel)
+        assert np.array_equal(self.call().data, want)
 
 
 class TestCharCnn:
@@ -529,8 +709,7 @@ class TestLstmGatingAlgebra:
             xs.append(x)
         cat = np.concatenate(xs)
         x_in = constant(cat) if not taped else Tape().input(cat)
-        out = nx.lstm_batch(x_in, [3, 7, 1, 5], constant(wx), constant(wh), constant(b),
-                            reverse=reverse)
+        out = lstm_direction(x_in, [3, 7, 1, 5], wx, wh, b, reverse=reverse)
         for x, rows in zip(xs, np.split(out.data, np.cumsum([3, 7, 1]))):
             v = x[-1 if reverse else 0, 1]
             assert np.array_equal(rows, np.full((len(x), H), np.tanh(np.tanh(v))))

@@ -507,6 +507,24 @@ class TestTrainLoop:
         with pytest.raises(CheckpointError, match=name):
             train(model, splits, TrainConfig(max_epochs=1, patience=1), resume=ckpt)
 
+    def test_refused_resume_leaves_the_model_unchanged(self, toy_setup):
+        # the moments are matched before any parameter is copied
+        sentences, scheme, vocab = toy_setup
+        saved = make_model(sentences, scheme, vocab, seed=1)
+        ckpt = make_checkpoint(saved, AdamState.init(saved.trainable_parameters()),
+                               np.random.default_rng(0))
+        del ckpt.opt_m["emit.b"]
+        model = make_model(sentences, scheme, vocab)
+        before = {name: (p.value.copy(), p.trainable)
+                  for name, p in model.all_tensors().items()}
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        with pytest.raises(CheckpointError, match="emit.b"):
+            train(model, splits, TrainConfig(max_epochs=1, patience=1), resume=ckpt)
+        for name, p in model.all_tensors().items():
+            assert np.array_equal(p.value, before[name][0]), name
+            assert p.trainable is before[name][1], name
+
     def test_non_trainable_tables_stable(self, toy_setup):
         sentences, scheme, vocab = toy_setup
         model = make_model(sentences, scheme, vocab)
