@@ -628,9 +628,10 @@ def _use_worker(hidden: int) -> bool:
 
 def _both(first: Callable, second: Callable, threaded: bool) -> tuple:
     """(first()(), second()()). Each outer call allocates and the call of
-    its result computes (see :func:`_lstm_direction`). ``threaded``, both
-    allocate here and second's result runs on the worker meanwhile; either
-    one's exception reaches the caller once both have stopped."""
+    its result computes (see :func:`_lstm_direction`). When ``threaded``,
+    both allocate here, then second's result runs on the worker while
+    first's runs here; either one's exception reaches the caller once both
+    have stopped."""
     if not threaded:
         return first()(), second()()
     run_first, run_second = first(), second()
