@@ -264,8 +264,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    # decoding needs neither the Adam moments nor, once the model holds its
-    # own copy, the checkpoint's arrays
+    # decoding needs no Adam moments; the model owns the checkpoint's
+    # arrays, so dropping the checkpoint leaves one copy of the weights
     ckpt = load_checkpoint(args.model, moments=False)
     tokenizer = ckpt.meta.get("tokenizer") or {"mode": "general"}
     model = model_from_checkpoint(ckpt)

@@ -184,12 +184,13 @@ class NerModel:
 
     # -- forward pipeline ----------------------------------------------------
 
-    def embed_batch(self, sentences: Sequence[TaggedSentence],
-                    tape: Tape | None = None) -> Tensor:
+    def embed_batch(self, sentences: Sequence[TaggedSentence], tape: Tape | None = None,
+                    workspace: nx.Workspace | None = None) -> Tensor:
         """Per-token features of every sentence, their rows one after another
         (N x D), word, char and contextual blocks side by side: one word-id
         gather, one char-CNN call, one biLM pass and one layer mix over all
-        the batch's tokens."""
+        the batch's tokens. The untaped biLM pass takes the LSTM kernel's
+        arrays from ``workspace``, when given."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
         texts = [t for s in sentences for t in s.texts]
@@ -202,23 +203,26 @@ class NerModel:
                  ("chars", "char_conv.w", "char_conv.b", "char_proj.w", "char_proj.b")]
             parts.append(char_features(texts, self.vocab, w[0], [(w[1], w[2])], (w[3], w[4])))
         if self.config.use_contextual:
-            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences]),
+            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences],
+                                                           workspace),
                                     self.mixing, tape))
         return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
 
     def encode_batch(self, features: Tensor, lengths: Sequence[int], tape: Tape | None = None,
-                     dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
+                     dropout_masks: Sequence[np.ndarray | None] | None = None,
+                     workspace: nx.Workspace | None = None) -> Tensor:
         """Stacked biLSTM encoder (N x 2*hidden) of the sentences whose rows
         follow one another in ``features`` (N x D), ``lengths`` rows each:
         per layer one dropout on its input (a ``dropout_masks`` entry of None
         skips it) and one :func:`~chemner.bilm.bilstm_layer`, whose block
-        holds the forward states beside the reverse ones."""
+        holds the forward states beside the reverse ones. An untaped pass
+        takes the LSTM kernel's arrays from ``workspace``, when given."""
         h = features
         for layer in range(self.config.lstm_layers):
             if dropout_masks is not None and dropout_masks[layer] is not None:
                 h = nx.dropout(h, dropout_masks[layer], self.config.dropout[layer])
             h = bilstm_layer(self.params, (f"lstm.l{layer}.fwd", f"lstm.l{layer}.bwd"), h,
-                             lengths, tape)
+                             lengths, tape, workspace=workspace)
         return h
 
     def emissions(self, encoded: Tensor, tape: Tape | None = None) -> Tensor:
@@ -268,16 +272,21 @@ class NerModel:
         DECODE_BATCH_TOKENS tokens (a longer sentence alone), which bounds
         the decode memory. Each batch is one feature pass, one
         :meth:`encode_batch`, one emission GEMM and one batched Viterbi.
+        Every pass takes the LSTM kernel's arrays from one workspace, sized
+        for the largest batch by the first pass and dropped on return.
         """
         out: list[list[int]] = [[] for _ in sentences]
-        order = sorted((i for i, s in enumerate(sentences) if s.tokens),
-                       key=lambda i: -len(sentences[i].tokens))
-        for batch in _token_batches(order, [len(s.tokens) for s in sentences],
-                                    DECODE_BATCH_TOKENS):
+        sizes = [len(s.tokens) for s in sentences]
+        order = sorted((i for i, n in enumerate(sizes) if n), key=lambda i: -sizes[i])
+        batches = _token_batches(order, sizes, DECODE_BATCH_TOKENS)
+        workspace = nx.Workspace(max((sum(sizes[i] for i in b) for b in batches), default=0),
+                                 max(map(len, batches), default=0))
+        for batch in batches:
             sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
                      for i in batch]
-            lengths = [len(s.tokens) for s in sents]
-            emissions = self.emissions(self.encode_batch(self.embed_batch(sents), lengths))
+            lengths = [sizes[i] for i in batch]
+            emissions = self.emissions(self.encode_batch(
+                self.embed_batch(sents, workspace=workspace), lengths, workspace=workspace))
             for i, (tags, _) in zip(batch, crf_mod.viterbi_batch(emissions.data, lengths,
                                                                  self.crf)):
                 out[i] = tags
@@ -285,7 +294,12 @@ class NerModel:
 
 
 def model_from_checkpoint(ckpt) -> NerModel:
-    """Rebuild a NerModel (including any embedded biLM) from a checkpoint."""
+    """Rebuild a NerModel (including any embedded biLM) from a checkpoint.
+
+    The model owns the checkpoint's arrays: each parameter holds its
+    stored tensor itself, not a copy, so a change to one changes the other.
+    A caller that only decodes drops the checkpoint and holds one copy of
+    the weights."""
     if ckpt.kind != "ner":
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
     try:

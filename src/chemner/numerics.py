@@ -485,15 +485,48 @@ def pack(lengths: Sequence[int], reverse: bool = False) -> Packing:
                    bounds[lengths[order] - 1] + np.arange(B))
 
 
+class Workspace:
+    """Scratch arrays shared by the untaped LSTM passes of one call, one
+    buffer per key, so that each pass after the first reuses the buffers
+    the first made instead of allocating (and faulting in) its own.
+
+    ``tokens`` and ``seqs`` bound the rows (N) and the sequences (B) of
+    every pass that will use it, so the first pass makes each buffer large
+    enough for all of them; a ``Workspace()`` makes each at the size asked.
+    The caller that decodes makes one, uses it on its own thread, and drops
+    it when it returns: nothing outlives the call.
+    """
+
+    def __init__(self, tokens: int = 0, seqs: int = 0):
+        self.tokens, self.seqs = tokens, seqs
+        self._buffers: dict[tuple[str, int], np.ndarray] = {}
+
+    def take(self, key: tuple[str, int], rows: int, cols: int,
+             per_seq: bool = False) -> np.ndarray:
+        """An uninitialised (rows×cols) array at the front of the buffer kept
+        under ``key``. The buffer is made only when it is missing or too
+        small, with room for at least ``seqs`` rows when ``per_seq``, else
+        ``tokens``."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < rows * cols:
+            bound = self.seqs if per_seq else self.tokens
+            buf = self._buffers[key] = np.empty(max(rows, bound) * cols)
+        return buf[:rows * cols].reshape(rows, cols)
+
+
 def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
-                    b: np.ndarray, out: np.ndarray, taped: bool) -> Callable:
+                    b: np.ndarray, out: np.ndarray, taped: bool,
+                    ws: Workspace | None = None, slot: int = 0) -> Callable:
     """One LSTM direction over the rows of a ragged batch, packed by ``p``:
     the body of :func:`bilstm_batch`, which records it. It records nothing.
 
     It runs in two phases, so that a second thread can do the arithmetic
     while every large array comes from the calling thread's heap. This call
-    takes the packed rows of ``x`` (N×D) and allocates the pass's arrays.
-    It returns ``run``. run() fills ``out`` (N×H, rows in input order) with
+    takes the packed rows of ``x`` (N×D) and allocates the pass's arrays:
+    the packed rows, the gates, the h rows, the cell and the step scratch
+    come from ``ws`` under keys of this direction's ``slot``, so a decode
+    that passes one workspace to every pass allocates them once. It
+    returns ``run``. run() fills ``out`` (N×H, rows in input order) with
     the hidden states. When ``taped``, it returns ``bptt``; else None.
     bptt(g) likewise allocates and returns a run() that gives the gradients
     [dx, dwx, dwh, db] of <g, out>.
@@ -524,14 +557,16 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
     perm, prev, bounds = p.perm, p.prev, p.bounds
     steps = len(bounds) - 1
     N, B, H = len(perm), len(p.order), wh.shape[0]
-    x_packed = x[perm]
-    gates = np.empty((N, 4 * H))
-    hs = np.empty((N, H))
+    ws = Workspace() if ws is None else ws
+    # perm is in range; "clip" only spares take's buffered copy of the rows
+    x_packed = np.take(x, perm, axis=0, out=ws.take(("x", slot), N, x.shape[1]), mode="clip")
+    gates = ws.take(("gates", slot), N, 4 * H)
+    hs = ws.take(("h", slot), N, H)
     # taped: every step's c and tanh c rows, for the BPTT; untaped: one
     # running cell, and tanh c written into the h rows
-    cs = np.empty((N if taped else B, H))
+    cs = ws.take(("c", slot), N if taped else B, H, per_seq=not taped)
     tcs = np.empty((N, H)) if taped else hs
-    step_z = np.empty((B, 4 * H))
+    step_z = ws.take(("z", slot), B, 4 * H, per_seq=True)
 
     def run() -> Callable | None:
         np.matmul(x_packed, wx, out=gates)
@@ -645,7 +680,7 @@ def _both(first: Callable, second: Callable, threaded: bool) -> tuple:
 
 
 def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
-                 apart: bool = False):
+                 apart: bool = False, workspace: Workspace | None = None):
     """Both directions of a bidirectional LSTM layer over a ragged batch, as
     one tape entry.
 
@@ -667,6 +702,10 @@ def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
     tape is written on the calling thread. The reverse direction's
     gradients are added first, as when each direction was its own entry;
     an input both directions read gets the two-term sum.
+
+    An untaped call takes each direction's large arrays from ``workspace``,
+    when one is given; a taped one keeps its arrays for the BPTT, so it
+    makes its own.
     """
     xs = tuple(map(_wrap, x)) if isinstance(x, tuple) else (_wrap(x),) * 2
     ws = [tuple(map(_wrap, w)) for w in (fwd, bwd)]
@@ -691,10 +730,12 @@ def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
         joint = np.empty((N, 2 * H))
         outs = [joint[:, :H], joint[:, H:]]
     threaded = _use_worker(H)
+    shared = workspace if tape is None else None
 
     def direction(i: int) -> Callable:
         return lambda: _lstm_direction(xs[i].data, pack(lengths, reverse=i == 1),
-                                       *(w.data for w in ws[i]), outs[i], tape is not None)
+                                       *(w.data for w in ws[i]), outs[i], tape is not None,
+                                       shared, i)
     bptts = _both(direction(0), direction(1), threaded)
     result = tuple(Tensor(o, tape) for o in outs) if apart else Tensor(joint, tape)
     if tape is not None:

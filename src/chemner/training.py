@@ -298,10 +298,13 @@ def stored(ckpt: Checkpoint) -> nx.Maker:
 
 def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str,
                     optimized: Sequence[str] | None = None) -> None:
-    """Give each parameter of a built layout a copy of the stored tensor and
-    trainable flag of its name, once the names and every shape match. For
-    a resume, the Adam moments must match too, before anything is copied:
-    those of the ``optimized`` names that the checkpoint marks trainable."""
+    """Give each parameter of a built layout the stored tensor and trainable
+    flag of its name, once the names and every shape match. A load keeps
+    each stored array itself, so the layout owns the checkpoint's arrays.
+    A resume (``optimized`` given) copies them instead, so training leaves
+    the checkpoint as it was; the Adam moments of the ``optimized`` names
+    that the checkpoint marks trainable must match too, before anything is
+    copied."""
     if set(named) != set(ckpt.trainable):
         raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
     _match_arrays({name: p.value for name, p in named.items()}, ckpt.tensors,
@@ -311,7 +314,7 @@ def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str,
         _match_arrays(moments, ckpt.opt_m, "Adam first moment")
         _match_arrays(moments, ckpt.opt_v, "Adam second moment")
     for name, p in named.items():
-        p.value = ckpt.tensors[name].copy()
+        p.value = ckpt.tensors[name] if optimized is None else ckpt.tensors[name].copy()
         p.trainable = ckpt.trainable[name]
 
 

@@ -395,24 +395,25 @@ class TestCheckpointRoundtrip:
 
     @pytest.mark.parametrize("dim", [10**7, 10**9])
     def test_config_larger_than_the_stored_values_refused(self, dim):
-        # refused before any layout array outgrows the stored values, so the
-        # refusal traces less memory than restoring the valid checkpoint
+        # refused before any layout array is made, so the refusal traces less
+        # memory than one copy of the stored values
         from chemner.training import CheckpointError
         ckpt = make_checkpoint(BiLm.init(small_config(SENTS), seed=2), None, None, kind="bilm")
-        valid = traced_peak(lambda: bilm_from_checkpoint(ckpt))
+        values = sum(a.nbytes for a in ckpt.tensors.values())
         ckpt.config = {**ckpt.config, "token_projection_dim": dim, "layer_dim": dim}
 
         def load():
             with pytest.raises(CheckpointError, match="stored values"):
                 bilm_from_checkpoint(ckpt)
-        assert traced_peak(load) < valid
+        assert traced_peak(load) < values
 
     def test_restored_bilm_holds_one_copy_of_its_weights(self):
         bilm = BiLm.init(small_config(SENTS, char_filters=((3, 32),), token_projection_dim=64,
                                       layer_dim=64), seed=2)
         ckpt = make_checkpoint(bilm, None, None, kind="bilm")
         values = sum(a.nbytes for a in ckpt.tensors.values())
-        assert traced_peak(lambda: bilm_from_checkpoint(ckpt)) < 1.5 * values
+        # the stored arrays are kept: no copy of the values, no gradients
+        assert traced_peak(lambda: bilm_from_checkpoint(ckpt)) < 0.1 * values
         restored = bilm_from_checkpoint(ckpt)
         assert np.array_equal(restored.contextualize(SENTS[1]), bilm.contextualize(SENTS[1]))
         assert all(p._gradient is None for p in restored.parameters())

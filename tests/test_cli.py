@@ -311,7 +311,8 @@ def block_spans(raw: bytes) -> dict[str, tuple[int, int]]:
 
 class TestTagMemory:
     """``chemner tag`` skips the Adam moments of a train-written checkpoint
-    and frees the checkpoint before it decodes."""
+    and frees the checkpoint before it decodes, its arrays kept by the
+    model."""
 
     def test_tag_reads_no_moments_and_matches_a_full_load(self, capsys, corpus_file,
                                                           tmp_path):
@@ -345,18 +346,25 @@ class TestTagMemory:
                                                           scheme)] == want
 
     def test_checkpoint_freed_before_decoding(self, capsys, trained_setup, monkeypatch):
+        # the Checkpoint object is gone before the first decode; each of its
+        # arrays lives on only as the model's parameter of that name
         corpus_path, out_dir, _, _ = trained_setup
-        refs = []
+        ckpt_refs = []
+        tensor_refs = {}
         predicted = []
 
         def load(*args, **kwargs):
             ckpt = load_checkpoint(*args, **kwargs)
-            refs.append(weakref.ref(ckpt))
-            refs.extend(weakref.ref(a) for a in ckpt.tensors.values())
+            ckpt_refs.append(weakref.ref(ckpt))
+            tensor_refs.update((name, weakref.ref(a)) for name, a in ckpt.tensors.items())
             return ckpt
 
         def predict_batch(model, sentences):
-            predicted.append([ref() is None for ref in refs])
+            named = model.all_tensors()
+            predicted.append(([ref() is None for ref in ckpt_refs],
+                              sorted(named) == sorted(tensor_refs)
+                              and all(ref() is named[name].value
+                                      for name, ref in tensor_refs.items())))
             return real_predict_batch(model, sentences)
 
         real_predict_batch = NerModel.predict_batch
@@ -365,7 +373,7 @@ class TestTagMemory:
         code, _, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
                            "--in", str(corpus_path))
         assert code == 0, err
-        assert len(refs) > 1 and predicted == [[True] * len(refs)]
+        assert len(tensor_refs) > 1 and predicted == [([True], True)]
 
     @pytest.mark.parametrize("group", ["m/", "v/"])
     @pytest.mark.parametrize("damage", ["truncated", "oversized", "repeated"])

@@ -562,6 +562,51 @@ class TestBiLstmWorker:
         assert np.array_equal(self.call().data, want)
 
 
+class TestWorkspace:
+    """Untaped blocks of different sizes sharing one workspace give the bits
+    each gives with arrays of its own; a taped block takes nothing from it."""
+
+    D = 4
+
+    def calls(self, H):
+        rng = np.random.default_rng(H)
+        weights = [[rng.normal(size=s) * 0.5 for s in ((self.D, 4 * H), (H, 4 * H), (4 * H,))]
+                   for _ in range(2)]
+        # larger and smaller passes in turn, so stale rows of a bigger one
+        # are left in the buffers the next one takes
+        return [(rng.normal(size=(sum(lengths), self.D)), lengths, weights)
+                for lengths in ((9, 1, 4), (3, 3), (1,), (12, 2, 2, 5, 1), (2, 2))]
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("H", [3, nx.WORKER_MIN_HIDDEN])
+    def test_shared_workspace_gives_the_same_bits(self, both_paths, H, bounded):
+        calls = self.calls(H)
+
+        def run(ws):
+            return [nx.bilstm_batch(constant(x), lengths,
+                                    *[[constant(w) for w in d] for d in weights],
+                                    workspace=ws).data for x, lengths, weights in calls]
+        want = run(None)
+        bounds = (max(len(x) for x, _, _ in calls), max(len(n) for _, n, _ in calls))
+        for got in both_paths(lambda: run(nx.Workspace(*bounds) if bounded
+                                          else nx.Workspace())):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_taped_block_takes_nothing_from_it(self):
+        x, lengths, weights = self.calls(3)[3]
+
+        def run(ws):
+            tape = Tape()
+            xt = tape.input(x)
+            out = nx.bilstm_batch(xt, lengths, *[[tape.input(w) for w in d] for d in weights],
+                                  workspace=ws)
+            grads = backward(tape, sum_all(mul(out, constant(np.cos(out.data)))))
+            return [out.data, grads[xt]]
+        ws = nx.Workspace()
+        ws.take = lambda *args, **kwargs: pytest.fail("a taped block took a workspace array")
+        assert all(np.array_equal(a, b) for a, b in zip(run(ws), run(None)))
+
+
 class TestCharCnn:
     """The one-entry char CNN against the per-row ``embedding`` + ``conv1d``
     + ``max_over_time`` chain of the oracles."""

@@ -525,6 +525,24 @@ class TestTrainLoop:
             assert np.array_equal(p.value, before[name][0]), name
             assert p.trainable is before[name][1], name
 
+    def test_resume_leaves_the_checkpoint_unchanged(self, toy_setup):
+        # a resume copies what it restores: training on never writes into
+        # the checkpoint's tensors or Adam moments
+        sentences, scheme, vocab = toy_setup
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        ckpt = train(make_model(sentences, scheme, vocab, seed=1), splits,
+                     TrainConfig(max_epochs=1, patience=1), dev_scorer=lambda m, d: 0.0).final
+        groups = (ckpt.tensors, ckpt.opt_m, ckpt.opt_v)
+        before = [{name: a.tobytes() for name, a in group.items()} for group in groups]
+        assert all(before) and any(np.any(a) for a in ckpt.opt_v.values())
+        model = make_model(sentences, scheme, vocab)
+        train(model, splits, TrainConfig(max_epochs=3, patience=3), resume=ckpt,
+              dev_scorer=lambda m, d: 0.0)
+        assert [{name: a.tobytes() for name, a in group.items()} for group in groups] == before
+        stored = {id(a) for group in groups for a in group.values()}
+        assert not any(id(p.value) in stored for p in model.all_tensors().values())
+
     def test_non_trainable_tables_stable(self, toy_setup):
         sentences, scheme, vocab = toy_setup
         model = make_model(sentences, scheme, vocab)
