@@ -14,9 +14,7 @@ exp(s)/Σ exp(s), one tape entry (:func:`mix_layers`), for use as contextual
 word features.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,15 +22,11 @@ import numpy as np
 from . import numerics as nx
 from .corpus import Vocabulary, normalize_long_texts
 from .numerics import Parameter, ShapeError, Tape, Tensor
+from .schema import from_json, json_types
 from .training import (AdamState, CheckpointError, TrainConfig, _optimizer_step,
-                       check_json_types, restore_tensors, stored, vocab_from_payload)
+                       restore_tensors, stored, vocab_from_payload)
 
 DECODE_BATCH_TOKENS = 512  # tokens per evaluation pass; bounds its memory
-
-# the JSON type table (see training.check_json_types) of a BiLmConfig payload
-BILM_CONFIG_TYPES = {**dict.fromkeys(("char_embed_dim", "token_projection_dim", "num_layers",
-                                      "layer_dim", "max_token_len"), (int,)),
-                     "char_filters": [[(int,)]]}
 
 
 @dataclass
@@ -49,9 +43,9 @@ class BiLmConfig:
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         dims = (self.char_embed_dim, self.token_projection_dim, self.layer_dim,
-                *(n for f in self.char_filters for n in f))
+                self.max_token_len, *(n for f in self.char_filters for n in f))
         if any(d < 1 for d in dims):
-            raise ValueError("dimensions, filter widths and filter counts must be positive")
+            raise ValueError("sizes, filters and max_token_len must be positive")
         if self.token_projection_dim != self.layer_dim:
             # layer 0 is the projection duplicated to 2*layer_dim, so the
             # widths must agree for the layers to be mixable
@@ -63,17 +57,9 @@ class BiLmConfig:
     def output_dim(self) -> int:
         return 2 * self.layer_dim
 
-    def to_payload(self) -> dict:
-        """The fields, the vocabulary left out (checkpoints store it apart)."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "vocab"}
-        return {**payload, "char_filters": [list(f) for f in self.char_filters]}
 
-    @classmethod
-    def from_payload(cls, payload: dict, vocab: Vocabulary) -> "BiLmConfig":
-        """A checkpoint's config, checked against BILM_CONFIG_TYPES."""
-        kwargs = dict(check_json_types("checkpoint biLM config", payload, BILM_CONFIG_TYPES))
-        kwargs["char_filters"] = tuple(tuple(f) for f in kwargs["char_filters"])
-        return cls(vocab=vocab, **kwargs)
+# the JSON type table of a checkpoint's biLM config; the vocabulary is stored apart
+BILM_CONFIG_TYPES = json_types(BiLmConfig, "vocab")
 
 
 def lstm_params(new: nx.Maker, name: str, in_dim: int, hidden: int) -> list[Parameter]:
@@ -94,19 +80,20 @@ def bilstm_layer(params: dict[str, Parameter], names: tuple[str, str], x,
                            apart=apart, workspace=workspace)
 
 
-def _token_batches(order: Sequence[int], lengths: Sequence[int],
-                   budget: int) -> list[list[int]]:
-    """``order`` cut into consecutive runs of at most ``budget`` tokens; an
-    item longer than the budget forms a run of its own."""
-    batches: list[list[int]] = []
-    used = budget
-    for i in order:
-        if used + lengths[i] > budget:
-            batches.append([])
+def _decode_passes(sizes: Sequence[int]) -> tuple[list[list[int]], nx.Workspace]:
+    """The indices of the non-empty items, longest first (stable), cut into
+    passes of at most DECODE_BATCH_TOKENS tokens (a longer item alone), and
+    one workspace with room for the largest pass."""
+    passes: list[list[int]] = []
+    used = DECODE_BATCH_TOKENS
+    for i in sorted((i for i, n in enumerate(sizes) if n), key=lambda i: -sizes[i]):
+        if used + sizes[i] > DECODE_BATCH_TOKENS:
+            passes.append([])
             used = 0
-        batches[-1].append(i)
-        used += lengths[i]
-    return batches
+        passes[-1].append(i)
+        used += sizes[i]
+    return passes, nx.Workspace(max((sum(sizes[i] for i in p) for p in passes), default=0),
+                                max(map(len, passes), default=0))
 
 
 def char_features(texts: Sequence[str], vocab: Vocabulary, table: Tensor,
@@ -264,10 +251,8 @@ class BiLm:
         usable = [s for s in sentences if len(s) >= 2]
         if not usable:
             raise ValueError("no sentence with >= 2 tokens")
-        lengths = [len(s) for s in usable]
-        order = sorted(range(len(usable)), key=lambda i: -lengths[i])
         total, count = 0.0, 0
-        for batch in _token_batches(order, lengths, DECODE_BATCH_TOKENS):
+        for batch in _decode_passes([len(s) for s in usable])[0]:
             nll_t, n = self.nll_batch([usable[i] for i in batch])
             total += float(nll_t.data)
             count += n
@@ -289,17 +274,21 @@ class BiLm:
 
     def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-token layer representations of every sentence, each of shape
-        (T, num_layers+1, 2*layer_dim): :meth:`layers_batch` stacked once and
-        split per sentence. An empty sentence gives a
-        (0, num_layers+1, 2*layer_dim) array.
+        (T, num_layers+1, 2*layer_dim); an empty sentence gives (0, ...).
+
+        Longest first, the sentences go in passes of at most
+        DECODE_BATCH_TOKENS tokens, which bounds the memory. Each pass is one
+        :meth:`layers_batch` of its sentences in input order, stacked once and
+        split per sentence; every pass shares one workspace.
         """
         out = [np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
                for _ in texts_list]
-        kept = [i for i, texts in enumerate(texts_list) if len(texts)]
-        if kept:
-            stacked = np.stack(self.layers_batch([texts_list[i] for i in kept]), axis=1)
-            bounds = np.cumsum([len(texts_list[i]) for i in kept])[:-1]
-            for i, part in zip(kept, np.split(stacked, bounds)):
+        passes, workspace = _decode_passes([len(texts) for texts in texts_list])
+        for batch in map(sorted, passes):
+            stacked = np.stack(self.layers_batch([texts_list[i] for i in batch], workspace),
+                               axis=1)
+            bounds = np.cumsum([len(texts_list[i]) for i in batch])[:-1]
+            for i, part in zip(batch, np.split(stacked, bounds)):
                 out[i] = part
         return out
 
@@ -360,7 +349,8 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
     if ckpt.kind != "bilm":
         raise CheckpointError(f"expected a bilm checkpoint, got kind {ckpt.kind!r}")
     try:
-        config = BiLmConfig.from_payload(ckpt.config, vocab_from_payload(ckpt.vocab))
+        config = from_json(BiLmConfig, "checkpoint biLM config", ckpt.config, CheckpointError,
+                           vocab=vocab_from_payload(ckpt.vocab))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
     model = BiLm.build(config, stored(ckpt))

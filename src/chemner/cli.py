@@ -24,12 +24,12 @@ from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelE
 from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
-from .model import (MODEL_CONFIG_TYPES, ConfigurationError, ModelConfig, NerModel,
-                    model_from_checkpoint)
+from .model import ConfigurationError, ModelConfig, NerModel, model_from_checkpoint
 from .numerics import NumericError
+from .schema import JSON_NUMBER, check_json_types, from_json, json_types
 from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
-from .training import (JSON_NUMBER, CheckpointError, TrainConfig, check_json_types,
-                       load_checkpoint, make_checkpoint, save_checkpoint, train)
+from .training import (CheckpointError, TrainConfig, load_checkpoint, make_checkpoint,
+                       save_checkpoint, train)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -49,17 +49,14 @@ class ConfigError(ValueError):
 # run configuration
 # ---------------------------------------------------------------------------
 
-# the JSON type tables (see training.check_json_types) of the run config; its
+# the JSON type tables (see schema.check_json_types) of the run config; its
 # "model" section sets every ModelConfig field but those the command derives
 _PATH = (str, type(None))
 _TOP_TYPES = {"labels": [(str,)], "tokenizer": (dict,), "model": (dict,), "train": (dict,),
               "embeddings": _PATH, "bilm": _PATH}
 _TOKENIZER_TYPES = {"mode": (str,), "rules": _PATH}
-_RUN_MODEL_TYPES = {k: v for k, v in MODEL_CONFIG_TYPES.items()
-                    if k not in ("labels", "contextual_dim", "word_source")}
-_TRAIN_TYPES = {**dict.fromkeys(("learning_rate", "clip_norm", "beta1", "beta2",
-                                 "epsilon"), JSON_NUMBER),
-                **dict.fromkeys(("batch_size", "max_epochs", "patience", "seed"), (int,))}
+_RUN_MODEL_TYPES = json_types(ModelConfig, "labels", "contextual_dim", "word_source")
+_TRAIN_TYPES = json_types(TrainConfig)
 
 
 def _check_section(section: str, raw, types: dict) -> dict:
@@ -87,10 +84,8 @@ def load_run_config(path: str) -> dict:
 def _tokenizer_kind(payload) -> TokenizerKind:
     """The tokenizer a ``{"mode", "rules"}`` object names: a checkpoint's
     metadata, a run config's section, or command-line settings."""
-    if not isinstance(payload, dict) or not isinstance(payload.get("rules"), (str, type(None))):
-        raise CheckpointError("checkpoint tokenizer metadata is not an object "
-                              "with a string or null rules path")
-    rules = payload.get("rules")
+    rules = check_json_types("checkpoint tokenizer metadata", payload, _TOKENIZER_TYPES,
+                             CheckpointError).get("rules")
     return TokenizerKind(payload.get("mode", "general"),
                          RuleConfig.from_file(rules) if rules else None)
 
@@ -203,8 +198,7 @@ def cmd_train_bilm(args) -> int:
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    scheme_labels = tuple(run["labels"])
-    scheme = LabelScheme(scheme_labels)
+    scheme = LabelScheme(tuple(run["labels"]))
     train_sents = read_column_corpus(args.train, scheme)
     dev_sents = read_column_corpus(args.dev, scheme)
 
@@ -220,16 +214,14 @@ def cmd_train(args) -> int:
     if run.get("bilm"):
         bilm = bilm_from_checkpoint(load_checkpoint(run["bilm"]))
 
-    model_kwargs = dict(run.get("model", {}))
-    if "dropout" in model_kwargs:
-        model_kwargs["dropout"] = tuple(model_kwargs["dropout"])
+    model_kwargs = {**run.get("model", {}), "labels": run["labels"]}
     if bilm is not None:
         model_kwargs.setdefault("use_contextual", True)
         model_kwargs["contextual_dim"] = bilm.config.output_dim
     if pretrained is not None:
         model_kwargs.setdefault("use_pretrained_words", True)
         model_kwargs["word_source"] = os.path.basename(run["embeddings"])
-    config = ModelConfig(labels=scheme_labels, **model_kwargs)
+    config = from_json(ModelConfig, "config section 'model'", model_kwargs, ConfigError)
 
     train_kwargs = dict(run.get("train", {}))
     if args.seed is not None:
@@ -255,7 +247,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.best, ckpt_path)
     report_path = os.path.join(args.out, "train_report.json")
     with atomic_open(report_path, encoding="utf-8") as f:
-        json.dump(result.report.to_payload(), f, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(result.report), f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"best dev F1 {result.report.best_f1:.4f} at epoch {result.report.best_epoch} "
           f"({result.report.stopping_reason})")

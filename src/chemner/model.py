@@ -1,9 +1,7 @@
 """EBC-CRF network assembly: word + char-CNN + contextual features into a
 stacked bidirectional LSTM encoder with a linear-chain CRF head."""
 
-from __future__ import annotations
-
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -11,27 +9,17 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import numerics as nx
-from .bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights, _token_batches,
+from .bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights, _decode_passes,
                    bilstm_layer, char_features, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
-from .training import (JSON_NUMBER, CheckpointError, check_json_types, restore_tensors,
-                       stored, vocab_from_payload)
+from .schema import from_json, json_types
+from .training import CheckpointError, restore_tensors, stored, vocab_from_payload
 
 
 class ConfigurationError(ValueError):
     """Model configuration inconsistent with the requested operation."""
-
-
-# the JSON type table (see training.check_json_types) of a ModelConfig payload
-MODEL_CONFIG_TYPES = {**dict.fromkeys(("use_words", "use_pretrained_words", "use_char_cnn",
-                                       "use_contextual", "crf_bio_mask"), (bool,)),
-                      **dict.fromkeys(("word_dim", "char_embed_dim", "char_filter_width",
-                                       "char_filter_count", "char_output_dim", "lstm_layers",
-                                       "lstm_hidden", "contextual_dim",
-                                       "long_token_threshold"), (int,)),
-                      "labels": [(str,)], "dropout": [JSON_NUMBER], "word_source": (str,)}
 
 
 @dataclass
@@ -60,11 +48,12 @@ class ModelConfig:
         if self.use_contextual and self.contextual_dim <= 0:
             raise ConfigurationError("use_contextual requires a positive contextual_dim")
         dims = (self.word_dim, self.char_embed_dim, self.char_filter_width,
-                self.char_filter_count, self.char_output_dim, self.lstm_hidden)
-        if any(d < 1 for d in dims) or self.lstm_layers < 1:
-            raise ConfigurationError("dimensions must be positive")
-        if len(self.dropout) != self.lstm_layers:
-            raise ConfigurationError("one dropout rate per stacked LSTM layer")
+                self.char_filter_count, self.char_output_dim, self.lstm_hidden,
+                self.lstm_layers, self.long_token_threshold)
+        if any(d < 1 for d in dims):
+            raise ConfigurationError("sizes and long_token_threshold must be positive")
+        if len(self.dropout) != self.lstm_layers or not all(0 <= r < 1 for r in self.dropout):
+            raise ConfigurationError("one dropout rate in [0, 1) per stacked LSTM layer")
         if not self.labels:
             raise ConfigurationError("label scheme is empty")
 
@@ -82,14 +71,9 @@ class ModelConfig:
     def encoder_dim(self) -> int:
         return 2 * self.lstm_hidden
 
-    def to_payload(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ModelConfig":
-        """A checkpoint's config, checked against MODEL_CONFIG_TYPES."""
-        payload = check_json_types("checkpoint model config", payload, MODEL_CONFIG_TYPES)
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
+# the JSON type table of a checkpoint's model config
+MODEL_CONFIG_TYPES = json_types(ModelConfig)
 
 
 class NerModel:
@@ -277,10 +261,7 @@ class NerModel:
         """
         out: list[list[int]] = [[] for _ in sentences]
         sizes = [len(s.tokens) for s in sentences]
-        order = sorted((i for i, n in enumerate(sizes) if n), key=lambda i: -sizes[i])
-        batches = _token_batches(order, sizes, DECODE_BATCH_TOKENS)
-        workspace = nx.Workspace(max((sum(sizes[i] for i in b) for b in batches), default=0),
-                                 max(map(len, batches), default=0))
+        batches, workspace = _decode_passes(sizes)
         for batch in batches:
             sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
                      for i in batch]
@@ -304,10 +285,10 @@ def model_from_checkpoint(ckpt) -> NerModel:
         raise CheckpointError(f"expected a ner checkpoint, got kind {ckpt.kind!r}")
     try:
         vocab = vocab_from_payload(ckpt.vocab)
-        config = ModelConfig.from_payload(ckpt.config)
+        config = from_json(ModelConfig, "checkpoint model config", ckpt.config, CheckpointError)
         bilm_config = (None if ckpt.bilm_config is None else
-                       BiLmConfig.from_payload(ckpt.bilm_config,
-                                               vocab_from_payload(ckpt.bilm_vocab)))
+                       from_json(BiLmConfig, "checkpoint biLM config", ckpt.bilm_config,
+                                 CheckpointError, vocab=vocab_from_payload(ckpt.bilm_vocab)))
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
     new = stored(ckpt)

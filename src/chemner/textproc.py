@@ -9,10 +9,10 @@ All offsets are byte offsets into the UTF-8 encoding of the source text;
 multi-byte characters are never split.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass
+
+from .schema import from_json
 
 # Periods ending these never terminate a sentence. Multi-word entries
 # ("et al") and dotted entries ("e.g") are matched as suffixes of the text
@@ -50,19 +50,7 @@ class RuleConfig:
     @classmethod
     def from_file(cls, path: str) -> "RuleConfig":
         with open(path, encoding="utf-8-sig") as f:
-            raw = json.load(f)
-        if type(raw) is not dict:
-            raise ValueError("rule config: not a JSON object")
-        unknown = set(raw) - {"no_split_chars", "suffixes"}
-        if unknown:
-            raise ValueError(f"rule config: unknown keys {sorted(unknown)}")
-        chars = raw.get("no_split_chars", DEFAULT_NO_SPLIT_CHARS)
-        suffixes = raw.get("suffixes", list(DEFAULT_CHEMICAL_SUFFIXES))
-        if type(chars) is not str or type(suffixes) is not list or any(
-                type(s) is not str for s in suffixes):
-            raise ValueError("rule config: no_split_chars must be a string and suffixes "
-                             "a list of strings")
-        return cls(no_split_chars=chars, suffixes=tuple(suffixes))
+            return from_json(cls, "rule config", json.load(f))
 
 
 @dataclass(frozen=True)

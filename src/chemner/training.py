@@ -1,14 +1,12 @@
 """Adam optimization with global-norm clipping, early stopping on dev F1,
 and bit-exact binary checkpoints."""
 
-from __future__ import annotations
-
 import io
 import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +15,7 @@ from . import numerics as nx
 from .corpus import DatasetSplit, TaggedSentence, Vocabulary, atomic_open
 from .evaluation import evaluate
 from .numerics import NumericError, Parameter, Tape, Tensor
+from .schema import check_json_types, to_json
 
 CHECKPOINT_MAGIC = b"CHEMNER\x01"
 CHECKPOINT_VERSION = 1
@@ -24,35 +23,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
-
-
-# A JSON type table gives each key the decoded JSON types its value may have, exactly
-# (a true is not an int, a number may be an int or a float); [types] is a list of such.
-JSON_NUMBER = (int, float)
-
-
-def _has_json_type(value, types) -> bool:
-    if isinstance(types, list):
-        if type(value) is not list:
-            return False
-        if isinstance(types[0], tuple):  # a list of scalars: one pass over the element types
-            return set(map(type, value)) <= set(types[0])
-        return all(_has_json_type(v, types[0]) for v in value)
-    return type(value) in types
-
-
-def check_json_types(what: str, raw, types: dict, error=CheckpointError) -> dict:
-    """``raw`` if it is a JSON object whose keys all appear in the type
-    table ``types``, each with a value of its JSON type; ``error`` otherwise."""
-    if type(raw) is not dict:
-        raise error(f"{what} must be a JSON object")
-    unknown = set(raw) - types.keys()
-    if unknown:
-        raise error(f"{what}: unknown keys {sorted(unknown)}")
-    wrong = sorted(k for k, v in raw.items() if not _has_json_type(v, types[k]))
-    if wrong:
-        raise error(f"{what}: values of the wrong JSON type for {wrong}")
-    return raw
 
 
 @dataclass
@@ -216,13 +186,13 @@ def vocab_payload(vocab: Vocabulary) -> dict:
             "pretrained": sorted(vocab.pretrained), "min_count": vocab.min_count}
 
 
-# the JSON type table (see check_json_types) of a vocab_payload
+# the JSON type table (see schema.check_json_types) of a vocab_payload
 VOCAB_TYPES = {**dict.fromkeys(("words", "chars", "pretrained"), [(str,)]), "min_count": (int,)}
 
 
 def vocab_from_payload(payload: dict) -> Vocabulary:
     """A checkpoint's vocabulary, checked against VOCAB_TYPES."""
-    payload = check_json_types("checkpoint vocabulary", payload, VOCAB_TYPES)
+    payload = check_json_types("checkpoint vocabulary", payload, VOCAB_TYPES, CheckpointError)
     return Vocabulary(word_to_id={w: i for i, w in enumerate(payload["words"])},
                       char_to_id={c: i for i, c in enumerate(payload["chars"])},
                       pretrained=frozenset(payload["pretrained"]),
@@ -236,8 +206,8 @@ def make_checkpoint(model, opt: AdamState | None, rng: np.random.Generator | Non
     bilm = model.bilm if ner else None
     named = model.all_tensors() if ner else dict(model.params)
     return Checkpoint(
-        kind=kind, config=model.config.to_payload(),
-        bilm_config=bilm.config.to_payload() if bilm is not None else None,
+        kind=kind, config=to_json(model.config) if ner else to_json(model.config, "vocab"),
+        bilm_config=to_json(bilm.config, "vocab") if bilm is not None else None,
         tensors={name: p.value.copy() for name, p in named.items()},
         trainable={name: p.trainable for name, p in named.items()},
         opt_m={k: a.copy() for k, a in opt.m.items()} if opt else {},
@@ -428,9 +398,6 @@ class TrainReport:
     best_epoch: int
     best_f1: float
     stopping_reason: str  # "patience" or "max_epochs"
-
-    def to_payload(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

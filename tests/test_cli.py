@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chemner.cli
-from chemner.bilm import BILM_CONFIG_TYPES, BiLm, BiLmConfig
+from chemner.bilm import BILM_CONFIG_TYPES, BiLm, BiLmConfig, bilm_from_checkpoint
 from chemner.cli import main
 from chemner.corpus import build_vocabulary, read_column_corpus, write_column_corpus
 from chemner.model import MODEL_CONFIG_TYPES, ModelConfig, NerModel, model_from_checkpoint
@@ -826,3 +826,44 @@ class TestRunConfigTypes:
                            "--epochs", "1", "--out", str(tmp_path / "bilm.ckpt"))
         assert code == 2 and "Traceback" not in err
         assert not (tmp_path / "bilm.ckpt").exists()
+
+
+class TestOutOfRangeConfigValues:
+    """A dropout rate outside [0, 1), a long_token_threshold below 1 or a
+    biLM max_token_len below 1 ends the command in exit 2 when its config is
+    loaded, whether it comes from a run config, a checkpoint or a
+    ``train-bilm`` flag: a negative rate would turn dropout off, a rate of 1
+    or more would fail inside the first training step."""
+
+    @pytest.mark.parametrize("key,value", [("dropout", [-0.5]), ("dropout", [1.0]),
+                                           ("dropout", [2]), ("long_token_threshold", 0)])
+    def test_run_config_exit_2(self, capsys, corpus_file, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**RUN_CONFIG, "model": {**RUN_CONFIG["model"], key: value}}),
+                       encoding="utf-8")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--train",
+                           str(corpus_file[0]), "--dev", str(corpus_file[0]),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2 and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("dropout", [-0.5, 0.25]), ("dropout", [0.25, 1.0]),
+                                           ("long_token_threshold", 0)])
+    def test_checkpoint_config_tag_exit_2(self, tag_files, capsys, key, value):
+        config = {**read_metadata(tag_files.raw)["config"], key: value}
+        assert tag_exit_code(tag_files, with_metadata(tag_files.raw, "config", config)) == 2
+        assert key in capsys.readouterr().err
+
+    def test_bilm_checkpoint_max_token_len_exit_2(self, capsys, corpus_file, tmp_path):
+        assert train_with_bilm_config(capsys, corpus_file[0], tmp_path, "max_token_len", 0) == 2
+        with pytest.raises(ValueError, match="max_token_len"):
+            bilm_from_checkpoint(load_checkpoint(str(tmp_path / "bilm.ckpt")))
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_train_bilm_max_token_len_flag_exit_2(self, capsys, tmp_path, value):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus), "--epochs", "1",
+                           "--out", str(tmp_path / "bilm.ckpt"), "--max-token-len", value)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [corpus]

@@ -15,6 +15,7 @@ from chemner.embeddings import EmbeddingTable
 from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
                            model_from_checkpoint)
 from chemner.numerics import Tape, backward
+from chemner.schema import from_json, to_json
 from chemner.training import load_checkpoint, make_checkpoint, save_checkpoint
 
 from oracles import per_sentence_dropout_masks, traced_peak
@@ -70,7 +71,22 @@ class TestModelConfig:
 
     def test_payload_roundtrip(self):
         cfg = ModelConfig(labels=("A", "B"), lstm_hidden=16, dropout=(0.1, 0.2))
-        assert ModelConfig.from_payload(cfg.to_payload()) == cfg
+        assert from_json(ModelConfig, "model config", to_json(cfg)) == cfg
+
+    # a negative rate would turn the layer's dropout off, a rate >= 1 fails
+    # inside the first training step, a threshold < 1 at the first normalize
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(dropout=(-0.5, 0.25)), "dropout"), (dict(dropout=(0.25, 1.0)), "dropout"),
+        (dict(dropout=(1.5, 0.0)), "dropout"), (dict(dropout=(float("nan"), 0.0)), "dropout"),
+        (dict(long_token_threshold=0), "long_token_threshold"),
+        (dict(long_token_threshold=-3), "long_token_threshold")])
+    def test_out_of_range_values_rejected(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ModelConfig(labels=("A",), **overrides)
+
+    def test_range_ends_accepted(self):
+        cfg = ModelConfig(labels=("A",), dropout=(0.0, 0.999), long_token_threshold=1)
+        assert (cfg.dropout, cfg.long_token_threshold) == ((0.0, 0.999), 1)
 
 
 class TestEncodeChars:
