@@ -80,10 +80,9 @@ def bilstm_layer(params: dict[str, Parameter], names: tuple[str, str], x,
                            apart=apart, workspace=workspace)
 
 
-def _decode_passes(sizes: Sequence[int]) -> tuple[list[list[int]], nx.Workspace]:
+def _decode_passes(sizes: Sequence[int]) -> list[list[int]]:
     """The indices of the non-empty items, longest first (stable), cut into
-    passes of at most DECODE_BATCH_TOKENS tokens (a longer item alone), and
-    one workspace with room for the largest pass."""
+    passes of at most DECODE_BATCH_TOKENS tokens (a longer item alone)."""
     passes: list[list[int]] = []
     used = DECODE_BATCH_TOKENS
     for i in sorted((i for i, n in enumerate(sizes) if n), key=lambda i: -sizes[i]):
@@ -92,8 +91,7 @@ def _decode_passes(sizes: Sequence[int]) -> tuple[list[list[int]], nx.Workspace]
             used = 0
         passes[-1].append(i)
         used += sizes[i]
-    return passes, nx.Workspace(max((sum(sizes[i] for i in p) for p in passes), default=0),
-                                max(map(len, passes), default=0))
+    return passes
 
 
 def char_features(texts: Sequence[str], vocab: Vocabulary, table: Tensor,
@@ -252,7 +250,7 @@ class BiLm:
         if not usable:
             raise ValueError("no sentence with >= 2 tokens")
         total, count = 0.0, 0
-        for batch in _decode_passes([len(s) for s in usable])[0]:
+        for batch in _decode_passes([len(s) for s in usable]):
             nll_t, n = self.nll_batch([usable[i] for i in batch])
             total += float(nll_t.data)
             count += n
@@ -274,21 +272,17 @@ class BiLm:
 
     def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-token layer representations of every sentence, each of shape
-        (T, num_layers+1, 2*layer_dim); an empty sentence gives (0, ...).
-
-        Longest first, the sentences go in passes of at most
-        DECODE_BATCH_TOKENS tokens, which bounds the memory. Each pass is one
-        :meth:`layers_batch` of its sentences in input order, stacked once and
-        split per sentence; every pass shares one workspace.
+        (T, num_layers+1, 2*layer_dim): :meth:`layers_batch` stacked once and
+        split per sentence. An empty sentence gives a
+        (0, num_layers+1, 2*layer_dim) array.
         """
         out = [np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
                for _ in texts_list]
-        passes, workspace = _decode_passes([len(texts) for texts in texts_list])
-        for batch in map(sorted, passes):
-            stacked = np.stack(self.layers_batch([texts_list[i] for i in batch], workspace),
-                               axis=1)
-            bounds = np.cumsum([len(texts_list[i]) for i in batch])[:-1]
-            for i, part in zip(batch, np.split(stacked, bounds)):
+        kept = [i for i, texts in enumerate(texts_list) if len(texts)]
+        if kept:
+            stacked = np.stack(self.layers_batch([texts_list[i] for i in kept]), axis=1)
+            bounds = np.cumsum([len(texts_list[i]) for i in kept])[:-1]
+            for i, part in zip(kept, np.split(stacked, bounds)):
                 out[i] = part
         return out
 

@@ -84,8 +84,10 @@ def load_run_config(path: str) -> dict:
 def _tokenizer_kind(payload) -> TokenizerKind:
     """The tokenizer a ``{"mode", "rules"}`` object names: a checkpoint's
     metadata, a run config's section, or command-line settings."""
-    rules = check_json_types("checkpoint tokenizer metadata", payload, _TOKENIZER_TYPES,
-                             CheckpointError).get("rules")
+    if not isinstance(payload, dict) or not isinstance(payload.get("rules"), (str, type(None))):
+        raise CheckpointError("checkpoint tokenizer metadata is not an object "
+                              "with a string or null rules path")
+    rules = payload.get("rules")
     return TokenizerKind(payload.get("mode", "general"),
                          RuleConfig.from_file(rules) if rules else None)
 
@@ -198,7 +200,8 @@ def cmd_train_bilm(args) -> int:
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    scheme = LabelScheme(tuple(run["labels"]))
+    scheme_labels = tuple(run["labels"])
+    scheme = LabelScheme(scheme_labels)
     train_sents = read_column_corpus(args.train, scheme)
     dev_sents = read_column_corpus(args.dev, scheme)
 
@@ -214,14 +217,15 @@ def cmd_train(args) -> int:
     if run.get("bilm"):
         bilm = bilm_from_checkpoint(load_checkpoint(run["bilm"]))
 
-    model_kwargs = {**run.get("model", {}), "labels": run["labels"]}
+    model_kwargs = dict(run.get("model", {}))
     if bilm is not None:
         model_kwargs.setdefault("use_contextual", True)
         model_kwargs["contextual_dim"] = bilm.config.output_dim
     if pretrained is not None:
         model_kwargs.setdefault("use_pretrained_words", True)
         model_kwargs["word_source"] = os.path.basename(run["embeddings"])
-    config = from_json(ModelConfig, "config section 'model'", model_kwargs, ConfigError)
+    config = from_json(ModelConfig, "config section 'model'", model_kwargs, ConfigError,
+                       labels=scheme_labels)
 
     train_kwargs = dict(run.get("train", {}))
     if args.seed is not None:
@@ -247,7 +251,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.best, ckpt_path)
     report_path = os.path.join(args.out, "train_report.json")
     with atomic_open(report_path, encoding="utf-8") as f:
-        json.dump(dataclasses.asdict(result.report), f, indent=2, sort_keys=True)
+        json.dump(result.report.to_payload(), f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"best dev F1 {result.report.best_f1:.4f} at epoch {result.report.best_epoch} "
           f"({result.report.stopping_reason})")

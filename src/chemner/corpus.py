@@ -140,11 +140,17 @@ class Vocabulary:
 
     @property
     def words(self) -> list[str]:
-        return sorted(self.word_to_id, key=self.word_to_id.__getitem__)
+        out = [""] * len(self.word_to_id)
+        for w, i in self.word_to_id.items():
+            out[i] = w
+        return out
 
     @property
     def chars(self) -> list[str]:
-        return sorted(self.char_to_id, key=self.char_to_id.__getitem__)
+        out = [""] * len(self.char_to_id)
+        for c, i in self.char_to_id.items():
+            out[i] = c
+        return out
 
     def word_id(self, text: str) -> int:
         wid = self.word_to_id.get(text)

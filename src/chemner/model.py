@@ -261,7 +261,9 @@ class NerModel:
         """
         out: list[list[int]] = [[] for _ in sentences]
         sizes = [len(s.tokens) for s in sentences]
-        batches, workspace = _decode_passes(sizes)
+        batches = _decode_passes(sizes)
+        workspace = nx.Workspace(max((sum(sizes[i] for i in b) for b in batches), default=0),
+                                 max(map(len, batches), default=0))
         for batch in batches:
             sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
                      for i in batch]

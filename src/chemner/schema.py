@@ -6,8 +6,7 @@ annotations, so a field added to a config is checked as soon as it exists."""
 
 import functools
 from dataclasses import fields
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 JSON_NUMBER = (int, float)
 
@@ -37,20 +36,16 @@ def check_json_types(what: str, raw, types: dict, error=ValueError) -> dict:
 
 
 def _json_type(hint):
-    """The table entry of an annotation: ``bool``, ``int``, ``str`` and
-    ``dict`` map to themselves, ``float`` to JSON_NUMBER, ``X | None`` adds
-    null to a scalar X, and ``tuple[X, ...]`` or ``tuple[X, X]`` is a list
-    of X. Any other annotation is a TypeError, never a guessed entry."""
-    origin, args = get_origin(hint), get_args(hint)
-    if hint in (bool, int, str, dict):
+    """The table entry of an annotation: ``bool``, ``int`` and ``str`` map
+    to themselves, ``float`` to JSON_NUMBER, and ``tuple[X, ...]`` or
+    ``tuple[X, X]`` is a list of X. Any other annotation is a TypeError,
+    never a guessed entry."""
+    if hint in (bool, int, str):
         return (hint,)
     if hint is float:
         return JSON_NUMBER
-    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
-        inner = _json_type(args[0] if args[1] is type(None) else args[1])
-        if isinstance(inner, tuple):
-            return (*inner, type(None))
-    if origin is tuple and args and (args[1:] == (...,) or args.count(args[0]) == len(args)):
+    args = get_args(hint)
+    if get_origin(hint) is tuple and args and (args[1:] == (...,) or len(set(args)) == 1):
         return [_json_type(args[0])]
     raise TypeError(f"no JSON type for the annotation {hint!r}")
 

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -398,6 +398,9 @@ class TrainReport:
     best_epoch: int
     best_f1: float
     stopping_reason: str  # "patience" or "max_epochs"
+
+    def to_payload(self) -> dict:
+        return asdict(self)
 
 
 @dataclass

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chemner import numerics as nx
-from chemner.bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights,
-                          bilm_from_checkpoint,
+from chemner.bilm import (BiLm, BiLmConfig, MixingWeights, bilm_from_checkpoint,
                           char_features, mix_layers, train_bilm)
 from chemner.corpus import build_vocabulary, sentence_from_texts
 from chemner.numerics import ShapeError, Tape, backward, evaluate, grad_check
@@ -276,59 +275,6 @@ class TestBatchedBlocks:
         assert len(sequential) == len(threaded)
         for a, b in zip(sequential, threaded):
             assert np.array_equal(a, b)
-
-
-class TestContextualizePasses:
-    """``contextualize_batch`` runs in passes of at most DECODE_BATCH_TOKENS
-    tokens that share one workspace, so the memory it needs beyond the
-    arrays it returns does not grow with its input."""
-
-    @staticmethod
-    def texts_list(tokens: int, seed: int) -> list[list[str]]:
-        """Sentences of 8 to 24 random words, about ``tokens`` in all."""
-        rng = np.random.default_rng(seed)
-        out: list[list[str]] = []
-        while sum(map(len, out)) < tokens:
-            out.append(["".join(rng.choice(list("abcdefgh"), int(rng.integers(1, 9))))
-                        for _ in range(int(rng.integers(8, 25)))])
-        return out
-
-    def test_passes_within_the_budget_share_one_workspace(self, monkeypatch):
-        bilm = BiLm.init(small_config(SENTS), seed=3)
-        texts_list = (self.texts_list(2 * DECODE_BATCH_TOKENS, 1)
-                      + [[], ["x"] * (DECODE_BATCH_TOKENS + 5), SENTS[1]])
-        seen = []
-        real = BiLm.layers_batch
-
-        def spy(self, batch, workspace=None):
-            seen.append(([len(texts) for texts in batch], workspace))
-            return real(self, batch, workspace)
-
-        monkeypatch.setattr(BiLm, "layers_batch", spy)
-        got = bilm.contextualize_batch(texts_list)
-        monkeypatch.undo()
-        assert len(seen) >= 3 and seen[0][1] is not None
-        assert all(workspace is seen[0][1] for _, workspace in seen)
-        assert all(sum(sizes) <= DECODE_BATCH_TOKENS or len(sizes) == 1 for sizes, _ in seen)
-        assert sorted(n for sizes, _ in seen for n in sizes) == sorted(
-            len(texts) for texts in texts_list if texts)
-        for texts, ctx in zip(texts_list, got):
-            want = bilm.contextualize(texts)
-            assert ctx.shape == want.shape == (len(texts), 3, 32)
-            assert np.abs(ctx - want).max(initial=0.0) <= 1e-12 * max(np.abs(want).max(
-                initial=0.0), 1.0)
-
-    def test_peak_beyond_the_output_does_not_grow_with_the_input(self):
-        bilm = BiLm.init(small_config(SENTS), seed=3)
-
-        def beyond_output(texts_list) -> int:
-            returned = sum(map(len, texts_list)) * 3 * 32 * 8  # (T, 3, 32) float64 each
-            return traced_peak(lambda: bilm.contextualize_batch(texts_list)) - returned
-
-        one = beyond_output(self.texts_list(DECODE_BATCH_TOKENS * 9 // 10, 2))
-        # one pass over all of it needs about 3x as much
-        four = beyond_output(self.texts_list(4 * DECODE_BATCH_TOKENS, 3))
-        assert four < 2 * one, (one, four)
 
 
 class TestTraining:
