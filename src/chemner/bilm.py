@@ -26,7 +26,7 @@ from .schema import from_json, json_types
 from .training import (AdamState, CheckpointError, TrainConfig, _optimizer_step,
                        restore_tensors, stored, vocab_from_payload)
 
-DECODE_BATCH_TOKENS = 512  # tokens per evaluation pass; bounds its memory
+DECODE_BATCH_TOKENS = 2048  # tokens per evaluation pass; bounds its memory
 
 
 @dataclass

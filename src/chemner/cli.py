@@ -202,35 +202,34 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config)
     scheme_labels = tuple(run["labels"])
     scheme = LabelScheme(scheme_labels)
+
+    # the configs are checked before any corpus or embedding file is read;
+    # only the biLM checkpoint, which sets contextual_dim, comes first
+    bilm = None
+    if run.get("bilm"):
+        bilm = bilm_from_checkpoint(load_checkpoint(run["bilm"]))
+    model_kwargs = dict(run.get("model", {}))
+    if bilm is not None:
+        model_kwargs.setdefault("use_contextual", True)
+        model_kwargs["contextual_dim"] = bilm.config.output_dim
+    if run.get("embeddings"):
+        model_kwargs.setdefault("use_pretrained_words", True)
+        model_kwargs["word_source"] = os.path.basename(run["embeddings"])
+    config = from_json(ModelConfig, "config section 'model'", model_kwargs, ConfigError,
+                       labels=scheme_labels)
+    train_kwargs = dict(run.get("train", {}))
+    if args.seed is not None:
+        train_kwargs["seed"] = args.seed
+    tconfig = TrainConfig(**train_kwargs)
+
     train_sents = read_column_corpus(args.train, scheme)
     dev_sents = read_column_corpus(args.dev, scheme)
-
     pretrained_words: list[str] = []
     pretrained = None
     if run.get("embeddings"):
         pretrained = load_embedding_text(run["embeddings"])
         pretrained_words = pretrained[0]
-
     vocab = build_vocabulary(train_sents, dev_sents, pretrained_words)
-
-    bilm = None
-    if run.get("bilm"):
-        bilm = bilm_from_checkpoint(load_checkpoint(run["bilm"]))
-
-    model_kwargs = dict(run.get("model", {}))
-    if bilm is not None:
-        model_kwargs.setdefault("use_contextual", True)
-        model_kwargs["contextual_dim"] = bilm.config.output_dim
-    if pretrained is not None:
-        model_kwargs.setdefault("use_pretrained_words", True)
-        model_kwargs["word_source"] = os.path.basename(run["embeddings"])
-    config = from_json(ModelConfig, "config section 'model'", model_kwargs, ConfigError,
-                       labels=scheme_labels)
-
-    train_kwargs = dict(run.get("train", {}))
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    tconfig = TrainConfig(**train_kwargs)
 
     word_table = None
     if pretrained is not None and config.use_pretrained_words:

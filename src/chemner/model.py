@@ -200,8 +200,12 @@ class NerModel:
         per layer one dropout on its input (a ``dropout_masks`` entry of None
         skips it) and one :func:`~chemner.bilm.bilstm_layer`, whose block
         holds the forward states beside the reverse ones. An untaped pass
-        takes the LSTM kernel's arrays from ``workspace``, when given."""
+        takes the LSTM kernel's arrays from ``workspace``, when given. The
+        call drops its reference to ``features`` once the first layer has
+        read them, so a caller that passes them straight in
+        (:meth:`predict_batch`) frees them before the second layer runs."""
         h = features
+        del features
         for layer in range(self.config.lstm_layers):
             if dropout_masks is not None and dropout_masks[layer] is not None:
                 h = nx.dropout(h, dropout_masks[layer], self.config.dropout[layer])
@@ -253,11 +257,15 @@ class NerModel:
         """:meth:`predict` of every sentence, in input order; empty ones give [].
 
         Longest first, the sentences go in batches of at most
-        DECODE_BATCH_TOKENS tokens (a longer sentence alone), which bounds
-        the decode memory. Each batch is one feature pass, one
+        DECODE_BATCH_TOKENS (2,048) tokens (a longer sentence alone), which
+        bounds the decode memory. Each batch is one feature pass, one
         :meth:`encode_batch`, one emission GEMM and one batched Viterbi.
         Every pass takes the LSTM kernel's arrays from one workspace, sized
-        for the largest batch by the first pass and dropped on return.
+        for the largest batch by the first pass and dropped on return. The
+        kernel keeps one block of steps, not every token (see
+        :func:`~chemner.numerics._lstm_direction`), so at paper size a
+        pass costs about 8.7 KB per token, mostly its two layers' outputs,
+        plus about 7.7 MB of kernel blocks.
         """
         out: list[list[int]] = [[] for _ in sentences]
         sizes = [len(s.tokens) for s in sentences]

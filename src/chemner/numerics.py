@@ -9,6 +9,7 @@ prediction works.
 
 from __future__ import annotations
 
+import bisect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -493,8 +494,11 @@ class Workspace:
     ``tokens`` and ``seqs`` bound the rows (N) and the sequences (B) of
     every pass that will use it, so the first pass makes each buffer large
     enough for all of them; a ``Workspace()`` makes each at the size asked.
-    The caller that decodes makes one, uses it on its own thread, and drops
-    it when it returns: nothing outlives the call.
+    No buffer grows with N beyond one block of the input projection: a
+    per-sequence buffer has ``seqs`` rows, any other at most
+    min(tokens, max(BLOCK_ROWS, seqs)) (see :func:`_lstm_direction`). The
+    caller that decodes makes one, uses it on its own thread, and drops it
+    when it returns: nothing outlives the call.
     """
 
     def __init__(self, tokens: int = 0, seqs: int = 0):
@@ -506,12 +510,26 @@ class Workspace:
         """An uninitialised (rows×cols) array at the front of the buffer kept
         under ``key``. The buffer is made only when it is missing or too
         small, with room for at least ``seqs`` rows when ``per_seq``, else
-        ``tokens``."""
+        for the largest block of any pass."""
         buf = self._buffers.get(key)
         if buf is None or buf.size < rows * cols:
-            bound = self.seqs if per_seq else self.tokens
+            bound = self.seqs if per_seq else min(self.tokens, max(BLOCK_ROWS, self.seqs))
             buf = self._buffers[key] = np.empty(max(rows, bound) * cols)
         return buf[:rows * cols].reshape(rows, cols)
+
+
+def _blocks(bounds: list[int], cap: int) -> dict[int, tuple[int, int]]:
+    """The input-projection blocks of a packing with step bounds ``bounds``:
+    whole steps, greedily, at most ``cap`` rows each (cap ≥ 2 and ≥ every
+    step's rows). Keyed by the packed row its first step starts at, each
+    block gives the rows [first, top) to project. A one-row block after the first reaches one
+    row back, since a one-row GEMM is not bitwise a row of a taller one;
+    greedy blocks leave at most the last one with a single row."""
+    starts = [0]
+    while bounds[-1] - starts[-1] > cap:
+        starts.append(bounds[bisect.bisect_right(bounds, starts[-1] + cap) - 1])
+    return {lo: (lo - 1 if top - lo == 1 and lo else lo, top)
+            for lo, top in zip(starts, starts[1:] + bounds[-1:])}
 
 
 def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
@@ -522,32 +540,39 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
 
     It runs in two phases, so that a second thread can do the arithmetic
     while every large array comes from the calling thread's heap. This call
-    takes the packed rows of ``x`` (N×D) and allocates the pass's arrays:
-    the packed rows, the gates, the h rows, the cell and the step scratch
-    come from ``ws`` under keys of this direction's ``slot``, so a decode
-    that passes one workspace to every pass allocates them once. It
-    returns ``run``. run() fills ``out`` (N×H, rows in input order) with
-    the hidden states. When ``taped``, it returns ``bptt``; else None.
-    bptt(g) likewise allocates and returns a run() that gives the gradients
-    [dx, dwx, dwh, db] of <g, out>.
+    allocates the pass's arrays and returns ``run``. run() fills ``out``
+    (N×H, rows in input order) with the hidden states. When ``taped``, it
+    returns ``bptt``; else None. bptt(g) likewise allocates and returns a
+    run() that gives the gradients [dx, dwx, dwh, db] of <g, out>.
 
     The rows run in the order of :func:`pack`, so every per-step array has
-    one row per real token, time major. The input projection and the
-    weight gradients are single GEMMs over all tokens; only the
-    (n_t×H)@(H×4H) recurrence loops over time, forward and in the
-    hand-written BPTT.
+    one row per real token, time major. Only the (n_t×H)@(H×4H) recurrence
+    loops over time, forward and in the hand-written BPTT. The input
+    projection x @ wx + b gathers the packed rows of ``x`` and runs one GEMM
+    per block of whole steps (:func:`_blocks`) as the loop reaches it; the
+    block's h rows go to ``out`` when it ends. A taped pass is one block
+    over all N rows, kept with every step's c and tanh c, as the BPTT needs
+    them; its weight gradients are single GEMMs over all tokens.
 
-    Both loops work in place: each recurrence GEMM writes into one
-    step-sized scratch array. The forward adds it into the step's gate rows
-    and applies all four gates with one ``tanh`` over those rows: the i,f,o
-    columns are halved before and after it and lifted by ½, which is the
-    sigmoid (1 + tanh(z/2)) / 2 with exact power-of-two scalings and no
-    exp to overflow; the g columns are left at tanh. c, tanh c and h are
-    written with ``out=``. There is one forward loop with or without a
-    tape; only where c and tanh c live differs. A taped pass keeps both
-    for every step, as the BPTT needs them. An untaped one keeps a single
+    An untaped pass keeps no per-token array. Its blocks have at most
+    max(BLOCK_ROWS, B) rows and, in a pass of 2 or more tokens, at least 2,
+    so that its output is the taped pass's bits (a one-row GEMM need not
+    give the bits of a row of a taller one). It keeps one block's packed
+    rows, gates and h rows (tanh c is written into the h rows) and one
     running (B×H) cell, updated in place as ``c[:n_t]`` since the running
-    sequences are a prefix, and writes tanh c into the step's h rows.
+    sequences are a prefix. It takes them, and the step scratch, from
+    ``ws`` under keys of this direction's ``slot``, so a decode that
+    passes one workspace to every pass allocates them once: (D + 5H)
+    floats per block row and 5H per sequence, whatever N (3.6 MB at the
+    paper's second layer, D 500 and H 250, with 256-row blocks).
+
+    There is one forward loop with or without a tape. Each recurrence GEMM
+    writes into one step-sized scratch array; the loop adds it into the
+    step's gate rows and applies all four gates with one ``tanh`` over
+    those rows: the i,f,o columns are halved before and after it and
+    lifted by ½, which is the sigmoid (1 + tanh(z/2)) / 2 with exact
+    power-of-two scalings and no exp to overflow; the g columns are left at
+    tanh. c, tanh c and h are written with ``out=``.
 
     The BPTT computes every local derivative for all steps at once into
     the gate gradients, so its step only scales them in place by the
@@ -557,20 +582,23 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
     perm, prev, bounds = p.perm, p.prev, p.bounds
     steps = len(bounds) - 1
     N, B, H = len(perm), len(p.order), wh.shape[0]
-    ws = Workspace() if ws is None else ws
-    # perm is in range; "clip" only spares take's buffered copy of the rows
-    x_packed = np.take(x, perm, axis=0, out=ws.take(("x", slot), N, x.shape[1]), mode="clip")
-    gates = ws.take(("gates", slot), N, 4 * H)
-    hs = ws.take(("h", slot), N, H)
-    # taped: every step's c and tanh c rows, for the BPTT; untaped: one
-    # running cell, and tanh c written into the h rows
-    cs = ws.take(("c", slot), N if taped else B, H, per_seq=not taped)
-    tcs = np.empty((N, H)) if taped else hs
-    step_z = ws.take(("z", slot), B, 4 * H, per_seq=True)
+    if taped:
+        blocks = {0: (0, N)}
+        x_rows, gates = np.empty((N, x.shape[1])), np.empty((N, 4 * H))
+        hs, cs, tcs = np.empty((N, H)), np.empty((N, H)), np.empty((N, H))
+        step_z = np.empty((B, 4 * H))
+    else:
+        blocks = _blocks(bounds, max(BLOCK_ROWS, B))
+        rows = max(top - first for first, top in blocks.values())
+        ws = Workspace() if ws is None else ws
+        x_rows = ws.take(("x", slot), rows, x.shape[1])
+        gates = ws.take(("gates", slot), rows, 4 * H)
+        # the block's h rows, which also take tanh c, and the running cell
+        hs = tcs = ws.take(("h", slot), rows, H)
+        cs = ws.take(("c", slot), B, H, per_seq=True)
+        step_z = ws.take(("z", slot), B, 4 * H, per_seq=True)
 
     def run() -> Callable | None:
-        np.matmul(x_packed, wx, out=gates)
-        np.add(gates, b, out=gates)
         # σ = half·tanh(half·z) + lift on the i,f,o columns, tanh on g
         half = np.full(4 * H, 0.5)
         half[2 * H:3 * H] = 1.0
@@ -578,18 +606,29 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
         for t in range(steps):
             lo, hi = bounds[t], bounds[t + 1]
             n = hi - lo
-            plo = bounds[t - 1] if t else 0
-            z = gates[lo:hi]
-            if t:
-                z += np.matmul(hs[plo:plo + n], wh, out=step_z[:n])
+            if lo in blocks:
+                if t:  # the block before is done: its h rows go to their input rows
+                    out[perm[start:lo]] = hs[start - first:lo - first]
+                start, (first, top) = lo, blocks[lo]
+                xb, gb = x_rows[:top - first], gates[:top - first]
+                # perm is in range; "clip" only spares take's buffered copy of the rows
+                np.take(x, perm[first:top], axis=0, out=xb, mode="clip")
+                np.matmul(xb, wx, out=gb)
+                gb += b
+            rlo, rhi = lo - first, hi - first  # this step's rows in the block's arrays
+            z = gates[rlo:rhi]
+            if t:  # the running sequences are a prefix of the step before's
+                z += np.matmul(h[:n], wh, out=step_z[:n])
             z *= half
             np.tanh(z, out=z)
             z *= half
             z += lift
             gi, gf, gg, go = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
-            h, tc = hs[lo:hi], tcs[lo:hi]
+            # the step before's h is spent, so this step's rows may overlap it
+            h, tc = hs[rlo:rhi], tcs[rlo:rhi]
             c = cs[lo:hi] if taped else cs[:n]
             if t:
+                plo = bounds[t - 1]
                 np.multiply(gf, cs[plo:plo + n] if taped else c, out=c)
                 np.multiply(gi, gg, out=h)
                 c += h
@@ -597,7 +636,7 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
                 np.multiply(gi, gg, out=c)
             np.tanh(c, out=tc)
             np.multiply(go, tc, out=h)
-        out[perm] = hs
+        out[perm[start:]] = hs[start - first:N - first]
         return bptt if taped else None
 
     def bptt(g: np.ndarray) -> Callable:
@@ -607,8 +646,8 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
         dc_dh = np.empty((N, H))
         dc_run = np.zeros((B, H))  # rows beyond n_{t+1} are still zero at step t
         scratch = np.empty((B, H))
-        dx_packed = np.empty_like(x_packed)
-        dx = np.empty_like(x_packed)
+        dx_rows = np.empty_like(x_rows)
+        dx = np.empty_like(x_rows)
         dwx, dwh = np.empty_like(wx), np.empty_like(wh)
 
         def run() -> list[np.ndarray]:
@@ -640,12 +679,19 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
                     plo = bounds[t - 1]
                     dc *= g4[lo:hi, 1]
                     dhs[plo:plo + n] += np.matmul(dz_all[lo:hi], wh.T, out=s)
-            dx[perm] = np.matmul(dz_all, wx.T, out=dx_packed)
-            return [dx, np.matmul(x_packed.T, dz_all, out=dwx),
+            dx[perm] = np.matmul(dz_all, wx.T, out=dx_rows)
+            return [dx, np.matmul(x_rows.T, dz_all, out=dwx),
                     np.matmul(h_prev.T, dz_all[B:], out=dwh), dz_all.sum(axis=0)]
         return run
     return run
 
+
+# An untaped direction projects its input in blocks of at most
+# max(BLOCK_ROWS, B) rows, so its buffers do not grow with the pass. It must
+# be ≥ 2. Of 128, 256 and 512, 256 had the best median speed decoding
+# paper-size patent text in-process with one BLAS thread (all within 4%),
+# with half the block memory of 512.
+BLOCK_ROWS = 256
 
 # The reverse direction of a wide enough layer runs on one worker thread,
 # started on first use; numpy releases the GIL inside its GEMMs and ufunc

@@ -38,9 +38,10 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.clip_norm,
-               self.max_epochs, self.patience, self.epsilon) <= 0:
-            raise ValueError("train config values must be positive")
+        values = (self.learning_rate, self.batch_size, self.clip_norm, self.max_epochs,
+                  self.patience, self.epsilon)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("train config values must be positive and finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
         if self.patience > self.max_epochs:

@@ -847,6 +847,32 @@ class TestOutOfRangeConfigValues:
         assert code == 2 and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_model_config_refused_before_the_corpora_are_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**RUN_CONFIG, "model": {**RUN_CONFIG["model"],
+                                                           "dropout": [1.0]}}),
+                       encoding="utf-8")
+        missing = str(tmp_path / "missing.bio")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--train", missing,
+                           "--dev", missing, "--out", str(tmp_path / "out"))
+        assert code == 2 and "dropout" in err and "missing.bio" not in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("learning_rate", math.nan), ("clip_norm", math.nan),
+                                           ("learning_rate", math.inf), ("epsilon", math.inf)])
+    def test_non_finite_train_value_exit_2(self, capsys, corpus_file, tmp_path, key, value):
+        """``json.load`` reads the ``NaN`` and ``Infinity`` tokens that
+        ``json.dumps`` writes; a train value of either is refused."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**RUN_CONFIG, "train": {**RUN_CONFIG["train"], key: value}}),
+                       encoding="utf-8")
+        assert ("NaN" if math.isnan(value) else "Infinity") in cfg.read_text(encoding="utf-8")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--train",
+                           str(corpus_file[0]), "--dev", str(corpus_file[0]),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2 and "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("dropout", [-0.5, 0.25]), ("dropout", [0.25, 1.0]),
                                            ("long_token_threshold", 0)])
     def test_checkpoint_config_tag_exit_2(self, tag_files, capsys, key, value):

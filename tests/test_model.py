@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chemner import numerics as nx
-from chemner.bilm import BiLm, BiLmConfig, train_bilm
+from chemner.bilm import BiLm, BiLmConfig, _decode_passes, bilstm_layer, train_bilm
 from chemner.corpus import Vocabulary, sentence_from_texts
 from chemner.embeddings import EmbeddingTable
 from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
@@ -438,8 +438,9 @@ class TestFullModelGradient:
 
 def decode_inputs():
     """Ragged input: an empty sentence, a one-token sentence, a Long_Token,
-    words repeated across sentences, more tokens than one decode batch
-    holds and one sentence longer than a batch on its own."""
+    words repeated across sentences, more tokens than two decode batches
+    hold and one sentence longer than a batch on its own. Its size scales
+    with DECODE_BATCH_TOKENS, so a decode takes at least three passes."""
     words = ["benzene", "was", "added", "2-chlorotoluene", "ethanol", "50", "the"]
     rng = np.random.default_rng(11)
 
@@ -453,7 +454,8 @@ def decode_inputs():
            sentence_from_texts(["ethanol"], [0], "d1"),
            sentence_from_texts(["the", long_token, "was", "added"], [0] * 4, "d1"),
            sent(DECODE_BATCH_TOKENS + 37, "d2")]
-    out += [sent(n, f"d{3 + i}") for i, n in enumerate(rng.integers(1, 90, 24))]
+    out += [sent(n, f"d{3 + i}")
+            for i, n in enumerate(rng.integers(1, 90, DECODE_BATCH_TOKENS // 20))]
     out.append(sentence_from_texts([], [], "d9"))
     assert sum(len(s.tokens) for s in out) > 2 * DECODE_BATCH_TOKENS + 200
     return out
@@ -549,6 +551,67 @@ class TestDecodeWorkspace:
         assert len(made_ws) == 1 and made_ws[0]() is None
         monkeypatch.undo()
         assert tags == model.predict_batch(inputs)
+
+    @pytest.mark.parametrize("kind", ["plain", "contextual"])
+    def test_kernel_buffers_are_bounded_by_a_block(self, toy_data, kind, monkeypatch):
+        """Over more than two passes' tokens, no kernel buffer has room for
+        more than max(BLOCK_ROWS, B) rows of the widest array taken from it,
+        for B the most sentences of a pass, and the workspace is gone once
+        the call returns."""
+        model = TestPredictBatch().models(toy_data)[kind]
+        inputs = decode_inputs()
+        sizes = [len(s.tokens) for s in inputs]
+        assert sum(sizes) > 2 * DECODE_BATCH_TOKENS
+        buffers = []   # every buffer taken
+        widest = []    # the widest array taken from each
+        made_ws = []   # a weak reference to each workspace made
+
+        class Spy(nx.Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made_ws.append(weakref.ref(self))
+
+            def take(self, key, rows, cols, per_seq=False):
+                arr = super().take(key, rows, cols, per_seq)
+                i = next((i for i, b in enumerate(buffers) if arr.base is b), len(buffers))
+                if i == len(buffers):
+                    buffers.append(arr.base)
+                    widest.append(0)
+                widest[i] = max(widest[i], cols)
+                return arr
+
+        monkeypatch.setattr(nx, "Workspace", Spy)
+        model.predict_batch(inputs)
+        bound = max(nx.BLOCK_ROWS, max(map(len, _decode_passes(sizes))))
+        assert buffers and bound < DECODE_BATCH_TOKENS
+        assert all(b.size <= bound * cols for b, cols in zip(buffers, widest))
+        del buffers[:]
+        gc.collect()
+        assert len(made_ws) == 1 and made_ws[0]() is None
+
+    def test_features_are_freed_before_the_second_layer(self, toy_data, monkeypatch):
+        """``predict_batch`` hands each pass's features straight to
+        ``encode_batch``, which lets them go once its first layer has read
+        them, so they are not held beside both layers' outputs."""
+        _, scheme, vocab = toy_data
+        model = tiny_model(vocab, labels=scheme.entity_labels, lstm_layers=2)
+        features = []  # a weak reference to each pass's feature array
+        alive = []     # per layer: whether its pass's features were alive
+        real_embed, real_layer = NerModel.embed_batch, bilstm_layer
+
+        def embed(self, *args, **kwargs):
+            out = real_embed(self, *args, **kwargs)
+            features.append(weakref.ref(out.data))
+            return out
+
+        def layer(*args, **kwargs):
+            alive.append(features[-1]() is not None)
+            return real_layer(*args, **kwargs)
+
+        monkeypatch.setattr(NerModel, "embed_batch", embed)
+        monkeypatch.setattr("chemner.model.bilstm_layer", layer)
+        model.predict_batch(decode_inputs())
+        assert len(features) >= 3 and alive == [True, False] * len(features)
 
     def test_two_threads_decode_the_single_thread_tags(self, toy_data, both_paths):
         model = TestPredictBatch().models(toy_data)["contextual"]

@@ -376,6 +376,25 @@ class TestLstmBatch:
         saved = peak(Tape()) - peak(None)
         assert saved >= 2 * (N - B) * H * 8
 
+    def test_untaped_pass_memory_does_not_grow_with_its_tokens(self):
+        """Beyond its (N×H) output, an untaped pass at the paper's
+        first-layer size holds one block of at most BLOCK_ROWS packed rows,
+        gates and h rows and a running cell: four times the tokens over the
+        same 16 sequences add only the packing's index arrays, where (N×D)
+        packed rows, (N×4H) gates and (N×H) h rows would add ~10 KB per
+        token."""
+        D, H = 260, 250
+        rng = np.random.default_rng(10)
+        weights = [rng.normal(size=s) * 0.05 for s in ((D, 4 * H), (H, 4 * H), (4 * H,))]
+        short = [80, 61, 52, 47, 40, 36, 33, 30, 28, 25, 22, 19, 15, 12, 8, 4]
+
+        def held(lengths):
+            x = constant(rng.normal(size=(sum(lengths), D)))
+            peak = traced_peak(lambda: lstm_direction(x, lengths, *weights))
+            return peak - sum(lengths) * H * 8
+        grown = held([4 * n for n in short]) - held(short)
+        assert grown <= 64 * 3 * sum(short)
+
     def test_shape_errors(self):
         rng = np.random.default_rng(7)
         wx, wh, b = (constant(w.value) for w in self.weights(rng))
@@ -605,6 +624,55 @@ class TestWorkspace:
         ws = nx.Workspace()
         ws.take = lambda *args, **kwargs: pytest.fail("a taped block took a workspace array")
         assert all(np.array_equal(a, b) for a, b in zip(run(ws), run(None)))
+
+
+class TestBlockedProjection:
+    """An untaped call projects its input in blocks of whole steps
+    (``nx._blocks``) into one bounded buffer and keeps one block's h rows;
+    its output is the bits of the taped call, which projects all rows at
+    once, at the same pass composition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           cap=st.integers(2, 20))
+    def test_blocks_tile_the_steps(self, lengths, cap):
+        bounds = nx.pack(lengths).bounds
+        cap = max(cap, len(lengths))
+        blocks = nx._blocks(bounds, cap)
+        starts = sorted(blocks)
+        assert starts[0] == 0 and set(starts) <= set(bounds[:-1])
+        assert [blocks[lo][1] for lo in starts] == starts[1:] + [bounds[-1]]
+        for lo, (first, top) in blocks.items():
+            assert 2 <= top - first <= cap or sum(lengths) == 1
+            assert first == lo or (first == lo - 1 and top == lo + 1)
+        # greedy: no block could also hold the next block's first step
+        for lo, nxt in zip(starts, starts[1:]):
+            assert bounds[bounds.index(nxt) + 1] - lo > cap
+
+    def test_an_edge_at_every_step_and_a_one_row_tail(self):
+        assert nx._blocks([0, 3, 6, 9, 10], 3) == {0: (0, 3), 3: (3, 6), 6: (6, 9),
+                                                   9: (8, 10)}
+        assert nx._blocks([0, 3, 5, 6, 7, 8], 3) == {0: (0, 3), 3: (3, 6), 6: (6, 8)}
+
+    @pytest.mark.parametrize("block_rows", [2, 3, nx.BLOCK_ROWS])
+    @pytest.mark.parametrize("lengths", [(6, 5, 5), (11, 3, 1), (9, 1, 4), (30, 2, 1, 1, 7),
+                                         (1, 1), (2,), (1,)])
+    @pytest.mark.parametrize("H", [3, nx.WORKER_MIN_HIDDEN])
+    def test_untaped_gives_the_taped_bits(self, both_paths, monkeypatch, lengths, H,
+                                          block_rows):
+        D = 250
+        rng = np.random.default_rng(sum(lengths) + H)
+        weights = [[rng.normal(size=s) * 0.1 for s in ((D, 4 * H), (H, 4 * H), (4 * H,))]
+                   for _ in range(2)]
+        x = rng.normal(size=(sum(lengths), D))
+        tape = Tape()
+        want = nx.bilstm_batch(tape.input(x), lengths,
+                               *[[tape.input(w) for w in d] for d in weights]).data
+        assert len(tape) == 1
+        monkeypatch.setattr(nx, "BLOCK_ROWS", block_rows)
+        for got in both_paths(lambda: nx.bilstm_batch(
+                constant(x), lengths, *[[constant(w) for w in d] for d in weights]).data):
+            assert np.array_equal(got, want)
 
 
 class TestCharCnn:

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -190,6 +191,12 @@ class TestTrainConfig:
     def test_positive_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("key", ["learning_rate", "clip_norm", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finite_values(self, key, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{key: value})
 
 
 class TestEarlyStopping:
