@@ -70,14 +70,13 @@ def lstm_params(new: nx.Maker, name: str, in_dim: int, hidden: int) -> list[Para
 
 
 def bilstm_layer(params: dict[str, Parameter], names: tuple[str, str], x,
-                 lengths: Sequence[int], tape: Tape | None, apart: bool = False,
-                 workspace: nx.Workspace | None = None):
+                 lengths: Sequence[int], tape: Tape | None, apart: bool = False):
     """Both directions of one biLSTM layer over the rows of a ragged batch
     (see :func:`~chemner.numerics.bilstm_batch`), with the weights
     :func:`lstm_params` made under the forward and reverse ``names``."""
     return nx.bilstm_batch(x, lengths, *([nx.use_param(tape, params[f"{name}.{part}"])
                                           for part in ("wx", "wh", "b")] for name in names),
-                           apart=apart, workspace=workspace)
+                           apart=apart)
 
 
 def _decode_passes(sizes: Sequence[int]) -> list[list[int]]:
@@ -166,8 +165,7 @@ class BiLm:
 
     # -- forward pieces ----------------------------------------------------
 
-    def lm_states_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None,
-                        workspace: nx.Workspace | None = None
+    def lm_states_batch(self, texts_list: Sequence[Sequence[str]], tape: Tape | None = None
                         ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Projections and hidden states of a ragged batch of non-empty
         sentences, their rows one after another: one char-CNN pass over all
@@ -175,8 +173,8 @@ class BiLm:
         :func:`~chemner.corpus.normalize_long_texts`), then one
         :func:`bilstm_layer` per layer, its two directions apart. Returns
         the projection (N x proj_dim) and, per direction, each layer's
-        states (N x layer_dim). An untaped pass takes the LSTM kernel's
-        arrays from ``workspace``, when given."""
+        states (N x layer_dim). An untaped pass keeps one bounded block of
+        the LSTM kernel's arrays at a time, not every token's."""
         sizes = [len(texts) for texts in texts_list]
         if not sizes or min(sizes) < 1:
             raise ValueError("need a non-empty batch of non-empty sentences")
@@ -192,7 +190,7 @@ class BiLm:
         fwd, bwd, h = [], [], (proj, proj)
         for layer in range(self.config.num_layers):
             h = bilstm_layer(self.params, (f"bilm.fwd.l{layer}", f"bilm.bwd.l{layer}"), h,
-                             sizes, tape, apart=True, workspace=workspace)
+                             sizes, tape, apart=True)
             fwd.append(h[0])
             bwd.append(h[1])
         return proj, fwd, bwd
@@ -256,17 +254,14 @@ class BiLm:
             count += n
         return float(np.exp(total / count))
 
-    def layers_batch(self, texts_list: Sequence[Sequence[str]],
-                     workspace: nx.Workspace | None = None) -> list[np.ndarray]:
+    def layers_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """The num_layers+1 layer representations of a ragged batch of
         non-empty sentences, untaped, each (N x 2*layer_dim) with the
         sentences' rows one after another: layer 0 duplicates the character
         projection, and each layer above is the forward hidden states beside
-        the backward ones at that depth. :func:`mix_layers` takes this list.
-        The LSTM kernel's arrays come from ``workspace``, when given."""
+        the backward ones at that depth. :func:`mix_layers` takes this list."""
         proj, fwd, bwd = self.lm_states_batch(
-            [normalize_long_texts(t, self.config.max_token_len) for t in texts_list],
-            workspace=workspace)
+            [normalize_long_texts(t, self.config.max_token_len) for t in texts_list])
         return [np.concatenate([a.data, b.data], axis=1)
                 for a, b in [(proj, proj), *zip(fwd, bwd)]]
 

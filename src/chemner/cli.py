@@ -17,14 +17,14 @@ import numpy as np
 
 from . import numerics as nx
 from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
-from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, UnknownLabelError,
-                     atomic_open, build_vocabulary, corpus_stats, normalize_long_texts,
+from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, atomic_open,
+                     build_vocabulary, corpus_stats, normalize_long_texts,
                      read_column_corpus, sentence_from_texts, split_dataset,
                      write_column_corpus)
-from .embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
+from .embeddings import align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
-from .model import ConfigurationError, ModelConfig, NerModel, model_from_checkpoint
+from .model import ModelConfig, NerModel, model_from_checkpoint
 from .numerics import NumericError
 from .schema import JSON_NUMBER, check_json_types, from_json, json_types
 from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
@@ -35,10 +35,8 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERIC_ERROR = 3
 
-_DATA_ERRORS = (CorpusFormatError, UnknownLabelError, EmbeddingFormatError,
-                CheckpointError, ConfigurationError, FileNotFoundError,
-                IsADirectoryError, PermissionError, json.JSONDecodeError,
-                ValueError)
+# every typed data error (corpus, label, embedding, checkpoint, config, JSON) is a ValueError
+_DATA_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
 
 
 class ConfigError(ValueError):
@@ -342,6 +340,13 @@ def cmd_gradcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A count option: digits only, so argparse refuses a negative one (exit 1)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"need a whole number of at least 0, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--errors", type=int, default=0, help="list up to N error sentences")
+    p.add_argument("--errors", type=_count, default=0, help="list up to N error sentences")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 import uuid
@@ -334,6 +335,8 @@ def split_dataset(sentences: Sequence[TaggedSentence],
     Counts are floors of the exact shares; leftover documents go first to
     any still-empty split and then cyclically, in train, test, dev order.
     """
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and non-negative, got {ratios}")
     doc_ids: list[str] = []
     seen = set()
     for s in sentences:

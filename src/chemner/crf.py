@@ -3,8 +3,9 @@
 Transitions[i, j] scores tag j following tag i; start/stop are explicit
 boundary potentials, masked for BIO only in :meth:`CrfParams.effective`.
 Everything runs on a ragged batch's emission rows in the time-major order
-of ``nx.pack``, the one ``lstm_batch`` runs in: longest sentence first,
-step t's rows holding only the sentences longer than t.
+of ``nx.pack``, the one ``nx.bilstm_batch``'s LSTM kernel runs in:
+longest sentence first, step t's rows holding only the sentences longer
+than t.
 """
 
 from __future__ import annotations

@@ -147,6 +147,8 @@ class ErrorExample:
 def error_listing(gold: Sequence[TaggedSentence], pred: Sequence[Sequence[int]],
                   scheme: LabelScheme, limit: int = 20) -> list[ErrorExample]:
     """Sentences with span errors, most errors first, truncated at ``limit``."""
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     _check_alignment(gold, pred)
     examples: list[ErrorExample] = []
     for i, (g, p) in enumerate(zip(gold, pred)):

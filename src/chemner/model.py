@@ -168,13 +168,11 @@ class NerModel:
 
     # -- forward pipeline ----------------------------------------------------
 
-    def embed_batch(self, sentences: Sequence[TaggedSentence], tape: Tape | None = None,
-                    workspace: nx.Workspace | None = None) -> Tensor:
+    def embed_batch(self, sentences: Sequence[TaggedSentence], tape: Tape | None = None) -> Tensor:
         """Per-token features of every sentence, their rows one after another
         (N x D), word, char and contextual blocks side by side: one word-id
         gather, one char-CNN call, one biLM pass and one layer mix over all
-        the batch's tokens. The untaped biLM pass takes the LSTM kernel's
-        arrays from ``workspace``, when given."""
+        the batch's tokens."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
         texts = [t for s in sentences for t in s.texts]
@@ -187,30 +185,27 @@ class NerModel:
                  ("chars", "char_conv.w", "char_conv.b", "char_proj.w", "char_proj.b")]
             parts.append(char_features(texts, self.vocab, w[0], [(w[1], w[2])], (w[3], w[4])))
         if self.config.use_contextual:
-            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences],
-                                                           workspace),
+            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences]),
                                     self.mixing, tape))
         return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
 
     def encode_batch(self, features: Tensor, lengths: Sequence[int], tape: Tape | None = None,
-                     dropout_masks: Sequence[np.ndarray | None] | None = None,
-                     workspace: nx.Workspace | None = None) -> Tensor:
+                     dropout_masks: Sequence[np.ndarray | None] | None = None) -> Tensor:
         """Stacked biLSTM encoder (N x 2*hidden) of the sentences whose rows
         follow one another in ``features`` (N x D), ``lengths`` rows each:
         per layer one dropout on its input (a ``dropout_masks`` entry of None
         skips it) and one :func:`~chemner.bilm.bilstm_layer`, whose block
-        holds the forward states beside the reverse ones. An untaped pass
-        takes the LSTM kernel's arrays from ``workspace``, when given. The
-        call drops its reference to ``features`` once the first layer has
-        read them, so a caller that passes them straight in
-        (:meth:`predict_batch`) frees them before the second layer runs."""
+        holds the forward states beside the reverse ones. The call drops its
+        reference to ``features`` once the first layer has read them, so a
+        caller that passes them straight in (:meth:`predict_batch`) frees
+        them before the second layer runs."""
         h = features
         del features
         for layer in range(self.config.lstm_layers):
             if dropout_masks is not None and dropout_masks[layer] is not None:
                 h = nx.dropout(h, dropout_masks[layer], self.config.dropout[layer])
             h = bilstm_layer(self.params, (f"lstm.l{layer}.fwd", f"lstm.l{layer}.bwd"), h,
-                             lengths, tape, workspace=workspace)
+                             lengths, tape)
         return h
 
     def emissions(self, encoded: Tensor, tape: Tape | None = None) -> Tensor:
@@ -260,24 +255,18 @@ class NerModel:
         DECODE_BATCH_TOKENS (2,048) tokens (a longer sentence alone), which
         bounds the decode memory. Each batch is one feature pass, one
         :meth:`encode_batch`, one emission GEMM and one batched Viterbi.
-        Every pass takes the LSTM kernel's arrays from one workspace, sized
-        for the largest batch by the first pass and dropped on return. The
-        kernel keeps one block of steps, not every token (see
-        :func:`~chemner.numerics._lstm_direction`), so at paper size a
-        pass costs about 8.7 KB per token, mostly its two layers' outputs,
-        plus about 7.7 MB of kernel blocks.
+        The LSTM kernel of a pass keeps one block of steps, not every token
+        (see :func:`~chemner.numerics._lstm_direction`), and frees it when
+        the pass ends, so at paper size a pass costs about 8.7 KB per token,
+        mostly its two layers' outputs, plus about 7.7 MB of kernel blocks.
         """
         out: list[list[int]] = [[] for _ in sentences]
         sizes = [len(s.tokens) for s in sentences]
-        batches = _decode_passes(sizes)
-        workspace = nx.Workspace(max((sum(sizes[i] for i in b) for b in batches), default=0),
-                                 max(map(len, batches), default=0))
-        for batch in batches:
+        for batch in _decode_passes(sizes):
             sents = [normalize_long_tokens(sentences[i], self.config.long_token_threshold)
                      for i in batch]
             lengths = [sizes[i] for i in batch]
-            emissions = self.emissions(self.encode_batch(
-                self.embed_batch(sents, workspace=workspace), lengths, workspace=workspace))
+            emissions = self.emissions(self.encode_batch(self.embed_batch(sents), lengths))
             for i, (tags, _) in zip(batch, crf_mod.viterbi_batch(emissions.data, lengths,
                                                                  self.crf)):
                 out[i] = tags

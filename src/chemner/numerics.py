@@ -486,38 +486,6 @@ def pack(lengths: Sequence[int], reverse: bool = False) -> Packing:
                    bounds[lengths[order] - 1] + np.arange(B))
 
 
-class Workspace:
-    """Scratch arrays shared by the untaped LSTM passes of one call, one
-    buffer per key, so that each pass after the first reuses the buffers
-    the first made instead of allocating (and faulting in) its own.
-
-    ``tokens`` and ``seqs`` bound the rows (N) and the sequences (B) of
-    every pass that will use it, so the first pass makes each buffer large
-    enough for all of them; a ``Workspace()`` makes each at the size asked.
-    No buffer grows with N beyond one block of the input projection: a
-    per-sequence buffer has ``seqs`` rows, any other at most
-    min(tokens, max(BLOCK_ROWS, seqs)) (see :func:`_lstm_direction`). The
-    caller that decodes makes one, uses it on its own thread, and drops it
-    when it returns: nothing outlives the call.
-    """
-
-    def __init__(self, tokens: int = 0, seqs: int = 0):
-        self.tokens, self.seqs = tokens, seqs
-        self._buffers: dict[tuple[str, int], np.ndarray] = {}
-
-    def take(self, key: tuple[str, int], rows: int, cols: int,
-             per_seq: bool = False) -> np.ndarray:
-        """An uninitialised (rows×cols) array at the front of the buffer kept
-        under ``key``. The buffer is made only when it is missing or too
-        small, with room for at least ``seqs`` rows when ``per_seq``, else
-        for the largest block of any pass."""
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < rows * cols:
-            bound = self.seqs if per_seq else min(self.tokens, max(BLOCK_ROWS, self.seqs))
-            buf = self._buffers[key] = np.empty(max(rows, bound) * cols)
-        return buf[:rows * cols].reshape(rows, cols)
-
-
 def _blocks(bounds: list[int], cap: int) -> dict[int, tuple[int, int]]:
     """The input-projection blocks of a packing with step bounds ``bounds``:
     whole steps, greedily, at most ``cap`` rows each (cap ≥ 2 and ≥ every
@@ -533,8 +501,7 @@ def _blocks(bounds: list[int], cap: int) -> dict[int, tuple[int, int]]:
 
 
 def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
-                    b: np.ndarray, out: np.ndarray, taped: bool,
-                    ws: Workspace | None = None, slot: int = 0) -> Callable:
+                    b: np.ndarray, out: np.ndarray, taped: bool) -> Callable:
     """One LSTM direction over the rows of a ragged batch, packed by ``p``:
     the body of :func:`bilstm_batch`, which records it. It records nothing.
 
@@ -557,14 +524,13 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
     An untaped pass keeps no per-token array. Its blocks have at most
     max(BLOCK_ROWS, B) rows and, in a pass of 2 or more tokens, at least 2,
     so that its output is the taped pass's bits (a one-row GEMM need not
-    give the bits of a row of a taller one). It keeps one block's packed
-    rows, gates and h rows (tanh c is written into the h rows) and one
-    running (B×H) cell, updated in place as ``c[:n_t]`` since the running
-    sequences are a prefix. It takes them, and the step scratch, from
-    ``ws`` under keys of this direction's ``slot``, so a decode that
-    passes one workspace to every pass allocates them once: (D + 5H)
-    floats per block row and 5H per sequence, whatever N (3.6 MB at the
-    paper's second layer, D 500 and H 250, with 256-row blocks).
+    give the bits of a row of a taller one). One rule allocates for both:
+    the packed rows, gates and h rows of the largest block (all N rows when
+    taped); every step's c and tanh c when taped, else one running (B×H)
+    cell, updated in place as ``c[:n_t]`` since the running sequences are a
+    prefix, and tanh c in the h rows; a (B×4H) step scratch. Untaped, that
+    is (D + 5H) floats per block row and 5H per sequence, whatever N
+    (3.6 MB at the paper's second layer, D 500 and H 250, 256-row blocks).
 
     There is one forward loop with or without a tape. Each recurrence GEMM
     writes into one step-sized scratch array; the loop adds it into the
@@ -582,21 +548,12 @@ def _lstm_direction(x: np.ndarray, p: Packing, wx: np.ndarray, wh: np.ndarray,
     perm, prev, bounds = p.perm, p.prev, p.bounds
     steps = len(bounds) - 1
     N, B, H = len(perm), len(p.order), wh.shape[0]
-    if taped:
-        blocks = {0: (0, N)}
-        x_rows, gates = np.empty((N, x.shape[1])), np.empty((N, 4 * H))
-        hs, cs, tcs = np.empty((N, H)), np.empty((N, H)), np.empty((N, H))
-        step_z = np.empty((B, 4 * H))
-    else:
-        blocks = _blocks(bounds, max(BLOCK_ROWS, B))
-        rows = max(top - first for first, top in blocks.values())
-        ws = Workspace() if ws is None else ws
-        x_rows = ws.take(("x", slot), rows, x.shape[1])
-        gates = ws.take(("gates", slot), rows, 4 * H)
-        # the block's h rows, which also take tanh c, and the running cell
-        hs = tcs = ws.take(("h", slot), rows, H)
-        cs = ws.take(("c", slot), B, H, per_seq=True)
-        step_z = ws.take(("z", slot), B, 4 * H, per_seq=True)
+    blocks = {0: (0, N)} if taped else _blocks(bounds, max(BLOCK_ROWS, B))
+    rows = max(top - first for first, top in blocks.values())
+    x_rows, gates, hs = np.empty((rows, x.shape[1])), np.empty((rows, 4 * H)), np.empty((rows, H))
+    # untaped, the block's h rows also take tanh c, and the cell is the running one
+    cs, tcs = (np.empty((N, H)), np.empty((N, H))) if taped else (np.empty((B, H)), hs)
+    step_z = np.empty((B, 4 * H))
 
     def run() -> Callable | None:
         # σ = half·tanh(half·z) + lift on the i,f,o columns, tanh on g
@@ -725,8 +682,7 @@ def _both(first: Callable, second: Callable, threaded: bool) -> tuple:
     return done, future.result()
 
 
-def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
-                 apart: bool = False, workspace: Workspace | None = None):
+def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence, apart: bool = False):
     """Both directions of a bidirectional LSTM layer over a ragged batch, as
     one tape entry.
 
@@ -749,9 +705,9 @@ def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
     gradients are added first, as when each direction was its own entry;
     an input both directions read gets the two-term sum.
 
-    An untaped call takes each direction's large arrays from ``workspace``,
-    when one is given; a taped one keeps its arrays for the BPTT, so it
-    makes its own.
+    An untaped call keeps one bounded block of each direction's arrays
+    while it runs (see :func:`_lstm_direction`); a taped one keeps every
+    token's for the BPTT.
     """
     xs = tuple(map(_wrap, x)) if isinstance(x, tuple) else (_wrap(x),) * 2
     ws = [tuple(map(_wrap, w)) for w in (fwd, bwd)]
@@ -776,12 +732,10 @@ def bilstm_batch(x, lengths: Sequence[int], fwd: Sequence, bwd: Sequence,
         joint = np.empty((N, 2 * H))
         outs = [joint[:, :H], joint[:, H:]]
     threaded = _use_worker(H)
-    shared = workspace if tape is None else None
 
     def direction(i: int) -> Callable:
         return lambda: _lstm_direction(xs[i].data, pack(lengths, reverse=i == 1),
-                                       *(w.data for w in ws[i]), outs[i], tape is not None,
-                                       shared, i)
+                                       *(w.data for w in ws[i]), outs[i], tape is not None)
     bptts = _both(direction(0), direction(1), threaded)
     result = tuple(Tensor(o, tape) for o in outs) if apart else Tensor(joint, tape)
     if tape is not None:

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,29 @@ class TestSplitCommand:
             "--seed", "3", "--out", str(d2))
         for name in ("train", "dev", "test"):
             assert (d1 / f"{name}.tsv").read_text() == (d2 / f"{name}.tsv").read_text()
+
+    @pytest.mark.parametrize("ratios", ["1.5,-0.5,0", "0.5,0.7,-0.2", "nan,0.5,0.5"])
+    def test_negative_or_non_finite_ratio_exit_2(self, corpus_file, tmp_path, ratios):
+        # in a subprocess with a timeout, so a split that never ends fails
+        # the test instead of hanging the suite
+        path, _, _ = corpus_file
+        env = {**os.environ, "PYTHONPATH": str(Path(chemner.cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "chemner.cli", "split", "--corpus",
+                               str(path), "--labels", "CHEM,PROC,QTY", "--ratios", ratios,
+                               "--out", str(tmp_path / "s")],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "finite and non-negative" in proc.stderr
+        assert not (tmp_path / "s").exists()
+
+
+class TestEvalCommand:
+    def test_negative_errors_is_a_usage_error(self, capsys, corpus_file):
+        path, _, _ = corpus_file
+        args = ("eval", "--gold", str(path), "--pred", str(path), "--labels", "CHEM,PROC,QTY")
+        code, _, err = run(capsys, *args, "--errors", "-1")
+        assert code == 1 and "--errors" in err
+        assert run(capsys, *args, "--errors", "2")[0] == 0
 
 
 @pytest.fixture

@@ -205,6 +205,14 @@ class TestSplitDataset:
         with pytest.raises(ValueError, match="3 documents"):
             split_dataset(self.make(2), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (0.5, 0.7, -0.2), (-0.0, -1.0, 2.0),
+                                        (float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0)])
+    def test_negative_or_non_finite_ratio_refused(self, ratios):
+        # floors of a negative share sum past the documents, so the leftover
+        # count goes negative: refused before any counting
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            split_dataset(self.make(10), ratios, seed=0)
+
 
 class TestVocabulary:
     def corpus_with(self, word, times):

@@ -172,6 +172,12 @@ class TestErrorListing:
         pred = [tid(["O"])] * 5
         assert len(error_listing(gold, pred, SCHEME, limit=2)) == 2
 
+    def test_negative_limit_refused(self):
+        gold = [sent(["B-G"]) for _ in range(3)]
+        assert len(error_listing(gold, [tid(["O"])] * 3, SCHEME, limit=0)) == 0
+        with pytest.raises(ValueError, match="limit"):
+            error_listing(gold, [tid(["O"])] * 3, SCHEME, limit=-1)
+
 
 class TestFormatting:
     def test_report_text(self):

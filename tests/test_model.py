@@ -506,88 +506,25 @@ class TestPredictBatch:
         assert [DECODE_BATCH_TOKENS + 37] in seen
 
 
-class TestDecodeWorkspace:
-    """``predict_batch`` gives every pass one workspace: the first pass makes
-    the LSTM kernel's buffers, later passes take the same ones, and the
-    workspace is gone once the call returns."""
+class TestDecodeMemory:
+    """A decode holds one pass's arrays at a time: nothing a pass allocates
+    outlives it."""
 
     @pytest.mark.parametrize("kind", ["plain", "contextual"])
-    def test_passes_after_the_first_make_no_kernel_buffers(self, toy_data, kind, monkeypatch):
-        model = TestPredictBatch().models(toy_data)[kind]
-        passes = []    # the workspace each pass was given
-        buffers = []   # every buffer taken, kept so that each stays distinct
-        made = []      # the pass number of each new buffer
-        taken = []     # the pass number of each take
-        made_ws = []   # a weak reference to each workspace made
-
-        class Spy(nx.Workspace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made_ws.append(weakref.ref(self))
-
-            def take(self, *args, **kwargs):
-                arr = super().take(*args, **kwargs)
-                taken.append(len(passes))
-                if not any(arr.base is b for b in buffers):
-                    buffers.append(arr.base)
-                    made.append(len(passes))
-                return arr
-
-        real = NerModel.embed_batch
-
-        def embed(self, sentences, tape=None, workspace=None):
-            passes.append(workspace)
-            return real(self, sentences, tape, workspace)
-
-        monkeypatch.setattr(nx, "Workspace", Spy)
-        monkeypatch.setattr(NerModel, "embed_batch", embed)
-        inputs = decode_inputs()
-        tags = model.predict_batch(inputs)
-        assert len(passes) >= 3 and all(ws is passes[0] for ws in passes)
-        assert set(taken) == set(range(1, len(passes) + 1))
-        assert made and set(made) == {1}
-        del passes[:], buffers[:]
-        gc.collect()
-        assert len(made_ws) == 1 and made_ws[0]() is None
-        monkeypatch.undo()
-        assert tags == model.predict_batch(inputs)
-
-    @pytest.mark.parametrize("kind", ["plain", "contextual"])
-    def test_kernel_buffers_are_bounded_by_a_block(self, toy_data, kind, monkeypatch):
-        """Over more than two passes' tokens, no kernel buffer has room for
-        more than max(BLOCK_ROWS, B) rows of the widest array taken from it,
-        for B the most sentences of a pass, and the workspace is gone once
-        the call returns."""
+    def test_kernel_buffers_are_bounded_by_a_block(self, toy_data, kind):
+        """Over three or more passes, ``predict_batch`` peaks no higher than
+        its largest pass decoded alone, save the tags of the passes before
+        (under 16 bytes a token)."""
         model = TestPredictBatch().models(toy_data)[kind]
         inputs = decode_inputs()
-        sizes = [len(s.tokens) for s in inputs]
-        assert sum(sizes) > 2 * DECODE_BATCH_TOKENS
-        buffers = []   # every buffer taken
-        widest = []    # the widest array taken from each
-        made_ws = []   # a weak reference to each workspace made
+        passes = _decode_passes([len(s.tokens) for s in inputs])
+        assert len(passes) >= 3
 
-        class Spy(nx.Workspace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made_ws.append(weakref.ref(self))
-
-            def take(self, key, rows, cols, per_seq=False):
-                arr = super().take(key, rows, cols, per_seq)
-                i = next((i for i, b in enumerate(buffers) if arr.base is b), len(buffers))
-                if i == len(buffers):
-                    buffers.append(arr.base)
-                    widest.append(0)
-                widest[i] = max(widest[i], cols)
-                return arr
-
-        monkeypatch.setattr(nx, "Workspace", Spy)
-        model.predict_batch(inputs)
-        bound = max(nx.BLOCK_ROWS, max(map(len, _decode_passes(sizes))))
-        assert buffers and bound < DECODE_BATCH_TOKENS
-        assert all(b.size <= bound * cols for b, cols in zip(buffers, widest))
-        del buffers[:]
-        gc.collect()
-        assert len(made_ws) == 1 and made_ws[0]() is None
+        def peak(sentences):
+            model.predict_batch(sentences)  # anything built on first use is built
+            return traced_peak(lambda: model.predict_batch(sentences))
+        alone = max(peak([inputs[i] for i in batch]) for batch in passes)
+        assert peak(inputs) <= alone + 16 * sum(len(s.tokens) for s in inputs)
 
     def test_features_are_freed_before_the_second_layer(self, toy_data, monkeypatch):
         """``predict_batch`` hands each pass's features straight to

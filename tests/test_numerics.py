@@ -581,51 +581,6 @@ class TestBiLstmWorker:
         assert np.array_equal(self.call().data, want)
 
 
-class TestWorkspace:
-    """Untaped blocks of different sizes sharing one workspace give the bits
-    each gives with arrays of its own; a taped block takes nothing from it."""
-
-    D = 4
-
-    def calls(self, H):
-        rng = np.random.default_rng(H)
-        weights = [[rng.normal(size=s) * 0.5 for s in ((self.D, 4 * H), (H, 4 * H), (4 * H,))]
-                   for _ in range(2)]
-        # larger and smaller passes in turn, so stale rows of a bigger one
-        # are left in the buffers the next one takes
-        return [(rng.normal(size=(sum(lengths), self.D)), lengths, weights)
-                for lengths in ((9, 1, 4), (3, 3), (1,), (12, 2, 2, 5, 1), (2, 2))]
-
-    @pytest.mark.parametrize("bounded", [False, True])
-    @pytest.mark.parametrize("H", [3, nx.WORKER_MIN_HIDDEN])
-    def test_shared_workspace_gives_the_same_bits(self, both_paths, H, bounded):
-        calls = self.calls(H)
-
-        def run(ws):
-            return [nx.bilstm_batch(constant(x), lengths,
-                                    *[[constant(w) for w in d] for d in weights],
-                                    workspace=ws).data for x, lengths, weights in calls]
-        want = run(None)
-        bounds = (max(len(x) for x, _, _ in calls), max(len(n) for _, n, _ in calls))
-        for got in both_paths(lambda: run(nx.Workspace(*bounds) if bounded
-                                          else nx.Workspace())):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def test_taped_block_takes_nothing_from_it(self):
-        x, lengths, weights = self.calls(3)[3]
-
-        def run(ws):
-            tape = Tape()
-            xt = tape.input(x)
-            out = nx.bilstm_batch(xt, lengths, *[[tape.input(w) for w in d] for d in weights],
-                                  workspace=ws)
-            grads = backward(tape, sum_all(mul(out, constant(np.cos(out.data)))))
-            return [out.data, grads[xt]]
-        ws = nx.Workspace()
-        ws.take = lambda *args, **kwargs: pytest.fail("a taped block took a workspace array")
-        assert all(np.array_equal(a, b) for a, b in zip(run(ws), run(None)))
-
-
 class TestBlockedProjection:
     """An untaped call projects its input in blocks of whole steps
     (``nx._blocks``) into one bounded buffer and keeps one block's h rows;
@@ -881,10 +836,10 @@ class TestGradCheck:
 
 class TestNoDeadPrimitives:
     """Every public function of ``chemner.numerics`` is used somewhere in
-    ``src/``, and every public function and method of every ``src/`` module
-    in ``src/`` or the benchmark harness, save the few named here, so code
-    left without a caller does not come back. A use is a reference by name,
-    so these checks err towards keeping."""
+    ``src/``, and every public function, method and top-level class of
+    every ``src/`` module in ``src/`` or the benchmark harness, save the few
+    named here, so code left without a caller does not come back. A use is
+    a reference by name, so these checks err towards keeping."""
 
     # bench/test_bench.py::test_hooks_wrap_lookup_sites_and_restore drives these
     KEPT = {"lstm_step", "lstm_scan"}
@@ -913,12 +868,18 @@ class TestNoDeadPrimitives:
         assert self.KEPT <= public
         assert public - used <= self.KEPT, f"unused: {sorted(public - used - self.KEPT)}"
 
-    def test_every_public_function_and_method_has_a_caller(self):
+    @staticmethod
+    def trees() -> dict[Path, ast.Module]:
+        """The parsed modules of ``src/`` and of the benchmark harness."""
         src = Path(nx.__file__).parent
         harness = [p for p in (src.parent.parent / "bench").glob("*.py")
                    if not p.name.startswith("test_")]
-        nodes = [n for path in [*src.glob("*.py"), *harness]
-                 for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+        return {path: ast.parse(path.read_text(encoding="utf-8"))
+                for path in [*src.glob("*.py"), *harness]}
+
+    def test_every_public_function_and_method_has_a_caller(self):
+        src = Path(nx.__file__).parent
+        nodes = [n for tree in self.trees().values() for n in ast.walk(tree)]
         attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         names = attrs | {n.id for n in nodes if isinstance(n, ast.Name)}
         used = {}  # public function or method -> whether it has a use
@@ -932,3 +893,23 @@ class TestNoDeadPrimitives:
         exempt = self.VIEWS | self.OVERRIDES | {f"numerics.{name}" for name in self.KEPT}
         assert exempt <= used.keys()
         assert unused <= exempt, f"unused: {sorted(unused - exempt)}"
+
+    def test_every_public_class_has_a_user(self):
+        """A public top-level class of ``src/`` is named somewhere in ``src/``
+        or the harness outside its own definition."""
+        trees = self.trees()
+
+        def names(node: ast.AST, skip: ast.AST):
+            if node is skip:
+                return
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                yield node.id if isinstance(node, ast.Name) else node.attr
+            for child in ast.iter_child_nodes(node):
+                yield from names(child, skip)
+        classes = [top for path, tree in trees.items() if path.parent == Path(nx.__file__).parent
+                   for top in tree.body
+                   if isinstance(top, ast.ClassDef) and not top.name.startswith("_")]
+        assert len(classes) > 20
+        unused = [c.name for c in classes
+                  if not any(c.name in names(tree, c) for tree in trees.values())]
+        assert not unused, f"unused: {sorted(unused)}"
