@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
 from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, atomic_open,
                      build_vocabulary, corpus_stats, normalize_long_texts,
                      read_column_corpus, sentence_from_texts, split_dataset,
-                     write_column_corpus)
+                     utf8_text, write_column_corpus)
 from .embeddings import align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
@@ -97,11 +98,9 @@ def _tokenizer_kind(payload) -> TokenizerKind:
 def cmd_tokenize(args) -> int:
     kind = _tokenizer_kind({"mode": args.mode, "rules": args.rules})
     text = sys.stdin.read()
-    first = True
-    for sentence in split_sentences(text):
-        if not first:
+    for i, sentence in enumerate(split_sentences(text)):
+        if i:
             print()
-        first = False
         base = sentence.source_span[0]
         for tok in kind.tokenize(sentence):
             print(f"{base + tok.start}\t{base + tok.end}\t{tok.text}")
@@ -140,7 +139,7 @@ def cmd_split(args) -> int:
 
 def _read_plain_sentences(path: str, kind: TokenizerKind) -> list[list[str]]:
     out = []
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_text(path) as f:
         for line in f:
             line = line.strip()
             if not line:
@@ -222,19 +221,21 @@ def cmd_train(args) -> int:
 
     train_sents = read_column_corpus(args.train, scheme)
     dev_sents = read_column_corpus(args.dev, scheme)
-    pretrained_words: list[str] = []
-    pretrained = None
+    words, vectors = [], None
     if run.get("embeddings"):
-        pretrained = load_embedding_text(run["embeddings"])
-        pretrained_words = pretrained[0]
-    vocab = build_vocabulary(train_sents, dev_sents, pretrained_words)
+        with warnings.catch_warnings(record=True) as caught:  # an unwritable sidecar
+            warnings.simplefilter("always")
+            words, vectors = load_embedding_text(run["embeddings"])
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+    vocab = build_vocabulary(train_sents, dev_sents, words)
 
     word_table = None
-    if pretrained is not None and config.use_pretrained_words:
-        word_table = align_to_vocab(pretrained[0], pretrained[1], vocab, seed=tconfig.seed)
+    if vectors is not None and config.use_pretrained_words:
+        word_table = align_to_vocab(words, vectors, vocab, seed=tconfig.seed)
         if word_table.dim != config.word_dim:
             config = dataclasses.replace(config, word_dim=word_table.dim)
-    pretrained = None  # the aligned table holds a copy of every row it uses
+    words = vectors = None  # the aligned table holds a copy of every row it uses
 
     model = NerModel.init(config, vocab, seed=tconfig.seed,
                           word_table=word_table, bilm=bilm)
@@ -267,7 +268,7 @@ def cmd_tag(args) -> int:
     if args.raw:
         kind = _tokenizer_kind(tokenizer)
         sentences = []
-        with open(args.input, encoding="utf-8-sig") as f:
+        with utf8_text(args.input) as f:
             text = f.read()
         for sent in split_sentences(text):
             toks = kind.tokenize(sent)

@@ -171,6 +171,8 @@ class Vocabulary:
 def build_vocabulary(train: Sequence[TaggedSentence], dev: Sequence[TaggedSentence],
                      pretrained_words: Iterable[str] = (), min_count: int = 4) -> Vocabulary:
     """Specials + pre-trained words + words seen ≥ ``min_count`` times in train+dev."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
     chars: set[str] = set(LONG_TOKEN_TEXT)
     for sent in list(train) + list(dev):
@@ -249,7 +251,7 @@ def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSent
             sentences.append(sentence_from_texts(texts, tag_ids, doc_id, repairs))
             texts, tags = [], []
 
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -292,6 +294,22 @@ def _repair_bio(tag_ids: list[int], scheme: LabelScheme) -> tuple[list[int], int
             repairs += 1
         repaired.append(tid)
     return repaired, repairs
+
+
+@contextlib.contextmanager
+def utf8_text(path: str, error: type[ValueError] = CorpusFormatError):
+    """``path`` opened as UTF-8 text after an optional BOM; a byte that is
+    not UTF-8 ends the block in ``error`` naming the path and line."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, 1):
+                if raw.decode("utf-8", "ignore").encode("utf-8") != raw:
+                    raise error(f"{path}:{lineno}: not UTF-8 text "
+                                f"(byte 0x{e.object[e.start]:02x}: {e.reason})") from None
+        raise
 
 
 @contextlib.contextmanager

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import struct
+import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_open, utf8_text
 
 
 class EmbeddingFormatError(ValueError):
@@ -22,6 +26,60 @@ class EmbeddingTable:
 
 
 def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
+    """:func:`_parse_embedding_text` of ``path``, parsed once: the parse is
+    kept in a sidecar ``<path>.chemner-cache`` keyed by the text's size and
+    SHA-256. A missing, stale or damaged sidecar is rewritten; one that
+    cannot be written is a warning, not an error."""
+    with open(path, "rb") as f:
+        # one small reused buffer: freed large chunks would reshape the heap
+        digest, buf = hashlib.sha256(), bytearray(1 << 16)
+        while n := f.readinto(buf):
+            digest.update(memoryview(buf)[:n])
+        key = (_CACHE_MAGIC, _CACHE_VERSION, f.tell(), digest.digest())
+    del buf  # freed before the parse allocates
+    cache = path + ".chemner-cache"
+    if (hit := _read_cache(cache, key)) is not None:
+        return hit
+    words, vectors = _parse_embedding_text(path)
+    text, table = "\n".join(words).encode("utf-8"), vectors.astype("<f8", copy=False)
+    header = _CACHE_HEADER.pack(*key, *vectors.shape, len(text))
+    crc = zlib.crc32(table, zlib.crc32(text, zlib.crc32(header)))
+    try:
+        with atomic_open(cache, "b") as f:
+            f.writelines((header, text, table, crc.to_bytes(4, "little")))
+    except OSError as e:
+        warnings.warn(f"{path}: parse not cached: {e}", stacklevel=2)
+    return words, vectors
+
+
+# The sidecar: magic, format version (bump it whenever the parser's semantics change),
+# the text's size and SHA-256, count, dim, the words' byte length; the words, '\n'-joined
+# UTF-8; the (count x dim) little-endian float64 table; the CRC-32 of all before it.
+_CACHE_MAGIC, _CACHE_VERSION = b"CHEMNERE", 1
+_CACHE_HEADER = struct.Struct("<8sIQ32sQQQ")
+
+
+def _read_cache(cache: str, key: tuple) -> tuple[list[str], np.ndarray] | None:
+    """The sidecar's words and table if it holds the parse ``key`` names,
+    else None; nothing is allocated before its size matches its header."""
+    try:
+        with open(cache, "rb") as f:
+            head = f.read(_CACHE_HEADER.size)
+            *found, count, dim, nbytes = _CACHE_HEADER.unpack(head)
+            if (tuple(found) != key or len(head) + nbytes + 8 * count * dim + 4
+                    != os.fstat(f.fileno()).st_size):
+                return None
+            text, vectors = f.read(nbytes), np.empty((count, dim), dtype="<f8")
+            if (f.readinto(vectors) != vectors.nbytes or int.from_bytes(f.read(4), "little")
+                    != zlib.crc32(vectors, zlib.crc32(text, zlib.crc32(head)))):
+                return None
+            words = text.decode("utf-8").split("\n") if count else []
+    except (OSError, ValueError, struct.error):  # also a decode error or a dim numpy refuses
+        return None
+    return (words, vectors) if len(words) == count else None
+
+
+def _parse_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
     """Parse `<count> <dim>` header then exactly ``count`` `word v1 ... v_dim` lines.
 
     A header that the file is too short to hold is refused before the
@@ -29,7 +87,7 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
     is read; the components are parsed by one ``np.loadtxt`` call per run
     of ``_PARSE_ROWS`` lines, straight into the table.
     """
-    with open(path, encoding="utf-8-sig") as f:
+    with utf8_text(path, EmbeddingFormatError) as f:
         header = f.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -49,6 +107,7 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
         words: list[str] = []
         linenos: list[int] = []
         bodies: list[str] = []
+        lineno = 1
         for lineno, raw in enumerate(f, 2):
             line = raw.rstrip("\n")
             if not line:
@@ -70,7 +129,7 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
                 linenos, bodies = [], []
         if len(words) != count:
             raise EmbeddingFormatError(
-                f"{path}: declared {count} rows but found {len(words)}")
+                f"{path}:{lineno}: declared {count} rows but found {len(words)}")
     if bodies:
         _parse_vectors(path, linenos, bodies, vectors[count - len(bodies):])
     return words, vectors

@@ -98,12 +98,9 @@ def evaluate(gold: Sequence[TaggedSentence], pred: Sequence[Sequence[int]],
     for g, p in zip(gold, pred):
         gold_spans = set(spans_from_bio(g.tags, scheme))
         pred_spans = set(spans_from_bio(p, scheme))
-        for span in gold_spans & pred_spans:
-            tp[span.label] += 1
-        for span in pred_spans - gold_spans:
-            fp[span.label] += 1
-        for span in gold_spans - pred_spans:
-            fn[span.label] += 1
+        tp.update(span.label for span in gold_spans & pred_spans)
+        fp.update(span.label for span in pred_spans - gold_spans)
+        fn.update(span.label for span in gold_spans - pred_spans)
     per_label = {lab: LabelScore(tp[lab], fp[lab], fn[lab])
                  for lab in scheme.entity_labels}
     micro = LabelScore(sum(tp.values()), sum(fp.values()), sum(fn.values()))
@@ -177,12 +174,9 @@ def error_listing(gold: Sequence[TaggedSentence], pred: Sequence[Sequence[int]],
 
 def format_report(report: EvalReport) -> str:
     lines = [f"{'label':<12}{'TP':>6}{'FP':>6}{'FN':>6}{'P':>9}{'R':>9}{'F1':>9}"]
-    for lab, sc in report.per_label.items():
+    for lab, sc in [*report.per_label.items(), ("Micro Avg.", report.micro)]:
         lines.append(f"{lab:<12}{sc.tp:>6}{sc.fp:>6}{sc.fn:>6}"
                      f"{sc.precision:>9.4f}{sc.recall:>9.4f}{sc.f1:>9.4f}")
-    m = report.micro
-    lines.append(f"{'Micro Avg.':<12}{m.tp:>6}{m.fp:>6}{m.fn:>6}"
-                 f"{m.precision:>9.4f}{m.recall:>9.4f}{m.f1:>9.4f}")
     return "\n".join(lines)
 
 
@@ -202,10 +196,8 @@ def format_errors(examples: Sequence[ErrorExample]) -> str:
         out.append(f"# sentence {ex.sentence_index} (document {ex.document_id}, "
                    f"{ex.error_count} errors)")
         out.append("  " + " ".join(ex.tokens))
-        for span, text in ex.false_negatives:
-            out.append(f"  FN {span.label} [{span.start}:{span.end}] {text!r}")
-        for span, text in ex.false_positives:
-            out.append(f"  FP {span.label} [{span.start}:{span.end}] {text!r}")
-        for span, text in ex.true_positives:
-            out.append(f"  TP {span.label} [{span.start}:{span.end}] {text!r}")
+        for kind, spans in (("FN", ex.false_negatives), ("FP", ex.false_positives),
+                            ("TP", ex.true_positives)):
+            out.extend(f"  {kind} {span.label} [{span.start}:{span.end}] {text!r}"
+                       for span, text in spans)
     return "\n".join(out)

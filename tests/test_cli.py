@@ -89,6 +89,13 @@ class TestStatsCommand:
         code, _, _ = run(capsys, "stats", "--corpus", str(path), "--labels", "A,B")
         assert code == 2
 
+    def test_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"water\tO\n\nacid\tO\nsalt\xe9\tO\n")
+        code, _, err = run(capsys, "stats", "--corpus", str(path), "--labels", "A")
+        assert code == 2
+        assert err.startswith(f"error: {path}:4: not UTF-8 text (byte 0xe9")
+
 
 class TestSplitCommand:
     def test_split_writes_three_files(self, capsys, corpus_file, tmp_path):
@@ -306,6 +313,18 @@ class TestTrainTagEval:
         assert code == 0, err
         assert out.splitlines()[0].split("\t")[0] == "water"
 
+    def test_tag_raw_byte_that_is_not_utf8_names_its_line(self, capsys, trained_setup,
+                                                          tmp_path):
+        _, out_dir, _, _ = trained_setup
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"water was added.\nThe acid \xff was stirred.\n")
+        out = tmp_path / "tags.tsv"
+        code, _, err = run(capsys, "tag", "--model", str(out_dir / "model.ckpt"),
+                           "--in", str(raw), "--raw", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {raw}:2: not UTF-8 text (byte 0xff")
+        assert not out.exists()
+
     def test_train_determinism(self, capsys, trained_setup, tmp_path):
         corpus_path, out_dir, _, cfg_path = trained_setup
         out2 = tmp_path / "again"
@@ -461,6 +480,26 @@ class TestTrainBilmCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [corpus]
 
+    @pytest.mark.parametrize("min_count", ["0", "-2"])
+    def test_min_count_below_one_exit_2(self, capsys, tmp_path, min_count):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus), "--epochs", "1",
+                           "--out", str(tmp_path / "bilm.ckpt"), "--min-count", min_count,
+                           "--char-embed-dim", "4", "--filter-count", "4", "--layer-dim", "8")
+        assert code == 2
+        assert err == f"error: min_count must be >= 1, got {min_count}\n"
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_train_bilm_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_bytes(b"the cat sat\n\nthe d\xc3g ran\n")
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus), "--epochs", "1",
+                           "--out", str(tmp_path / "bilm.ckpt"))
+        assert code == 2
+        assert err.startswith(f"error: {corpus}:3: not UTF-8 text (byte 0xc3")
+        assert list(tmp_path.iterdir()) == [corpus]
+
     def test_train_bilm_corpus_with_byte_order_mark(self, capsys, tmp_path):
         corpus = tmp_path / "plain.txt"
         corpus.write_text("\ufeffthe cat sat\nthe dog ran\n", encoding="utf-8")
@@ -552,6 +591,69 @@ class TestFullPipeline:
             assert code == 0, err
             outs.append((tmp_path / name / "model.ckpt").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestTrainEmbeddingFile:
+    """``chemner train`` with a pre-trained embedding file and its sidecar."""
+
+    def train(self, capsys, corpus_file, tmp_path, vectors: bytes, out="out"):
+        path, _, scheme = corpus_file
+        vec = tmp_path / "vectors.txt"
+        vec.write_bytes(vectors)
+        config = {"labels": list(scheme.entity_labels),
+                  "model": {"word_dim": 4, "char_embed_dim": 4, "char_filter_count": 4,
+                            "char_output_dim": 4, "lstm_hidden": 4},
+                  "train": {"learning_rate": 0.01, "max_epochs": 1, "patience": 1,
+                            "seed": 3},
+                  "embeddings": str(vec)}
+        cfg_path = tmp_path / "emb.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        return (vec, *run(capsys, "train", "--config", str(cfg_path), "--train", str(path),
+                          "--dev", str(path), "--out", str(tmp_path / out)))
+
+    def test_unwritable_sidecar_is_one_stderr_line(self, capsys, corpus_file, tmp_path,
+                                                   monkeypatch):
+        replace = os.replace
+
+        def deny_sidecar(src, dst):
+            if str(dst).endswith(".chemner-cache"):
+                raise PermissionError(13, "Permission denied", dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", deny_sidecar)
+        vec, code, _, err = self.train(capsys, corpus_file, tmp_path,
+                                       b"1 4\nbenzene 0.5 0.5 0.5 0.5\n")
+        assert code == 0, err
+        assert err.splitlines() == [f"warning: {vec}: parse not cached: [Errno 13] "
+                                    f"Permission denied: '{vec}.chemner-cache'"]
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        assert not (tmp_path / "vectors.txt.chemner-cache").exists()
+
+    def test_sidecar_keeps_the_checkpoint_bytes(self, capsys, corpus_file, tmp_path):
+        # no sidecar, a fresh one, and a stale one from another text of the same size
+        text = b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 4\n"
+        outs = []
+        for name in ("none", "fresh", "stale"):
+            if name == "stale":
+                self.train(capsys, corpus_file, tmp_path, text.replace(b"1 2", b"5 6"), "x")
+            vec, code, _, err = self.train(capsys, corpus_file, tmp_path, text, name)
+            assert code == 0 and not err, err
+            outs.append((tmp_path / name / "model.ckpt").read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("vectors,line", [
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2", 3),       # truncated
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 4\nx", 4),  # extended
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 \x04\n", 3),  # flipped
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 \xb4\n", 3),  # not UTF-8
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\n", 2),                  # a row short
+    ])
+    def test_malformed_text_exit_2_naming_its_line(self, capsys, corpus_file, tmp_path,
+                                                  vectors, line):
+        vec, code, _, err = self.train(capsys, corpus_file, tmp_path, vectors)
+        assert code == 2
+        assert err.startswith(f"error: {vec}:{line}: ") and "Traceback" not in err
+        assert not (tmp_path / "vectors.txt.chemner-cache").exists()
 
 
 class TestConfigValidation:

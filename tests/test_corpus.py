@@ -74,6 +74,17 @@ class TestReadColumnCorpus:
         with pytest.raises(UnknownLabelError, match=":1:"):
             read_column_corpus(path, SCHEME)
 
+    @pytest.mark.parametrize("raw,line,byte", [
+        (b"salt\tO\n\nw\xe9ter\tO\n", 3, "0xe9"),        # a lone Latin-1 byte
+        (b"salt\tO\nwater\tO\xc3\n", 2, "0xc3"),          # a sequence cut by the line end
+        (b"\xef\xbb\xbfsalt\tO\nx\tO\n\xff", 3, "0xff"),  # after a BOM, at the end
+    ])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, raw, line, byte):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(raw)
+        with pytest.raises(CorpusFormatError, match=rf":{line}: not UTF-8 text \(byte {byte}"):
+            read_column_corpus(str(path), SCHEME)
+
     def test_documents_and_blank_lines(self, tmp_path):
         content = ("-DOCSTART-\td1\n\nsalt\tB-G\n\nwater\tO\n\n"
                    "-DOCSTART-\td2\n\nacid\tB-M\n")
@@ -260,6 +271,11 @@ class TestVocabulary:
         vocab = build_vocabulary(self.corpus_with("xy", 2),
                                  self.corpus_with("xy", 2), ())
         assert vocab.word_id("xy") != Vocabulary.UNK
+
+    @pytest.mark.parametrize("min_count", [0, -2])
+    def test_min_count_below_one_refused(self, min_count):
+        with pytest.raises(ValueError, match=f"min_count must be >= 1, got {min_count}"):
+            build_vocabulary(self.corpus_with("abc", 1), [], (), min_count=min_count)
 
     def test_char_vocabulary(self):
         vocab = build_vocabulary(self.corpus_with("ab", 1), [], ())

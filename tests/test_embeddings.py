@@ -1,10 +1,18 @@
+import os
+import re
+import struct
+import threading
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chemner import embeddings
 from chemner.corpus import Vocabulary, build_vocabulary, sentence_from_texts
 from chemner.embeddings import EmbeddingFormatError, align_to_vocab, load_embedding_text
 
-from oracles import align_rows
+from oracles import align_rows, traced_peak
 
 
 def write(tmp_path, content):
@@ -99,6 +107,193 @@ class TestLoadEmbeddingText:
             load_embedding_text(write(tmp_path, "1000000000000 1000000\na 1 2\n"))
         with pytest.raises(EmbeddingFormatError, match="header declares 3 rows"):
             load_embedding_text(write(tmp_path, "3 4\na 1 2 3 4\n"))
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"2 2\na 1 2\n\xe9 3 4\n")
+        with pytest.raises(EmbeddingFormatError, match=rf"{re.escape(str(path))}:3: not UTF-8"):
+            load_embedding_text(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
+
+
+def table_text(rows, dim, form, seed=0):
+    """A text embedding file of seeded rows, each component written by ``form``."""
+    values = np.random.default_rng(seed).normal(size=(rows, dim))
+    body = "".join(f"w{i} {' '.join(form(float(v)) for v in row)}\n"
+                   for i, row in enumerate(values))
+    return f"{rows} {dim}\n{body}"
+
+
+# the sidecar's tests: each text, the sidecar it leaves, and a fuzzed
+# sidecar's reading are compared with the parse alone
+CACHE = ".chemner-cache"
+TEXTS = {
+    "fixed": table_text(30, 6, lambda v: f"{v:.5f}"),
+    "repr": table_text(30, 6, repr, seed=1),
+    "bom": "\ufeff" + table_text(3, 2, repr, seed=2),
+    "no_rows": "0 7\n",
+    "empty_word": "3 2\n 0.5 -0.25\nb 1e-3 7\n 2 3\n",
+    "one_empty_word": "1 3\n 1 2 3\n",
+}
+
+
+def assert_same(got, expected):
+    assert got[0] == expected[0]
+    assert got[1].shape == expected[1].shape and got[1].dtype == np.float64
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def files(tmp_path):
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """From here on a load that parses the text fails the test."""
+    def parse(path):
+        raise AssertionError(f"{path} parsed again")
+    return lambda: monkeypatch.setattr(embeddings, "_parse_embedding_text", parse)
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_hit_is_bitwise_the_parse(self, tmp_path, no_parse, name):
+        path = write(tmp_path, TEXTS[name])
+        expected = embeddings._parse_embedding_text(path)
+        assert_same(load_embedding_text(path), expected)
+        assert files(tmp_path) == ["vectors.txt", "vectors.txt" + CACHE]
+        no_parse()
+        assert_same(load_embedding_text(path), expected)
+        if name.endswith("empty_word"):
+            assert "" in expected[0]
+
+    def test_edited_digit_invalidates_the_sidecar(self, tmp_path, no_parse):
+        path = write(tmp_path, "2 2\na 1.5 2\nb 3 4\n")
+        load_embedding_text(path)
+        write(tmp_path, "2 2\na 1.5 2\nb 3 5\n")  # the same size
+        assert load_embedding_text(path)[1].tolist() == [[1.5, 2.0], [3.0, 5.0]]
+        no_parse()  # and the sidecar now holds the edit
+        assert load_embedding_text(path)[1].tolist() == [[1.5, 2.0], [3.0, 5.0]]
+
+    # the fields after the magic, version, size and digest: count, dim, words' bytes
+    COUNT_AT = struct.calcsize("<8sIQ32s")
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_sidecar_is_reparsed_and_rewritten(self, tmp_path, data):
+        # 200 x 50 components: an 80 KB table against a 128 KiB slack
+        path = write(tmp_path, table_text(200, 50, lambda v: f"{v:.5f}"))
+        expected = embeddings._parse_embedding_text(path)
+        cache = tmp_path / ("vectors.txt" + CACHE)
+        if not cache.exists():
+            load_embedding_text(path)
+        good = cache.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "extend", "rows"]))
+        if kind == "truncate":
+            bad = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.integers(0, len(good) - 1))
+            bad = good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1:]
+        elif kind == "extend":
+            bad = good + data.draw(st.binary(min_size=1, max_size=64))
+        else:  # a header declaring 10^12 rows
+            at = self.COUNT_AT
+            bad = good[:at] + struct.pack("<Q", 10 ** 12) + good[at + 8:]
+        cache.write_bytes(bad)
+        got = []
+        peak = traced_peak(lambda: got.append(load_embedding_text(path)))
+        assert_same(got[0], expected)
+        assert peak < expected[1].nbytes + 128 * 1024
+        assert cache.read_bytes() == good
+
+    def test_word_count_is_checked_under_a_valid_checksum(self, tmp_path):
+        # a sidecar whose words split into one row more than it declares,
+        # with its CRC-32 recomputed, is still a miss
+        path = write(tmp_path, "2 1\nab 1\ncd 2\n")
+        expected = load_embedding_text(path)
+        cache = tmp_path / ("vectors.txt" + CACHE)
+        good = cache.read_bytes()
+        at = struct.calcsize("<8sIQ32sQQQ")
+        assert good[at:at + 5] == b"ab\ncd"
+        body = good[:at] + b"a\n\ncd" + good[at + 5:-4]
+        cache.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        assert_same(load_embedding_text(path), expected)
+        assert cache.read_bytes() == good
+
+    def test_failed_write_still_loads(self, tmp_path, monkeypatch):
+        path = write(tmp_path, TEXTS["repr"])
+        expected = embeddings._parse_embedding_text(path)
+
+        def replace(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.warns(UserWarning, match=r"vectors\.txt: parse not cached: .*denied"):
+            assert_same(load_embedding_text(path), expected)
+        assert files(tmp_path) == ["vectors.txt"]
+
+    def test_two_threads_load_at_once(self, tmp_path, no_parse):
+        path = write(tmp_path, table_text(300, 20, repr))
+        expected = embeddings._parse_embedding_text(path)
+        start, got = threading.Barrier(2), [None, None]
+
+        def load(i):
+            start.wait()
+            got[i] = load_embedding_text(path)
+
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for result in got:
+            assert_same(result, expected)
+        assert files(tmp_path) == ["vectors.txt", "vectors.txt" + CACHE]
+        no_parse()
+        assert_same(load_embedding_text(path), expected)
+
+    @pytest.mark.parametrize("content", [
+        "2 2\na 1 2\n", "1 2\na 1 x\n", "1 3\na 1 2\n", "hello\n", "1 2\n\udce9 1 2\n"])
+    def test_malformed_text_leaves_no_sidecar(self, tmp_path, content):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        with pytest.raises(EmbeddingFormatError, match=rf"{re.escape(str(path))}:\d+: "):
+            load_embedding_text(str(path))
+        assert files(tmp_path) == ["vectors.txt"]
+
+
+class TestParseFuzz:
+    """A truncated, flipped or extended valid file gives a parse or an
+    EmbeddingFormatError naming its line, and never another exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncate_flip_extend(self, tmp_path, data):
+        valid = table_text(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)),
+                           data.draw(st.sampled_from([repr, lambda v: f"{v:.5f}"])))
+        raw = valid.encode("utf-8")
+        kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+        if kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=32))
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(raw)
+        for stale in tmp_path.glob("*" + CACHE):
+            stale.unlink()
+        try:
+            words, vectors = load_embedding_text(str(path))
+        except EmbeddingFormatError as e:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(e)), str(e)
+            assert files(tmp_path) == ["vectors.txt"]
+        else:
+            assert vectors.ndim == 2 and len(words) == vectors.shape[0]
 
 
 class TestAlignToVocab:
