@@ -265,25 +265,13 @@ class BiLm:
         return [np.concatenate([a.data, b.data], axis=1)
                 for a, b in [(proj, proj), *zip(fwd, bwd)]]
 
-    def contextualize_batch(self, texts_list: Sequence[Sequence[str]]) -> list[np.ndarray]:
-        """Per-token layer representations of every sentence, each of shape
-        (T, num_layers+1, 2*layer_dim): :meth:`layers_batch` stacked once and
-        split per sentence. An empty sentence gives a
-        (0, num_layers+1, 2*layer_dim) array.
-        """
-        out = [np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
-               for _ in texts_list]
-        kept = [i for i, texts in enumerate(texts_list) if len(texts)]
-        if kept:
-            stacked = np.stack(self.layers_batch([texts_list[i] for i in kept]), axis=1)
-            bounds = np.cumsum([len(texts_list[i]) for i in kept])[:-1]
-            for i, part in zip(kept, np.split(stacked, bounds)):
-                out[i] = part
-        return out
-
     def contextualize(self, texts: Sequence[str]) -> np.ndarray:
-        """:meth:`contextualize_batch` of one sentence."""
-        return self.contextualize_batch([texts])[0]
+        """Per-token layer representations of one sentence, of shape
+        (T, num_layers+1, 2*layer_dim): :meth:`layers_batch` stacked. An
+        empty sentence gives a (0, num_layers+1, 2*layer_dim) array."""
+        if not len(texts):
+            return np.zeros((0, self.config.num_layers + 1, self.config.output_dim))
+        return np.stack(self.layers_batch([texts]), axis=1)
 
 
 @dataclass

@@ -21,14 +21,15 @@ from .bilm import BiLmConfig, bilm_from_checkpoint, train_bilm
 from .corpus import (CorpusFormatError, DatasetSplit, LabelScheme, atomic_open,
                      build_vocabulary, corpus_stats, normalize_long_texts,
                      read_column_corpus, sentence_from_texts, split_dataset,
-                     utf8_text, write_column_corpus)
+                     write_column_corpus)
 from .embeddings import align_to_vocab, load_embedding_text
 from .evaluation import (confusion_matrix, error_listing, evaluate, format_confusion,
                          format_errors, format_report)
 from .model import ModelConfig, NerModel, model_from_checkpoint
 from .numerics import NumericError
 from .schema import JSON_NUMBER, check_json_types, from_json, json_types
-from .textproc import RuleConfig, Sentence, TokenizerKind, split_sentences
+from .textproc import (RuleConfig, Sentence, TokenizerKind, load_json, split_sentences,
+                       utf8_text)
 from .training import (CheckpointError, TrainConfig, load_checkpoint, make_checkpoint,
                        save_checkpoint, train)
 
@@ -63,8 +64,7 @@ def _check_section(section: str, raw, types: dict) -> dict:
 
 
 def load_run_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        raw = _check_section("<top>", json.load(f), _TOP_TYPES)
+    raw = _check_section("<top>", load_json(path, ConfigError), _TOP_TYPES)
     if not raw.get("labels"):
         raise ConfigError("config needs a non-empty 'labels' list")
     tok = (_check_section("tokenizer", raw.get("tokenizer", {}), _TOKENIZER_TYPES)
@@ -139,7 +139,7 @@ def cmd_split(args) -> int:
 
 def _read_plain_sentences(path: str, kind: TokenizerKind) -> list[list[str]]:
     out = []
-    with utf8_text(path) as f:
+    with utf8_text(path, CorpusFormatError) as f:
         for line in f:
             line = line.strip()
             if not line:
@@ -162,9 +162,8 @@ def cmd_train_bilm(args) -> int:
                 "learning_rate": 0.01, "min_count": 1,
                 "tokenizer": "chemical", "rules": None}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            settings.update(_check_section("train-bilm config", json.load(f),
-                                           _TRAIN_BILM_TYPES))
+        settings.update(_check_section("train-bilm config", load_json(args.config, ConfigError),
+                                       _TRAIN_BILM_TYPES))
     for key in _TRAIN_BILM_TYPES:  # explicit flags win over the config file
         flag = getattr(args, key, None)
         if flag is not None:
@@ -249,7 +248,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.best, ckpt_path)
     report_path = os.path.join(args.out, "train_report.json")
     with atomic_open(report_path, encoding="utf-8") as f:
-        json.dump(result.report.to_payload(), f, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(result.report), f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"best dev F1 {result.report.best_f1:.4f} at epoch {result.report.best_epoch} "
           f"({result.report.stopping_reason})")
@@ -268,7 +267,7 @@ def cmd_tag(args) -> int:
     if args.raw:
         kind = _tokenizer_kind(tokenizer)
         sentences = []
-        with utf8_text(args.input) as f:
+        with utf8_text(args.input, CorpusFormatError) as f:
             text = f.read()
         for sent in split_sentences(text):
             toks = kind.tokenize(sent)

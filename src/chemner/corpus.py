@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .textproc import Token
+from .textproc import Token, utf8_text
 
 LONG_TOKEN_TEXT = "Long_Token"
 PAD_TEXT = "<pad>"
@@ -251,7 +251,7 @@ def read_column_corpus(path: str, scheme: LabelScheme | None) -> list[TaggedSent
             sentences.append(sentence_from_texts(texts, tag_ids, doc_id, repairs))
             texts, tags = [], []
 
-    with utf8_text(path) as f:
+    with utf8_text(path, CorpusFormatError) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -294,22 +294,6 @@ def _repair_bio(tag_ids: list[int], scheme: LabelScheme) -> tuple[list[int], int
             repairs += 1
         repaired.append(tid)
     return repaired, repairs
-
-
-@contextlib.contextmanager
-def utf8_text(path: str, error: type[ValueError] = CorpusFormatError):
-    """``path`` opened as UTF-8 text after an optional BOM; a byte that is
-    not UTF-8 ends the block in ``error`` naming the path and line."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            yield f
-    except UnicodeDecodeError as e:
-        with open(path, "rb") as f:
-            for lineno, raw in enumerate(f, 1):
-                if raw.decode("utf-8", "ignore").encode("utf-8") != raw:
-                    raise error(f"{path}:{lineno}: not UTF-8 text "
-                                f"(byte 0x{e.object[e.start]:02x}: {e.reason})") from None
-        raise
 
 
 @contextlib.contextmanager

@@ -1,4 +1,4 @@
-"""Linear-chain CRF: batched NLL, exact partition, sequence scores, Viterbi.
+"""Linear-chain CRF: the summed NLL and the Viterbi decode of a ragged batch.
 
 Transitions[i, j] scores tag j following tag i; start/stop are explicit
 boundary potentials, masked for BIO only in :meth:`CrfParams.effective`.
@@ -162,34 +162,6 @@ def nll_batch(emissions: Tensor, tags_list: Sequence[Sequence[int]], params: Crf
     return nx.primitive("crf.nll_batch", [emissions, *leaves], np.cumsum(nlls)[-1], vjp_in)
 
 
-def nll(emissions: Tensor, tags: Sequence[int], params: CrfParams,
-        tape: Tape | None = None) -> Tensor:
-    """Negative log-likelihood of one sentence: :func:`nll_batch` of it."""
-    return nll_batch(emissions, [tags], params, tape)
-
-
-def log_partition(emissions: Tensor, params: CrfParams) -> Tensor:
-    """log of the summed exp-scores of all K^T tag sequences of one
-    sentence, by the forward recursion of :func:`nll_batch` (untaped)."""
-    p, emit, _ = _pack(emissions.data, [len(emissions.data)], params.num_tags)
-    return nx.constant(_logsumexp(_forward(p, emit, *params.effective(), _logsumexp)[1][0],
-                                  axis=0))
-
-
-def score_sequence_value(emissions: np.ndarray, tags: Sequence[int],
-                         params: CrfParams) -> float:
-    """Score of one tag sequence: the batched gold score of one sentence."""
-    tags = np.asarray(tags, dtype=np.intp)
-    p, emit, tags = _pack(np.asarray(emissions, dtype=np.float64), [len(tags)],
-                          params.num_tags, tags)
-    return float(_gold_scores(p, emit, tags, *params.effective())[0])
-
-
-def viterbi(emissions: np.ndarray, params: CrfParams) -> tuple[list[int], float]:
-    """Best-scoring tag sequence of one sentence: :func:`viterbi_batch` of it."""
-    return viterbi_batch(emissions, [len(emissions)], params)[0]
-
-
 def viterbi_batch(emissions: np.ndarray, lengths: Sequence[int], params: CrfParams
                   ) -> list[tuple[list[int], float]]:
     """Best-scoring tag sequence and its score for each sentence whose
@@ -199,8 +171,8 @@ def viterbi_batch(emissions: np.ndarray, lengths: Sequence[int], params: CrfPara
 
     The forward recursion of :func:`nll_batch` with max in place of
     log-sum-exp, backtracked from each sentence's own last step; each score
-    is the batched gold score of its path, so it equals
-    :func:`score_sequence_value` exactly. Non-finite emissions or potentials
+    is :func:`_gold_scores` of its path, the gold score :func:`nll_batch`
+    would subtract for it, to the bit. Non-finite emissions or potentials
     raise NumericError, since no tag sequence is best under them.
     """
     if not len(lengths):

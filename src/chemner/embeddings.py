@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_open, utf8_text
+from .corpus import Vocabulary, atomic_open
+from .textproc import utf8_text
 
 
 class EmbeddingFormatError(ValueError):
@@ -55,7 +56,7 @@ def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
 # The sidecar: magic, format version (bump it whenever the parser's semantics change),
 # the text's size and SHA-256, count, dim, the words' byte length; the words, '\n'-joined
 # UTF-8; the (count x dim) little-endian float64 table; the CRC-32 of all before it.
-_CACHE_MAGIC, _CACHE_VERSION = b"CHEMNERE", 1
+_CACHE_MAGIC, _CACHE_VERSION = b"CHEMNERE", 2
 _CACHE_HEADER = struct.Struct("<8sIQ32sQQQ")
 
 
@@ -98,9 +99,10 @@ def _parse_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
             raise EmbeddingFormatError(f"{path}:1: non-integer header {header!r}") from None
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"{path}:1: bad header values {count} {dim}")
-        # a row is at least dim one-character components, each after a space
+        # a row is at least dim one-character components, each after a space;
+        # no file declares more components than it has bytes, even with no rows
         size = os.fstat(f.fileno()).st_size
-        if count * (2 * dim + 1) > size:
+        if count * (2 * dim + 1) > size or dim > size:
             raise EmbeddingFormatError(f"{path}:1: header declares {count} rows of {dim} "
                                        f"components, more than its {size} bytes can hold")
         vectors = np.empty((count, dim), dtype=np.float64)
@@ -143,14 +145,15 @@ _PARSE_ROWS = 64
 
 def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
                    out: np.ndarray) -> None:
-    """Parse the components of a run of vector lines into ``out``
-    (len(bodies) x dim). Where ``np.loadtxt`` refuses a component or reads
-    the rows differently, Python's ``float`` parses them instead and names
-    the first line it cannot parse either."""
+    """Parse the finite components of a run of vector lines into ``out``
+    (len(bodies) x dim). Where ``np.loadtxt`` refuses a component, reads
+    the rows differently or reads a NaN or an infinity, Python's ``float``
+    parses them instead and names the first line it cannot parse, or whose
+    values are not all finite."""
     try:
         block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
                            quotechar=None, ndmin=2)
-        if block.shape == out.shape:
+        if block.shape == out.shape and np.isfinite(block).all():
             out[...] = block
             return
     except ValueError:
@@ -160,6 +163,8 @@ def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
             out[row] = [float(v) for v in body.split(" ")]
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
+        if not np.isfinite(out[row]).all():
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
 
 
 def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,

@@ -6,9 +6,11 @@ systematic chemical names (digit-bearing or suffix-matching chunks with
 hyphens, commas and balanced parentheses) together as single tokens.
 
 All offsets are byte offsets into the UTF-8 encoding of the source text;
-multi-byte characters are never split.
+multi-byte characters are never split. Every text and JSON input file is
+opened here, under one UTF-8 rule.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -40,6 +42,32 @@ class Sentence:
     source_span: tuple[int, int] = (0, 0)  # byte offsets into the parent document
 
 
+@contextlib.contextmanager
+def utf8_text(path: str, error: type[ValueError]):
+    """``path`` opened as UTF-8 text after an optional BOM; a byte that is
+    not UTF-8 ends the block in ``error`` naming the path and line."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, 1):
+                if raw.decode("utf-8", "ignore").encode("utf-8") != raw:
+                    raise error(f"{path}:{lineno}: not UTF-8 text "
+                                f"(byte 0x{e.object[e.start]:02x}: {e.reason})") from None
+        raise
+
+
+def load_json(path: str, error: type[ValueError]):
+    """The JSON value of the text :func:`utf8_text` opens; a syntax error
+    is ``error`` naming the path and line."""
+    with utf8_text(path, error) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise error(f"{path}:{e.lineno}: not JSON ({e.msg})") from None
+
+
 @dataclass(frozen=True)
 class RuleConfig:
     """No-split contexts for the chemical tokenizer."""
@@ -49,8 +77,7 @@ class RuleConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RuleConfig":
-        with open(path, encoding="utf-8-sig") as f:
-            return from_json(cls, "rule config", json.load(f))
+        return from_json(cls, "rule config", load_json(path, ValueError))
 
 
 @dataclass(frozen=True)

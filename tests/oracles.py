@@ -51,12 +51,6 @@ def enumerate_sequence_scores(emissions: np.ndarray, transitions: np.ndarray,
     return seqs, scores
 
 
-def brute_log_partition(emissions, transitions, start, stop) -> float:
-    _, scores = enumerate_sequence_scores(emissions, transitions, start, stop)
-    m = scores.max()
-    return float(m + np.log(np.exp(scores - m).sum()))
-
-
 def brute_viterbi(emissions, transitions, start, stop) -> tuple[list[int], float]:
     """Argmax sequence; ties resolved like backtracking with lowest tag ids,
     i.e. the optimum whose reversed tuple is lexicographically smallest."""

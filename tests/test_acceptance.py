@@ -26,7 +26,7 @@ from chemner.training import (TrainConfig, load_checkpoint, save_checkpoint,
                               train)
 
 from conftest import toy_corpus
-from oracles import brute_log_partition, brute_viterbi
+from oracles import brute_nll, brute_viterbi
 
 IUPAC = "3-(4,5-dimethylthiazol-2-yl)-2,5-diphenyl tetrazolium bromide"
 
@@ -49,22 +49,23 @@ def test_criterion_01_crf_oracle_suite():
             stop=Parameter("e", rng.uniform(-2, 2, K)))
         tags = [int(rng.integers(0, K)) for _ in range(T)]
 
-        lz = float(crf_mod.log_partition(constant(em), params).data)
-        blz = brute_log_partition(em, params.transitions.value,
-                                  params.start.value, params.stop.value)
-        assert abs(lz - blz) < 1e-8
-
-        vtags, vscore = crf_mod.viterbi(em, params)
+        vtags, vscore = crf_mod.viterbi_batch(em, [T], params)[0]
         btags, bscore = brute_viterbi(em, params.transitions.value,
                                       params.start.value, params.stop.value)
         assert abs(vscore - bscore) < 1e-10
         assert vtags == btags
 
+        # log Z minus the gold score, at the drawn tags and at the best path
+        for y in (tags, btags):
+            nll = float(crf_mod.nll_batch(constant(em), [y], params).data)
+            assert abs(nll - brute_nll(em, y, params.transitions.value,
+                                       params.start.value, params.stop.value)) < 1e-8
+
         em_p = Parameter("em", em)
         for p in (em_p, params.transitions):
             p.zero_grad()
         out, tape = nx_evaluate(
-            lambda tp: crf_mod.nll(tp.param(em_p), tags, params, tp))
+            lambda tp: crf_mod.nll_batch(tp.param(em_p), [tags], params, tp))
         backward(tape, out)
         h = 1e-5
         for p in (em_p, params.transitions):
@@ -75,9 +76,9 @@ def test_criterion_01_crf_oracle_suite():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = float(crf_mod.nll(constant(em_p.value), tags, params).data)
+                fp = float(crf_mod.nll_batch(constant(em_p.value), [tags], params).data)
                 flat[i] = orig - h
-                fm = float(crf_mod.nll(constant(em_p.value), tags, params).data)
+                fm = float(crf_mod.nll_batch(constant(em_p.value), [tags], params).data)
                 flat[i] = orig
                 nflat[i] = (fp - fm) / (2 * h)
             scale = max(1.0, np.abs(analytic).max(), np.abs(numeric).max())

@@ -168,31 +168,21 @@ class TestDirectionality:
 
 
 class TestBatchedBlocks:
-    """The batched biLM path against its one-sentence views."""
+    """The batched biLM path against one sentence at a time."""
 
     RAGGED = [SENTS[0], ["cat"], [], ["the", "x" * 30, "sat"], SENTS[1], ["a", "mat"]]
 
-    def test_contextualize_batch_equals_single(self):
-        bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=4)
-        batch = bilm.contextualize_batch(self.RAGGED)
-        assert len(batch) == len(self.RAGGED)
-        for texts, got in zip(self.RAGGED, batch):
-            want = bilm.contextualize(texts)
-            assert got.shape == want.shape == (len(texts), 3, 32)
-            scale = max(np.abs(want).max(initial=0.0), 1.0)
-            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
-        assert bilm.contextualize_batch([[], []])[1].shape == (0, 3, 32)
-
-    def test_layers_batch_rows_are_contextualize_bitwise(self):
+    def test_layers_batch_rows_match_contextualize(self):
         bilm = BiLm.init(small_config(SENTS, char_filters=((3, 8), (5, 4))), seed=4)
         kept = [texts for texts in self.RAGGED if texts]
         layers = bilm.layers_batch(kept)
         assert [(x.shape, x.flags.c_contiguous) for x in layers] == [((16, 32), True)] * 3
         stacked = np.split(np.stack(layers, axis=1), np.cumsum([len(t) for t in kept])[:-1])
-        for texts, rows, ctx in zip(kept, stacked, bilm.contextualize_batch(kept)):
-            assert np.array_equal(rows, ctx)
-            assert np.array_equal(np.stack(bilm.layers_batch([texts]), axis=1),
-                                  bilm.contextualize(texts))
+        for texts, rows in zip(kept, stacked):
+            want = bilm.contextualize(texts)
+            assert rows.shape == want.shape == (len(texts), 3, 32)
+            assert np.abs(rows - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+            assert np.array_equal(np.stack(bilm.layers_batch([texts]), axis=1), want)
 
     def test_lm_states_batch_rejects_empty(self):
         bilm = BiLm.init(small_config(SENTS), seed=0)
@@ -256,7 +246,7 @@ class TestBatchedBlocks:
 
 
     def test_worker_thread_gives_the_same_bits(self, both_paths):
-        """nll_batch gradients, contextualize_batch and perplexity, with each
+        """nll_batch gradients, contextualize and perplexity, with each
         layer's reverse direction on the calling thread and on the worker."""
         bilm = BiLm.init(small_config(SENTS), seed=8)
         batch = [s for s in self.RAGGED if len(s) >= 2]
@@ -268,7 +258,7 @@ class TestBatchedBlocks:
             total, _ = bilm.nll_batch(batch, tape)
             backward(tape, total)
             return ([total.data, np.array(bilm.perplexity(self.RAGGED))]
-                    + bilm.contextualize_batch(self.RAGGED)
+                    + [bilm.contextualize(texts) for texts in self.RAGGED]
                     + [bilm.params[k].gradient.copy() for k in sorted(bilm.params)])
 
         sequential, threaded = both_paths(outputs)

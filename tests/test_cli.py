@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -647,6 +648,8 @@ class TestTrainEmbeddingFile:
         (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 \x04\n", 3),  # flipped
         (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 2 3 \xb4\n", 3),  # not UTF-8
         (b"2 4\nbenzene 0.5 0.5 0.5 0.5\n", 2),                  # a row short
+        (b"0 99999999999999999999\n", 1),                         # a dim numpy refuses
+        (b"2 4\nbenzene 0.5 0.5 0.5 0.5\nacetone 1 nan 3 4\n", 3),  # not finite
     ])
     def test_malformed_text_exit_2_naming_its_line(self, capsys, corpus_file, tmp_path,
                                                   vectors, line):
@@ -676,6 +679,62 @@ class TestConfigValidation:
                            "--dev", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "does not exist" in err
+
+
+class TestJsonInputs:
+    """The run config, the ``train-bilm`` config and the tokenizer rules are
+    read by one opener: a BOM is accepted, and a byte that is not UTF-8 or
+    a JSON syntax error is exit 2 naming the file and its line."""
+
+    READERS = ("run config", "train-bilm config", "rules")
+
+    def read(self, capsys, monkeypatch, tmp_path, corpus_path, reader, raw: bytes):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        if reader == "run config":
+            argv = ("train", "--config", path, "--train", corpus_path, "--dev", corpus_path,
+                    "--out", tmp_path / "out")
+        elif reader == "train-bilm config":
+            plain = tmp_path / "plain.txt"
+            plain.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+            argv = ("train-bilm", "--config", path, "--corpus", plain, "--epochs", "1",
+                    "--out", tmp_path / "out")
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO("2-methylpropyl bromide melts."))
+            argv = ("tokenize", "--mode", "chemical", "--rules", path)
+        code, out, err = run(capsys, *map(str, argv))
+        assert "Traceback" not in err
+        return path, code, out, err
+
+    @staticmethod
+    def valid(reader) -> bytes:
+        obj = {"run config": RUN_CONFIG,
+               "train-bilm config": {"char_embed_dim": 4, "filter_count": 4, "layer_dim": 8},
+               "rules": {"suffixes": ["yl"]}}[reader]
+        return json.dumps(obj, indent=1).encode("utf-8")
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_byte_order_mark_accepted(self, capsys, monkeypatch, corpus_file, tmp_path,
+                                      reader):
+        raw = b"\xef\xbb\xbf" + self.valid(reader)
+        _, code, out, err = self.read(capsys, monkeypatch, tmp_path, corpus_file[0], reader,
+                                      raw)
+        assert code == 0, err
+        assert out
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("appended,message", [(b" \xe9", "not UTF-8 text (byte 0xe9"),
+                                                  (b" ,", "not JSON (")])
+    def test_bad_line_exit_2_naming_it(self, capsys, monkeypatch, corpus_file, tmp_path,
+                                       reader, appended, message):
+        first, rest = self.valid(reader).split(b"\n", 1)
+        second, rest = rest.split(b"\n", 1)
+        raw = b"\n".join([first, second + appended, rest])
+        path, code, out, err = self.read(capsys, monkeypatch, tmp_path, corpus_file[0], reader,
+                                         raw)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:2: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:

@@ -1,14 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from chemner import numerics as nx
 from chemner.corpus import LabelScheme
-from chemner.crf import (CrfParams, _logsumexp, bio_transition_masks, log_partition, nll,
-                         nll_batch, score_sequence_value, viterbi, viterbi_batch)
+from chemner.crf import (CrfParams, _gold_scores, _logsumexp, _pack, bio_transition_masks,
+                         nll_batch, viterbi_batch)
 from chemner.numerics import NumericError, Parameter, backward, constant, evaluate
 
-from oracles import (brute_log_partition, brute_nll, brute_viterbi,
-                     enumerate_sequence_scores)
+from oracles import brute_nll, brute_viterbi, enumerate_sequence_scores
 
 
 def zero_params(k):
@@ -24,13 +25,17 @@ def random_params(rng, k):
 
 
 class TestScoreSequence:
+    """The gold score of one sentence, :func:`_gold_scores` on :func:`_pack`."""
+
     def test_single_token(self):
         em = np.array([[2.0, 5.0]])
-        assert score_sequence_value(em, [1], zero_params(2)) == 5.0
+        got = _gold_scores(*_pack(em, [1], 2, np.array([1])), *zero_params(2).effective())
+        assert got[0] == 5.0
 
     def test_zero_params_emission_sum(self):
         em = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert score_sequence_value(em, [0, 1], zero_params(2)) == pytest.approx(5.0)
+        got = _gold_scores(*_pack(em, [2], 2, np.array([0, 1])), *zero_params(2).effective())
+        assert got[0] == pytest.approx(5.0)
 
     def test_random_matches_hand_sum(self):
         rng = np.random.default_rng(11)
@@ -40,15 +45,16 @@ class TestScoreSequence:
         hand = (params.start.value[2] + params.stop.value[1]
                 + sum(em[t, tags[t]] for t in range(4))
                 + sum(params.transitions.value[tags[t - 1], tags[t]] for t in range(1, 4)))
-        assert score_sequence_value(em, tags, params) == pytest.approx(hand, abs=1e-12)
+        got = _gold_scores(*_pack(em, [4], 3, np.array(tags)), *params.effective())
+        assert got[0] == pytest.approx(hand, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            score_sequence_value(np.zeros((2, 2)), [0], zero_params(2))
+            nll_batch(constant(np.zeros((2, 2))), [[0]], zero_params(2))
 
     def test_tag_out_of_range(self):
         with pytest.raises(ValueError):
-            score_sequence_value(np.zeros((1, 2)), [5], zero_params(2))
+            nll_batch(constant(np.zeros((1, 2))), [[5]], zero_params(2))
 
 
 class TestLogSumExp:
@@ -66,53 +72,61 @@ class TestLogSumExp:
         rng = np.random.default_rng(31)
         params = random_params(rng, 3)
         em_p = Parameter("em", rng.uniform(-1, 1, (4, 3)) * 1e300)
-        out, tape = evaluate(lambda tp: nll(tp.param(em_p), [0, 2, 1, 1], params, tp))
+        out, tape = evaluate(lambda tp: nll_batch(tp.param(em_p), [[0, 2, 1, 1]], params, tp))
         backward(tape, out)
         assert np.isfinite(out.data)
         assert all(np.isfinite(p.gradient).all() for p in [em_p, *params.parameters()])
 
 
 class TestLogPartition:
+    """log Z through the NLL of one sentence, log Z minus the gold score,
+    for every tag sequence y."""
+
     def test_single_token_closed_form(self):
         em = constant(np.array([[2.0, 5.0]]))
-        lz = float(log_partition(em, zero_params(2)).data)
-        assert lz == pytest.approx(5 + np.log1p(np.exp(-3)), abs=1e-14)
+        lz = 5 + np.log1p(np.exp(-3))
+        for y, score in ((0, 2.0), (1, 5.0)):
+            assert float(nll_batch(em, [[y]], zero_params(2)).data) == pytest.approx(
+                lz - score, abs=1e-14)
 
     def test_t3_k2_brute_force(self):
         rng = np.random.default_rng(21)
         em = rng.uniform(-2, 2, (3, 2))
         params = random_params(rng, 2)
-        lz = float(log_partition(constant(em), params).data)
-        blz = brute_log_partition(em, params.transitions.value,
-                                  params.start.value, params.stop.value)
-        assert lz == pytest.approx(blz, abs=1e-10)
+        for y in itertools.product(range(2), repeat=3):
+            got = float(nll_batch(constant(em), [y], params).data)
+            assert got == pytest.approx(brute_nll(em, y, params.transitions.value,
+                                                  params.start.value, params.stop.value),
+                                        abs=1e-10)
 
     @pytest.mark.parametrize("t,k", [(1, 1), (2, 3), (4, 2), (3, 4)])
     def test_all_zero_gives_t_log_k(self, t, k):
-        lz = float(log_partition(constant(np.zeros((t, k))), zero_params(k)).data)
-        assert lz == pytest.approx(t * np.log(k), abs=1e-12)
+        # every sequence scores 0, so each one's NLL is log Z
+        for y in itertools.product(range(k), repeat=t):
+            got = float(nll_batch(constant(np.zeros((t, k))), [y], zero_params(k)).data)
+            assert got == pytest.approx(t * np.log(k), abs=1e-12)
 
     def test_greater_than_any_sequence_score(self):
         rng = np.random.default_rng(5)
         em = rng.uniform(-2, 2, (4, 3))
         params = random_params(rng, 3)
-        lz = float(log_partition(constant(em), params).data)
-        _, scores = enumerate_sequence_scores(em, params.transitions.value,
-                                              params.start.value, params.stop.value)
-        assert lz >= scores.max()
+        assert all(float(nll_batch(constant(em), [y], params).data) >= 0
+                   for y in itertools.product(range(3), repeat=4))
 
     def test_emission_shift_moves_log_partition_by_constant(self):
+        # a shift of one step's emissions moves log Z and every sequence
+        # score alike, so no NLL moves and the Viterbi path stays
         rng = np.random.default_rng(6)
         em = rng.uniform(-2, 2, (4, 3))
         params = random_params(rng, 3)
-        lz = float(log_partition(constant(em), params).data)
         shifted = em.copy()
         shifted[2] += 1.75
-        lz2 = float(log_partition(constant(shifted), params).data)
-        assert lz2 - lz == pytest.approx(1.75, abs=1e-10)
-        # every sequence score shifts identically, viterbi argmax is invariant
-        tags1, s1 = viterbi(em, params)
-        tags2, s2 = viterbi(shifted, params)
+        for y in itertools.product(range(3), repeat=4):
+            before = float(nll_batch(constant(em), [y], params).data)
+            after = float(nll_batch(constant(shifted), [y], params).data)
+            assert after - before == pytest.approx(0.0, abs=1e-10)
+        tags1, s1 = viterbi_batch(em, [4], params)[0]
+        tags2, s2 = viterbi_batch(shifted, [4], params)[0]
         assert tags1 == tags2
         assert s2 - s1 == pytest.approx(1.75, abs=1e-10)
 
@@ -125,7 +139,7 @@ class TestNll:
             em = rng.uniform(-2, 2, (t, k))
             params = random_params(rng, k)
             tags = [int(rng.integers(0, k)) for _ in range(t)]
-            v = float(nll(constant(em), tags, params).data)
+            v = float(nll_batch(constant(em), [tags], params).data)
             assert v >= 0
             assert 0 < np.exp(-v) <= 1
 
@@ -134,14 +148,14 @@ class TestNll:
         for t in (1, 2, 7):
             em = rng.uniform(-2, 2, (t, 1))
             params = random_params(rng, 1)
-            assert float(nll(constant(em), [0] * t, params).data) == 0.0
+            assert float(nll_batch(constant(em), [[0] * t], params).data) == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
         em = rng.uniform(-2, 2, (4, 3))
         params = random_params(rng, 3)
         tags = [1, 2, 0, 2]
-        mine = float(nll(constant(em), tags, params).data)
+        mine = float(nll_batch(constant(em), [tags], params).data)
         brute = brute_nll(em, tags, params.transitions.value,
                           params.start.value, params.stop.value)
         assert mine == pytest.approx(brute, abs=1e-10)
@@ -149,7 +163,7 @@ class TestNll:
     def test_gold_maximizer_small_nll(self):
         em = np.full((3, 2), -5.0)
         em[np.arange(3), [0, 1, 0]] = 5.0
-        v = float(nll(constant(em), [0, 1, 0], zero_params(2)).data)
+        v = float(nll_batch(constant(em), [[0, 1, 0]], zero_params(2)).data)
         assert 0 < v < 1e-3
 
     def test_emission_gradient_is_marginals_minus_onehot(self):
@@ -159,7 +173,7 @@ class TestNll:
         params = random_params(rng, k)
         tags = [0, 2, 1, 1]
         em_p.zero_grad()
-        out, tape = evaluate(lambda tp: nll(tp.param(em_p), tags, params, tp))
+        out, tape = evaluate(lambda tp: nll_batch(tp.param(em_p), [tags], params, tp))
         backward(tape, out)
         # independent marginals by enumeration
         seqs, scores = enumerate_sequence_scores(
@@ -180,7 +194,7 @@ class TestNll:
         em_p = Parameter("em", rng.uniform(-2, 2, (t, k)))
         params = random_params(rng, k)
         tags = [2, 2, 0, 1]
-        err = nx.grad_check(lambda tp: nll(tp.param(em_p), tags, params, tp),
+        err = nx.grad_check(lambda tp: nll_batch(tp.param(em_p), [tags], params, tp),
                             [em_p, params.transitions, params.start, params.stop])
         assert err < 1e-6
 
@@ -306,7 +320,7 @@ class TestNllBatch:
         rng = np.random.default_rng(71)
         params = random_params(rng, 3)
         em, tags_list = ragged_batch(rng, 3, self.LENGTHS)
-        singles = [float(nll(constant(e), tags, params).data)
+        singles = [float(nll_batch(constant(e), [tags], params).data)
                    for e, tags in zip(split_batch(em, tags_list), tags_list)]
         assert float(nll_batch(constant(em), tags_list, params).data) == np.cumsum(singles)[-1]
 
@@ -318,30 +332,32 @@ class TestNllBatch:
 
 
 class TestViterbi:
+    """One sentence through :func:`viterbi_batch`."""
+
     def test_single_token(self):
-        tags, score = viterbi(np.array([[2.0, 5.0]]), zero_params(2))
+        tags, score = viterbi_batch(np.array([[2.0, 5.0]]), [1], zero_params(2))[0]
         assert tags == [1] and score == 5.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
         em = rng.uniform(-2, 2, (5, 4))
         params = random_params(rng, 4)
-        tags, score = viterbi(em, params)
+        tags, score = viterbi_batch(em, [5], params)[0]
         btags, bscore = brute_viterbi(em, params.transitions.value,
                                       params.start.value, params.stop.value)
         assert tags == btags
         assert score == pytest.approx(bscore, abs=1e-10)
 
     def test_all_equal_potentials_lowest_ids(self):
-        tags, _ = viterbi(np.zeros((4, 3)), zero_params(3))
+        tags, _ = viterbi_batch(np.zeros((4, 3)), [4], zero_params(3))[0]
         assert tags == [0, 0, 0, 0]
 
     def test_score_equals_score_sequence(self):
         rng = np.random.default_rng(29)
         em = rng.uniform(-2, 2, (6, 3))
         params = random_params(rng, 3)
-        tags, score = viterbi(em, params)
-        assert score == score_sequence_value(em, tags, params)
+        tags, score = viterbi_batch(em, [6], params)[0]
+        assert score == _gold_scores(*_pack(em, [6], 3, np.array(tags)), *params.effective())[0]
 
     def test_tie_rule_matches_backtracking_semantics(self):
         # two optimal sequences [0,1] and [1,0]: backtracking picks the
@@ -349,19 +365,19 @@ class TestViterbi:
         em = np.array([[0.0, 0.0], [0.0, 0.0]])
         params = zero_params(2)
         params.transitions.value[:] = [[0.0, 1.0], [1.0, 0.0]]
-        tags, _ = viterbi(em, params)
+        tags, _ = viterbi_batch(em, [2], params)[0]
         assert tags == [1, 0]
         btags, _ = brute_viterbi(em, params.transitions.value,
                                  params.start.value, params.stop.value)
         assert btags == [1, 0]
-
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_emissions_raise(self, bad):
         em = np.zeros((4, 2))
         em[2, 1] = bad
         with pytest.raises(NumericError, match="non-finite"):
-            viterbi(em, zero_params(2))
+            viterbi_batch(em, [4], zero_params(2))
+
 
 class TestViterbiBatch:
     @staticmethod
@@ -381,8 +397,9 @@ class TestViterbiBatch:
                                               params.start.value, params.stop.value)
                 assert tags == btags
                 assert score == pytest.approx(bscore, abs=1e-10)
-                assert (tags, score) == viterbi(em, params)
-                assert score == score_sequence_value(em, tags, params)
+                assert (tags, score) == viterbi_batch(em, [len(em)], params)[0]
+                assert score == _gold_scores(*_pack(em, [len(em)], k, np.array(tags)),
+                                             *params.effective())[0]
 
     def test_bio_mask_matches_single_decodes(self):
         scheme = LabelScheme(("G", "M"))
@@ -390,7 +407,8 @@ class TestViterbiBatch:
         params = random_params(rng, scheme.num_tags)
         params.enable_bio_mask(scheme)
         ems = [rng.uniform(-4, 4, (t, scheme.num_tags)) for t in (6, 1, 3, 6, 2)]
-        assert self.decode(ems, params) == [viterbi(em, params) for em in ems]
+        assert self.decode(ems, params) == [viterbi_batch(em, [len(em)], params)[0]
+                                            for em in ems]
 
     def test_all_equal_potentials_lowest_ids(self):
         out = viterbi_batch(np.zeros((7, 3)), [4, 1, 2], zero_params(3))
@@ -445,7 +463,7 @@ class TestBioMask:
         params.enable_bio_mask(self.SCHEME)
         for _ in range(50):
             em = rng.uniform(-4, 4, (int(rng.integers(1, 7)), self.SCHEME.num_tags))
-            tags, _ = viterbi(em, params)
+            tags, _ = viterbi_batch(em, [len(em)], params)[0]
             prev = None
             for tid in tags:
                 prefix, label = self.SCHEME.split_tag(tid)
@@ -460,6 +478,6 @@ class TestBioMask:
         params.enable_bio_mask(self.SCHEME)
         em_p = Parameter("em", rng.uniform(-2, 2, (3, k)))
         tags = [1, 2, 0]
-        err = nx.grad_check(lambda tp: nll(tp.param(em_p), tags, params, tp),
+        err = nx.grad_check(lambda tp: nll_batch(tp.param(em_p), [tags], params, tp),
                             [em_p, params.transitions])
         assert err < 1e-5

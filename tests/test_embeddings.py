@@ -42,9 +42,9 @@ class TestLoadEmbeddingText:
             load_embedding_text(write(tmp_path, "1 3\na 1 0\n"))
 
     def test_empty_table(self, tmp_path):
-        words, vectors = load_embedding_text(write(tmp_path, "0 5\n"))
+        words, vectors = load_embedding_text(write(tmp_path, "0 3\n"))
         assert words == []
-        assert vectors.shape == (0, 5)
+        assert vectors.shape == (0, 3)
 
     def test_non_numeric_component(self, tmp_path):
         with pytest.raises(EmbeddingFormatError, match="non-numeric"):
@@ -85,9 +85,15 @@ class TestLoadEmbeddingText:
             load_embedding_text(write(tmp_path, "2 2\na 1 2\n  \n"))
 
     def test_components_python_float_accepts_are_kept(self, tmp_path):
-        words, vectors = load_embedding_text(write(tmp_path, "2 2\na 1_0 nan\nb \u0661 -inf\n"))
-        assert vectors[0, 0] == 10.0 and np.isnan(vectors[0, 1])
-        assert vectors[1].tolist() == [1.0, -np.inf]
+        words, vectors = load_embedding_text(write(tmp_path, "2 2\na 1_0 0.5\nb \u0661 -2\n"))
+        assert vectors.tolist() == [[10.0, 0.5], [1.0, -2.0]]
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e999"])
+    def test_non_finite_component_names_its_line(self, tmp_path, value):
+        path = write(tmp_path, f"3 2\nfoo 1 2\n\nbar {value} 1\nbaz 3 4\n")
+        with pytest.raises(EmbeddingFormatError, match=r":4: non-finite component"):
+            load_embedding_text(path)
+        assert files(tmp_path) == ["vectors.txt"]
 
     @pytest.mark.parametrize("content,where", [
         ("1 3\na 1 0\n", ":2: expected 3 components, got 2"),
@@ -96,6 +102,8 @@ class TestLoadEmbeddingText:
         ("3 2\na 1 2\nb 3 4\n", ": declared 3 rows but found 2"),
         ("2 x\n", ":1: non-integer header"),
         ("-1 2\n", ":1: bad header values"),
+        ("0 5\n", ":1: header declares 0 rows of 5 components, more than its 4 bytes"),
+        ("0 99999999999999999999\n", ":1: header declares 0 rows of 99999999999999999999 "),
     ])
     def test_shape_errors_name_their_line(self, tmp_path, content, where):
         with pytest.raises(EmbeddingFormatError, match=where):
@@ -131,7 +139,7 @@ TEXTS = {
     "fixed": table_text(30, 6, lambda v: f"{v:.5f}"),
     "repr": table_text(30, 6, repr, seed=1),
     "bom": "\ufeff" + table_text(3, 2, repr, seed=2),
-    "no_rows": "0 7\n",
+    "no_rows": "0 3\n",
     "empty_word": "3 2\n 0.5 -0.25\nb 1e-3 7\n 2 3\n",
     "one_empty_word": "1 3\n 1 2 3\n",
 }
@@ -221,6 +229,19 @@ class TestParseCache:
         assert_same(load_embedding_text(path), expected)
         assert cache.read_bytes() == good
 
+    def test_sidecar_of_an_older_parser_is_not_served(self, tmp_path, no_parse, monkeypatch):
+        # format version 1 parsed a NaN; its sidecar of this text is a hit only under 1
+        path = write(tmp_path, "2 2\nfoo 1 2\nbar nan 1\n")
+        monkeypatch.setattr(embeddings, "_CACHE_VERSION", 1)
+        monkeypatch.setattr(embeddings, "_parse_embedding_text",
+                            lambda _: (["foo", "bar"], np.array([[1.0, 2.0], [np.nan, 1.0]])))
+        load_embedding_text(path)
+        no_parse()
+        assert np.isnan(load_embedding_text(path)[1][1, 0])
+        monkeypatch.undo()  # today's version and parser
+        with pytest.raises(EmbeddingFormatError, match=r":3: non-finite component"):
+            load_embedding_text(path)
+
     def test_failed_write_still_loads(self, tmp_path, monkeypatch):
         path = write(tmp_path, TEXTS["repr"])
         expected = embeddings._parse_embedding_text(path)
@@ -255,7 +276,8 @@ class TestParseCache:
         assert_same(load_embedding_text(path), expected)
 
     @pytest.mark.parametrize("content", [
-        "2 2\na 1 2\n", "1 2\na 1 x\n", "1 3\na 1 2\n", "hello\n", "1 2\n\udce9 1 2\n"])
+        "2 2\na 1 2\n", "1 2\na 1 x\n", "1 3\na 1 2\n", "hello\n", "1 2\n\udce9 1 2\n",
+        "0 99999999999999999999\n", "2 2\nfoo 1 2\nbar nan 1\n"])
     def test_malformed_text_leaves_no_sidecar(self, tmp_path, content):
         path = tmp_path / "vectors.txt"
         path.write_bytes(content.encode("utf-8", "surrogateescape"))
@@ -272,9 +294,12 @@ class TestParseFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncate_flip_extend(self, tmp_path, data):
-        valid = table_text(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)),
-                           data.draw(st.sampled_from([repr, lambda v: f"{v:.5f}"])))
-        raw = valid.encode("utf-8")
+        if data.draw(st.integers(0, 7)):
+            text = table_text(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)),
+                              data.draw(st.sampled_from([repr, lambda v: f"{v:.5f}"])))
+        else:  # no rows of more components than numpy can index
+            text = "0 99999999999999999999\n"
+        raw = text.encode("utf-8")
         kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
         if kind == "truncate":
             raw = raw[:data.draw(st.integers(0, len(raw) - 1))]

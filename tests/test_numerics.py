@@ -843,8 +843,6 @@ class TestNoDeadPrimitives:
 
     # bench/test_bench.py::test_hooks_wrap_lookup_sites_and_restore drives these
     KEPT = {"lstm_step", "lstm_scan"}
-    # the one-sentence CRF views the acceptance criteria call
-    VIEWS = {"crf.nll", "crf.log_partition", "crf.viterbi", "crf.score_sequence_value"}
     # argparse calls this override of ArgumentParser.error
     OVERRIDES = {"cli.error"}
 
@@ -890,7 +888,7 @@ class TestNoDeadPrimitives:
                 used.update((f"{path.stem}.{d.name}", d.name in uses) for d in defs
                             if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
         unused = {name for name, has_use in used.items() if not has_use}
-        exempt = self.VIEWS | self.OVERRIDES | {f"numerics.{name}" for name in self.KEPT}
+        exempt = self.OVERRIDES | {f"numerics.{name}" for name in self.KEPT}
         assert exempt <= used.keys()
         assert unused <= exempt, f"unused: {sorted(unused - exempt)}"
 
