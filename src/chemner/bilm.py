@@ -24,7 +24,7 @@ from .corpus import Vocabulary, normalize_long_texts
 from .numerics import Parameter, ShapeError, Tape, Tensor
 from .schema import from_json, json_types
 from .training import (AdamState, CheckpointError, TrainConfig, _optimizer_step,
-                       restore_tensors, stored, vocab_from_payload)
+                       check_layout, stored, vocab_from_payload)
 
 DECODE_BATCH_TOKENS = 2048  # tokens per evaluation pass; bounds its memory
 
@@ -331,7 +331,7 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint metadata: {e!r}") from None
     model = BiLm.build(config, stored(ckpt))
-    restore_tensors(model.params, ckpt, "biLM")
+    check_layout(model.params, ckpt, "biLM")
     return model
 
 

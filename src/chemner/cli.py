@@ -8,6 +8,7 @@ failure. Diagnostics go to stderr, results to stdout or files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -38,7 +39,7 @@ DATA_ERROR = 2
 NUMERIC_ERROR = 3
 
 # every typed data error (corpus, label, embedding, checkpoint, config, JSON) is a ValueError
-_DATA_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
+_DATA_ERRORS = (ValueError, OSError)
 
 
 class ConfigError(ValueError):
@@ -122,7 +123,21 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _check_out(path: str, directory: bool = False) -> None:
+    """Refuse, before any work is done, an output that cannot be written: a
+    directory whose nearest existing path is no directory, or a file in a
+    missing directory or that is one."""
+    head = path if directory else os.path.dirname(path)
+    while directory and head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head or "."):
+        raise NotADirectoryError(f"cannot write {path}: {head} is not a directory")
+    if not directory and os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
 def cmd_split(args) -> int:
+    _check_out(args.out, directory=True)
     scheme = _scheme_from_arg(args.labels)
     sentences = read_column_corpus(args.corpus, scheme)
     ratios = tuple(float(x) for x in args.ratios.split(","))
@@ -157,6 +172,7 @@ _TRAIN_BILM_TYPES = {**dict.fromkeys(("char_embed_dim", "filter_width", "filter_
 
 
 def cmd_train_bilm(args) -> int:
+    _check_out(args.out)
     settings = {"char_embed_dim": 16, "filter_width": 3, "filter_count": 32,
                 "layer_dim": 64, "layers": 2, "max_token_len": 25,
                 "learning_rate": 0.01, "min_count": 1,
@@ -218,6 +234,7 @@ def cmd_train(args) -> int:
         train_kwargs["seed"] = args.seed
     tconfig = TrainConfig(**train_kwargs)
 
+    _check_out(args.out, directory=True)
     train_sents = read_column_corpus(args.train, scheme)
     dev_sents = read_column_corpus(args.dev, scheme)
     words, vectors = [], None
@@ -257,6 +274,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
+    if args.out:
+        _check_out(args.out)
     # decoding needs no Adam moments; the model owns the checkpoint's
     # arrays, so dropping the checkpoint leaves one copy of the weights
     ckpt = load_checkpoint(args.model, moments=False)
@@ -266,14 +285,10 @@ def cmd_tag(args) -> int:
     scheme = model.config.scheme
     if args.raw:
         kind = _tokenizer_kind(tokenizer)
-        sentences = []
         with utf8_text(args.input, CorpusFormatError) as f:
             text = f.read()
-        for sent in split_sentences(text):
-            toks = kind.tokenize(sent)
-            if toks:
-                sentences.append(sentence_from_texts([t.text for t in toks],
-                                                     [0] * len(toks), "doc0000"))
+        texts = ([t.text for t in kind.tokenize(s)] for s in split_sentences(text))
+        sentences = [sentence_from_texts(t, [0] * len(t), "doc0000") for t in texts if t]
     else:
         sentences = read_column_corpus(args.input, None)
 
@@ -281,8 +296,8 @@ def cmd_tag(args) -> int:
     # replaces the old one only once complete
     lines = []
     for sent, tags in zip(sentences, model.predict_batch(sentences)):
-        lines.extend(f"{tok.text}\t{scheme.tag_name(tid)}\n"
-                     for tok, tid in zip(sent.tokens, tags))
+        lines.extend(f"{text}\t{scheme.tag_name(tid)}\n"
+                     for text, tid in zip(sent.tokens, tags))
         lines.append("\n")
     if args.out:
         with atomic_open(args.out, encoding="utf-8") as out:
@@ -425,6 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; under glibc, give every free page of the heap back
+    when it ends, not only a free top of the heap, so what a command leaves
+    resident does not hang on where a few small blocks landed (README)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        trim = None
+    try:
+        return _run(argv)
+    finally:
+        if trim is not None:
+            trim(0)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,11 +8,11 @@ import os
 import random
 import uuid
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .textproc import Token, utf8_text
+from .textproc import utf8_text
 
 LONG_TOKEN_TEXT = "Long_Token"
 PAD_TEXT = "<pad>"
@@ -83,7 +83,7 @@ class LabelScheme:
 
 @dataclass(frozen=True)
 class TaggedSentence:
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]  # the token texts
     tags: tuple[int, ...]
     document_id: str
     repairs: int = 0  # BIO violations fixed while reading
@@ -94,19 +94,13 @@ class TaggedSentence:
 
     @property
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
 
 def sentence_from_texts(texts: Sequence[str], tags: Sequence[int], document_id: str,
                         repairs: int = 0) -> TaggedSentence:
-    """Build a TaggedSentence with synthetic offsets (single-space joined)."""
-    tokens = []
-    offset = 0
-    for text in texts:
-        nbytes = len(text.encode("utf-8"))
-        tokens.append(Token(text=text, start=offset, end=offset + nbytes))
-        offset += nbytes + 1
-    return TaggedSentence(tokens=tuple(tokens), tags=tuple(tags),
+    """A TaggedSentence of these token texts and tag ids."""
+    return TaggedSentence(tokens=tuple(texts), tags=tuple(tags),
                           document_id=document_id, repairs=repairs)
 
 
@@ -173,12 +167,8 @@ def build_vocabulary(train: Sequence[TaggedSentence], dev: Sequence[TaggedSenten
     """Specials + pre-trained words + words seen ≥ ``min_count`` times in train+dev."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    chars: set[str] = set(LONG_TOKEN_TEXT)
-    for sent in list(train) + list(dev):
-        for tok in sent.tokens:
-            counts[tok.text] += 1
-            chars.update(tok.text)
+    counts = Counter(text for sent in [*train, *dev] for text in sent.tokens)
+    chars = set(LONG_TOKEN_TEXT).union(*counts)
     pretrained = frozenset(pretrained_words)
     frequent = {w for w, c in counts.items() if c >= min_count}
     special_texts = {PAD_TEXT, UNK_TEXT, LONG_TOKEN_TEXT}
@@ -320,8 +310,8 @@ def write_column_corpus(path: str, sentences: Sequence[TaggedSentence],
             if sent.document_id != current_doc:
                 f.write(f"{DOCSTART}\t{sent.document_id}\n\n")
                 current_doc = sent.document_id
-            for tok, tid in zip(sent.tokens, sent.tags):
-                f.write(f"{tok.text}\t{scheme.tag_name(tid)}\n")
+            for text, tid in zip(sent.tokens, sent.tags):
+                f.write(f"{text}\t{scheme.tag_name(tid)}\n")
             f.write("\n")
 
 
@@ -392,19 +382,9 @@ def normalize_long_texts(texts: Iterable[str], max_len: int) -> list[str]:
 
 def normalize_long_tokens(sentence: TaggedSentence, max_len: int = 25) -> TaggedSentence:
     """:func:`normalize_long_texts` of a sentence's tokens; the sentence
-    itself when no token changes.
-
-    Offsets and tags are untouched, so normalized tokens may no longer match
-    the source substring.
-    """
-    before = sentence.texts
-    texts = normalize_long_texts(before, max_len)
-    if texts == before:
-        return sentence
-    tokens = tuple(Token(text=text, start=t.start, end=t.end)
-                   for text, t in zip(texts, sentence.tokens))
-    return TaggedSentence(tokens=tokens, tags=sentence.tags,
-                          document_id=sentence.document_id, repairs=sentence.repairs)
+    itself when no token changes. Tags are untouched."""
+    texts = tuple(normalize_long_texts(sentence.tokens, max_len))
+    return sentence if texts == sentence.tokens else replace(sentence, tokens=texts)
 
 
 def corpus_stats(sentences: Sequence[TaggedSentence],

@@ -150,14 +150,15 @@ def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
     the rows differently or reads a NaN or an infinity, Python's ``float``
     parses them instead and names the first line it cannot parse, or whose
     values are not all finite."""
-    try:
-        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
-                           quotechar=None, ndmin=2)
-        if block.shape == out.shape and np.isfinite(block).all():
-            out[...] = block
-            return
-    except ValueError:
-        pass
+    if all(bodies):  # np.loadtxt skips an empty body, and warns if all are
+        try:
+            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None,
+                               quotechar=None, ndmin=2)
+            if block.shape == out.shape and np.isfinite(block).all():
+                out[...] = block
+                return
+        except ValueError:
+            pass
     for row, (lineno, body) in enumerate(zip(linenos, bodies)):
         try:
             out[row] = [float(v) for v in body.split(" ")]

@@ -153,14 +153,13 @@ def error_listing(gold: Sequence[TaggedSentence], pred: Sequence[Sequence[int]],
         pred_spans = set(spans_from_bio(p, scheme))
         if gold_spans == pred_spans:
             continue
-        texts = tuple(g.texts)
 
         def annotate(spans: set[EntitySpan]) -> tuple[tuple[EntitySpan, str], ...]:
             ordered = sorted(spans, key=lambda s: (s.start, s.end, s.label))
-            return tuple((s, " ".join(texts[s.start:s.end])) for s in ordered)
+            return tuple((s, " ".join(g.tokens[s.start:s.end])) for s in ordered)
 
         examples.append(ErrorExample(
-            sentence_index=i, document_id=g.document_id, tokens=texts,
+            sentence_index=i, document_id=g.document_id, tokens=g.tokens,
             false_negatives=annotate(gold_spans - pred_spans),
             false_positives=annotate(pred_spans - gold_spans),
             true_positives=annotate(gold_spans & pred_spans)))

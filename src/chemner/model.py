@@ -15,7 +15,7 @@ from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_toke
 from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
 from .schema import from_json, json_types
-from .training import CheckpointError, restore_tensors, stored, vocab_from_payload
+from .training import CheckpointError, check_layout, stored, vocab_from_payload
 
 
 class ConfigurationError(ValueError):
@@ -175,7 +175,7 @@ class NerModel:
         the batch's tokens."""
         if not sentences or any(not s.tokens for s in sentences):
             raise ValueError("cannot embed an empty sentence")
-        texts = [t for s in sentences for t in s.texts]
+        texts = [t for s in sentences for t in s.tokens]
         parts: list[Tensor] = []
         if self.config.use_words:
             parts.append(nx.embedding(nx.use_param(tape, self.params["words"]),
@@ -185,7 +185,7 @@ class NerModel:
                  ("chars", "char_conv.w", "char_conv.b", "char_proj.w", "char_proj.b")]
             parts.append(char_features(texts, self.vocab, w[0], [(w[1], w[2])], (w[3], w[4])))
         if self.config.use_contextual:
-            parts.append(mix_layers(self.bilm.layers_batch([s.texts for s in sentences]),
+            parts.append(mix_layers(self.bilm.layers_batch([s.tokens for s in sentences]),
                                     self.mixing, tape))
         return parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
 
@@ -293,5 +293,5 @@ def model_from_checkpoint(ckpt) -> NerModel:
     new = stored(ckpt)
     bilm = None if bilm_config is None else BiLm.build(bilm_config, new)
     model = NerModel.build(config, vocab, new, bilm=bilm)
-    restore_tensors(model.all_tensors(), ckpt, "model")
+    check_layout(model.all_tensors(), ckpt, "model")
     return model

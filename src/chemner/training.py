@@ -255,38 +255,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 def stored(ckpt: Checkpoint) -> nx.Maker:
     """The parameter maker of a checkpoint load (see ``numerics.drawn``): the
-    stored tensor of that name, uncopied. A name the file lacks or another
-    shape is refused, so no config can make a load allocate beyond the file."""
+    stored tensor of that name, uncopied, with its stored trainable flag. A
+    name the file lacks a tensor or a flag for, or another shape, is
+    refused, so no config can make a load allocate beyond the file."""
     def new(name: str, shape: tuple[int, ...], init=None, trainable: bool = True,
             frozen_rows: Sequence[int] = ()) -> Parameter:
         value = ckpt.tensors.get(name)
-        if value is None or value.shape != tuple(shape):
+        if value is None or value.shape != tuple(shape) or name not in ckpt.trainable:
             raise CheckpointError(f"checkpoint config asks for {name} of shape {tuple(shape)}, "
                                   "which is not among the stored values")
-        return Parameter(name, value, trainable, frozen_rows)
+        return Parameter(name, value, ckpt.trainable[name], frozen_rows)
     return new
 
 
-def restore_tensors(named: dict[str, Parameter], ckpt: Checkpoint, layout: str,
-                    optimized: Sequence[str] | None = None) -> None:
-    """Give each parameter of a built layout the stored tensor and trainable
-    flag of its name, once the names and every shape match. A load keeps
-    each stored array itself, so the layout owns the checkpoint's arrays.
-    A resume (``optimized`` given) copies them instead, so training leaves
-    the checkpoint as it was; the Adam moments of the ``optimized`` names
-    that the checkpoint marks trainable must match too, before anything is
-    copied."""
-    if set(named) != set(ckpt.trainable):
-        raise CheckpointError(f"checkpoint tensor names do not match the {layout} layout")
-    _match_arrays({name: p.value for name, p in named.items()}, ckpt.tensors,
-                  f"{layout} tensor")
-    if optimized is not None:
-        moments = {name: named[name].value for name in optimized if ckpt.trainable[name]}
-        _match_arrays(moments, ckpt.opt_m, "Adam first moment")
-        _match_arrays(moments, ckpt.opt_v, "Adam second moment")
-    for name, p in named.items():
-        p.value = ckpt.tensors[name] if optimized is None else ckpt.tensors[name].copy()
-        p.trainable = ckpt.trainable[name]
+def check_layout(named: dict[str, Parameter], ckpt: Checkpoint, layout: str) -> None:
+    """Refuse a checkpoint that stores a tensor or a flag the layout
+    ``named``, built by :func:`stored`, lacks."""
+    extra = sorted((ckpt.tensors.keys() | ckpt.trainable.keys()) - named.keys())
+    if extra:
+        raise CheckpointError(f"checkpoint stores {extra}, which the {layout} layout lacks")
 
 
 def _match_arrays(targets: dict[str, np.ndarray], saved: dict[str, np.ndarray],
@@ -325,7 +312,8 @@ def load_checkpoint(path: str, moments: bool = True) -> Checkpoint:
     ``moments=False`` the Adam moment blocks (``m/`` and ``v/``) have their
     headers read and checked like any other block, but their data is
     skipped, and the result holds no moments: enough for decoding, not for
-    resuming training."""
+    resuming training. All headers are checked first; the arrays are then
+    read into views of one block, which a model built on them keeps."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -355,6 +343,7 @@ def load_checkpoint(path: str, moments: bool = True) -> Checkpoint:
         opt_v: dict[str, np.ndarray] = {}
         groups = {"p": tensors, "m": opt_m, "v": opt_v}
         seen: set[str] = set()
+        kept: list[tuple[str, tuple[int, ...], int]] = []  # name, shape, data offset
         for _ in range(count):
             name_len = struct.unpack("<I", _read_exact(f, 4, "tensor name length", size))[0]
             try:
@@ -369,15 +358,20 @@ def load_checkpoint(path: str, moments: bool = True) -> Checkpoint:
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, f"{name} shape", size))
             nbytes = 8 * math.prod(shape)
             _check_left(f, nbytes, f"{name} data", size)
-            if not moments and group != "p":
-                f.seek(nbytes, os.SEEK_CUR)
-                continue
-            arr = np.empty(shape, dtype="<f8")
-            if f.readinto(arr) != arr.nbytes:
-                raise CheckpointError(f"checkpoint shrank while reading {name} data")
-            groups[group][bare] = arr
+            if moments or group == "p":
+                kept.append((name, shape, f.tell()))
+            f.seek(nbytes, os.SEEK_CUR)
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after tensor blocks")
+        block, at = np.empty(sum(math.prod(shape) for _, shape, _ in kept), dtype="<f8"), 0
+        for name, shape, offset in kept:
+            arr = block[at:at + math.prod(shape)].reshape(shape)
+            at += arr.size
+            f.seek(offset)
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"checkpoint shrank while reading {name} data")
+            group, _, bare = name.partition("/")
+            groups[group][bare] = arr
     return Checkpoint(tensors=tensors, opt_m=opt_m, opt_v=opt_v,
                       **{k: metadata[k] for k in _METADATA_KEYS})
 
@@ -426,8 +420,15 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     scorer = dev_scorer or dev_micro_f1
 
     if resume is not None:
-        restore_tensors(model.all_tensors(), resume, "model",
-                        [p.name for p in model.parameters()])
+        # all is checked before any copy; training leaves the checkpoint as it was
+        new, named = stored(resume), model.all_tensors()
+        loaded = {name: new(name, p.value.shape) for name, p in named.items()}
+        check_layout(loaded, resume, "model")
+        optimized = {p.name: p.value for p in model.parameters() if loaded[p.name].trainable}
+        _match_arrays(optimized, resume.opt_m, "Adam first moment")
+        _match_arrays(optimized, resume.opt_v, "Adam second moment")
+        for name, p in named.items():
+            p.value, p.trainable = loaded[name].value.copy(), loaded[name].trainable
     trainable = model.trainable_parameters()
     opt = AdamState.init(trainable)
     rng = np.random.default_rng(config.seed)

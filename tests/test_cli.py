@@ -69,6 +69,51 @@ class TestTokenizeCommand:
         assert code == 1
 
 
+class TestHeapGivenBack:
+    """Under glibc a command gives the heap's free pages back when it ends,
+    also when it fails; without glibc it runs all the same."""
+
+    @pytest.mark.parametrize("argv", [["tokenize", "--mode", "chemical"], ["tokenize", "--bogus"],
+                                      ["stats", "--corpus", "missing.tsv", "--labels", "X"],
+                                      "interrupted"])
+    def test_trim_after_the_command(self, monkeypatch, argv):
+        events = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                events.append(("malloc_trim", pad))
+                return 1
+        run_command = chemner.cli._run
+
+        def traced(args):
+            try:
+                if args == "interrupted":
+                    raise KeyboardInterrupt
+                return run_command(args)
+            finally:
+                events.append("command")
+        monkeypatch.setattr(chemner.cli.ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(chemner.cli, "_run", traced)
+        monkeypatch.setattr("sys.stdin", io.StringIO("bromide melts."))
+        if argv == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            main(argv)
+        assert events == ["command", ("malloc_trim", 0)]
+
+    @pytest.mark.parametrize("libc", ["unloadable", "not glibc"])
+    def test_without_glibc_nothing_changes(self, capsys, monkeypatch, libc):
+        def cdll(name):
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+        monkeypatch.setattr(chemner.cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr("sys.stdin", io.StringIO("2-methylpropyl bromide melts."))
+        code, out, _ = run(capsys, "tokenize", "--mode", "chemical")
+        assert code == 0 and "bromide" in out
+
+
 class TestStatsCommand:
     def test_stats_json(self, capsys, corpus_file):
         path, sentences, _ = corpus_file
@@ -182,9 +227,10 @@ class TestTrainTagEval:
             raise OSError("disk full")
 
         monkeypatch.setattr(json, "dump", failing_dump)
-        with pytest.raises(OSError, match="disk full"):
-            main(["train", "--config", str(cfg_path), "--train", str(corpus_path),
-                  "--dev", str(corpus_path), "--out", str(out_dir), "--seed", "6"])
+        code, _, err = run(capsys, "train", "--config", str(cfg_path), "--train",
+                           str(corpus_path), "--dev", str(corpus_path), "--out", str(out_dir),
+                           "--seed", "6")
+        assert (code, err) == (2, "error: disk full\n")
         assert (out_dir / "train_report.json").read_bytes() == before
         assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
 
@@ -735,6 +781,54 @@ class TestJsonInputs:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}:2: {message}")
         assert not (tmp_path / "out").exists()
+
+
+class TestUnusableOut:
+    """An ``--out`` that cannot be written is exit 2 with one error line
+    naming it, before any corpus is read or any model trained."""
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the output check")
+
+    def refused(self, capsys, out, *argv) -> None:
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert ".tmp" not in err
+
+    def test_split_out_that_is_a_file(self, capsys, monkeypatch, corpus_file, tmp_path):
+        monkeypatch.setattr(chemner.cli, "read_column_corpus", self.never)
+        out = tmp_path / "F"
+        out.write_text("kept", encoding="utf-8")
+        self.refused(capsys, out, "split", "--corpus", str(corpus_file[0]),
+                     "--labels", "CHEM,PROC,QTY")
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    def test_train_out_that_is_a_file_or_under_one(self, capsys, monkeypatch, corpus_file,
+                                                   tmp_path):
+        monkeypatch.setattr(chemner.cli, "train", self.never)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(RUN_CONFIG), encoding="utf-8")
+        out = tmp_path / "F"
+        out.write_text("kept", encoding="utf-8")
+        for target in (out, out / "sub"):
+            self.refused(capsys, target, "train", "--config", str(cfg),
+                         "--train", str(corpus_file[0]), "--dev", str(corpus_file[0]))
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    def test_train_bilm_out_in_a_missing_directory(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(chemner.cli, "train_bilm", self.never)
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        for out in (tmp_path / "missing" / "b.ckpt", tmp_path):
+            self.refused(capsys, out, "train-bilm", "--corpus", str(corpus), "--epochs", "1")
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_tag_out_that_is_a_directory(self, capsys, monkeypatch, corpus_file, tmp_path):
+        monkeypatch.setattr(chemner.cli, "load_checkpoint", self.never)
+        self.refused(capsys, tmp_path, "tag", "--model", str(tmp_path / "m.ckpt"),
+                     "--in", str(corpus_file[0]))
 
 
 class TestGradcheckCommand:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,13 +286,29 @@ class TestVocabulary:
             assert vocab.char_id(ch) != Vocabulary.CHAR_UNK
 
 
+class TestHeldSentenceMemory:
+    def test_a_held_token_costs_at_most_40_bytes(self):
+        # a sentence holds its token texts and tags, no object per token:
+        # 100k tokens over 500 shared strings hold ~24 bytes each (one
+        # Token per token held 120)
+        words = [f"w{i}" for i in range(500)]
+        texts = [[words[(7 * s + t) % 500] for t in range(25)] for s in range(4000)]
+        tags = [0, 1, 2, 0, 3] * 5
+        tracemalloc.start()
+        try:
+            sentences = [sentence_from_texts(t, tags, "d") for t in texts]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.tokens) for s in sentences) == 100_000
+        assert held <= 40 * 100_000, held
+
+
 class TestNormalizeLongTokens:
     def test_26_chars_replaced(self):
         sent = sentence_from_texts(["x" * 26, "ok"], [0, 0], "d")
         out = normalize_long_tokens(sent)
         assert out.texts == ["Long_Token", "ok"]
-        assert out.tokens[0].start == sent.tokens[0].start
-        assert out.tokens[0].end == sent.tokens[0].end
         assert out.tags == sent.tags
 
     def test_25_chars_unchanged(self):

@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import threading
+import warnings
 import zlib
 
 import numpy as np
@@ -77,12 +78,14 @@ class TestLoadEmbeddingText:
         assert words == ["a", "b"] and vectors.tolist() == [[0.5], [-2.0]]
 
     def test_non_numeric_component_names_its_line(self, tmp_path):
-        with pytest.raises(EmbeddingFormatError, match=r":4: non-numeric"):
-            load_embedding_text(write(tmp_path, "3 2\na 1 2\n\nb 3 x\nc 5 6\n"))
-        with pytest.raises(EmbeddingFormatError, match=r":3: non-numeric"):
-            load_embedding_text(write(tmp_path, "2 2\na 1 2\nb 3 \n"))
-        with pytest.raises(EmbeddingFormatError, match=r":3: non-numeric"):
-            load_embedding_text(write(tmp_path, "2 2\na 1 2\n  \n"))
+        # an empty component too, with no warning first
+        for content, where in [("3 2\na 1 2\n\nb 3 x\nc 5 6\n", ":4"),
+                               ("2 2\na 1 2\nb 3 \n", ":3"), ("2 2\na 1 2\n  \n", ":3"),
+                               ("1 1\na \n", ":2")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmbeddingFormatError, match=f"{where}: non-numeric"):
+                    load_embedding_text(write(tmp_path, content))
 
     def test_components_python_float_accepts_are_kept(self, tmp_path):
         words, vectors = load_embedding_text(write(tmp_path, "2 2\na 1_0 0.5\nb \u0661 -2\n"))
@@ -277,12 +280,14 @@ class TestParseCache:
 
     @pytest.mark.parametrize("content", [
         "2 2\na 1 2\n", "1 2\na 1 x\n", "1 3\na 1 2\n", "hello\n", "1 2\n\udce9 1 2\n",
-        "0 99999999999999999999\n", "2 2\nfoo 1 2\nbar nan 1\n"])
+        "0 99999999999999999999\n", "2 2\nfoo 1 2\nbar nan 1\n", "1 1\na \n"])
     def test_malformed_text_leaves_no_sidecar(self, tmp_path, content):
         path = tmp_path / "vectors.txt"
         path.write_bytes(content.encode("utf-8", "surrogateescape"))
-        with pytest.raises(EmbeddingFormatError, match=rf"{re.escape(str(path))}:\d+: "):
-            load_embedding_text(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError, match=rf"{re.escape(str(path))}:\d+: "):
+                load_embedding_text(str(path))
         assert files(tmp_path) == ["vectors.txt"]
 
 

@@ -710,6 +710,15 @@ class TestCheckpointRestore:
                 model_from_checkpoint(ckpt)
         assert traced_peak(load) < max(a.nbytes for a in ckpt.tensors.values()) / 4
 
+    @pytest.mark.parametrize("section,value", [("tensors", np.zeros(2)), ("trainable", True)])
+    def test_stored_name_the_layout_lacks_rejected(self, toy_data, section, value):
+        from chemner.training import CheckpointError
+        sentences, scheme, vocab = toy_data
+        ckpt = make_checkpoint(tiny_model(vocab, labels=scheme.entity_labels), None, None)
+        getattr(ckpt, section)["extra"] = value
+        with pytest.raises(CheckpointError, match=r"stores \['extra'\]"):
+            model_from_checkpoint(ckpt)
+
     @pytest.mark.parametrize("bio_mask", [False, True])
     @pytest.mark.parametrize("contextual", [False, True])
     @pytest.mark.parametrize("chars", [False, True])

@@ -298,6 +298,23 @@ class TestCheckpointIO:
             assert back.opt_m[name].dtype == np.float64
             assert np.array_equal(back.opt_m[name], arr), name
 
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_arrays_are_views_of_one_block(self, toy_setup, tmp_path, moments):
+        """A load allocates one block for every array it keeps, so the heap
+        gets one block back when the checkpoint is dropped."""
+        sentences, scheme, vocab = toy_setup
+        model = make_model(sentences, scheme, vocab)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(make_checkpoint(model, AdamState.init(model.trainable_parameters()),
+                                        None), path)
+        back = load_checkpoint(path, moments=moments)
+        arrays = [*back.tensors.values(), *back.opt_m.values(), *back.opt_v.values()]
+        assert bool(back.opt_m) == moments and len(arrays) > 1
+        block = arrays[0].base
+        assert all(a.base is block and a.flags.c_contiguous for a in arrays)
+        assert block.size == sum(a.size for a in arrays)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPTxxxxxxxxxxxx")
@@ -499,7 +516,9 @@ class TestTrainLoop:
         ("tensors", "crf.start", np.zeros(1)),  # would broadcast into the (K,) parameter
         ("tensors", "emit.b", None),
         ("opt_m", "crf.start", np.zeros(1)),
-        ("opt_v", "emit.b", None)])
+        ("opt_v", "emit.b", None),
+        ("tensors", "extra", np.zeros(1)),
+        ("trainable", "extra", True)])
     def test_resume_rejects_mismatched_checkpoint(self, toy_setup, section, name, value):
         sentences, scheme, vocab = toy_setup
         model = make_model(sentences, scheme, vocab)
