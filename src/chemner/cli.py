@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
+import glob
 import json
 import os
 import sys
 import warnings
+from typing import Callable
 
 import numpy as np
 
@@ -377,12 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", help="tokenize stdin text")
     p.add_argument("--mode", choices=("general", "chemical"), default="general")
     p.add_argument("--rules", help="JSON rule file for the chemical tokenizer")
-    p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True, help="comma-separated entity labels")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", help="document-level train/dev/test split")
     p.add_argument("--corpus", required=True)
@@ -390,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="0.6,0.1,0.3")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train-bilm", help="train the scaled-down bidirectional LM")
     p.add_argument("--config", help="JSON file with the settings below as keys")
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer-dim", type=int, default=None, dest="layer_dim")
     p.add_argument("--layers", type=int, default=None)
     p.add_argument("--max-token-len", type=int, default=None, dest="max_token_len")
-    p.set_defaults(func=cmd_train_bilm)
 
     p = sub.add_parser("train", help="train the NER model")
     p.add_argument("--config", required=True, help="JSON run configuration")
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True, help="development corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag sentences with a trained model")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -424,29 +422,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--raw", action="store_true",
                    help="input is plain text instead of column format")
-    p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser("eval", help="entity-level evaluation")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--errors", type=_count, default=0, help="list up to N error sentences")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
     return parser
+
+
+def _openblas():
+    """The OpenBLAS bundled with numpy (in its wheels' ``numpy.libs`` or
+    ``numpy/.dylibs``), which numpy has already loaded; None when numpy
+    bundles none."""
+    root = os.path.dirname(np.__file__)
+    paths = (glob.glob(os.path.join(root + ".libs", "libscipy_openblas*"))
+             + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*")))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _pin_blas() -> None:
+    """One BLAS thread unless the environment sets a count. The rule is BLAS
+    threads x chemner threads <= the CPUs the process may use, with one BLAS
+    thread while the ``chemner-bilstm`` worker can run beside the calling
+    thread, so 1 on any CPU count; seeded runs then give the same bits on
+    every machine. A BLAS without OpenBLAS's setter is left as it is."""
+    if any(os.environ.get(v)
+           for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    try:
+        _openblas().scipy_openblas_set_num_threads64_(1)
+    except (AttributeError, OSError):  # no bundled OpenBLAS, or one without the setter
+        print("warning: numpy's BLAS has no scipy_openblas_set_num_threads64_; "
+              "its thread count is left as it is", file=sys.stderr)
+
+
+@functools.cache
+def _process() -> tuple[argparse.ArgumentParser, Callable[[int], int] | None]:
+    """What a process sets up once, at its first command: its BLAS threads
+    (:func:`_pin_blas`), the argument parser, and glibc's ``malloc_trim``
+    (None without glibc)."""
+    _pin_blas()
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        trim = None
+    return build_parser(), trim
 
 
 def main(argv=None) -> int:
     """Run one command; under glibc, give every free page of the heap back
     when it ends, not only a free top of the heap, so what a command leaves
     resident does not hang on where a few small blocks landed (README)."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        trim = None
+    trim = _process()[1]
     try:
         return _run(argv)
     finally:
@@ -455,13 +486,16 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _process()[0].parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
+    # looked up when the command runs, not when the parser was built
+    command = {"tokenize": cmd_tokenize, "stats": cmd_stats, "split": cmd_split,
+               "train-bilm": cmd_train_bilm, "train": cmd_train, "tag": cmd_tag,
+               "eval": cmd_eval, "gradcheck": cmd_gradcheck}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,8 +66,19 @@ class AdamState:
         # system while the model lives (~100 MB held at the paper size)
         for p in params:
             p.gradient
-        return cls(m={p.name: np.zeros_like(p.value) for p in params},
-                   v={p.name: np.zeros_like(p.value) for p in params},
+        # m and v are views of one zeroed block; at the paper size it lies
+        # above glibc's mmap threshold, so its pages become resident only as
+        # the first step writes them, not before the first backward as
+        # zeros_like's would
+        def views(block: np.ndarray) -> dict[str, np.ndarray]:
+            out, at = {}, 0
+            for p in params:
+                out[p.name] = block[at:at + p.value.size].reshape(p.value.shape)
+                at += p.value.size
+            return out
+        total = sum(p.value.size for p in params)
+        block = np.zeros(2 * total)
+        return cls(m=views(block[:total]), v=views(block[total:]),
                    scratch=np.empty(2 * max((p.value.size for p in params), default=0)))
 
 
@@ -202,17 +213,21 @@ def vocab_from_payload(payload: dict) -> Vocabulary:
 
 def make_checkpoint(model, opt: AdamState | None, rng: np.random.Generator | None,
                     meta: dict | None = None, kind: str = "ner") -> Checkpoint:
-    """Snapshot of a model (duck-typed: config, vocab, all_tensors/params)."""
+    """A view of a model's live state (duck-typed: config, vocab,
+    all_tensors/params): the checkpoint holds the model's and the
+    optimizer's arrays themselves, uncopied, as :func:`model.model_from_checkpoint`
+    keeps a checkpoint's, so a further step changes it too. Only the rng
+    state and ``meta`` are copied."""
     ner = kind == "ner"
     bilm = model.bilm if ner else None
     named = model.all_tensors() if ner else dict(model.params)
     return Checkpoint(
         kind=kind, config=to_json(model.config) if ner else to_json(model.config, "vocab"),
         bilm_config=to_json(bilm.config, "vocab") if bilm is not None else None,
-        tensors={name: p.value.copy() for name, p in named.items()},
+        tensors={name: p.value for name, p in named.items()},
         trainable={name: p.trainable for name, p in named.items()},
-        opt_m={k: a.copy() for k, a in opt.m.items()} if opt else {},
-        opt_v={k: a.copy() for k, a in opt.v.items()} if opt else {},
+        opt_m=dict(opt.m) if opt else {},
+        opt_v=dict(opt.v) if opt else {},
         opt_step=opt.step if opt else 0,
         vocab=vocab_payload(model.vocab if ner else model.config.vocab),
         bilm_vocab=vocab_payload(bilm.config.vocab) if bilm is not None else None,
@@ -412,7 +427,12 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
           resume: Checkpoint | None = None) -> TrainResult:
     """Seeded shuffling, batches of ``batch_size`` (short final batch kept),
     clip + Adam per batch, dev micro-F1 per epoch, early stopping after
-    ``patience`` epochs without strict improvement."""
+    ``patience`` epochs without strict improvement.
+
+    The ``final`` checkpoint holds the model's and the optimizer's own
+    arrays (see :func:`make_checkpoint`), and so does ``best`` when the last
+    epoch run was the best; a ``best`` from an earlier epoch is copied when
+    the next epoch starts, and shares no array with the model."""
     train_sents = list(splits.train)
     dev_sents = list(splits.dev)
     if not train_sents or not dev_sents:
@@ -452,6 +472,11 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     stopping_reason = "max_epochs"
     epoch = start_epoch - 1
     for epoch in range(start_epoch, config.max_epochs + 1):
+        if best_ckpt is not None and best_epoch == epoch - 1:
+            # this epoch steps the arrays the best snapshot holds: copy them first
+            copied = {k: {name: a.copy() for name, a in getattr(best_ckpt, k).items()}
+                      for k in ("tensors", "opt_m", "opt_v")}
+            best_ckpt = replace(best_ckpt, **copied)
         order = rng.permutation(len(train_sents))
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):

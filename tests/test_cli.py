@@ -1,3 +1,6 @@
+import argparse
+import functools
+import gc
 import io
 import json
 import math
@@ -69,6 +72,123 @@ class TestTokenizeCommand:
         assert code == 1
 
 
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """A process set-up of the test's own, made at its first command; the
+    suite's is back after the test."""
+    monkeypatch.setattr(chemner.cli, "_process",
+                        functools.cache(chemner.cli._process.__wrapped__))
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def subprocess_env(**variables) -> dict:
+    """This environment without the BLAS thread variables, with ``src/`` on
+    the path and ``variables`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(chemner.cli.__file__).parents[1]), **variables}
+
+
+def affinity_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestProcessSetUp:
+    """The first command of a process builds the argument parser, looks up
+    ``malloc_trim`` and, unless a variable sets a count, gives numpy's
+    OpenBLAS one thread; later commands reuse the first one's set-up."""
+
+    def tokenize(self, capsys, monkeypatch) -> tuple[int, str, str]:
+        monkeypatch.setattr("sys.stdin", io.StringIO("bromide melts."))
+        return run(capsys, "tokenize")
+
+    def test_two_commands_build_one_parser(self, capsys, monkeypatch, fresh_process):
+        built = []
+        build = chemner.cli.build_parser
+        monkeypatch.setattr(chemner.cli, "build_parser", lambda: built.append(1) or build())
+        assert [self.tokenize(capsys, monkeypatch)[0] for _ in range(2)] == [0, 0]
+        assert built == [1]
+
+    def test_a_command_leaves_no_argparse_garbage(self, capsys, monkeypatch):
+        self.tokenize(capsys, monkeypatch)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code = self.tokenize(capsys, monkeypatch)[0]
+            gc.collect()
+            left = [o for o in gc.garbage if type(o).__module__ == "argparse"
+                    or isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert code == 0 and left == []
+
+    def test_a_blas_without_the_setter_is_one_stderr_line(self, capsys, monkeypatch,
+                                                          fresh_process):
+        for name in BLAS_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(chemner.cli, "_openblas", lambda: object())
+        results = [self.tokenize(capsys, monkeypatch) for _ in range(2)]
+        assert [code for code, _, _ in results] == [0, 0]
+        assert "bromide" in results[1][1]
+        errors = "".join(err for _, _, err in results).splitlines()
+        assert len(errors) == 1 and "left as it is" in errors[0]
+
+    THREADS = ("import io, sys\n"
+               "from chemner import cli\n"
+               "blas = cli._openblas()\n"
+               "before = blas.scipy_openblas_get_num_threads64_()\n"
+               "sys.stdin = io.StringIO('bromide melts.')\n"
+               "assert cli.main(['tokenize']) == 0\n"
+               "print(before, blas.scipy_openblas_get_num_threads64_(), file=sys.stderr)\n")
+
+    @pytest.mark.skipif(chemner.cli._openblas() is None, reason="numpy bundles no OpenBLAS")
+    @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                           {"OMP_NUM_THREADS": "2"}])
+    def test_threads_after_a_command(self, variables):
+        proc = subprocess.run([sys.executable, "-c", self.THREADS],
+                              env=subprocess_env(**variables), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stderr.split())
+        if variables:  # a set count wins
+            assert (before, after) == (2, 2)
+        else:  # importing chemner changes nothing; its first command pins one
+            assert after == 1 and before == min(affinity_cpus(), 64)
+
+    @pytest.mark.skipif(affinity_cpus() < 2, reason="one CPU: OpenBLAS runs one thread anyway")
+    def test_unset_variables_train_the_bits_of_one_thread(self, capsys, corpus_file, tmp_path):
+        # a contextual model of a biLSTM of 70 over a biLM layer of 72: sizes
+        # at which one OpenBLAS thread and two train different bytes
+        path, sentences, scheme = corpus_file
+        plain = tmp_path / "plain.txt"
+        plain.write_text("\n".join(" ".join(s.texts) for s in sentences), encoding="utf-8")
+        bilm = tmp_path / "bilm.ckpt"
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(plain), "--epochs", "1",
+                           "--seed", "1", "--out", str(bilm), "--char-embed-dim", "4",
+                           "--filter-count", "4", "--layer-dim", "72")
+        assert code == 0, err
+        config = {"labels": list(scheme.entity_labels),
+                  "model": {"word_dim": 8, "char_embed_dim": 4, "char_filter_count": 4,
+                            "char_output_dim": 4, "lstm_hidden": 70},
+                  "train": {"learning_rate": 0.01, "max_epochs": 1, "patience": 1, "seed": 2},
+                  "bilm": str(bilm)}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        written = []
+        for name, variables in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            proc = subprocess.run([sys.executable, "-m", "chemner.cli", "train", "--config",
+                                   str(cfg), "--train", str(path), "--dev", str(path),
+                                   "--out", str(out)], env=subprocess_env(**variables),
+                                  capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            written.append((out / "model.ckpt").read_bytes())
+        assert written[0] == written[1]
+
+
 class TestHeapGivenBack:
     """Under glibc a command gives the heap's free pages back when it ends,
     also when it fails; without glibc it runs all the same."""
@@ -76,7 +196,7 @@ class TestHeapGivenBack:
     @pytest.mark.parametrize("argv", [["tokenize", "--mode", "chemical"], ["tokenize", "--bogus"],
                                       ["stats", "--corpus", "missing.tsv", "--labels", "X"],
                                       "interrupted"])
-    def test_trim_after_the_command(self, monkeypatch, argv):
+    def test_trim_after_the_command(self, monkeypatch, fresh_process, argv):
         events = []
 
         class Libc:
@@ -103,7 +223,7 @@ class TestHeapGivenBack:
         assert events == ["command", ("malloc_trim", 0)]
 
     @pytest.mark.parametrize("libc", ["unloadable", "not glibc"])
-    def test_without_glibc_nothing_changes(self, capsys, monkeypatch, libc):
+    def test_without_glibc_nothing_changes(self, capsys, monkeypatch, fresh_process, libc):
         def cdll(name):
             if libc == "unloadable":
                 raise OSError("no C library")
@@ -906,16 +1026,54 @@ class TestCheckpointFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncated_flipped_or_extended_bytes(self, tag_files, data):
-        raw = tag_files.raw
-        how = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
-        if how == "truncate":
-            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
-        elif how == "flip":
-            at = data.draw(st.integers(0, len(raw) - 1))
-            damaged = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
-        else:
-            damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
-        assert tag_exit_code(tag_files, damaged) in (0, 2, 3)
+        assert tag_exit_code(tag_files, damaged(data, tag_files.raw)) in (0, 2, 3)
+
+
+def damaged(data, raw: bytes) -> bytes:
+    """``raw`` truncated, with one byte flipped, or extended, as ``data`` draws."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    return raw + data.draw(st.binary(min_size=1, max_size=16))
+
+
+@pytest.fixture(scope="module")
+def corpus_bytes(tmp_path_factory) -> tuple[bytes, bytes, Path]:
+    """The toy corpus in column format and as plain text, one sentence a
+    line, and a directory for damaged copies."""
+    sentences, scheme = toy_corpus()
+    base = tmp_path_factory.mktemp("corpus_fuzz")
+    write_column_corpus(str(base / "corpus.tsv"), sentences, scheme)
+    plain = "\n".join(" ".join(s.texts) for s in sentences).encode("utf-8")
+    return (base / "corpus.tsv").read_bytes(), plain, base
+
+
+class TestCorpusFuzz:
+    """A damaged corpus ends ``chemner stats`` and ``chemner train-bilm``
+    in exit 0 or 2, never a traceback."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_column_corpus_stats(self, corpus_bytes, data):
+        column, _, base = corpus_bytes
+        path = base / "column.tsv"
+        path.write_bytes(damaged(data, column))
+        assert main(["stats", "--corpus", str(path), "--labels", "CHEM,PROC,QTY"]) in (0, 2)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_plain_corpus_train_bilm(self, corpus_bytes, data):
+        _, plain, base = corpus_bytes
+        path = base / "plain.txt"
+        path.write_bytes(damaged(data, plain))
+        assert main(["train-bilm", "--corpus", str(path), "--epochs", "1",
+                     "--out", str(base / "bilm.ckpt"), "--char-embed-dim", "4",
+                     "--filter-count", "4", "--layer-dim", "8"]) in (0, 2)
 
 
 class TestOversizedConfig:

@@ -210,3 +210,21 @@ def per_character_byte_offsets(text):
        | st.text(st.characters(max_codepoint=127) | st.characters(min_codepoint=0x10000)))
 def test_byte_offsets_equal_per_character_loop(text):
     assert _byte_offsets(text) == per_character_byte_offsets(text)
+
+
+# letters, digits, the punctuation the chemical tokenizer attaches, sentence
+# ends, and characters of 2, 3 and 4 UTF-8 bytes
+CHEMICAL_TEXT = (st.lists(st.sampled_from([*"aZ19-,.()[]!? \n\t", "yl", "ene", "mp.", "é",
+                                           "漢", "\U0001f642"])).map("".join)
+                 | st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHEMICAL_TEXT)
+def test_each_token_span_decodes_to_its_text(document):
+    raw = document.encode("utf-8")
+    for sentence in split_sentences(document):
+        base = sentence.source_span[0]
+        for kind in (TokenizerKind("general"), TokenizerKind("chemical")):
+            for tok in kind.tokenize(sentence):
+                assert raw[base + tok.start:base + tok.end].decode("utf-8") == tok.text

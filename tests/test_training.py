@@ -135,6 +135,19 @@ class TestAdam:
         assert np.array_equal(ours[0].value[[0, 2]], params()[0].value[[0, 2]])
         assert np.array_equal(ours[2].value, np.ones(5))
 
+    def test_moments_are_views_of_one_block(self):
+        params = [Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(4)),
+                  Parameter("c", np.ones((1, 1)))]
+        state = AdamState.init(params)
+        moments = [*state.m.values(), *state.v.values()]
+        block = moments[0].base
+        assert block is not None and all(a.base is block for a in moments)
+        assert block.size == 2 * sum(p.value.size for p in params)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(moments)
+                       for b in moments[i + 1:])
+        assert all(a.shape == p.value.shape and not a.any()
+                   for a, p in zip(moments, params * 2))
+
 
 class TestClipGradients:
     def test_norm_two_halves(self):
@@ -486,6 +499,43 @@ class TestTrainLoop:
         assert result.final is not result.best
         assert (result.best.meta["epoch"], result.final.meta["epoch"]) == (1, 3)
         assert result.final.meta["stall"] == 2
+
+    def test_an_earlier_best_is_a_copy_with_the_bytes_of_its_epoch(self, toy_setup,
+                                                                   tmp_path):
+        # best at epoch 2 of 4, against a run that stops at epoch 2
+        sentences, scheme, vocab = toy_setup
+        splits = DatasetSplit(train=tuple(sentences[:8]), dev=tuple(sentences[:2]),
+                              test=(), seed=4)
+        runs = []
+        for epochs in (4, 2):
+            scores = iter([0.1, 0.3, 0.2, 0.2])
+            model = make_model(sentences, scheme, vocab)
+            runs.append((model, train(model, splits, TrainConfig(max_epochs=epochs,
+                                                                 patience=epochs, seed=4),
+                                      dev_scorer=lambda m, d: next(scores))))
+        (model, result), (_, stopped) = runs
+        assert result.report.best_epoch == 2
+        live = [p.value for p in model.all_tensors().values()]
+        live += [*result.final.opt_m.values(), *result.final.opt_v.values()]
+        held = [*result.best.tensors.values(), *result.best.opt_m.values(),
+                *result.best.opt_v.values()]
+        assert not any(np.shares_memory(a, b) for a in held for b in live)
+        pa, pb = str(tmp_path / "best.ckpt"), str(tmp_path / "stopped.ckpt")
+        save_checkpoint(result.best, pa)
+        save_checkpoint(stopped.best, pb)
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
+
+    def test_a_last_epoch_best_holds_the_models_own_arrays(self, toy_setup):
+        sentences, scheme, vocab = toy_setup
+        splits = DatasetSplit(train=tuple(sentences[:4]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        rising = iter([0.1, 0.2])
+        model = make_model(sentences, scheme, vocab)
+        result = train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
+                       dev_scorer=lambda m, d: next(rising))
+        assert result.final is result.best
+        for name, p in model.all_tensors().items():
+            assert result.final.tensors[name] is p.value, name
 
     def test_resume_from_a_final_that_is_best(self, toy_setup, tmp_path):
         # criterion 8 through the shared snapshot: 4 epochs at once, and 2
