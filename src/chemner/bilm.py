@@ -353,7 +353,6 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
 
     model = BiLm.init(config, seed)
     params = model.parameters()
-    opt = AdamState.init(params)
     tc = TrainConfig(learning_rate=learning_rate, clip_norm=clip_norm, seed=seed)
     rng = np.random.default_rng(seed)
 
@@ -361,12 +360,13 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
         total, n = model.sentence_nll(texts, tape)
         return nx.scale(total, 1.0 / n)
 
-    for epoch in range(1, epochs + 1):
-        for idx in rng.permutation(len(usable)):
-            _optimizer_step(params, opt, tc, lambda tape: mean_nll(usable[idx], tape),
-                            f"biLM loss at epoch {epoch}")
-        ppl = model.perplexity(usable)
-        model.training_perplexities.append(ppl)
-        if target_perplexity is not None and ppl < target_perplexity:
-            break
+    with AdamState.run(params) as opt:
+        for epoch in range(1, epochs + 1):
+            for idx in rng.permutation(len(usable)):
+                _optimizer_step(params, opt, tc, lambda tape: mean_nll(usable[idx], tape),
+                                f"biLM loss at epoch {epoch}")
+            ppl = model.perplexity(usable)
+            model.training_perplexities.append(ppl)
+            if target_perplexity is not None and ppl < target_perplexity:
+                break
     return model

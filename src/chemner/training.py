@@ -6,8 +6,9 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,28 +49,31 @@ class TrainConfig:
             raise ValueError("patience cannot exceed max_epochs")
 
 
+# elements per run of adam_step's sweep: a run of the gradient, the moments,
+# the value and the two temporaries stays in cache through its operations
+ADAM_CHUNK = 16_384
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    # room for two arrays of the largest parameter: adam_step's and
-    # clip_gradients' temporaries, neither checkpointed nor compared
+    # the run's gradient block, and room for the clip's squares (the largest
+    # parameter) and adam_step's two temporaries; neither is checkpointed
+    # or compared
+    grads: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False,
+                              repr=False)
     scratch: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False,
                                 repr=False)
 
     @classmethod
     def init(cls, params: Sequence[Parameter]) -> "AdamState":
-        # each gradient buffer is allocated here, with the moments: one first
-        # allocated inside a step's backward sits above that step's
-        # temporaries in the heap, and glibc cannot return them to the
-        # system while the model lives (~100 MB held at the paper size)
-        for p in params:
-            p.gradient
-        # m and v are views of one zeroed block; at the paper size it lies
-        # above glibc's mmap threshold, so its pages become resident only as
-        # the first step writes them, not before the first backward as
-        # zeros_like's would
+        """Zeroed moments, and a zeroed gradient block laid out as they are:
+        each parameter's view of it becomes its gradient, holding what the
+        parameter held. When glibc maps a block (both, at the paper size),
+        its pages become resident only as a step writes them, and the
+        gradient block goes back to the system once the run drops it."""
         def views(block: np.ndarray) -> dict[str, np.ndarray]:
             out, at = {}, 0
             for p in params:
@@ -77,32 +81,48 @@ class AdamState:
                 at += p.value.size
             return out
         total = sum(p.value.size for p in params)
-        block = np.zeros(2 * total)
-        return cls(m=views(block[:total]), v=views(block[total:]),
-                   scratch=np.empty(2 * max((p.value.size for p in params), default=0)))
+        moments, grads = np.zeros(2 * total), np.zeros(total)
+        for p, g in zip(params, views(grads).values()):
+            p.gradient = g
+        largest = max((p.value.size for p in params), default=0)
+        return cls(m=views(moments[:total]), v=views(moments[total:]), grads=grads,
+                   scratch=np.empty(max(largest, 2 * min(largest, ADAM_CHUNK))))
 
-
-def _view(buf: np.ndarray, like: np.ndarray, slot: int = 0) -> np.ndarray:
-    """The ``slot``-th run of ``like.size`` elements of ``buf``, in the
-    shape of ``like``."""
-    return buf[slot * like.size:(slot + 1) * like.size].reshape(like.shape)
+    @classmethod
+    @contextmanager
+    def run(cls, params: Sequence[Parameter]) -> Iterator["AdamState"]:
+        """:meth:`init`'s state for one training run. Leaving drops every
+        gradient of ``params``, so a trained model holds its values and
+        nothing of the run."""
+        state = cls.init(params)
+        try:
+            yield state
+        finally:
+            for p in params:
+                p.gradient = None
 
 
 def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
                    scratch: np.ndarray | None = None) -> float:
     """Scale all trainable gradients so the global L2 norm is <= max_norm.
 
-    Each gradient is squared into ``scratch`` (one buffer of the largest
-    gradient's size, allocated here when not given) and summed there, the
-    same pairwise sum as ``(g * g).sum()``. Returns the pre-clip global norm.
-    """
-    sq = 0.0
+    Each gradient is squared into ``scratch`` (room for the largest
+    gradient, allocated here when not given) and summed there, the same
+    pairwise sum as ``(g * g).sum()``. When those squares overflow while
+    every gradient is finite, the norm is summed again over the gradients
+    divided by the largest |g|, then scaled back, so a huge gradient is
+    clipped, not zeroed. Returns the pre-clip global norm."""
     grads = [p.gradient for p in params if p.trainable]
     if scratch is None:
         scratch = np.empty(max((g.size for g in grads), default=0))
-    for g in grads:
-        sq += float(np.multiply(g, g, out=_view(scratch, g)).sum())
+    sq = 0.0
+    with np.errstate(over="ignore"):
+        for g in grads:
+            sq += float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
     norm = float(np.sqrt(sq))
+    if math.isinf(norm) and all(np.isfinite(g).all() for g in grads):
+        top = max(float(np.abs(g).max()) for g in grads)
+        norm = top * math.sqrt(sum(float(np.square(g / top).sum()) for g in grads))
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads:
@@ -110,49 +130,59 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
     return norm
 
 
+def _runs(*arrays: np.ndarray) -> list[Sequence[np.ndarray]]:
+    """Arrays of one size, in runs of at most ``ADAM_CHUNK`` elements:
+    themselves when they fit in one."""
+    size = arrays[0].size
+    if size <= ADAM_CHUNK:
+        return [arrays]
+    flat = [a.reshape(-1, copy=False) for a in arrays]
+    return [[a[lo:lo + ADAM_CHUNK] for a in flat] for lo in range(0, size, ADAM_CHUNK)]
+
+
 def adam_step(params: Sequence[Parameter], state: AdamState,
               config: TrainConfig) -> None:
     """Standard bias-corrected Adam; frozen rows and non-trainable
-    parameters are never updated. Computed in place through two views of
-    ``state.scratch``, in the operation order of
-    ``value -= lr·m̂ / (√v̂ + ε)``, so the result is bitwise that formula's."""
+    parameters are never updated. A parameter's gradient, moments and value
+    are swept together in runs of at most ``ADAM_CHUNK`` elements, through
+    two run-sized views of ``state.scratch``, in the operation order of
+    ``value -= lr·m̂ / (√v̂ + ε)``; every operation is elementwise, so the
+    result is bitwise that formula's."""
     state.step += 1
-    t = state.step
     b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
+    correct1, correct2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     for p in params:
         if not p.trainable:
             continue
-        g = p.gradient
         if p.frozen_rows:
-            g[list(p.frozen_rows)] = 0.0
-        if not np.isfinite(g).all():
+            p.gradient[list(p.frozen_rows)] = 0.0
+        if not np.isfinite(p.gradient).all():
             raise NumericError(f"non-finite gradient in parameter {p.name!r}")
-        m = state.m[p.name]
-        v = state.v[p.name]
-        num, den = _view(state.scratch, g, 0), _view(state.scratch, g, 1)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=num)
-        m += num
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=num)
-        num *= g
-        v += num
-        np.divide(m, 1.0 - b1 ** t, out=num)
-        num *= lr
-        np.divide(v, 1.0 - b2 ** t, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        num /= den
-        p.value -= num
+        for g, m, v, value in _runs(p.gradient, state.m[p.name], state.v[p.name], p.value):
+            num = state.scratch[:g.size].reshape(g.shape)
+            den = state.scratch[g.size:2 * g.size].reshape(g.shape)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=num)
+            m += num
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            v += num
+            np.divide(m, correct1, out=num)
+            num *= lr
+            np.divide(v, correct2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            num /= den
+            value -= num
 
 
 def _optimizer_step(params: Sequence[Parameter], opt: AdamState, config: TrainConfig,
                     loss_fn: Callable[[Tape], Tensor], what: str) -> float:
-    """Zero the gradients, record ``loss_fn`` on a fresh tape, refuse a
+    """Zero the gradient block, record ``loss_fn`` on a fresh tape, refuse a
     non-finite loss (naming ``what``), backward, clear, clip, then Adam.
-    Returns the loss value."""
-    for p in params:
-        p.zero_grad()
+    ``params`` are those ``opt`` was made for. Returns the loss value."""
+    opt.grads.fill(0.0)
     tape = Tape()
     out = loss_fn(tape)
     if not np.isfinite(out.data):
@@ -450,17 +480,12 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
         for name, p in named.items():
             p.value, p.trainable = loaded[name].value.copy(), loaded[name].trainable
     trainable = model.trainable_parameters()
-    opt = AdamState.init(trainable)
     rng = np.random.default_rng(config.seed)
     start_epoch = 1
     best_f1 = -np.inf
     best_epoch = 0
     stall = 0
     if resume is not None:
-        for moments, saved in ((opt.m, resume.opt_m), (opt.v, resume.opt_v)):
-            for name, a in moments.items():
-                a[...] = saved[name]
-        opt.step = resume.opt_step
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.meta.get("epoch", 0) + 1
         best_f1 = resume.meta.get("best_f1", -np.inf)
@@ -471,33 +496,39 @@ def train(model, splits: DatasetSplit, config: TrainConfig,
     epochs: list[EpochStats] = []
     stopping_reason = "max_epochs"
     epoch = start_epoch - 1
-    for epoch in range(start_epoch, config.max_epochs + 1):
-        if best_ckpt is not None and best_epoch == epoch - 1:
-            # this epoch steps the arrays the best snapshot holds: copy them first
-            copied = {k: {name: a.copy() for name, a in getattr(best_ckpt, k).items()}
-                      for k in ("tensors", "opt_m", "opt_v")}
-            best_ckpt = replace(best_ckpt, **copied)
-        order = rng.permutation(len(train_sents))
-        loss_sum = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_sents[i] for i in order[lo:lo + config.batch_size]]
-            masks = model.make_dropout_masks([len(s.tokens) for s in batch], rng)
-            loss_sum += _optimizer_step(trainable, opt, config,
-                                        lambda tape: model.build_loss(tape, batch, masks),
-                                        f"training loss at epoch {epoch}") * len(batch)
-        train_loss = loss_sum / len(train_sents)
-        f1 = scorer(model, dev_sents)
-        epochs.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_f1=f1))
-        if f1 > best_f1:
-            best_f1, best_epoch, stall = f1, epoch, 0
-            best_ckpt = make_checkpoint(model, opt, rng,
-                                        meta={"epoch": epoch, "best_f1": best_f1,
-                                              "best_epoch": best_epoch, "stall": stall})
-        else:
-            stall += 1
-            if stall >= config.patience:
-                stopping_reason = "patience"
-                break
+    with AdamState.run(trainable) as opt:
+        if resume is not None:
+            for moments, saved in ((opt.m, resume.opt_m), (opt.v, resume.opt_v)):
+                for name, a in moments.items():
+                    a[...] = saved[name]
+            opt.step = resume.opt_step
+        for epoch in range(start_epoch, config.max_epochs + 1):
+            if best_ckpt is not None and best_epoch == epoch - 1:
+                # this epoch steps the arrays the best snapshot holds: copy them first
+                copied = {k: {name: a.copy() for name, a in getattr(best_ckpt, k).items()}
+                          for k in ("tensors", "opt_m", "opt_v")}
+                best_ckpt = replace(best_ckpt, **copied)
+            order = rng.permutation(len(train_sents))
+            loss_sum = 0.0
+            for lo in range(0, len(order), config.batch_size):
+                batch = [train_sents[i] for i in order[lo:lo + config.batch_size]]
+                masks = model.make_dropout_masks([len(s.tokens) for s in batch], rng)
+                loss_sum += _optimizer_step(trainable, opt, config,
+                                            lambda tape: model.build_loss(tape, batch, masks),
+                                            f"training loss at epoch {epoch}") * len(batch)
+            train_loss = loss_sum / len(train_sents)
+            f1 = scorer(model, dev_sents)
+            epochs.append(EpochStats(epoch=epoch, train_loss=train_loss, dev_f1=f1))
+            if f1 > best_f1:
+                best_f1, best_epoch, stall = f1, epoch, 0
+                best_ckpt = make_checkpoint(model, opt, rng,
+                                            meta={"epoch": epoch, "best_f1": best_f1,
+                                                  "best_epoch": best_epoch, "stall": stall})
+            else:
+                stall += 1
+                if stall >= config.patience:
+                    stopping_reason = "patience"
+                    break
 
     if best_ckpt is not None and best_epoch == epoch:
         # the last epoch run is the best: the same tensors, moments, rng

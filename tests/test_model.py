@@ -377,10 +377,20 @@ class TestContextualIntegration:
         model = NerModel.init(cfg, vocab, bilm=bilm)
         splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
                               test=(), seed=0)
-        train(model, splits, TrainConfig(max_epochs=1, patience=1, seed=0),
-              dev_scorer=lambda m, d: 0.0)
-        assert all(p._gradient is None for p in model.bilm.parameters())
-        assert all(p._gradient is not None for p in model.trainable_parameters())
+        trainable = model.trainable_parameters()
+        mid_run = []
+
+        def scorer(m, d):
+            block = trainable[0]._gradient.base
+            mid_run.append(all(p._gradient is None for p in model.bilm.parameters())
+                           and block is not None
+                           and all(p._gradient.base is block for p in trainable))
+            return 0.0
+
+        train(model, splits, TrainConfig(max_epochs=1, patience=1, seed=0), dev_scorer=scorer)
+        assert mid_run == [True]
+        assert all(p._gradient is None
+                   for p in [*model.parameters(), *model.bilm.parameters()])
 
     def test_bilm_frozen_out_of_training(self, toy_data):
         model, _, _ = self.make_contextual_model(toy_data)

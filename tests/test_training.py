@@ -1,11 +1,15 @@
+import contextlib
 import json
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chemner.bilm
+import chemner.numerics
 import chemner.training
 
 from chemner.bilm import BiLmConfig, train_bilm
@@ -148,6 +152,51 @@ class TestAdam:
         assert all(a.shape == p.value.shape and not a.any()
                    for a, p in zip(moments, params * 2))
 
+    def test_gradients_are_views_of_one_block(self):
+        params = [Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(4)),
+                  Parameter("c", np.ones((1, 1)))]
+        params[1].gradient[:] = [1.0, 2.0, 3.0, 4.0]  # a gradient held before is kept
+        state = AdamState.init(params)
+        grads = [p.gradient for p in params]
+        assert all(g.base is state.grads for g in grads)
+        assert state.grads.size == sum(p.value.size for p in params)
+        # in parameter order, each right after the one before
+        assert [g.ctypes.data - state.grads.ctypes.data for g in grads] == [0, 48, 80]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads)
+                       for b in grads[i + 1:])
+        assert all(g.shape == p.value.shape for g, p in zip(grads, params))
+        assert np.array_equal(state.grads, [0.0] * 6 + [1.0, 2.0, 3.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("shapes", [[(127, 129)], [(128, 128)], [(113, 145)], [(200, 200)],
+                                        [(127, 129), (128, 128), (113, 145), (200, 200)]],
+                             ids=["16383", "16384", "16385", "40000", "all"])
+    def test_chunked_step_equals_formula_bitwise(self, shapes):
+        # runs of at most ADAM_CHUNK elements: one short, exact, one over
+        # and several, each parameter with frozen rows
+        assert chemner.training.ADAM_CHUNK == 16_384
+        rng = np.random.default_rng(7)
+        def params():
+            return [Parameter("bias", np.linspace(-1, 1, 7)),
+                    *(Parameter(f"w{i}", np.linspace(-2, 2, math.prod(shape)).reshape(shape),
+                                frozen_rows=(0, shape[0] - 3)) for i, shape in enumerate(shapes))]
+        ours, ref = params(), params()
+        state = AdamState.init(ours)
+        m = {p.name: np.zeros_like(p.value) for p in ref}
+        v = {p.name: np.zeros_like(p.value) for p in ref}
+        config = TrainConfig(learning_rate=0.02, beta1=0.85, beta2=0.995)
+        for t in range(1, 5):
+            for a, b in zip(ours, ref):
+                a.gradient[...] = b.gradient[...] = (rng.normal(size=a.value.shape)
+                                                     * 10.0 ** rng.integers(-6, 3, a.value.shape))
+            adam_step(ours, state, config)
+            adam_formula_step(ref, m, v, t, config)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a.value, b.value), (t, a.name)
+                assert np.array_equal(state.m[a.name], m[a.name])
+                assert np.array_equal(state.v[a.name], v[a.name])
+        for p, fresh in zip(ours[1:], params()[1:]):
+            assert np.array_equal(p.value[list(p.frozen_rows)], fresh.value[list(p.frozen_rows)])
+
 
 class TestClipGradients:
     def test_norm_two_halves(self):
@@ -188,6 +237,38 @@ class TestClipGradients:
         frozen.gradient[:] = 100.0
         clip_gradients([a, frozen], max_norm=1.0)
         assert a.gradient[0] == 0.5  # frozen gradient not counted
+
+    def test_overflowing_squares_clip_a_finite_gradient(self):
+        p = Parameter("a", np.zeros(4))
+        p.gradient[:] = 1e200  # its squares overflow; its norm is 2e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pre = clip_gradients([p], max_norm=1.0)
+        assert pre == 2e200
+        assert np.array_equal(p.gradient, [0.5] * 4)
+
+    def test_overflowing_squares_over_two_parameters(self):
+        a, b = Parameter("a", np.zeros(1)), Parameter("b", np.zeros((2, 1)))
+        a.gradient[:] = 3e200
+        b.gradient[:] = 4e200 / np.sqrt(2.0)  # global norm 5e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pre = clip_gradients([a, b], max_norm=1.0)
+        assert pre == pytest.approx(5e200, rel=1e-15)
+        assert a.gradient[0] == pytest.approx(0.6, rel=1e-15)
+        assert b.gradient == pytest.approx(np.full((2, 1), 0.8 / np.sqrt(2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_gradient_still_stops_adam(self, bad):
+        a, b = Parameter("a", np.zeros(2)), Parameter("b", np.zeros(2))
+        a.gradient[:] = 1.0
+        b.gradient[:] = [bad, 1e200]
+        state = AdamState.init([a, b])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # inf times the zero factor is NaN
+            clip_gradients([a, b], 1.0, state.scratch)
+        with pytest.raises(NumericError, match="non-finite gradient in parameter 'b'"):
+            adam_step([a, b], state, TrainConfig())
 
 
 class TestTrainConfig:
@@ -706,6 +787,71 @@ class TestTrainLoop:
                 gc.enable()
 
 
+class TestRunGradients:
+    """A training run's gradients are views of its AdamState's block, and
+    every one is dropped when the run ends, however it ends."""
+
+    @staticmethod
+    def ends(nan: bool, monkeypatch):
+        """The way a run ends: it finishes, or every backward leaves a NaN
+        in a gradient and Adam stops the run."""
+        if not nan:
+            return contextlib.nullcontext()
+        real = chemner.numerics.backward
+
+        def backward_with_nan(tape, out, *args):
+            got = real(tape, out, *args)
+            next(p for _, p in tape._leaves if not p.frozen_rows).gradient.flat[0] = np.nan
+            return got
+
+        monkeypatch.setattr(chemner.numerics, "backward", backward_with_nan)
+        return pytest.raises(NumericError, match="non-finite gradient in parameter")
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finished", "nan"])
+    def test_train_drops_every_gradient(self, toy_setup, monkeypatch, nan):
+        sentences, scheme, vocab = toy_setup
+        model = make_model(sentences, scheme, vocab)
+        splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        with self.ends(nan, monkeypatch):
+            train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
+                  dev_scorer=lambda m, d: 0.0)
+        assert all(p._gradient is None for p in model.parameters())
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finished", "nan"])
+    def test_train_bilm_drops_every_gradient(self, toy_setup, monkeypatch, nan):
+        sentences, _, vocab = toy_setup
+        config = BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
+                            token_projection_dim=8, layer_dim=8)
+        made = []
+        real_init = chemner.bilm.BiLm.init
+        monkeypatch.setattr(chemner.bilm.BiLm, "init",
+                            lambda *a, **k: made.append(real_init(*a, **k)) or made[-1])
+        with self.ends(nan, monkeypatch):
+            train_bilm([s.texts for s in sentences[:4]], config, epochs=2)
+        assert all(p._gradient is None for p in made[0].parameters())
+
+    def test_each_step_starts_from_zeroed_gradients(self, toy_setup, monkeypatch):
+        sentences, scheme, vocab = toy_setup
+        model = make_model(sentences, scheme, vocab)
+        trainable = model.trainable_parameters()
+        for p in trainable:
+            p.gradient[:] = 123.0  # copied into the run's block, then zeroed
+        zeroed = []
+        real = chemner.numerics.backward
+
+        def checked_backward(tape, out, *args):
+            zeroed.append(not any(p.gradient.any() for p in trainable))
+            return real(tape, out, *args)
+
+        monkeypatch.setattr(chemner.numerics, "backward", checked_backward)
+        splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
+                              test=(), seed=0)
+        train(model, splits, TrainConfig(batch_size=2, max_epochs=1, patience=1, seed=0),
+              dev_scorer=lambda m, d: 0.0)
+        assert zeroed == [True] * 3
+
+
 class TestAllocationGuards:
     """A training step on a model with a frozen 2,000 x 50 word table: the
     table gets no gradient work in backward, and the optimizer works in its
@@ -738,10 +884,18 @@ class TestAllocationGuards:
     def test_training_never_allocates_the_table_gradient(self, frozen_table_model):
         model, batch = frozen_table_model
         splits = DatasetSplit(train=tuple(batch), dev=tuple(batch[:2]), test=(), seed=0)
-        train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0),
-              dev_scorer=lambda m, d: 0.0)
-        assert model.params["words"]._gradient is None
-        assert all(p._gradient is not None for p in model.trainable_parameters())
+        trainable = model.trainable_parameters()
+        mid_run = []
+
+        def scorer(m, d):
+            block = trainable[0]._gradient.base
+            mid_run.append(model.params["words"]._gradient is None and block is not None
+                           and all(p._gradient.base is block for p in trainable))
+            return 0.0
+
+        train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0), dev_scorer=scorer)
+        assert mid_run == [True, True]
+        assert all(p._gradient is None for p in model.parameters())
 
     def test_optimizer_step_allocates_less_than_one_parameter(self, frozen_table_model):
         model, batch = frozen_table_model
