@@ -37,10 +37,10 @@ class Parameter:
 
     The buffer is allocated, zeroed, on first use of :attr:`gradient`, so a
     parameter that is only read (a decoding model, a frozen table) holds
-    one copy of its values; a training run sets a view of its own block as
-    the buffer and drops it when the run ends. ``frozen_rows`` marks rows
-    (e.g. a PAD embedding) that optimizers must never update; gradients
-    still accumulate there so finite-difference checks stay honest.
+    one copy of its values; a training run allocates it at its start and
+    drops it at its end. ``frozen_rows`` marks rows (e.g. a PAD embedding)
+    that optimizers must never update; gradients still accumulate there so
+    finite-difference checks stay honest.
     """
 
     def __init__(self, name: str, value, trainable: bool = True,
@@ -56,14 +56,6 @@ class Parameter:
         if self._gradient is None:
             self._gradient = np.zeros_like(self.value)
         return self._gradient
-
-    @gradient.setter
-    def gradient(self, buffer: np.ndarray | None) -> None:
-        """Accumulate into ``buffer`` from now on, the gradient held so far
-        copied into it; None drops the buffer."""
-        if buffer is not None and self._gradient is not None:
-            buffer[...] = self._gradient
-        self._gradient = buffer
 
     def zero_grad(self) -> None:
         if self._gradient is not None:

@@ -59,21 +59,23 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    # the run's gradient block, and room for the clip's squares (the largest
-    # parameter) and adam_step's two temporaries; neither is checkpointed
-    # or compared
-    grads: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False,
-                              repr=False)
+    # room for the clip's squares (the largest parameter) and adam_step's
+    # two temporaries, neither checkpointed nor compared
     scratch: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False,
                                 repr=False)
 
     @classmethod
     def init(cls, params: Sequence[Parameter]) -> "AdamState":
-        """Zeroed moments, and a zeroed gradient block laid out as they are:
-        each parameter's view of it becomes its gradient, holding what the
-        parameter held. When glibc maps a block (both, at the paper size),
-        its pages become resident only as a step writes them, and the
-        gradient block goes back to the system once the run drops it."""
+        # each gradient buffer is allocated here, with the moments: one first
+        # allocated inside a step's backward sits above that step's
+        # temporaries in the heap, and glibc cannot return them to the
+        # system while the run lasts (~100 MB held at the paper size)
+        for p in params:
+            p.gradient
+        # m and v are views of one zeroed block; at the paper size it lies
+        # above glibc's mmap threshold, so its pages become resident only as
+        # the first step writes them, not before the first backward as
+        # zeros_like's would
         def views(block: np.ndarray) -> dict[str, np.ndarray]:
             out, at = {}, 0
             for p in params:
@@ -81,25 +83,23 @@ class AdamState:
                 at += p.value.size
             return out
         total = sum(p.value.size for p in params)
-        moments, grads = np.zeros(2 * total), np.zeros(total)
-        for p, g in zip(params, views(grads).values()):
-            p.gradient = g
+        block = np.zeros(2 * total)
         largest = max((p.value.size for p in params), default=0)
-        return cls(m=views(moments[:total]), v=views(moments[total:]), grads=grads,
+        return cls(m=views(block[:total]), v=views(block[total:]),
                    scratch=np.empty(max(largest, 2 * min(largest, ADAM_CHUNK))))
 
     @classmethod
     @contextmanager
     def run(cls, params: Sequence[Parameter]) -> Iterator["AdamState"]:
-        """:meth:`init`'s state for one training run. Leaving drops every
-        gradient of ``params``, so a trained model holds its values and
-        nothing of the run."""
+        """:meth:`init`'s state for one training run. Leaving drops the
+        gradient buffer of every one of ``params``, so a trained model holds
+        its values and nothing of the run."""
         state = cls.init(params)
         try:
             yield state
         finally:
             for p in params:
-                p.gradient = None
+                p._gradient = None
 
 
 def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
@@ -131,12 +131,14 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
 
 
 def _runs(*arrays: np.ndarray) -> list[Sequence[np.ndarray]]:
-    """Arrays of one size, in runs of at most ``ADAM_CHUNK`` elements:
-    themselves when they fit in one."""
+    """C-contiguous arrays of one size, in runs of at most ``ADAM_CHUNK``
+    elements: themselves when they fit in one. Each run is a view, so
+    writing to it writes to its array."""
     size = arrays[0].size
     if size <= ADAM_CHUNK:
         return [arrays]
-    flat = [a.reshape(-1, copy=False) for a in arrays]
+    assert all(a.flags.c_contiguous for a in arrays)  # so each reshape is a view
+    flat = [a.reshape(-1) for a in arrays]
     return [[a[lo:lo + ADAM_CHUNK] for a in flat] for lo in range(0, size, ADAM_CHUNK)]
 
 
@@ -179,10 +181,11 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
 
 def _optimizer_step(params: Sequence[Parameter], opt: AdamState, config: TrainConfig,
                     loss_fn: Callable[[Tape], Tensor], what: str) -> float:
-    """Zero the gradient block, record ``loss_fn`` on a fresh tape, refuse a
+    """Zero the gradients, record ``loss_fn`` on a fresh tape, refuse a
     non-finite loss (naming ``what``), backward, clear, clip, then Adam.
-    ``params`` are those ``opt`` was made for. Returns the loss value."""
-    opt.grads.fill(0.0)
+    Returns the loss value."""
+    for p in params:
+        p.zero_grad()
     tape = Tape()
     out = loss_fn(tape)
     if not np.isfinite(out.data):

@@ -152,21 +152,6 @@ class TestAdam:
         assert all(a.shape == p.value.shape and not a.any()
                    for a, p in zip(moments, params * 2))
 
-    def test_gradients_are_views_of_one_block(self):
-        params = [Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(4)),
-                  Parameter("c", np.ones((1, 1)))]
-        params[1].gradient[:] = [1.0, 2.0, 3.0, 4.0]  # a gradient held before is kept
-        state = AdamState.init(params)
-        grads = [p.gradient for p in params]
-        assert all(g.base is state.grads for g in grads)
-        assert state.grads.size == sum(p.value.size for p in params)
-        # in parameter order, each right after the one before
-        assert [g.ctypes.data - state.grads.ctypes.data for g in grads] == [0, 48, 80]
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads)
-                       for b in grads[i + 1:])
-        assert all(g.shape == p.value.shape for g, p in zip(grads, params))
-        assert np.array_equal(state.grads, [0.0] * 6 + [1.0, 2.0, 3.0, 4.0, 0.0])
-
     @pytest.mark.parametrize("shapes", [[(127, 129)], [(128, 128)], [(113, 145)], [(200, 200)],
                                         [(127, 129), (128, 128), (113, 145), (200, 200)]],
                              ids=["16383", "16384", "16385", "40000", "all"])
@@ -739,17 +724,25 @@ class TestTrainLoop:
         assert np.array_equal(model.params["words"].value[Vocabulary.PAD],
                               np.zeros(8))
 
-    def test_gradients_zeroed_per_step(self, toy_setup):
+    def test_gradients_zeroed_per_step(self, toy_setup, monkeypatch):
         sentences, scheme, vocab = toy_setup
         model = make_model(sentences, scheme, vocab)
-        for p in model.trainable_parameters():
-            p.gradient[:] = 123.0
-        splits = DatasetSplit(train=tuple(sentences[:2]), dev=tuple(sentences[:1]),
+        trainable = model.trainable_parameters()
+        for p in trainable:
+            p.gradient[:] = 123.0  # held before the run, zeroed before its first backward
+        zeroed = []
+        real = chemner.numerics.backward
+
+        def checked_backward(tape, out, *args):
+            zeroed.append(not any(p.gradient.any() for p in trainable))
+            return real(tape, out, *args)
+
+        monkeypatch.setattr(chemner.numerics, "backward", checked_backward)
+        splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
                               test=(), seed=0)
-        train(model, splits, TrainConfig(max_epochs=1, patience=1, seed=0),
+        train(model, splits, TrainConfig(batch_size=2, max_epochs=1, patience=1, seed=0),
               dev_scorer=lambda m, d: 0.0)
-        for p in model.trainable_parameters():
-            assert np.abs(p.gradient).max() < 100.0
+        assert zeroed == [True] * 3
 
     def test_every_tape_freed_without_cyclic_gc(self, toy_setup, monkeypatch):
         # a tape and its output tensors form a reference cycle; train and
@@ -788,8 +781,8 @@ class TestTrainLoop:
 
 
 class TestRunGradients:
-    """A training run's gradients are views of its AdamState's block, and
-    every one is dropped when the run ends, however it ends."""
+    """Every gradient of a training run is dropped when the run ends,
+    however it ends."""
 
     @staticmethod
     def ends(nan: bool, monkeypatch):
@@ -831,26 +824,6 @@ class TestRunGradients:
             train_bilm([s.texts for s in sentences[:4]], config, epochs=2)
         assert all(p._gradient is None for p in made[0].parameters())
 
-    def test_each_step_starts_from_zeroed_gradients(self, toy_setup, monkeypatch):
-        sentences, scheme, vocab = toy_setup
-        model = make_model(sentences, scheme, vocab)
-        trainable = model.trainable_parameters()
-        for p in trainable:
-            p.gradient[:] = 123.0  # copied into the run's block, then zeroed
-        zeroed = []
-        real = chemner.numerics.backward
-
-        def checked_backward(tape, out, *args):
-            zeroed.append(not any(p.gradient.any() for p in trainable))
-            return real(tape, out, *args)
-
-        monkeypatch.setattr(chemner.numerics, "backward", checked_backward)
-        splits = DatasetSplit(train=tuple(sentences[:6]), dev=tuple(sentences[:2]),
-                              test=(), seed=0)
-        train(model, splits, TrainConfig(batch_size=2, max_epochs=1, patience=1, seed=0),
-              dev_scorer=lambda m, d: 0.0)
-        assert zeroed == [True] * 3
-
 
 class TestAllocationGuards:
     """A training step on a model with a frozen 2,000 x 50 word table: the
@@ -888,9 +861,8 @@ class TestAllocationGuards:
         mid_run = []
 
         def scorer(m, d):
-            block = trainable[0]._gradient.base
-            mid_run.append(model.params["words"]._gradient is None and block is not None
-                           and all(p._gradient.base is block for p in trainable))
+            mid_run.append(model.params["words"]._gradient is None
+                           and all(p._gradient is not None for p in trainable))
             return 0.0
 
         train(model, splits, TrainConfig(max_epochs=2, patience=2, seed=0), dev_scorer=scorer)
