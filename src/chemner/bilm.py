@@ -337,7 +337,6 @@ def bilm_from_checkpoint(ckpt) -> BiLm:
 
 def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
                epochs: int, seed: int = 0, learning_rate: float = 0.01,
-               clip_norm: float = 1.0,
                target_perplexity: float | None = None) -> BiLm:
     """Minimize mean forward+backward next-token NLL with Adam.
 
@@ -345,6 +344,7 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
     ``training_perplexities``. Stops early once ``target_perplexity`` is
     reached, if given.
     """
+    tc = TrainConfig(learning_rate=learning_rate, seed=seed)
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     usable = [list(s) for s in sentences if len(s) >= 2]
@@ -353,7 +353,6 @@ def train_bilm(sentences: Sequence[Sequence[str]], config: BiLmConfig,
 
     model = BiLm.init(config, seed)
     params = model.parameters()
-    tc = TrainConfig(learning_rate=learning_rate, clip_norm=clip_norm, seed=seed)
     rng = np.random.default_rng(seed)
 
     def mean_nll(texts: Sequence[str], tape: Tape) -> Tensor:

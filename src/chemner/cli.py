@@ -252,8 +252,8 @@ def cmd_train(args) -> int:
     word_table = None
     if vectors is not None and config.use_pretrained_words:
         word_table = align_to_vocab(words, vectors, vocab, seed=tconfig.seed)
-        if word_table.dim != config.word_dim:
-            config = dataclasses.replace(config, word_dim=word_table.dim)
+        if word_table.shape[1] != config.word_dim:
+            config = dataclasses.replace(config, word_dim=word_table.shape[1])
     words = vectors = None  # the aligned table holds a copy of every row it uses
 
     model = NerModel.init(config, vocab, seed=tconfig.seed,

@@ -7,7 +7,6 @@ import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +16,6 @@ from .textproc import utf8_text
 
 class EmbeddingFormatError(ValueError):
     """Text embedding file violates the `<count> <dim>` header contract."""
-
-
-@dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # (|vocab|, dim) float64
-    dim: int
-    trainable: bool
 
 
 def load_embedding_text(path: str) -> tuple[list[str], np.ndarray]:
@@ -169,9 +161,9 @@ def _parse_vectors(path: str, linenos: list[int], bodies: list[str],
 
 
 def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
-                   seed: int = 0) -> EmbeddingTable:
-    """Fixed table over the vocabulary: file rows verbatim, unseen rows seeded
-    N(0, 1/sqrt(dim)), PAD all zeros."""
+                   seed: int = 0) -> np.ndarray:
+    """The fixed (|vocab|×dim) table over the vocabulary: file rows verbatim,
+    unseen rows seeded N(0, 1/sqrt(dim)), PAD all zeros."""
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
     dim = int(vectors.shape[1])
@@ -188,4 +180,4 @@ def align_to_vocab(words: list[str], vectors: np.ndarray, vocab: Vocabulary,
                                                           size=(missing.size, dim))
     if not np.isfinite(matrix).all():
         raise EmbeddingFormatError("embedding matrix contains non-finite values")
-    return EmbeddingTable(matrix=matrix, dim=dim, trainable=False)
+    return matrix

@@ -12,7 +12,6 @@ from . import numerics as nx
 from .bilm import (DECODE_BATCH_TOKENS, BiLm, BiLmConfig, MixingWeights, _decode_passes,
                    bilstm_layer, char_features, lstm_params, mix_layers)
 from .corpus import LabelScheme, TaggedSentence, Vocabulary, normalize_long_tokens
-from .embeddings import EmbeddingTable
 from .numerics import Parameter, Tape, Tensor
 from .schema import from_json, json_types
 from .training import CheckpointError, check_layout, stored, vocab_from_payload
@@ -97,24 +96,25 @@ class NerModel:
 
     @classmethod
     def init(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
-             word_table: EmbeddingTable | None = None,
+             word_table: np.ndarray | None = None,
              bilm: BiLm | None = None) -> "NerModel":
         return cls.build(config, vocab, nx.drawn(np.random.default_rng(seed)), word_table, bilm)
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: Vocabulary, new: nx.Maker,
-              word_table: EmbeddingTable | None = None,
+              word_table: np.ndarray | None = None,
               bilm: BiLm | None = None) -> "NerModel":
         """The parameter layout, each parameter made by ``new`` in a fixed
-        order (so a seeded ``numerics.drawn`` draws as init always has)."""
+        order (so a seeded ``numerics.drawn`` draws as init always has). A
+        pre-trained ``word_table`` is taken as the fixed ``words`` table."""
         made: list[Parameter] = []
         if config.use_words:
             init, trainable = nx.padded_table(Vocabulary.PAD), True
             if word_table is not None:
-                if word_table.dim != config.word_dim:
+                if word_table.shape[1] != config.word_dim:
                     raise ConfigurationError(
-                        f"word table dim {word_table.dim} != config {config.word_dim}")
-                init, trainable = (lambda *_: word_table.matrix), word_table.trainable
+                        f"word table dim {word_table.shape[1]} != config {config.word_dim}")
+                init, trainable = (lambda *_: word_table), False
             made.append(new("words", (vocab.size, config.word_dim), init, trainable,
                             (Vocabulary.PAD,)))
         if config.use_char_cnn:

@@ -184,7 +184,7 @@ def evaluate(fn: Callable[["Tape"], Tensor]) -> tuple[Tensor, Tape]:
     return out, tape
 
 
-def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, np.ndarray]:
+def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
     """Replay ``tape`` in reverse, accumulating into Parameter gradients.
 
     A gradient that reaches a parameter leaf is added straight into its
@@ -195,15 +195,8 @@ def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, n
     """
     if output.tape is not tape:
         raise ValueError("backward: output was not produced on this tape")
-    if output_gradient is None:
-        if output.data.ndim != 0:
-            raise ValueError("backward: non-scalar output needs an explicit output_gradient")
-        seed = np.ones((), dtype=np.float64)
-    else:
-        seed = _as_f64(output_gradient)
-        if seed.shape != output.data.shape:
-            raise ShapeError(f"backward: output_gradient shape {seed.shape} "
-                             f"!= output shape {output.data.shape}")
+    if output.data.ndim != 0:
+        raise ValueError(f"backward: output of shape {output.data.shape} is not a scalar")
 
     grads: dict[Tensor, np.ndarray] = {}
     into = {leaf: p.gradient for leaf, p in tape._leaves}
@@ -219,7 +212,7 @@ def backward(tape: Tape, output: Tensor, output_gradient=None) -> dict[Tensor, n
                 return
         cur += g
 
-    acc(output, seed)
+    acc(output, np.ones(()))
 
     for outputs, vjp in reversed(tape._entries):
         gs = tuple(grads.get(o) for o in outputs)

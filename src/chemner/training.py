@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("betas must lie in (0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
+        if self.seed < 0:
+            raise ValueError(f"train config seed must be non-negative, got {self.seed}")
 
 
 # elements per run of adam_step's sweep: a run of the gradient, the moments,
@@ -108,10 +110,10 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
 
     Each gradient is squared into ``scratch`` (room for the largest
     gradient, allocated here when not given) and summed there, the same
-    pairwise sum as ``(g * g).sum()``. When those squares overflow while
-    every gradient is finite, the norm is summed again over the gradients
-    divided by the largest |g|, then scaled back, so a huge gradient is
-    clipped, not zeroed. Returns the pre-clip global norm."""
+    pairwise sum as ``(g * g).sum()``. The norm gates the step: if it is not
+    finite, the first non-finite gradient raises NumericError before any is
+    scaled; if none is, the squares overflowed, and the norm is summed again
+    over g / max|g|. Returns the pre-clip global norm."""
     grads = [p.gradient for p in params if p.trainable]
     if scratch is None:
         scratch = np.empty(max((g.size for g in grads), default=0))
@@ -120,7 +122,10 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
         for g in grads:
             sq += float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
     norm = float(np.sqrt(sq))
-    if math.isinf(norm) and all(np.isfinite(g).all() for g in grads):
+    if not math.isfinite(norm):
+        for p in params:
+            if p.trainable and not np.isfinite(p.gradient).all():
+                raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         top = max(float(np.abs(g).max()) for g in grads)
         norm = top * math.sqrt(sum(float(np.square(g / top).sum()) for g in grads))
     if norm > max_norm:
@@ -131,25 +136,21 @@ def clip_gradients(params: Sequence[Parameter], max_norm: float = 1.0,
 
 
 def _runs(*arrays: np.ndarray) -> list[Sequence[np.ndarray]]:
-    """C-contiguous arrays of one size, in runs of at most ``ADAM_CHUNK``
-    elements: themselves when they fit in one. Each run is a view, so
-    writing to it writes to its array."""
-    size = arrays[0].size
-    if size <= ADAM_CHUNK:
-        return [arrays]
+    """C-contiguous arrays of one size as flat views, in runs of at most
+    ``ADAM_CHUNK`` elements, so writing to a run writes to its array."""
     assert all(a.flags.c_contiguous for a in arrays)  # so each reshape is a view
     flat = [a.reshape(-1) for a in arrays]
-    return [[a[lo:lo + ADAM_CHUNK] for a in flat] for lo in range(0, size, ADAM_CHUNK)]
+    return [[a[lo:lo + ADAM_CHUNK] for a in flat] for lo in range(0, flat[0].size, ADAM_CHUNK)]
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState,
               config: TrainConfig) -> None:
-    """Standard bias-corrected Adam; frozen rows and non-trainable
-    parameters are never updated. A parameter's gradient, moments and value
-    are swept together in runs of at most ``ADAM_CHUNK`` elements, through
-    two run-sized views of ``state.scratch``, in the operation order of
-    ``value -= lr·m̂ / (√v̂ + ε)``; every operation is elementwise, so the
-    result is bitwise that formula's."""
+    """Standard bias-corrected Adam on finite gradients (see
+    :func:`clip_gradients`); frozen rows and non-trainable parameters are
+    never updated. A parameter's gradient, moments and value are swept in
+    flat runs of at most ``ADAM_CHUNK`` elements, through two views of
+    ``state.scratch``, in the elementwise operation order of
+    ``value -= lr·m̂ / (√v̂ + ε)``, so the result is bitwise that formula's."""
     state.step += 1
     b1, b2, eps, lr = config.beta1, config.beta2, config.epsilon, config.learning_rate
     correct1, correct2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
@@ -158,11 +159,8 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
             continue
         if p.frozen_rows:
             p.gradient[list(p.frozen_rows)] = 0.0
-        if not np.isfinite(p.gradient).all():
-            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         for g, m, v, value in _runs(p.gradient, state.m[p.name], state.v[p.name], p.value):
-            num = state.scratch[:g.size].reshape(g.shape)
-            den = state.scratch[g.size:2 * g.size].reshape(g.shape)
+            num, den = state.scratch[:g.size], state.scratch[g.size:2 * g.size]
             m *= b1
             np.multiply(g, 1.0 - b1, out=num)
             m += num

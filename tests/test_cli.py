@@ -658,6 +658,15 @@ class TestTrainBilmCommand:
         assert err == f"error: min_count must be >= 1, got {min_count}\n"
         assert list(tmp_path.iterdir()) == [corpus]
 
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "plain.txt"
+        corpus.write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        code, _, err = run(capsys, "train-bilm", "--corpus", str(corpus), "--epochs", "1",
+                           "--out", str(tmp_path / "bilm.ckpt"), "--seed", "-1")
+        assert code == 2
+        assert err == "error: train config seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == [corpus]
+
     def test_train_bilm_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path):
         corpus = tmp_path / "plain.txt"
         corpus.write_bytes(b"the cat sat\n\nthe d\xc3g ran\n")
@@ -1297,6 +1306,18 @@ class TestOutOfRangeConfigValues:
                            "--dev", missing, "--out", str(tmp_path / "out"))
         assert code == 2 and "dropout" in err and "missing.bio" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_refused_before_the_corpora_are_read(self, capsys, tmp_path, where):
+        cfg = tmp_path / "run.json"
+        train_section = {**RUN_CONFIG["train"], "seed": -1 if where == "config" else 0}
+        cfg.write_text(json.dumps({**RUN_CONFIG, "train": train_section}), encoding="utf-8")
+        missing = str(tmp_path / "missing.bio")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--train", missing,
+                           "--dev", missing, "--out", str(tmp_path / "out"),
+                           *(["--seed", "-1"] if where == "flag" else []))
+        assert code == 2
+        assert err == "error: train config seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("key,value", [("learning_rate", math.nan), ("clip_norm", math.nan),
                                            ("learning_rate", math.inf), ("epsilon", math.inf)])

@@ -332,28 +332,28 @@ class TestAlignToVocab:
             write(tmp_path, "1 4\nalpha 0.125 -3.5 7.75 0.0009765625\n"))
         vocab = make_vocab(pretrained=words)
         table = align_to_vocab(words, vectors, vocab, seed=3)
-        row = table.matrix[vocab.word_id("alpha")]
+        row = table[vocab.word_id("alpha")]
         assert np.array_equal(row, vectors[0])  # bit-exact copy
-        assert table.trainable is False
+        assert table.shape == (vocab.size, 4)
 
     def test_pad_row_zero(self):
         vocab = make_vocab()
         table = align_to_vocab([], np.zeros((0, 6)), vocab, seed=0)
-        assert np.array_equal(table.matrix[Vocabulary.PAD], np.zeros(6))
+        assert np.array_equal(table[Vocabulary.PAD], np.zeros(6))
 
     def test_unseen_rows_seeded(self):
         vocab = make_vocab()
         a = align_to_vocab([], np.zeros((0, 8)), vocab, seed=5)
         b = align_to_vocab([], np.zeros((0, 8)), vocab, seed=5)
         c = align_to_vocab([], np.zeros((0, 8)), vocab, seed=6)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, c.matrix)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_unseen_scale(self):
         vocab = make_vocab(words=tuple(f"w{i}" for i in range(200)))
         dim = 64
         table = align_to_vocab([], np.zeros((0, dim)), vocab, seed=1)
-        sampled = table.matrix[3:]
+        sampled = table[3:]
         assert abs(sampled.std() - 1 / np.sqrt(dim)) < 0.05 / np.sqrt(dim) * 10
 
     @pytest.mark.parametrize("in_file", ["none", "some", "all"])
@@ -366,7 +366,7 @@ class TestAlignToVocab:
         names += ["absent", "W7"]
         vectors = np.random.default_rng(1).normal(size=(len(names), 200))
         table = align_to_vocab(names, vectors, vocab, seed=5)
-        assert table.matrix.tobytes() == align_rows(names, vectors, vocab, 5).tobytes()
+        assert table.tobytes() == align_rows(names, vectors, vocab, 5).tobytes()
 
     def test_non_finite_file_row_refused(self):
         vocab = make_vocab()

@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from chemner import numerics as nx
 from chemner.bilm import BiLm, BiLmConfig, _decode_passes, bilstm_layer, train_bilm
 from chemner.corpus import Vocabulary, sentence_from_texts
-from chemner.embeddings import EmbeddingTable
 from chemner.model import (DECODE_BATCH_TOKENS, ConfigurationError, ModelConfig, NerModel,
                            model_from_checkpoint)
 from chemner.numerics import Tape, backward
@@ -325,18 +323,14 @@ class TestPredictAndLoss:
 
     def test_word_table_plumbed(self, toy_data):
         sentences, scheme, vocab = toy_data
-        matrix = np.random.default_rng(4).normal(size=(vocab.size, 8))
-        table = EmbeddingTable(matrix=matrix, dim=8, trainable=True)
+        table = np.random.default_rng(4).normal(size=(vocab.size, 8))
         cfg = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
                           char_filter_count=4, char_output_dim=4, lstm_hidden=6)
-        model = NerModel.init(cfg, vocab, seed=0, word_table=table)
-        assert np.array_equal(model.params["words"].value, table.matrix)
-        # trainable as the table says, the PAD row pinned
-        for trainable in (True, False):
-            words = NerModel.init(cfg, vocab, seed=0, word_table=replace(
-                table, trainable=trainable)).params["words"]
-            assert words.trainable is trainable
-            assert words.frozen_rows == (Vocabulary.PAD,)
+        words = NerModel.init(cfg, vocab, seed=0, word_table=table).params["words"]
+        assert np.array_equal(words.value, table)
+        # fixed, the PAD row pinned
+        assert words.trainable is False
+        assert words.frozen_rows == (Vocabulary.PAD,)
 
 
 class TestContextualIntegration:
@@ -740,8 +734,7 @@ class TestCheckpointRestore:
             bilm = BiLm.init(BiLmConfig(vocab=vocab, char_embed_dim=4, char_filters=((3, 4),),
                                         token_projection_dim=8, layer_dim=8), seed=1)
         if table:
-            word_table = EmbeddingTable(np.random.default_rng(2).normal(size=(vocab.size, 8)),
-                                        dim=8, trainable=False)
+            word_table = np.random.default_rng(2).normal(size=(vocab.size, 8))
         config = ModelConfig(labels=scheme.entity_labels, word_dim=8, char_embed_dim=4,
                              char_filter_count=4, char_output_dim=4, lstm_hidden=6,
                              use_pretrained_words=table, use_char_cnn=chars,

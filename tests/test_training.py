@@ -14,16 +14,18 @@ import chemner.training
 
 from chemner.bilm import BiLmConfig, train_bilm
 from chemner.corpus import DatasetSplit, Vocabulary
-from chemner.embeddings import EmbeddingTable
 from chemner.model import ModelConfig, NerModel, model_from_checkpoint
 from chemner.numerics import NumericError, Parameter, Tape, backward
-from chemner.training import (AdamState, CheckpointError, TrainConfig, adam_step,
-                              clip_gradients, dev_micro_f1, load_checkpoint,
+from chemner.training import (AdamState, CheckpointError, TrainConfig, _optimizer_step,
+                              adam_step, clip_gradients, dev_micro_f1, load_checkpoint,
                               make_checkpoint, save_checkpoint, train)
 
 from conftest import toy_corpus
 from chemner.corpus import build_vocabulary
 from oracles import adam_formula_step, tobytes_write_tensor, traced_peak
+
+# an overflow or invalid value in the optimizer fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # checkpoint metadata of the right JSON types, for hand-built files
@@ -94,10 +96,11 @@ class TestAdam:
         assert not np.array_equal(p.value[1], [1.0, 1.0])
 
     def test_nonfinite_gradient_names_parameter(self):
+        # the clip refuses it before Adam is reached
         p = Parameter("bad_param", np.ones(2))
         p.gradient[:] = [np.nan, 0.0]
         with pytest.raises(NumericError, match="bad_param"):
-            adam_step([p], AdamState.init([p]), TrainConfig())
+            clip_gradients([p], 1.0, AdamState.init([p]).scratch)
 
     def test_bias_correction_trajectory(self):
         # two steps against a hand-computed Adam trajectory
@@ -245,15 +248,94 @@ class TestClipGradients:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_gradient_still_stops_adam(self, bad):
+        # the clip raises before it scales anything, so Adam never runs
         a, b = Parameter("a", np.zeros(2)), Parameter("b", np.zeros(2))
         a.gradient[:] = 1.0
         b.gradient[:] = [bad, 1e200]
         state = AdamState.init([a, b])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # inf times the zero factor is NaN
-            clip_gradients([a, b], 1.0, state.scratch)
-        with pytest.raises(NumericError, match="non-finite gradient in parameter 'b'"):
-            adam_step([a, b], state, TrainConfig())
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite gradient in parameter 'b'"):
+                clip_gradients([a, b], 1.0, state.scratch)
+        assert np.array_equal(a.gradient, [1.0, 1.0])
+        assert np.array_equal(b.gradient, [bad, 1e200], equal_nan=True)
+
+    def test_a_finite_step_makes_no_finiteness_pass(self, monkeypatch):
+        # the finite norm is the gate: neither the clip nor Adam scans
+        # the gradients for non-finite values
+        params = [Parameter("a", np.zeros((3, 2)), frozen_rows=(0,)), Parameter("b", np.zeros(4))]
+        for p, g in zip(params, (3.0, 0.5)):
+            p.gradient[...] = g
+        state = AdamState.init(params)
+        scanned = []
+        monkeypatch.setattr(np, "isfinite", lambda *a, **k: scanned.append(a))
+        clip_gradients(params, 1.0, state.scratch)
+        adam_step(params, state, TrainConfig())
+        monkeypatch.undo()
+        assert scanned == []
+        assert all(np.isfinite(p.value).all() for p in params)
+
+
+def stepped_on(params: list[Parameter], opt: AdamState, grads: list) -> float:
+    """One ``_optimizer_step`` whose backward leaves ``grads`` in ``params``."""
+    def loss(tape: Tape):
+        for p, g in zip(params, grads):
+            p.gradient[...] = g
+        return tape.input(np.asarray(0.5))
+    return _optimizer_step(params, opt, TrainConfig(), loss, "test loss")
+
+
+def optimizer_bytes(params: list[Parameter], opt: AdamState) -> tuple:
+    return ([p.value.tobytes() for p in params], [a.tobytes() for a in opt.m.values()],
+            [a.tobytes() for a in opt.v.values()], opt.step)
+
+
+class TestFinitenessGate:
+    """The clip's pre-clip norm is an optimizer step's one finiteness
+    gate: a NaN or infinite gradient anywhere, in any order, stops the step
+    with no numpy warning, before any value, moment or step count moves."""
+
+    @pytest.mark.parametrize("grads,name", [
+        ([[1.0, -2.0], [0.5, np.nan]], "p1"),   # a NaN after a parameter Adam could step
+        ([[1e200, 1.0], [np.nan, 0.0]], "p1"),  # a huge gradient that would overflow v
+        ([[np.inf, 1.0], [0.5, 0.5]], "p0"),    # inf, which a zero factor would make NaN
+        ([[np.nan, 1.0], [0.5, -0.5]], "p0"),   # the first parameter as the last
+        ([[np.nan, 1.0], [np.inf, 0.0]], "p0"),  # the first non-finite one is named
+    ], ids=["nan-after", "huge-beside-nan", "inf", "nan-first", "first-named"])
+    def test_refused_step_changes_nothing(self, grads, name):
+        params = [Parameter("p0", [0.25, -0.75]), Parameter("p1", [1.5, 0.0])]
+        with AdamState.run(params) as opt:
+            stepped_on(params, opt, [[0.3, -0.1], [0.2, 0.4]])
+            before = optimizer_bytes(params, opt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError,
+                                   match=f"non-finite gradient in parameter '{name}'"):
+                    stepped_on(params, opt, grads)
+            assert optimizer_bytes(params, opt) == before
+            assert opt.step == 1
+
+    def test_a_nan_only_in_a_frozen_row_is_refused(self):
+        # it would make the norm NaN, which compares False with max_norm
+        params = [Parameter("emb", np.ones((3, 2)), frozen_rows=(0,)),
+                  Parameter("w", np.zeros(2))]
+        table = np.full((3, 2), 5.0)
+        table[0, 1] = np.nan
+        with AdamState.run(params) as opt:
+            before = optimizer_bytes(params, opt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match="parameter 'emb'"):
+                    stepped_on(params, opt, [table, [3.0, 4.0]])
+            assert optimizer_bytes(params, opt) == before
+
+    def test_a_non_trainable_gradient_is_not_gated(self):
+        # the overflowing squares make the scan run; it passes over "fixed"
+        params = [Parameter("w", np.zeros(2)), Parameter("fixed", np.ones(2), trainable=False)]
+        with AdamState.run(params) as opt:
+            stepped_on(params, opt, [[1e200, 1.0], [np.nan, np.inf]])
+            assert opt.step == 1 and np.array_equal(params[1].value, [1.0, 1.0])
+            assert params[0].value[0] == pytest.approx(-0.001) and params[0].value[1] < 0
 
 
 class TestTrainConfig:
@@ -270,6 +352,10 @@ class TestTrainConfig:
     def test_positive_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("key", ["learning_rate", "clip_norm", "epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -833,8 +919,7 @@ class TestAllocationGuards:
     @pytest.fixture
     def frozen_table_model(self, toy_setup):
         sentences, scheme, vocab = toy_setup
-        table = EmbeddingTable(matrix=np.random.default_rng(0).normal(size=(2000, 50)),
-                               dim=50, trainable=False)
+        table = np.random.default_rng(0).normal(size=(2000, 50))
         cfg = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=4,
                           char_filter_count=4, char_output_dim=4, lstm_hidden=8)
         return NerModel.init(cfg, vocab, seed=0, word_table=table), sentences[:8]
