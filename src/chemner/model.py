@@ -111,9 +111,9 @@ class NerModel:
         if config.use_words:
             init, trainable = nx.padded_table(Vocabulary.PAD), True
             if word_table is not None:
-                if word_table.shape[1] != config.word_dim:
-                    raise ConfigurationError(
-                        f"word table dim {word_table.shape[1]} != config {config.word_dim}")
+                if word_table.shape != (vocab.size, config.word_dim):
+                    raise ConfigurationError(f"word table shape {word_table.shape} != "
+                                             f"{(vocab.size, config.word_dim)} (vocabulary, dim)")
                 init, trainable = (lambda *_: word_table), False
             made.append(new("words", (vocab.size, config.word_dim), init, trainable,
                             (Vocabulary.PAD,)))

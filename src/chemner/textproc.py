@@ -12,7 +12,9 @@ opened here, under one UTF-8 rule.
 
 import contextlib
 import json
+import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .schema import from_json
 
@@ -99,13 +101,18 @@ class TokenizerKind:
         return tokenize_chemical(sentence, self.rules)
 
 
-def _byte_offsets(text: str) -> list[int]:
-    """offsets[i] = byte offset of character i; offsets[len] = total bytes.
-
-    A character starts at every UTF-8 byte that is not a continuation byte
-    (10xxxxxx)."""
-    b = text.encode("utf-8")
-    return [i for i, x in enumerate(b) if x & 0xC0 != 0x80] + [len(b)]
+def _pieces(text: str, spans: Iterable[tuple[int, int]]) -> list[tuple[str, int, int]]:
+    """(text, byte start, byte end) of each ordered, disjoint character span
+    of ``text``: each span end adds the UTF-8 length of the text since the
+    previous one."""
+    out = []
+    char = byte = 0
+    for a, b in spans:
+        piece = text[a:b]
+        start = byte + len(text[char:a].encode("utf-8"))
+        byte, char = start + len(piece.encode("utf-8")), b
+        out.append((piece, start, byte))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -116,53 +123,33 @@ def split_sentences(document_text: str) -> list[Sentence]:
     """Split after ./!/? followed by whitespace and an uppercase or digit.
 
     A period that terminates a known abbreviation, or any terminator inside
-    an open (...) or [...] group, does not split.
+    an open (...) or [...] group, does not split. Only brackets and
+    terminators before whitespace are visited (``re``'s ``\\s`` is
+    ``str.isspace``).
     """
-    if not document_text.strip():
+    text = document_text
+    end = len(text.rstrip())
+    if not end:
         return []
-    offsets = _byte_offsets(document_text)
-    n = len(document_text)
-    sentences: list[Sentence] = []
-    start = 0
-
-    def flush(end_char: int) -> None:
-        seg = document_text[start:end_char]
-        lead = len(seg) - len(seg.lstrip())
-        trail = len(seg) - len(seg.rstrip())
-        s, e = start + lead, end_char - trail
-        if s < e:
-            sentences.append(Sentence(text=document_text[s:e],
-                                      source_span=(offsets[s], offsets[e])))
-
+    starts, ends = [re.match(r"\s*", text).end()], []
     depth = 0
-    i = 0
-    while i < n:
-        ch = document_text[i]
+    for m in re.finditer(r"[(\[\])]|[.!?](?=\s+(\S?))", text):
+        ch, head = m.group(), m.group(1)
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth = max(0, depth - 1)
-        elif ch in ".!?" and depth == 0:
-            j = i + 1
-            if j < n and document_text[j].isspace():
-                while j < n and document_text[j].isspace():
-                    j += 1
-                nxt = document_text[j] if j < n else ""
-                if nxt and (nxt.isupper() or nxt.isdigit()):
-                    if not (ch == "." and _ends_with_abbreviation(document_text, i)):
-                        flush(i + 1)
-                        start = i + 1
-                        i = j
-                        continue
-        i += 1
-    flush(n)
-    return sentences
+        elif depth == 0 and (head.isupper() or head.isdigit()) and not (
+                ch == "." and _ends_with_abbreviation(text, m.start())):
+            ends.append(m.end())
+            starts.append(m.start(1))
+    ends.append(end)
+    return [Sentence(piece, (a, b)) for piece, a, b in _pieces(text, zip(starts, ends))]
 
 
 def _ends_with_abbreviation(text: str, period_pos: int) -> bool:
-    head = text[:period_pos]
     for abbr in SENTENCE_ABBREVIATIONS:
-        if head.endswith(abbr):
+        if text.endswith(abbr, 0, period_pos):
             before = period_pos - len(abbr) - 1
             if before < 0 or not text[before].isalnum():
                 return True
@@ -194,15 +181,10 @@ def _general_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _spans_to_tokens(text: str, spans: list[tuple[int, int]],
-                     offsets: list[int]) -> list[Token]:
-    return [Token(text=text[a:b], start=offsets[a], end=offsets[b]) for a, b in spans]
-
-
 def tokenize_general(sentence: Sentence) -> list[Token]:
     """Maximal letter runs, maximal digit runs, single punctuation chars."""
     text = sentence.text
-    return _spans_to_tokens(text, _general_spans(text), _byte_offsets(text))
+    return [Token(*piece) for piece in _pieces(text, _general_spans(text))]
 
 
 def tokenize_chemical(sentence: Sentence, rules: RuleConfig | None = None) -> list[Token]:
@@ -218,32 +200,18 @@ def tokenize_chemical(sentence: Sentence, rules: RuleConfig | None = None) -> li
     if rules is None:
         rules = RuleConfig()
     text = sentence.text
-    offsets = _byte_offsets(text)
-    out: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        spans = _chunk_spans(text[i:j], rules)
-        out.extend(Token(text=text[i + a:i + b],
-                         start=offsets[i + a], end=offsets[i + b])
-                   for a, b in spans)
-        i = j
-    return out
+    spans = [(m.start() + a, m.start() + b) for m in re.finditer(r"\S+", text)
+             for a, b in _chunk_spans(m.group(), rules)]
+    return [Token(*piece) for piece in _pieces(text, spans)]
 
 
 def _chunk_is_chemical(chunk: str, rules: RuleConfig) -> bool:
     if any(c.isdigit() for c in chunk):
         return True
-    core = chunk
-    while core and not core[-1].isalnum():
-        core = core[:-1]
-    low = core.lower()
-    return any(low.endswith(suf) for suf in rules.suffixes)
+    end = len(chunk)
+    while end and not chunk[end - 1].isalnum():
+        end -= 1
+    return chunk[:end].lower().endswith(tuple(rules.suffixes))
 
 
 def _brackets_balanced(chunk: str) -> bool:

@@ -6,7 +6,11 @@ gradients by central differences on the loss value alone. The BIO
 references decide each tag from ``LabelScheme.split_tag``, apart from the
 ``LabelScheme.may_follow`` rule the library uses. The taped ops at the end, built on ``nx.primitive``, are the tape-engine tests' operands,
 the per-row chain the fused ``numerics.char_cnn`` is tested against, and
-one recorded direction of the biLSTM block's kernel.
+one recorded direction of the biLSTM block's kernel. The text front end at
+the end walks every character in Python: the splitter and tokenizers that
+``chemner.textproc`` replaced with ``re`` scans, kept verbatim with the
+helpers that changed (``_chunk_spans`` is copied so that it calls the old
+``_chunk_is_chemical``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from chemner import numerics as nx
 from chemner.corpus import LabelScheme, Vocabulary
 from chemner.evaluation import EntitySpan
 from chemner.numerics import ShapeError, Tensor, _wrap
+from chemner.textproc import (SENTENCE_ABBREVIATIONS, RuleConfig, Sentence, Token,
+                              _brackets_balanced, _general_spans)
 
 
 def traced_peak(fn: Callable[[], object]) -> int:
@@ -307,3 +313,160 @@ def lstm_direction(x, lengths: Sequence[int], wx, wh, b, reverse: bool = False) 
     bptt = nx._lstm_direction(x.data, nx.pack(lengths, reverse), wx.data, wh.data, b.data,
                               out, taped)()
     return nx.primitive("lstm_direction", [x, wx, wh, b], out, lambda g: bptt(g)())
+
+
+# ---------------------------------------------------------------------------
+# the text front end as it was written before its boundary scans used ``re``
+# ---------------------------------------------------------------------------
+
+def _byte_offsets(text: str) -> list[int]:
+    """offsets[i] = byte offset of character i; offsets[len] = total bytes.
+
+    A character starts at every UTF-8 byte that is not a continuation byte
+    (10xxxxxx)."""
+    b = text.encode("utf-8")
+    return [i for i, x in enumerate(b) if x & 0xC0 != 0x80] + [len(b)]
+
+
+def split_sentences(document_text: str) -> list[Sentence]:
+    """Split after ./!/? followed by whitespace and an uppercase or digit.
+
+    A period that terminates a known abbreviation, or any terminator inside
+    an open (...) or [...] group, does not split.
+    """
+    if not document_text.strip():
+        return []
+    offsets = _byte_offsets(document_text)
+    n = len(document_text)
+    sentences: list[Sentence] = []
+    start = 0
+
+    def flush(end_char: int) -> None:
+        seg = document_text[start:end_char]
+        lead = len(seg) - len(seg.lstrip())
+        trail = len(seg) - len(seg.rstrip())
+        s, e = start + lead, end_char - trail
+        if s < e:
+            sentences.append(Sentence(text=document_text[s:e],
+                                      source_span=(offsets[s], offsets[e])))
+
+    depth = 0
+    i = 0
+    while i < n:
+        ch = document_text[i]
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth = max(0, depth - 1)
+        elif ch in ".!?" and depth == 0:
+            j = i + 1
+            if j < n and document_text[j].isspace():
+                while j < n and document_text[j].isspace():
+                    j += 1
+                nxt = document_text[j] if j < n else ""
+                if nxt and (nxt.isupper() or nxt.isdigit()):
+                    if not (ch == "." and _ends_with_abbreviation(document_text, i)):
+                        flush(i + 1)
+                        start = i + 1
+                        i = j
+                        continue
+        i += 1
+    flush(n)
+    return sentences
+
+
+def _ends_with_abbreviation(text: str, period_pos: int) -> bool:
+    head = text[:period_pos]
+    for abbr in SENTENCE_ABBREVIATIONS:
+        if head.endswith(abbr):
+            before = period_pos - len(abbr) - 1
+            if before < 0 or not text[before].isalnum():
+                return True
+    return False
+
+
+def _spans_to_tokens(text: str, spans: list[tuple[int, int]],
+                     offsets: list[int]) -> list[Token]:
+    return [Token(text=text[a:b], start=offsets[a], end=offsets[b]) for a, b in spans]
+
+
+def tokenize_general(sentence: Sentence) -> list[Token]:
+    """Maximal letter runs, maximal digit runs, single punctuation chars."""
+    text = sentence.text
+    return _spans_to_tokens(text, _general_spans(text), _byte_offsets(text))
+
+
+def tokenize_chemical(sentence: Sentence, rules: RuleConfig | None = None) -> list[Token]:
+    """General tokenization, then merge across attached punctuation.
+
+    Inside a whitespace-delimited chunk that contains a digit or whose
+    alphanumeric core ends with a chemical suffix: parentheses/brackets
+    attach when balanced within the chunk, and a hyphen/comma/period
+    attaches when both neighbouring characters are alphanumeric or attached
+    brackets. Every chemical token is therefore a concatenation of
+    consecutive general tokens of the same sentence.
+    """
+    if rules is None:
+        rules = RuleConfig()
+    text = sentence.text
+    offsets = _byte_offsets(text)
+    out: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        spans = _chunk_spans(text[i:j], rules)
+        out.extend(Token(text=text[i + a:i + b],
+                         start=offsets[i + a], end=offsets[i + b])
+                   for a, b in spans)
+        i = j
+    return out
+
+
+def _chunk_is_chemical(chunk: str, rules: RuleConfig) -> bool:
+    if any(c.isdigit() for c in chunk):
+        return True
+    core = chunk
+    while core and not core[-1].isalnum():
+        core = core[:-1]
+    low = core.lower()
+    return any(low.endswith(suf) for suf in rules.suffixes)
+
+
+def _chunk_spans(chunk: str, rules: RuleConfig) -> list[tuple[int, int]]:
+    base = _general_spans(chunk)
+    if not _chunk_is_chemical(chunk, rules):
+        return base
+
+    brackets = set("()[]") & set(rules.no_split_chars)
+    glue = set(rules.no_split_chars) - brackets
+    balanced = _brackets_balanced(chunk)
+
+    def attachable(pos: int) -> bool:
+        ch = chunk[pos]
+        return ch.isalnum() or (balanced and ch in brackets)
+
+    def attached_punct(pos: int) -> bool:
+        ch = chunk[pos]
+        if ch in brackets:
+            return balanced
+        if ch in glue:
+            return (0 < pos < len(chunk) - 1
+                    and attachable(pos - 1) and attachable(pos + 1))
+        return False
+
+    merged: list[tuple[int, int]] = []
+    for a, b in base:
+        is_punct = not chunk[a].isalnum()
+        joins = bool(merged) and merged[-1][1] == a and (
+            attached_punct(a) if is_punct else attached_punct(a - 1) if a > 0 else False
+        )
+        if joins:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged

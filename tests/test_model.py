@@ -332,6 +332,19 @@ class TestPredictAndLoss:
         assert words.trainable is False
         assert words.frozen_rows == (Vocabulary.PAD,)
 
+    @pytest.mark.parametrize("rows,dim", [(2000, 50), (None, 49)], ids=["rows", "dim"])
+    def test_word_table_of_another_shape_is_refused(self, toy_data, rows, dim):
+        # a table of another height would train and save a checkpoint that
+        # cannot be loaded
+        sentences, scheme, vocab = toy_data
+        assert vocab.size == 25
+        shape = (rows or vocab.size, dim)
+        cfg = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=4,
+                          char_filter_count=4, char_output_dim=4, lstm_hidden=6)
+        with pytest.raises(ConfigurationError, match=rf"shape \({shape[0]}, {dim}\) != "
+                                                     rf"\(25, 50\)"):
+            NerModel.init(cfg, vocab, seed=0, word_table=np.zeros(shape))
+
 
 class TestContextualIntegration:
     def make_contextual_model(self, toy_data, seed=0):

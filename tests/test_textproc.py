@@ -1,7 +1,11 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import re
+import time
 
-from chemner.textproc import (RuleConfig, Sentence, TokenizerKind, _byte_offsets,
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from chemner.textproc import (RuleConfig, Sentence, TokenizerKind, _chunk_is_chemical, _pieces,
                               split_sentences, tokenize_chemical, tokenize_general)
 
 IUPAC = "3-(4,5-dimethylthiazol-2-yl)-2,5-diphenyl tetrazolium bromide"
@@ -205,11 +209,23 @@ def per_character_byte_offsets(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(st.characters(max_codepoint=127))
-       | st.text()
-       | st.text(st.characters(max_codepoint=127) | st.characters(min_codepoint=0x10000)))
-def test_byte_offsets_equal_per_character_loop(text):
-    assert _byte_offsets(text) == per_character_byte_offsets(text)
+@given(st.data())
+def test_pieces_equal_per_character_loop(data):
+    text = data.draw(st.text(st.characters(max_codepoint=127))
+                     | st.text()
+                     | st.text(st.characters(max_codepoint=127)
+                               | st.characters(min_codepoint=0x10000)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)))))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    offsets = per_character_byte_offsets(text)
+    assert _pieces(text, spans) == [(text[a:b], offsets[a], offsets[b]) for a, b in spans]
+
+
+def test_re_whitespace_is_str_isspace():
+    # the splitter's and the chunker's patterns are exact only because of this
+    space = re.compile(r"\s")
+    assert [hex(c) for c in range(0x110000)
+            if bool(space.fullmatch(chr(c))) != chr(c).isspace()] == []
 
 
 # letters, digits, the punctuation the chemical tokenizer attaches, sentence
@@ -228,3 +244,73 @@ def test_each_token_span_decodes_to_its_text(document):
         for kind in (TokenizerKind("general"), TokenizerKind("chemical")):
             for tok in kind.tokenize(sentence):
                 assert raw[base + tok.start:base + tok.end].decode("utf-8") == tok.text
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHEMICAL_TEXT)
+def test_chemical_tokens_merge_consecutive_general_tokens(text):
+    sentence = Sentence(text)
+    general = iter(tokenize_general(sentence))
+    for tok in tokenize_chemical(sentence):
+        run = [next(general)]
+        while run[-1].end < tok.end:
+            run.append(next(general))
+        assert (run[0].start, run[-1].end) == (tok.start, tok.end)
+        assert all(a.end == b.start for a, b in zip(run, run[1:]))
+        assert "".join(t.text for t in run) == tok.text
+    assert next(general, None) is None
+
+
+# whitespace that is not ASCII (\x1c-\x1f and \x85 are str.isspace), brackets,
+# terminators, abbreviations, digits and letters on which str.isdigit/isalpha
+# and re's classes disagree, case changes that change length, and characters
+# of 2, 3 and 4 UTF-8 bytes
+FRONT_END_PIECES = st.sampled_from([
+    *"\x1c\x1f\x85\xa0\u2028\u3000 \n\t()[].!?-,;aZ9_\u00b2\u00bd\u2163\u0301\u0130\u01c5\u00df\u0663",
+    *"\u00e9\u6f22\U0001f642", "mp.", "e.g.", "i.e.", "et al.", "Fig.", "No.", "etc.", "approx.",
+    "yl", "ol", "ene", "ium", ". A", ". 2", "? B", "! \u00c9"])
+FRONT_END_TEXT = (st.lists(FRONT_END_PIECES | st.characters(), max_size=60).map("".join)
+                  | st.text())
+RULES = st.builds(RuleConfig,
+                  no_split_chars=st.text(st.sampled_from("-,.()[]/:;+_\u00b2 "), max_size=8),
+                  suffixes=st.lists(st.sampled_from(["yl", "ol", "ene", "ium", "", "e", "(", "\u0130",
+                                                     "i\u0307", "ss", "\u2163", "\u2173"])
+                                    | st.text(max_size=2), max_size=4).map(tuple))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FRONT_END_TEXT, st.none() | RULES)
+@example("a () b", RuleConfig(suffixes=("(",)))  # a chunk with no alphanumeric core
+def test_front_end_equals_per_character_oracle(document, rules):
+    sentences = split_sentences(document)
+    assert sentences == oracles.split_sentences(document)
+    for sentence in [*sentences, Sentence(document)]:
+        assert tokenize_general(sentence) == oracles.tokenize_general(sentence)
+        assert tokenize_chemical(sentence, rules) == oracles.tokenize_chemical(sentence, rules)
+
+
+def growth(fn, small, large):
+    """Best-of-3 time of ``fn(large)`` over that of ``fn(small)``."""
+    def best(arg):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            fn(arg)
+            times.append(time.perf_counter() - started)
+        return min(times)
+    return best(large) / best(small)
+
+
+def test_splitting_grows_linearly():
+    # one sentence with a period after an abbreviation every six characters:
+    # the per-character splitter copied the text before each such period (the
+    # emoji makes every character of that copy four bytes wide)
+    assert growth(split_sentences, "\U0001f642 " + "mp. A " * 10_000,
+                  "\U0001f642 " + "mp. A " * 40_000) < 8
+
+
+def test_chemical_chunk_test_grows_linearly():
+    # stripping trailing punctuation one copy at a time was quadratic in its run
+    rules = RuleConfig()
+    assert growth(lambda chunk: _chunk_is_chemical(chunk, rules),
+                  "ane" + "-" * 25_000, "ane" + "-" * 100_000) < 8

@@ -919,6 +919,10 @@ class TestAllocationGuards:
     @pytest.fixture
     def frozen_table_model(self, toy_setup):
         sentences, scheme, vocab = toy_setup
+        # pre-trained placeholder words make the vocabulary as tall as the table
+        placeholders = [f"pretrained-{i}" for i in range(2000 - vocab.size)]
+        vocab = build_vocabulary(sentences, [], placeholders, min_count=1)
+        assert vocab.size == 2000
         table = np.random.default_rng(0).normal(size=(2000, 50))
         cfg = ModelConfig(labels=scheme.entity_labels, word_dim=50, char_embed_dim=4,
                           char_filter_count=4, char_output_dim=4, lstm_hidden=8)
